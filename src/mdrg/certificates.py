@@ -9,7 +9,6 @@ can re-verify the violation without re-running the search.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Optional
@@ -107,15 +106,8 @@ class Certificate:
                 return c
         raise KeyError(name)
 
-    def merged(self, other: "Certificate") -> "Certificate":
-        return Certificate(checks=self.checks + other.checks)
-
     def to_dict(self) -> dict:
         return {
             "verdict": self.verdict,
             "checks": [c.to_dict() for c in self.checks],
         }
-
-    def to_json(self) -> str:
-        """Deterministic serialization (sorted keys, no whitespace drift)."""
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)

@@ -4,13 +4,12 @@ One command per process.  Reports are JSON on stdout with sorted keys,
 so identical inputs produce byte-identical output; timing and
 diagnostics go to stderr.  Exit codes: 0 the property is certified,
 1 the property fails (a witness is in the report), 2 input or usage
-error.  ``MDRG_THREADS`` caps internal parallelism (0 = auto).
+error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from fractions import Fraction
@@ -37,19 +36,6 @@ from .serialize import (InputFormatError, dump_json, graph_from_dict,
 
 class UsageError(Exception):
     """Bad flags, parameters, or input documents: exit code 2."""
-
-
-def _threads() -> int:
-    raw = os.environ.get("MDRG_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError("MDRG_THREADS must be an integer, got %r" % raw)
-    if value < 0:
-        raise UsageError("MDRG_THREADS must be >= 0")
-    if value == 0:
-        return os.cpu_count() or 1
-    return value
 
 
 def _parse_order(text: str) -> MonomialOrder:
@@ -163,7 +149,7 @@ def cmd_distances(args: argparse.Namespace) -> tuple[dict, int]:
     if not isinstance(doc, ColoredGraph):
         raise UsageError("%s is not a graph file" % args.input)
     try:
-        table = m_distance_table(doc, order, threads=_threads())
+        table = m_distance_table(doc, order)
     except DisconnectedGraphError as exc:
         raise UsageError(str(exc))
     results = table_to_dict(table)
@@ -180,7 +166,7 @@ def cmd_certify_mdrg(args: argparse.Namespace) -> tuple[dict, int]:
     if not isinstance(doc, ColoredGraph):
         raise UsageError("%s is not a graph file" % args.input)
     try:
-        result = mdrg_check(doc, order, threads=_threads())
+        result = mdrg_check(doc, order)
     except DisconnectedGraphError as exc:
         raise UsageError(str(exc))
     certificates = {"mdrg": result.certificate}
@@ -220,7 +206,7 @@ def _tensor_from_document(doc, labeling: Optional[Labeling], order: MonomialOrde
     """Reduce any input document to a labeled tensor; None means a
     certificate already failed and the caller should stop at exit 1."""
     if isinstance(doc, ColoredGraph):
-        result = mdrg_check(doc, order, threads=_threads())
+        result = mdrg_check(doc, order)
         certificates["mdrg"] = result.certificate
         if result.tensor is None:
             return None

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
@@ -187,19 +186,9 @@ class DistanceTable:
         return self.order.sorted(self.realized)
 
 
-def m_distance_table(g: ColoredGraph, order: MonomialOrder,
-                     threads: int = 1) -> DistanceTable:
-    """All-sources distance table; verifies symmetry and the o diagonal.
-
-    ``threads`` > 1 computes per-source rows in a thread pool; results
-    are merged in vertex order so the table is identical either way.
-    """
-    sources = list(g.vertices)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda s: m_distance_from(g, order, s), sources))
-    else:
-        rows = [m_distance_from(g, order, s) for s in sources]
+def m_distance_table(g: ColoredGraph, order: MonomialOrder) -> DistanceTable:
+    """All-sources distance table; verifies symmetry and the o diagonal."""
+    rows = [m_distance_from(g, order, s) for s in g.vertices]
     zero = MultiIndex.zero(g.m)
     for i in range(g.n):
         if rows[i][i] != zero:

@@ -6,9 +6,10 @@ number of vertices z with d(x,z)=a and d(z,y)=b depends only on d(x,y).
 When that holds, the distance matrices form an association scheme and
 the counts are its intersection numbers p_{a,b}^c.
 
-Matrix products of 0/1 matrices are computed through float64 BLAS: every
-intermediate value is an integer bounded by the vertex count, far below
-2**53, so the results are exact and are cast back to integers.
+That one count is also the closure axiom of a scheme, so regularity,
+closure and the intersection numbers all come from one integer kernel,
+:func:`pair_counts`, which counts over the class index matrix instead of
+multiplying class matrices.  No floating-point value is used.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -28,11 +29,6 @@ from .orders import (MonomialOrder, MultiIndex, PartialOrder, box,
                      componentwise_leq)
 
 Label = Union[MultiIndex, str]
-
-
-def _count_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # exact: entries are integer counts bounded by n << 2**53
-    return np.rint(a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
 
 
 def label_text(label: Label) -> str:
@@ -53,6 +49,8 @@ class SchemeClasses:
                 raise ValueError("class matrices must all be n x n")
             if not np.isin(mat, (0, 1)).all():
                 raise ValueError("class matrices must be 0/1")
+            if not mat.any():
+                raise ValueError("class matrices must not be all zero")
         if len(labels) != len(mats):
             raise ValueError("%d labels for %d matrices" % (len(labels), len(mats)))
         texts = [label_text(lab) for lab in labels]
@@ -104,6 +102,77 @@ class SchemeClasses:
         return idx
 
 
+class BadPair(NamedTuple):
+    """Pair (x, y) of class c whose count at (a, b) differs from that of
+    the reference pair (x_ref, y_ref), the first pair of class c."""
+
+    x: int
+    y: int
+    a: int
+    b: int
+    c: int
+    count: int
+    x_ref: int
+    y_ref: int
+    count_ref: int
+
+
+def pair_counts(idx: np.ndarray, k: int) -> Union[np.ndarray, BadPair]:
+    """Counts #{z : idx[x,z] = a, idx[z,y] = b}, checked to depend only on c.
+
+    ``idx`` is an n x n matrix of class indices in 0..k-1.  For each
+    source x the codes idx[x,z]*k + idx[z,y] are sorted over z, one sorted
+    row per target y; two pairs have the same counts exactly when their
+    sorted rows are equal.  Each row is compared with the row of the
+    first pair, in row-major order, of its class idx[x,y].
+
+    Returns the nonzero counts as rows (a, b, c, p_{a,b}^c), sorted by
+    (c, a, b), or the first pair in row-major order that disagrees with
+    its reference, at the first differing (a, b).  Codes are below k*k,
+    so 16 bits hold them exactly up to k = 256; numpy 2 sorts 16-bit
+    integers several times faster than 8- or 64-bit ones on x86.
+    """
+    n = idx.shape[0]
+    idx = idx.astype(np.uint16 if k <= 256 else np.int64)
+    idx_t = np.ascontiguousarray(idx.T)
+    classes, first = np.unique(idx, return_index=True)
+    ref = np.zeros((k, n), dtype=idx.dtype)
+    ref[classes] = np.sort(idx[first // n] * k + idx_t[first % n], axis=1)
+    for x in range(n):
+        rows = np.sort(idx[x] * k + idx_t, axis=1)
+        bad = np.flatnonzero((rows != ref[idx[x]]).any(axis=1))
+        if bad.size:
+            y = int(bad[0])
+            c = int(idx[x, y])
+            x_ref, y_ref = np.argwhere(idx == c)[0]
+            counts = np.bincount(rows[y], minlength=k * k)
+            counts_ref = np.bincount(ref[c], minlength=k * k)
+            flat = int(np.flatnonzero(counts != counts_ref)[0])
+            a, b = divmod(flat, k)
+            return BadPair(x, y, a, b, c, int(counts[flat]), int(x_ref),
+                           int(y_ref), int(counts_ref[flat]))
+    keys, counts = np.unique(
+        np.repeat(classes.astype(np.int64) * (k * k), n) + ref[classes].ravel(),
+        return_counts=True)
+    c, ab = np.divmod(keys, k * k)
+    return np.column_stack([ab // k, ab % k, c, counts])
+
+
+def _pair_witness(bad: BadPair, labels: Sequence[Label],
+                  vertices: Sequence[str]) -> dict:
+    return witness(a=labels[bad.a], b=labels[bad.b], c=labels[bad.c],
+                   x=vertices[bad.x], y=vertices[bad.y], count=bad.count,
+                   x_ref=vertices[bad.x_ref], y_ref=vertices[bad.y_ref],
+                   count_ref=bad.count_ref)
+
+
+def _tensor_from_counts(counts: np.ndarray, labels: Sequence[Label],
+                        identity: Label) -> "IntersectionTensor":
+    p = {(labels[a], labels[b], labels[c]): Fraction(value)
+         for a, b, c, value in counts.tolist()}
+    return IntersectionTensor(labels=tuple(labels), identity=identity, p=p)
+
+
 def verify_scheme_axioms(s: SchemeClasses) -> Certificate:
     """Certify the defining axioms of a symmetric association scheme.
 
@@ -111,7 +180,9 @@ def verify_scheme_axioms(s: SchemeClasses) -> Certificate:
     symmetry         every class matrix is symmetric
     partition        the classes sum to the all-ones matrix
     closure          each product A_a A_b is constant on every class
-                     support (the constants are the intersection numbers)
+                     support (the constants are the intersection numbers);
+                     counted by :func:`pair_counts`, whose witness is the
+                     first bad pair (x, y) in row-major order
     """
     checks: list[Check] = []
 
@@ -137,25 +208,10 @@ def verify_scheme_axioms(s: SchemeClasses) -> Certificate:
                                coverage=int(total[x, y]))
     checks.append(Check("partition", part_witness is None, part_witness))
 
-    closure_witness = None
     if part_witness is None and sym_witness is None and ident is not None:
-        idx = s.class_index_matrix()
-        reps = [tuple(np.argwhere(mat == 1)[0]) for mat in s.matrices]
-        for a, b in itertools.product(range(len(s.matrices)), repeat=2):
-            prod = _count_product(s.matrices[a], s.matrices[b])
-            values = np.array([prod[r] for r in reps], dtype=np.int64)
-            expected = values[idx]
-            if not np.array_equal(prod, expected):
-                x, y = np.argwhere(prod != expected)[0]
-                c = int(idx[x, y])
-                x0, y0 = reps[c]
-                closure_witness = witness(
-                    a=s.labels[a], b=s.labels[b], c=s.labels[c],
-                    x=s.vertices[x], y=s.vertices[y],
-                    count=int(prod[x, y]),
-                    x_ref=s.vertices[x0], y_ref=s.vertices[y0],
-                    count_ref=int(prod[x0, y0]))
-                break
+        counts = pair_counts(s.class_index_matrix(), len(s.matrices))
+        closure_witness = (_pair_witness(counts, s.labels, s.vertices)
+                           if isinstance(counts, BadPair) else None)
         checks.append(Check("closure", closure_witness is None, closure_witness))
     else:
         checks.append(Check("closure", False,
@@ -276,37 +332,37 @@ def intersection_tensor(s: SchemeClasses) -> IntersectionTensor:
     ident = s.identity_index()
     if ident is None:
         raise ValueError("scheme has no identity class")
-    idx = s.class_index_matrix()
-    reps = [tuple(np.argwhere(mat == 1)[0]) for mat in s.matrices]
-    p: dict[tuple[Label, Label, Label], Fraction] = {}
-    for a, b in itertools.product(range(len(s.matrices)), repeat=2):
-        prod = _count_product(s.matrices[a], s.matrices[b])
-        values = np.array([prod[r] for r in reps], dtype=np.int64)
-        if not np.array_equal(prod, values[idx]):
-            x, y = np.argwhere(prod != values[idx])[0]
-            raise ValueError(
-                "not an association scheme: product %s*%s is not constant "
-                "on class %s (pair %s,%s)"
-                % (label_text(s.labels[a]), label_text(s.labels[b]),
-                   label_text(s.labels[int(idx[x, y])]),
-                   s.vertices[x], s.vertices[y]))
-        for c, value in enumerate(values):
-            if value:
-                p[(s.labels[a], s.labels[b], s.labels[c])] = Fraction(int(value))
-    return IntersectionTensor(labels=s.labels, identity=s.labels[ident], p=p)
+    counts = pair_counts(s.class_index_matrix(), len(s.matrices))
+    if isinstance(counts, BadPair):
+        raise ValueError(
+            "not an association scheme: product %s*%s is not constant "
+            "on class %s (pair %s,%s)"
+            % (label_text(s.labels[counts.a]), label_text(s.labels[counts.b]),
+               label_text(s.labels[counts.c]),
+               s.vertices[counts.x], s.vertices[counts.y]))
+    return _tensor_from_counts(counts, s.labels, s.labels[ident])
 
 
-def distance_matrices(table: DistanceTable) -> SchemeClasses:
-    """0/1 matrices of the realized distance labels, sorted by the order."""
-    g = table.graph
-    labels = table.sorted_labels()
+def _label_index(table: DistanceTable,
+                 labels: Sequence[MultiIndex]) -> np.ndarray:
+    """n x n matrix holding the position in ``labels`` of each distance."""
     position = {lab: i for i, lab in enumerate(labels)}
-    idx = np.zeros((g.n, g.n), dtype=np.int64)
-    for i, row in enumerate(table.labels):
-        for j, lab in enumerate(row):
-            idx[i, j] = position[lab]
-    mats = [(idx == k).astype(np.int64) for k in range(len(labels))]
-    return SchemeClasses(labels=labels, matrices=mats, vertices=g.vertices)
+    return np.array([[position[lab] for lab in row] for row in table.labels],
+                    dtype=np.int64)
+
+
+def distance_matrices(table: DistanceTable,
+                      idx: Optional[np.ndarray] = None) -> SchemeClasses:
+    """0/1 matrices of the realized distance labels, sorted by the order.
+
+    ``idx`` is the label index matrix of the table, if already built.
+    """
+    labels = table.sorted_labels()
+    if idx is None:
+        idx = _label_index(table, labels)
+    mats = [(idx == c).astype(np.int64) for c in range(len(labels))]
+    return SchemeClasses(labels=labels, matrices=mats,
+                         vertices=table.graph.vertices)
 
 
 # -- Regular representation and monomial coordinates ---------------------------
@@ -405,27 +461,22 @@ class MdrgResult:
     tensor: Optional[IntersectionTensor]
 
 
-def mdrg_check(g: ColoredGraph, order: MonomialOrder,
-               threads: int = 1) -> MdrgResult:
+def mdrg_check(g: ColoredGraph, order: MonomialOrder) -> MdrgResult:
     """Certify that a connected colored graph is m-distance-regular.
 
     Checks that every unit e_i is a realized distance and that, for each
     ordered vertex pair, the vector of counts #{z : d(x,z)=a, d(z,y)=b}
-    depends only on d(x,y).  On success the distance matrices form an
-    association scheme whose intersection numbers are those counts.
+    depends only on d(x,y).  The counts come from :func:`pair_counts`,
+    the kernel that also checks scheme closure; its witness is the first
+    bad pair in row-major order.  On success the distance matrices form
+    an association scheme whose intersection numbers are those counts.
     """
-    table = m_distance_table(g, order, threads=threads)
+    table = m_distance_table(g, order)
     labels = table.sorted_labels()
-    position = {lab: i for i, lab in enumerate(labels)}
-    k = len(labels)
-    idx = np.zeros((g.n, g.n), dtype=np.int64)
-    for i, row in enumerate(table.labels):
-        for j, lab in enumerate(row):
-            idx[i, j] = position[lab]
 
     checks: list[Check] = []
     missing = [c for c in range(1, g.m + 1)
-               if MultiIndex.unit(g.m, c) not in position]
+               if MultiIndex.unit(g.m, c) not in table.realized]
     checks.append(Check(
         "colors-realized", not missing,
         None if not missing else witness(
@@ -434,45 +485,18 @@ def mdrg_check(g: ColoredGraph, order: MonomialOrder,
     if missing:
         return MdrgResult(Certificate.of(checks), table, None, None)
 
-    reference: dict[int, np.ndarray] = {}
-    ref_pair: dict[int, tuple[int, int]] = {}
-    count_witness = None
-    for x in range(g.n):
-        row = idx[x, :] * k
-        for y in range(g.n):
-            c = int(idx[x, y])
-            counts = np.bincount(row + idx[:, y], minlength=k * k)
-            if c not in reference:
-                reference[c] = counts
-                ref_pair[c] = (x, y)
-            elif not np.array_equal(counts, reference[c]):
-                flat = int(np.argwhere(counts != reference[c])[0][0])
-                a, b = divmod(flat, k)
-                x0, y0 = ref_pair[c]
-                count_witness = witness(
-                    a=labels[a], b=labels[b], c=labels[c],
-                    x=g.vertices[x], y=g.vertices[y], count=int(counts[flat]),
-                    x_ref=g.vertices[x0], y_ref=g.vertices[y0],
-                    count_ref=int(reference[c][flat]))
-                break
-        if count_witness is not None:
-            break
+    idx = _label_index(table, labels)
+    counts = pair_counts(idx, len(labels))
+    count_witness = (_pair_witness(counts, labels, g.vertices)
+                     if isinstance(counts, BadPair) else None)
     checks.append(Check("regular-counts", count_witness is None, count_witness,
                         detail=None if count_witness else
                         "all %d vertex pairs consistent" % (g.n * g.n)))
     certificate = Certificate.of(checks)
     if count_witness is not None:
         return MdrgResult(certificate, table, None, None)
-
-    p: dict[tuple[Label, Label, Label], Fraction] = {}
-    for c, counts in reference.items():
-        for flat in np.flatnonzero(counts):
-            a, b = divmod(int(flat), k)
-            p[(labels[a], labels[b], labels[c])] = Fraction(int(counts[flat]))
-    tensor = IntersectionTensor(labels=tuple(labels),
-                                identity=MultiIndex.zero(g.m), p=p)
-    scheme = distance_matrices(table)
-    return MdrgResult(certificate, table, scheme, tensor)
+    tensor = _tensor_from_counts(counts, labels, MultiIndex.zero(g.m))
+    return MdrgResult(certificate, table, distance_matrices(table, idx), tensor)
 
 
 # -- Structural consequences (checked independently in the test suite) ----------

@@ -16,8 +16,8 @@ from typing import Any, Mapping, Union
 import numpy as np
 
 from .graphs import ColoredGraph, DistanceTable
-from .orders import MonomialOrder, MultiIndex, PartialOrder
-from .ppoly import Labeling, Polynomial
+from .orders import MultiIndex
+from .ppoly import Polynomial
 from .schemes import IntersectionTensor, Label, SchemeClasses, label_text
 
 
@@ -190,20 +190,6 @@ def polynomials_from_dict(data: Mapping[str, Any]) -> dict[MultiIndex, Polynomia
                   for term in entry["terms"]}
         polys[n] = Polynomial(coeffs)
     return polys
-
-
-# -- Order / labeling text forms ----------------------------------------------------
-
-def parse_order(text: str) -> MonomialOrder:
-    return MonomialOrder.parse(text)
-
-
-def parse_partial(text: str) -> PartialOrder:
-    return PartialOrder.parse(text)
-
-
-def parse_labeling(text: str) -> Labeling:
-    return Labeling.parse(text)
 
 
 # -- Documents ---------------------------------------------------------------------

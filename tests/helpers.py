@@ -144,3 +144,26 @@ def closed_form_v02(ell: Fraction, s: Fraction) -> dict[MultiIndex, Fraction]:
         MultiIndex((1, 0)): -8 * ell * s * s / denom,
         MultiIndex((0, 0)): -16 * ell * s * s / denom,
     }
+
+
+# -- Pair-count oracle ------------------------------------------------------------
+
+def brute_force_pair_counts(idx: np.ndarray):
+    """Triple loop over (x, y, z) counting #{z : idx[x,z]=a, idx[z,y]=b}.
+
+    Returns {(a, b, c): count} when the counts of every pair equal those
+    of the first pair of its class c, else the first pair (x, y), in
+    row-major order, whose counts differ.
+    """
+    n = len(idx)
+    reference: dict[int, Counter] = {}
+    for x in range(n):
+        for y in range(n):
+            counts = Counter((int(idx[x][z]), int(idx[z][y])) for z in range(n))
+            c = int(idx[x][y])
+            if c not in reference:
+                reference[c] = counts
+            elif counts != reference[c]:
+                return (x, y)
+    return {(a, b, c): value for c, counts in reference.items()
+            for (a, b), value in counts.items()}

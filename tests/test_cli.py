@@ -173,6 +173,21 @@ def test_verify_scheme(tmp_path, capsys):
     assert "error: cannot read" in err
 
 
+def test_empty_class_is_input_error(tmp_path, capsys):
+    # class "z" covers no pair: bad input, not a certified failure
+    scheme = tmp_path / "empty-class.json"
+    scheme.write_text(dump_json({
+        "labels": ["o", "a", "z"], "vertices": ["u", "v"],
+        "matrices": [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, 0], [0, 0]]]}))
+    path = str(scheme)
+    for argv in (["verify-scheme", path],
+                 ["certify-ppoly", path, "--order", "lex"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "error: class matrices must not be all zero" in err
+
+
 def test_verify_scheme_rejects_graph(cell24_graph, capsys):
     code, _, err = run(capsys, "verify-scheme", cell24_graph)
     assert code == 2
@@ -370,23 +385,3 @@ def test_quiet_silences_everything(cell24_graph, capsys):
                          "--order", "lex", "--quiet")
     assert code == 1
     assert out == "" and err == ""
-
-
-def test_threads_environment(cell24_graph, capsys, monkeypatch):
-    monkeypatch.setenv("MDRG_THREADS", "0")
-    code, out, _ = run(capsys, "certify-mdrg", cell24_graph,
-                       "--order", "deglex-sum")
-    assert code == 0
-    monkeypatch.setenv("MDRG_THREADS", "4")
-    code, out4, _ = run(capsys, "certify-mdrg", cell24_graph,
-                        "--order", "deglex-sum")
-    assert code == 0
-    assert out == out4
-    monkeypatch.setenv("MDRG_THREADS", "soon")
-    code, _, err = run(capsys, "certify-mdrg", cell24_graph,
-                       "--order", "deglex-sum")
-    assert code == 2
-    assert "MDRG_THREADS" in err
-    monkeypatch.setenv("MDRG_THREADS", "-1")
-    assert main(["certify-mdrg", cell24_graph, "--order", "deglex-sum"]) == 2
-    capsys.readouterr()

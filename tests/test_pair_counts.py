@@ -1,0 +1,90 @@
+"""The pair-count kernel against the triple-loop oracle.
+
+Inputs are symmetric partitions of the pairs of n <= 9 points into at
+most four classes, class 0 being the identity: vertex-permuted schemes
+(cycles, complete graphs, Hamming graphs), fusions of their classes,
+which may or may not be schemes, and random colorings, which mostly are
+not.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from mdrg import SchemeClasses, intersection_tensor, verify_scheme_axioms
+from mdrg.schemes import BadPair, pair_counts
+
+from helpers import brute_force_pair_counts
+
+
+def _cycle(n):
+    d = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    return np.minimum(d, n - d)
+
+
+def _hamming(q):
+    words = [(i // q, i % q) for i in range(q * q)]
+    return np.array([[sum(a != b for a, b in zip(u, v)) for v in words]
+                     for u in words])
+
+
+BASES = ([_cycle(n) for n in range(1, 8)]
+         + [1 - np.eye(n, dtype=np.int64) for n in range(2, 10)]
+         + [_hamming(2), _hamming(3)])
+
+
+@st.composite
+def partitions(draw):
+    if draw(st.booleans()):
+        base = draw(st.sampled_from(BASES))
+        n = len(base)
+        perm = draw(st.permutations(range(n)))
+        fusion = [0] + draw(st.lists(st.integers(1, 3), min_size=int(base.max()),
+                                     max_size=int(base.max())))
+        idx = np.array(fusion)[base[np.ix_(perm, perm)]]
+    else:
+        n = draw(st.integers(1, 9))
+        colors = draw(st.integers(1, 3))
+        idx = np.zeros((n, n), dtype=np.int64)
+        for x in range(n):
+            for y in range(x + 1, n):
+                idx[x, y] = idx[y, x] = draw(st.integers(1, colors))
+    # renumber so that the classes in use are 0..k-1, identity first
+    return np.unique(idx, return_inverse=True)[1].reshape(idx.shape)
+
+
+def _recount(idx, x, y, a, b):
+    return sum(1 for z in range(len(idx)) if idx[x, z] == a and idx[z, y] == b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(partitions())
+def test_pair_counts_matches_oracle(idx):
+    k = int(idx.max()) + 1
+    result = pair_counts(idx, k)
+    # past k = 256 the codes leave 16 bits; unused classes change nothing
+    wide = pair_counts(idx, 300)
+    assert (wide == result if isinstance(result, BadPair)
+            else np.array_equal(wide, result))
+    expected = brute_force_pair_counts(idx)
+    scheme = SchemeClasses(labels=[str(c) for c in range(k)],
+                           matrices=[(idx == c).astype(np.int64) for c in range(k)])
+    assert verify_scheme_axioms(scheme).passed == isinstance(expected, dict)
+    if isinstance(expected, dict):
+        assert not isinstance(result, BadPair)
+        assert {(a, b, c): v for a, b, c, v in result.tolist()} == expected
+        assert intersection_tensor(scheme).p == {
+            (str(a), str(b), str(c)): Fraction(v)
+            for (a, b, c), v in expected.items()}
+        return
+    assert isinstance(result, BadPair)
+    x, y, a, b, c, count, x_ref, y_ref, count_ref = result
+    assert (x, y) == expected
+    assert idx[x, y] == idx[x_ref, y_ref] == c
+    assert (x_ref, y_ref) == tuple(np.argwhere(idx == c)[0])
+    assert _recount(idx, x, y, a, b) == count
+    assert _recount(idx, x_ref, y_ref, a, b) == count_ref
+    assert (a, b) == next(
+        (a, b) for a in range(k) for b in range(k)
+        if _recount(idx, x, y, a, b) != _recount(idx, x_ref, y_ref, a, b))

@@ -69,6 +69,14 @@ def test_scheme_classes_validation():
     assert idx[0, 0] == 0 and idx[0, 1] == 1 and idx[0, 3] == 2
 
 
+def test_scheme_classes_reject_empty_class():
+    eye = np.eye(2, dtype=np.int64)
+    flip = np.array([[0, 1], [1, 0]], dtype=np.int64)
+    with pytest.raises(ValueError, match="all zero"):
+        SchemeClasses(labels=["o", "a", "z"],
+                      matrices=[eye, flip, np.zeros((2, 2), dtype=np.int64)])
+
+
 def test_class_index_matrix_rejects_bad_partitions():
     eye = np.eye(2, dtype=np.int64)
     ones = np.ones((2, 2), dtype=np.int64)
