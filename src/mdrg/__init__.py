@@ -33,8 +33,8 @@ from .schemes import (IntersectionTensor, MdrgResult, MonomialBasis,
                       SchemeClasses, check_additive_nonvanishing,
                       check_sum_decomposition, check_triangle_conditions,
                       check_walk_type_invariance, distance_matrices,
-                      intersection_tensor, mdrg_check, monomial_coeffs,
-                      regular_representation, verify_scheme_axioms)
+                      generator_rows, intersection_tensor, mdrg_check,
+                      monomial_coeffs, verify_scheme_axioms)
 from .families import (cartesian_product, cell24, complete, cycle, gen24cell,
                        hamming_graph, pauli_scheme4, symmetrize)
 
@@ -55,10 +55,9 @@ __all__ = [
     "compare_monomial", "compare_partial", "complete", "componentwise_leq",
     "count_walks_by_type", "cycle", "discover_labelings", "distance_matrices",
     "distance_profile", "downset_enum", "extract_polynomials", "gen24cell",
-    "hamming_graph", "in_span", "intersection_tensor", "m_distance_from",
+    "generator_rows", "hamming_graph", "in_span", "intersection_tensor", "m_distance_from",
     "m_distance_table", "mat_vec", "mdrg_check", "monomial_coeffs",
-    "pauli_scheme4",
-    "rank", "regular_representation", "solve_columns", "symmetrize",
+    "pauli_scheme4", "rank", "solve_columns", "symmetrize",
     "validate_monomial_order", "validate_pair_compat", "verify_recurrences",
     "verify_scheme_axioms", "witness",
 ]

@@ -1,8 +1,11 @@
 """Exact linear algebra over the rationals.
 
-Small dense systems only: class counts stay in the tens, so plain
-Gaussian elimination on ``fractions.Fraction`` entries is both exact and
-fast enough.  No floating point anywhere.
+Dense Gaussian elimination on ``fractions.Fraction`` entries: rank, span
+membership and solving.  P-polynomial certification does not use it
+(polynomials come from the recurrence, the boundary test from a
+triangular elimination in :mod:`mdrg.ppoly`); it remains a public helper
+and the test suite's oracle for those routes.  No floating point
+anywhere.
 """
 
 from __future__ import annotations

@@ -210,13 +210,12 @@ def count_walks_by_type(g: ColoredGraph, x: str, y: str,
     """Number of walks from x to y whose edge colors are exactly ``colors``.
 
     Computed as a chain of matrix-vector products with the per-color
-    adjacency matrices; exact in 64-bit integers at the scales this
-    package targets.
+    adjacency matrices, on Python ints so that counts never overflow.
     """
-    vec = np.zeros(g.n, dtype=np.int64)
+    vec = np.zeros(g.n, dtype=object)
     vec[g.index(x)] = 1
     for color in colors:
-        vec = g.color_matrix(color) @ vec
+        vec = g.color_matrix(color).astype(object) @ vec
     return int(vec[g.index(y)])
 
 

@@ -30,6 +30,8 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
+import numpy as np
+
 from .certificates import Certificate, Check, witness
 
 
@@ -284,6 +286,30 @@ class PartialOrder:
         return (a[0] + al * a[1] <= b[0] + al * b[1]
                 and be * a[0] + a[1] <= be * b[0] + b[1])
 
+    def forms(self, m: int) -> list[tuple[int, ...]]:
+        """Integer rows W with a preceding b iff W a <= W b entrywise.
+
+        ``componentwise`` has W = I.  For ``ab`` with alpha = p/q and
+        beta = p'/q' the rows are the two defining forms times their
+        denominators, (q, p) and (p', q').
+        """
+        if self.kind == COMPONENTWISE:
+            return [tuple(int(i == j) for j in range(m)) for i in range(m)]
+        if m != 2:
+            raise ValueError("ab order is defined for m=2, got m=%d" % m)
+        assert self.ab is not None
+        al, be = self.ab.alpha, self.ab.beta
+        return [(al.denominator, al.numerator), (be.numerator, be.denominator)]
+
+    def key(self, a: MultiIndex):
+        """Sort key of a linear extension: a strictly below b sorts first.
+
+        If a strictly precedes b, no form is larger at a and, the forms
+        being injective together, one is smaller; so is their sum.
+        """
+        total = sum(w * e for row in self.forms(len(a)) for w, e in zip(row, a))
+        return (total, tuple(a))
+
     def compare(self, a: MultiIndex, b: MultiIndex) -> Comparison:
         ab_ = self.precedes(a, b)
         ba = self.precedes(b, a)
@@ -433,6 +459,11 @@ def validate_pair_compat(p: PartialOrder, order: MonomialOrder,
         refines-order   a precedes b implies a <= b under the total order
         translation     a precedes b implies a+c precedes b+c
         origin-below    o precedes every point
+
+    The partial order is evaluated once, through its integer forms
+    (:meth:`PartialOrder.forms`; forms of a+c are sums), and the total
+    order through the ranks of its keys.  Each witness is the first in
+    row-major order of the points, pairs or triples.
     """
     if m is None:
         if p.kind == AB:
@@ -440,28 +471,40 @@ def validate_pair_compat(p: PartialOrder, order: MonomialOrder,
         else:
             raise ValueError("m is required for the componentwise order")
     points = list(box((box_bound,) * m))
+    weights = p.forms(m)
+    # Form values of a+c are at most 2 * box_bound * (largest row sum);
+    # below 2**62 int64 holds them exactly, above it Python ints do.
+    big = 2 * box_bound * max(sum(row) for row in weights) >= 2 ** 62
+    dtype = object if big else np.int64
+    forms = np.array(points, dtype=dtype) @ np.array(weights, dtype=dtype).T
+    keys = [order.key(a) for a in points]
+    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+    ranks = np.array([rank[key] for key in keys])
+    n = len(points)
+    precedes = (forms[:, None, :] <= forms[None, :, :]).all(axis=2)
     checks: list[Check] = []
 
+    bad = precedes & ~np.eye(n, dtype=bool) & (ranks[:, None] >= ranks[None, :])
     refine_witness = None
-    for a, b in itertools.product(points, repeat=2):
-        if a != b and p.precedes(a, b) and order.compare(a, b) is not Comparison.LESS:
-            refine_witness = witness(a=a, b=b, order=order.as_text())
-            break
+    if bad.any():
+        a, b = np.argwhere(bad)[0]
+        refine_witness = witness(a=points[a], b=points[b], order=order.as_text())
     checks.append(Check("refines-order", refine_witness is None, refine_witness))
 
     shift_witness = None
-    for a, b, c in itertools.product(points, repeat=3):
-        if p.precedes(a, b) and not p.precedes(a + c, b + c):
-            shift_witness = witness(a=a, b=b, shift=c)
+    sums = forms[:, None, :] + forms[None, :, :]
+    for a in range(n):
+        moved = ((forms[a] + forms)[None, :, :] <= sums).all(axis=2)
+        bad = precedes[a][:, None] & ~moved
+        if bad.any():
+            b, c = np.argwhere(bad)[0]
+            shift_witness = witness(a=points[a], b=points[b], shift=points[c])
             break
     checks.append(Check("translation", shift_witness is None, shift_witness))
 
-    origin = MultiIndex.zero(m)
-    below_witness = None
-    for a in points:
-        if not p.precedes(origin, a):
-            below_witness = witness(a=a)
-            break
+    # points[0] is the origin
+    below = np.flatnonzero(~precedes[0])
+    below_witness = witness(a=points[below[0]]) if below.size else None
     checks.append(Check("origin-below", below_witness is None, below_witness))
 
     return Certificate.of(checks)

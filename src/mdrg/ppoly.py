@@ -5,8 +5,10 @@ P-polynomial with respect to a monomial order when its label set D is
 box-closed, every product A_{e_i} A_a expands over labels at most
 a + e_i, and the coefficient at exactly a + e_i never vanishes while
 a + e_i stays in D.  Each class is then a polynomial in the generator
-classes A_{e_1}..A_{e_m}, and those polynomials are computed here by
-exact elimination.  A refined variant replaces the order window by a
+classes A_{e_1}..A_{e_m}; those polynomials are read off the recurrence
+x_i v_a = sum_b p_{e_i,a}^b v_b, and the boundary span condition is a
+triangular elimination against the monomial vectors, both over a sparse
+view of the generator products.  A refined variant replaces the order window by a
 compatible partial order; the two-parameter family ``ab:alpha,beta``
 gives the type-(alpha, beta) notion, whose exact feasible parameter
 region is also computed.  Finally, labelings can be discovered from the
@@ -23,7 +25,8 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .certificates import Certificate, Check, witness
-from .exactlinalg import SingularSystemError, in_span, mat_vec, solve_columns
+# Not called here; kept as module attributes that perfbench/tracing.py wraps.
+from .exactlinalg import in_span, mat_vec, solve_columns  # noqa: F401
 from .graphs import ColoredGraph
 from .orders import (ABRegion, AlphaBeta, Interval, MonomialOrder, MultiIndex,
                      PartialOrder, ab_feasible_region, box, check_domain,
@@ -38,7 +41,8 @@ class IncompatibleOrderPairError(ValueError):
 
 
 class ExtractionError(ValueError):
-    """Polynomial extraction hit an inconsistent or singular system.
+    """The recurrence cannot produce a polynomial: a zero leading
+    coefficient, or a product reaching a class outside the window.
 
     With certification passed this cannot happen; it signals that the
     prerequisite was skipped or an internal inconsistency."""
@@ -287,6 +291,26 @@ def certify_ppoly_refined(t: IntersectionTensor, order: MonomialOrder,
     return Certificate.of(checks)
 
 
+def _eliminate(vec: list, rows: dict[int, tuple]) -> Optional[int]:
+    """Reduce ``vec`` in place against echelon rows, top position first.
+
+    ``rows`` maps a pivot position r to (pivot, [(s, value), ...]) with
+    every s below r.  Returns None when ``vec`` reduces to zero, else its
+    top nonzero position, on which no row pivots.
+    """
+    for r in range(len(vec) - 1, -1, -1):
+        if not vec[r]:
+            continue
+        if r not in rows:
+            return r
+        pivot, entries = rows[r]
+        factor = Fraction(vec[r]) / pivot
+        vec[r] = 0
+        for s, value in entries:
+            vec[s] -= factor * value
+    return None
+
+
 def boundary_check(t: IntersectionTensor,
                    order: Optional[MonomialOrder] = None,
                    partial: Optional[PartialOrder] = None) -> Certificate:
@@ -294,30 +318,42 @@ def boundary_check(t: IntersectionTensor,
 
     For every a in D with a + e_i outside D, the product A_{e_i} A^a must
     lie in the span of the monomials A^b with b in D and b below a + e_i
-    (under the order, or the partial order if given).  Tested by exact
-    rank comparison in the class basis.
+    (under the order, or the partial order if given).  Tested exactly by
+    reducing the product against an echelon of the window's monomial
+    vectors, each pivoted on its largest class under the order.  On a
+    certified tensor A^b tops out at class b, so the vectors are their
+    own echelon and each case costs one pass over the product.
     """
     if (order is None) == (partial is None):
         raise ValueError("give exactly one of order/partial")
     leq = order.leq if order is not None else partial.precedes  # type: ignore[union-attr]
+    key = order.key if order is not None else partial.key  # type: ignore[union-attr]
     basis = MonomialBasis(t)
     m = t.m
-    dom = t.domain()
+    dom = sorted(t.domain())
     units = [MultiIndex.unit(m, c) for c in range(1, m + 1)]
+    # position r of a reordered vector holds the r-th class under the order
+    positions = [basis.index[lab] for lab in sorted(dom, key=key)]
     cases = 0
-    for a in sorted(dom):
+    for a in dom:
         for unit in units:
             up = a + unit  # type: ignore[operator]
-            if up in dom:
+            if up in basis.index:
                 continue
             cases += 1
-            target = mat_vec(basis.reps[unit], basis.vector(a))
-            columns = [basis.vector(b) for b in sorted(dom) if leq(b, up)]
-            if not in_span(columns, target):
+            window = [b for b in dom if leq(b, up)]
+            rows: dict[int, tuple] = {}
+            for b in window:
+                vec = [basis.vector(b)[i] for i in positions]
+                top = _eliminate(vec, rows)
+                if top is not None:
+                    rows[top] = (vec[top], [(s, value) for s, value
+                                            in enumerate(vec[:top]) if value])
+            target = basis.apply(unit, basis.vector(a))
+            if _eliminate([target[i] for i in positions], rows) is not None:
                 return Certificate.single(
                     "boundary-span", False,
-                    witness(generator=unit, a=a, bound=up,
-                            window=[b for b in sorted(dom) if leq(b, up)]))
+                    witness(generator=unit, a=a, bound=up, window=window))
     return Certificate.single("boundary-span", True,
                               detail="%d boundary cases" % cases)
 
@@ -328,35 +364,51 @@ def extract_polynomials(t: IntersectionTensor,
                         ) -> tuple[dict[MultiIndex, Polynomial], Certificate]:
     """Defining polynomials v_n with v_n(A_{e_1}..A_{e_m}) = A_n.
 
-    For each n in D, solves sum_{a in D, a below n} f_a A^a = A_n in the
-    class basis; certification guarantees a unique solution.  The
-    returned certificate records that every leading coefficient f_n is
-    nonzero.  Raises :class:`ExtractionError` on inconsistent or
-    singular systems (certification prerequisite violated).
+    Read off the recurrence x_i v_a = sum_b p_{e_i,a}^b v_b: for n in D
+    other than o, with e_i its first color and a = n - e_i,
+
+        v_n = (x_i v_a - sum_{b != n} p_{e_i,a}^b v_b) / p_{e_i,a}^n,
+
+    taking D in increasing order (for a partial order, a linear
+    extension), so every v on the right is already known.  The returned
+    certificate records that every leading coefficient is nonzero.
+    Raises :class:`ExtractionError` when p_{e_i,a}^n is zero or some b on
+    the right is not below n (certification prerequisite violated).  The
+    monomial vectors of D are built first, so generators that do not
+    commute raise ``ValueError`` as in :class:`MonomialBasis`.
     """
     if (order is None) == (partial is None):
         raise ValueError("give exactly one of order/partial")
     leq = order.leq if order is not None else partial.precedes  # type: ignore[union-attr]
+    key = order.key if order is not None else partial.key  # type: ignore[union-attr]
     basis = MonomialBasis(t)
     dom = sorted(t.domain())
-    polys: dict[MultiIndex, Polynomial] = {}
-    lead_witness = None
     for n in dom:
-        candidates = [a for a in dom if leq(a, n)]
-        columns = [basis.vector(a) for a in candidates]
-        try:
-            solution = solve_columns(columns, basis.unit_vector(n))
-        except SingularSystemError as exc:
-            raise ExtractionError("singular monomial system at %s: %s"
-                                  % (n.as_text(), exc)) from exc
-        if solution is None:
+        basis.vector(n)
+    origin = MultiIndex.zero(t.m)
+    polys = {origin: Polynomial({origin: Fraction(1)})}
+    for n in sorted(dom, key=key)[1:]:  # o sorts first
+        unit = MultiIndex.unit(t.m, next(i for i, e in enumerate(n) if e) + 1)
+        a = n - unit
+        row = dict(basis.rows.get((unit, a), ()))
+        lead = row.pop(n, 0)
+        if not lead:
+            raise ExtractionError("p_{%s,%s}^%s is zero; certify the scheme first"
+                                  % (unit.as_text(), a.as_text(), n.as_text()))
+        outside = [b for b in row if not leq(b, n)]
+        if outside:
             raise ExtractionError(
-                "A_%s is not spanned by monomials below it; "
-                "certify the scheme first" % n.as_text())
-        poly = Polynomial(dict(zip(candidates, solution)))
-        if lead_witness is None and poly.coeff(n) == 0:
-            lead_witness = witness(n=n)
-        polys[n] = poly
+                "A_%s A_%s reaches A_%s, which is not below %s; certify the "
+                "scheme first" % (unit.as_text(), a.as_text(),
+                                  outside[0].as_text(), n.as_text()))
+        coeffs = {c + unit: value for c, value in polys[a]._coeffs.items()}
+        for b, p in row.items():
+            for c, value in polys[b]._coeffs.items():
+                coeffs[c] = coeffs.get(c, 0) - p * value
+        polys[n] = Polynomial({c: value / lead for c, value in coeffs.items()})
+    polys = {n: polys[n] for n in dom}
+    lead_witness = next((witness(n=n) for n in dom if polys[n].coeff(n) == 0),
+                        None)
     certificate = Certificate.of([
         Check("unique-solution", True,
               detail="%d polynomials extracted" % len(polys)),

@@ -18,15 +18,15 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .certificates import Certificate, Check, witness
-from .exactlinalg import Matrix, Vector, mat_vec
+# Not called here; kept as a module attribute that perfbench/tracing.py wraps.
+from .exactlinalg import mat_vec  # noqa: F401
 from .graphs import ColoredGraph, DistanceTable, count_walks_by_type, m_distance_table
-from .orders import (MonomialOrder, MultiIndex, PartialOrder, box,
-                     componentwise_leq)
+from .orders import MonomialOrder, MultiIndex, box
 
 Label = Union[MultiIndex, str]
 
@@ -365,45 +365,37 @@ def distance_matrices(table: DistanceTable,
                          vertices=table.graph.vertices)
 
 
-# -- Regular representation and monomial coordinates ---------------------------
+# -- Generator products and monomial coordinates -------------------------------
 
-def regular_representation(t: IntersectionTensor,
-                           generators: Optional[Sequence[Label]] = None
-                           ) -> dict[Label, Matrix]:
-    """Left-multiplication matrices over the class basis.
+def generator_rows(t: IntersectionTensor) -> dict:
+    """Sparse view (e_i, a) -> [(b, p_{e_i,a}^b), ...] of the products
+    A_{e_i} A_a, built in one pass over ``t.p``.
 
-    The matrix of generator g has entry (b, a) = p_{g,a}^b, so applying
-    it to the coordinate vector of A_a yields the coordinates of A_g A_a.
-    Defaults to the unit multi-indices e_1..e_m as generators.
+    Zero entries are left out and integral values become ints, so
+    products of them stay ints.  Every e_i must be a class.
     """
-    if generators is None:
-        m = t.m
-        generators = [MultiIndex.unit(m, c) for c in range(1, m + 1)]
-        missing = [gen for gen in generators if gen not in t.domain()]
-        if missing:
-            raise ValueError("generator %s is not a class label"
-                             % missing[0].as_text())
-    index = {lab: i for i, lab in enumerate(t.labels)}
-    out: dict[Label, Matrix] = {}
-    for g in generators:
-        if g not in index:
-            raise ValueError("generator %r is not a class label" % (g,))
-        mat: Matrix = [[Fraction(0)] * len(t.labels) for _ in t.labels]
-        for (a, b, c), value in t.p.items():
-            if a == g:
-                mat[index[c]][index[b]] = value
-        out[g] = mat
-    return out
+    units = [MultiIndex.unit(t.m, c) for c in range(1, t.m + 1)]
+    missing = [unit for unit in units if unit not in t.domain()]
+    if missing:
+        raise ValueError("generator %s is not a class label" % missing[0].as_text())
+    rows: dict = {}
+    for (g, a, b), value in t.p.items():
+        if g in units and value != 0:
+            value = Fraction(value)
+            rows.setdefault((g, a), []).append(
+                (b, value.numerator if value.denominator == 1 else value))
+    return rows
 
 
 class MonomialBasis:
     """Coordinates of products of generator classes in the class basis.
 
-    ``vector(a)`` returns the coordinates of A_{e_1}^{a_1} ... A_{e_m}^{a_m}.
-    Vectors are built incrementally by applying generator matrices; when a
-    multi-index has two nonzero entries the vector is computed along two
-    different generator paths and compared, which verifies that the order
-    of application is irrelevant.
+    ``vector(a)`` returns the coordinates of A_{e_1}^{a_1} ... A_{e_m}^{a_m},
+    as ints, or Fractions where the tensor has them.  Vectors are built
+    incrementally by applying generators through :func:`generator_rows`;
+    when a multi-index has two nonzero entries the vector is computed
+    along two different generator paths and compared, which verifies
+    that the order of application is irrelevant.
     """
 
     def __init__(self, t: IntersectionTensor):
@@ -411,21 +403,25 @@ class MonomialBasis:
             raise ValueError("monomial coordinates need multi-index labels")
         self.tensor = t
         self.m = t.m
-        self.reps = regular_representation(t)
+        self.rows = generator_rows(t)
         self.index = {lab: i for i, lab in enumerate(t.labels)}
         origin = MultiIndex.zero(self.m)
         if t.identity != origin:
             raise ValueError("identity class must be labeled o")
-        unit_vec: Vector = [Fraction(0)] * len(t.labels)
-        unit_vec[self.index[origin]] = Fraction(1)
-        self._cache: dict[MultiIndex, Vector] = {origin: unit_vec}
+        unit_vec = [0] * len(t.labels)
+        unit_vec[self.index[origin]] = 1
+        self._cache: dict[MultiIndex, list] = {origin: unit_vec}
 
-    def unit_vector(self, a: MultiIndex) -> Vector:
-        vec: Vector = [Fraction(0)] * len(self.tensor.labels)
-        vec[self.index[a]] = Fraction(1)
-        return vec
+    def apply(self, gen: MultiIndex, vec: list) -> list:
+        """Coordinates of A_gen times the element with coordinates ``vec``."""
+        out = [0] * len(vec)
+        for a, x in zip(self.tensor.labels, vec):
+            if x:
+                for b, value in self.rows.get((gen, a), ()):
+                    out[self.index[b]] += value * x
+        return out
 
-    def vector(self, a: MultiIndex) -> Vector:
+    def vector(self, a: MultiIndex) -> list:
         if len(a) != self.m:
             raise ValueError("index has m=%d, tensor has m=%d" % (len(a), self.m))
         cached = self._cache.get(a)
@@ -435,7 +431,7 @@ class MonomialBasis:
         paths = []
         for i in dict.fromkeys((nonzero[0], nonzero[-1])):
             gen = MultiIndex.unit(self.m, i + 1)
-            paths.append(mat_vec(self.reps[gen], self.vector(a - gen)))
+            paths.append(self.apply(gen, self.vector(a - gen)))
         if paths[0] != paths[-1]:
             raise ValueError(
                 "generator matrices do not commute at %s; "
@@ -444,7 +440,7 @@ class MonomialBasis:
         return paths[0]
 
 
-def monomial_coeffs(t: IntersectionTensor, a: MultiIndex) -> Vector:
+def monomial_coeffs(t: IntersectionTensor, a: MultiIndex) -> list:
     """Coordinates of the monomial product A^a in the class basis."""
     return MonomialBasis(t).vector(a)
 

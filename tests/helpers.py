@@ -2,20 +2,26 @@
 
 Everything here recomputes expected values by a route independent of the
 library internals: simple-path enumeration instead of the label-setting
-search, direct counting on cycles instead of tensor products, and
-explicit closed-form coefficient tables for the generalized 24-cell
-polynomials.
+search, direct counting on cycles instead of tensor products, explicit
+closed-form coefficient tables for the generalized 24-cell polynomials,
+dense Fraction elimination (``mdrg.exactlinalg``) instead of the
+recurrence and the triangular boundary test, and plain loops over the
+box instead of the order-compatibility table.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
-from mdrg import ColoredGraph, Labeling, MonomialOrder, MultiIndex
+from mdrg import (Certificate, Check, ColoredGraph, Comparison, Labeling,
+                  MonomialOrder, MultiIndex, PartialOrder, Polynomial, box,
+                  in_span, mat_vec, solve_columns)
+from mdrg.certificates import witness
 
 # The two label maps of the 24-cell family.  Diagonal sends the valency-8
 # class A1 to (1,1); axis sends it to (0,2).
@@ -167,3 +173,102 @@ def brute_force_pair_counts(idx: np.ndarray):
                 return (x, y)
     return {(a, b, c): value for c, counts in reference.items()
             for (a, b), value in counts.items()}
+
+
+# -- Dense exact-algebra oracles for polynomials and the boundary ----------------
+
+def regular_representation(t) -> dict:
+    """Dense left-multiplication matrices of the generators e_1..e_m.
+
+    The matrix of generator g has entry (b, a) = p_{g,a}^b, so applying
+    it to the coordinate vector of A_a yields the coordinates of A_g A_a.
+    """
+    index = {lab: i for i, lab in enumerate(t.labels)}
+    out = {}
+    for color in range(1, t.m + 1):
+        g = MultiIndex.unit(t.m, color)
+        mat = [[Fraction(0)] * len(t.labels) for _ in t.labels]
+        for (a, b, c), value in t.p.items():
+            if a == g:
+                mat[index[c]][index[b]] = value
+        out[g] = mat
+    return out
+
+
+def dense_monomial_vector(t, a: MultiIndex) -> list:
+    """Coordinates of A_{e_1}^{a_1} ... A_{e_m}^{a_m}, by dense mat_vec."""
+    reps = regular_representation(t)
+    vec = [Fraction(int(lab == t.identity)) for lab in t.labels]
+    for color, exponent in enumerate(a, start=1):
+        for _ in range(exponent):
+            vec = mat_vec(reps[MultiIndex.unit(len(a), color)], vec)
+    return vec
+
+
+def solve_polynomials(t, leq) -> dict:
+    """v_n from solving sum_{a below n} f_a A^a = A_n by Gaussian elimination."""
+    dom = sorted(t.domain())
+    vectors = {a: dense_monomial_vector(t, a) for a in dom}
+    polys = {}
+    for n in dom:
+        candidates = [a for a in dom if leq(a, n)]
+        target = [Fraction(int(lab == n)) for lab in t.labels]
+        solution = solve_columns([vectors[a] for a in candidates], target)
+        assert solution is not None, n
+        polys[n] = Polynomial(dict(zip(candidates, solution)))
+    return polys
+
+
+def span_boundary_check(t, leq) -> Certificate:
+    """The boundary span test as one rank comparison per case."""
+    reps = regular_representation(t)
+    dom = sorted(t.domain())
+    vectors = {a: dense_monomial_vector(t, a) for a in dom}
+    cases = 0
+    for a in dom:
+        for color in range(1, t.m + 1):
+            unit = MultiIndex.unit(t.m, color)
+            up = a + unit
+            if up in t.domain():
+                continue
+            cases += 1
+            window = [b for b in dom if leq(b, up)]
+            if not in_span([vectors[b] for b in window],
+                           mat_vec(reps[unit], vectors[a])):
+                return Certificate.single(
+                    "boundary-span", False,
+                    witness(generator=unit, a=a, bound=up, window=window))
+    return Certificate.single("boundary-span", True,
+                              detail="%d boundary cases" % cases)
+
+
+# -- Order-pair compatibility oracle ---------------------------------------------
+
+def brute_force_pair_compat(p: PartialOrder, order: MonomialOrder,
+                            box_bound: int, m: int) -> Certificate:
+    """The three compatibility checks as plain loops over the box."""
+    points = list(box((box_bound,) * m))
+    checks = []
+
+    refine_witness = None
+    for a, b in itertools.product(points, repeat=2):
+        if a != b and p.precedes(a, b) and order.compare(a, b) is not Comparison.LESS:
+            refine_witness = witness(a=a, b=b, order=order.as_text())
+            break
+    checks.append(Check("refines-order", refine_witness is None, refine_witness))
+
+    shift_witness = None
+    for a, b, c in itertools.product(points, repeat=3):
+        if p.precedes(a, b) and not p.precedes(a + c, b + c):
+            shift_witness = witness(a=a, b=b, shift=c)
+            break
+    checks.append(Check("translation", shift_witness is None, shift_witness))
+
+    origin = MultiIndex.zero(m)
+    below_witness = None
+    for a in points:
+        if not p.precedes(origin, a):
+            below_witness = witness(a=a)
+            break
+    checks.append(Check("origin-below", below_witness is None, below_witness))
+    return Certificate.of(checks)

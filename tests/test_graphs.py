@@ -6,6 +6,7 @@ Claims covered here:
     enumeration on random connected graphs under every built-in order.
   * Frozen distance facts: cycles, the 14x9 torus grid, the 24-cell.
   * The table is symmetric with a zero diagonal.
+  * Walk counts are exact past 64 bits.
   * The local edge-step precedence check accepts and rejects the right
     (order, partial order) combinations on the 24-cell.
 """
@@ -182,6 +183,17 @@ def test_count_walks_by_type_on_a_cycle():
     assert count_walks_by_type(g, "0", "0", [1, 1]) == 2
     assert count_walks_by_type(g, "0", "2", [1, 1]) == 2
     assert count_walks_by_type(g, "0", "1", [1, 1]) == 0
+
+
+def test_count_walks_by_type_does_not_overflow():
+    # Walks of length L between distinct vertices of K_n number
+    # ((n-1)^L - (-1)^L) / n; for n=20, L=16 that exceeds 2^63.
+    n, length = 20, 16
+    g = complete(n)
+    expected = ((n - 1) ** length - (-1) ** length) // n
+    assert expected > 2 ** 63
+    assert count_walks_by_type(g, g.vertices[0], g.vertices[1],
+                               [1] * length) == expected
 
 
 # -- Edge-step precedence ----------------------------------------------------------------

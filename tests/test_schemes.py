@@ -13,6 +13,7 @@ from mdrg import (
     MonomialOrder,
     MultiIndex,
     SchemeClasses,
+    boundary_check,
     cartesian_product,
     cell24,
     check_additive_nonvanishing,
@@ -21,6 +22,8 @@ from mdrg import (
     check_walk_type_invariance,
     cycle,
     distance_matrices,
+    extract_polynomials,
+    generator_rows,
     hamming_graph,
     intersection_tensor,
     m_distance_table,
@@ -28,11 +31,10 @@ from mdrg import (
     mdrg_check,
     monomial_coeffs,
     pauli_scheme4,
-    regular_representation,
     verify_scheme_axioms,
 )
 
-from helpers import cycle_intersection_numbers
+from helpers import cycle_intersection_numbers, regular_representation
 
 DEGLEX_SUM = MonomialOrder.parse("deglex-sum")
 
@@ -252,29 +254,47 @@ def test_tensor_relabel():
         t.relabel({mi((0,)): "B", mi((1,)): "B", mi((2,)): "C"})
 
 
-def test_regular_representation_contract():
+def test_generator_rows_contract():
     t = cycle_tensor(6)
-    reps = regular_representation(t)
+    rows = generator_rows(t)
     g = mi((1,))
-    assert set(reps) == {g}
-    index = {lab: i for i, lab in enumerate(t.labels)}
     for b in t.labels:
-        for c in t.labels:
-            assert reps[g][index[c]][index[b]] == t.get(g, b, c)
-    # applying the matrix to a class vector multiplies by A_1
+        assert dict(rows.get((g, b), [])) == {
+            c: t.get(g, b, c) for c in t.labels if t.get(g, b, c) != 0}
+    # applying A_1 to a class vector agrees with the dense matrix
     basis = MonomialBasis(t)
-    image = mat_vec(reps[g], basis.unit_vector(mi((1,))))
+    index = {lab: i for i, lab in enumerate(t.labels)}
+    unit = [0] * len(t.labels)
+    unit[index[mi((1,))]] = 1
+    image = basis.apply(g, unit)
+    assert image == mat_vec(regular_representation(t)[g], unit)
     assert image[index[mi((0,))]] == 2
     assert image[index[mi((2,))]] == 1
     assert image[index[mi((1,))]] == 0
 
     with pytest.raises(ValueError):
-        regular_representation(t, generators=[mi((9,))])
+        generator_rows(IntersectionTensor(labels=(mi((0,)),), identity=mi((0,)),
+                                          p={(mi((0,)), mi((0,)), mi((0,))): 1}))
     opaque = t.relabel({mi((0,)): "B0", mi((1,)): "B1", mi((2,)): "B2",
                         mi((3,)): "B3"})
     with pytest.raises(ValueError):
-        regular_representation(opaque)
-    assert set(regular_representation(opaque, generators=["B1"])) == {"B1"}
+        generator_rows(opaque)
+
+
+def test_monomial_basis_rejects_non_commuting_generators():
+    # Two generators on a formal tensor whose left-multiplication
+    # matrices do not commute.
+    o, x, y, z = mi((0, 0)), mi((1, 0)), mi((0, 1)), mi((1, 1))
+    p = {(o, c, c): 1 for c in (o, x, y, z)}
+    p.update({(x, o, x): 1, (x, x, o): 1, (x, y, z): 1, (x, z, y): 1,
+              (y, o, y): 1, (y, y, o): 1, (y, x, x): 1, (y, z, z): 1})
+    t = IntersectionTensor(labels=(o, x, y, z), identity=o, p=p)
+    with pytest.raises(ValueError, match="do not commute at 1,1"):
+        MonomialBasis(t).vector(z)
+    with pytest.raises(ValueError, match="do not commute"):
+        boundary_check(t, order=DEGLEX_SUM)
+    with pytest.raises(ValueError, match="do not commute"):
+        extract_polynomials(t, order=DEGLEX_SUM)
 
 
 def test_monomial_basis_against_matrix_products():
