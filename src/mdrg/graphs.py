@@ -3,11 +3,18 @@
 A :class:`ColoredGraph` is a finite simple undirected graph whose edges
 carry colors 1..m.  The m-length of a walk is the vector counting edges
 of each color; the m-distance between two vertices is the minimum walk
-m-length under a chosen monomial order.  Because every order here is
-translation invariant with minimum o, a label-setting search (Dijkstra
-with multi-index labels keyed by the order) computes single-source
-distances exactly; an optimal walk can always be taken to be a simple
-path, which is what the brute-force oracle in the test suite enumerates.
+m-length under a chosen monomial order.  An optimal walk can always be
+taken to be a simple path, which is what the brute-force oracle in the
+test suite enumerates.
+
+Every built-in order compares W a lexicographically for an integer
+weight matrix W (:meth:`MonomialOrder.forms`).  :func:`m_distance_table`
+packs W a into one radix-R integer code, exact and order-faithful on
+simple paths, and finds all distances with one int64 min-plus
+Floyd-Warshall; when the codes could pass the int64 bound it falls back
+to :func:`m_distance_from`, a label-setting search (Dijkstra with
+multi-index labels keyed by the order), which also serves comparator
+orders and the tests as an oracle.
 """
 
 from __future__ import annotations
@@ -171,13 +178,15 @@ class DistanceTable:
 
     ``labels[i][j]`` is the m-distance between vertices i and j; the
     diagonal is o and the table is symmetric.  ``realized`` is the set D
-    of labels that occur.
+    of labels that occur, and ``index[i, j]`` (an n x n int64 matrix) is
+    the position of ``labels[i][j]`` in :meth:`sorted_labels`.
     """
 
     graph: ColoredGraph = field(repr=False)
     order: MonomialOrder
     labels: tuple[tuple[MultiIndex, ...], ...]
     realized: frozenset[MultiIndex]
+    index: np.ndarray = field(repr=False, compare=False)
 
     def label(self, x: str, y: str) -> MultiIndex:
         return self.labels[self.graph.index(x)][self.graph.index(y)]
@@ -187,22 +196,86 @@ class DistanceTable:
 
 
 def m_distance_table(g: ColoredGraph, order: MonomialOrder) -> DistanceTable:
-    """All-sources distance table; verifies symmetry and the o diagonal."""
-    rows = [m_distance_from(g, order, s) for s in g.vertices]
-    zero = MultiIndex.zero(g.m)
-    for i in range(g.n):
-        if rows[i][i] != zero:
+    """All-pairs m-distances; verifies symmetry and the o diagonal.
+
+    With W = ``order.forms(m)`` (r rows), a walk of m-length a gets the
+    code sum_i (W a)_i R^(r-1-i), R = (n-1) * (largest row sum of W) + 1.
+    The code is additive along a walk, and for the minimal walks it is
+    order-faithful: a minimal walk can be taken to be a simple path, so
+    each (W a)_i is at most R-1 and the code spells W a in radix R; any
+    other walk has W a' above W a lexicographically, and with W >= 0 the
+    first larger digit outweighs every later one, so its code is larger.
+    The m-distances are thus one min-plus Floyd-Warshall over the edge
+    codes, in int64 while 2 R^r < 2^63: every finite entry is below R^r,
+    the unreachable value R^r, so no sum of two entries wraps.  When the
+    bound fails, the table comes from :func:`m_distance_from` per source.
+    Each distinct code is decoded once and checked against W a.
+    """
+    forms = order.forms(g.m)
+    r = len(forms)
+    radix = (g.n - 1) * max(sum(row) for row in forms) + 1
+    far = radix ** r
+    if 2 * far < 2 ** 63:
+        dist = np.full((g.n, g.n), far, dtype=np.int64)
+        np.fill_diagonal(dist, 0)
+        step = [sum(row[c] * radix ** (r - 1 - i) for i, row in enumerate(forms))
+                for c in range(g.m)]
+        if g.edges:
+            u, v, color = np.array(g.edges, dtype=np.int64).T
+            dist[u, v] = dist[v, u] = np.array(step, dtype=np.int64)[color - 1]
+        for k in range(g.n):
+            np.minimum(dist, dist[:, k, None] + dist[k], out=dist)
+        cut = np.flatnonzero(dist[0] == far)
+        if cut.size:
+            raise DisconnectedGraphError(g.vertices[0], g.vertices[cut[0]])
+        codes, index = np.unique(dist, return_inverse=True)
+        ordered = [_decode(order, forms, int(code), radix) for code in codes]
+    else:
+        rows = [m_distance_from(g, order, s) for s in g.vertices]
+        ordered = order.sorted(set(itertools.chain.from_iterable(rows)))
+        position = {lab: i for i, lab in enumerate(ordered)}
+        index = np.array([[position[lab] for lab in row] for row in rows],
+                         dtype=np.int64)
+    index = index.reshape(g.n, g.n)
+    zero_bad = (index.diagonal() != 0) | (ordered[0] != MultiIndex.zero(g.m))
+    asymmetric = np.tril(index != index.T, -1)
+    bad = np.flatnonzero(zero_bad | asymmetric.any(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        if zero_bad[i]:
             raise ValueError("nonzero self-distance at %r" % g.vertices[i])
-        for j in range(i):
-            if rows[i][j] != rows[j][i]:
-                raise ValueError(
-                    "asymmetric distances between %r and %r: %s vs %s"
-                    % (g.vertices[i], g.vertices[j],
-                       rows[i][j].as_text(), rows[j][i].as_text()))
-    realized = frozenset(lab for row in rows for lab in row)
-    return DistanceTable(graph=g, order=order,
-                         labels=tuple(tuple(row) for row in rows),
-                         realized=realized)
+        j = int(np.flatnonzero(asymmetric[i])[0])
+        raise ValueError(
+            "asymmetric distances between %r and %r: %s vs %s"
+            % (g.vertices[i], g.vertices[j], ordered[index[i, j]].as_text(),
+               ordered[index[j, i]].as_text()))
+    labels = tuple(tuple(map(ordered.__getitem__, row)) for row in index.tolist())
+    return DistanceTable(graph=g, order=order, labels=labels,
+                         realized=frozenset(ordered), index=index)
+
+
+def _decode(order: MonomialOrder, forms, code: int, radix: int) -> MultiIndex:
+    """The multi-index a whose W a has the radix-R digits of ``code``.
+
+    Solved from the last row of W up: in every built-in weight matrix
+    each row brings in one new entry of a.  The result is checked
+    against the key, so a failed decode raises instead of mislabeling.
+    """
+    digits, rest = [], code
+    for _ in forms:
+        rest, digit = divmod(rest, radix)
+        digits.append(digit)
+    digits.reverse()
+    a: list = [None] * len(forms[0])
+    for row, digit in zip(reversed(forms), reversed(digits)):
+        j = next(j for j, w in enumerate(row) if w and a[j] is None)
+        rest = digit - sum(w * e for w, e in zip(row, a) if e is not None)
+        a[j] = rest // row[j]
+    label = MultiIndex(a)
+    if order.key(label) != tuple(digits):
+        raise ValueError("distance code %d does not decode under %s"
+                         % (code, order.as_text()))
+    return label
 
 
 def count_walks_by_type(g: ColoredGraph, x: str, y: str,

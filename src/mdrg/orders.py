@@ -23,7 +23,10 @@ comparison ever goes through floating point.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -159,22 +162,36 @@ class MonomialOrder:
         elif self.weights is not None:
             raise ValueError("weights only apply to wdeglex")
 
-    # All built-in kinds admit a sort key; heaps and sorts use it directly.
-    def key(self, a: MultiIndex):
-        if self.kind == DEGLEX_SUM:
-            return (a.degree, tuple(a))
-        if self.kind == DEGLEX_Y2:
-            if len(a) != 2:
-                raise ValueError("deglex-y2 is defined for m=2, got m=%d" % len(a))
-            return (a.degree, a[1])
+    @functools.lru_cache(maxsize=64)  # key() reads W on every call
+    def forms(self, m: int) -> tuple[tuple[int, ...], ...]:
+        """Integer weight matrix W: a is below b iff W a < W b lexicographically.
+
+        ``deglex-sum`` has W = [1...1; I_{m-1}], ``deglex-y2`` [[1,1],[0,1]],
+        ``lex`` I, and ``wdeglex`` its weights times their common
+        denominator over I_{m-1} (Robbiano's weight-matrix orders).  Every
+        W is square, invertible and nonnegative, and read from the last row
+        up each row brings in one new entry of a, so W a = d is solved by
+        substitution.
+        """
+        unit = [tuple(int(i == j) for j in range(m)) for i in range(m)]
         if self.kind == LEX:
-            return tuple(a)
-        assert self.kind == WDEGLEX
-        if self.weights is None or len(self.weights) != len(a):
-            raise ValueError("wdeglex weights have length %s, index has m=%d"
-                             % (None if self.weights is None else len(self.weights), len(a)))
-        wdeg = sum((w * e for w, e in zip(self.weights, a)), Fraction(0))
-        return (wdeg, tuple(a))
+            return tuple(unit)
+        if self.kind == DEGLEX_Y2:
+            if m != 2:
+                raise ValueError("deglex-y2 is defined for m=2, got m=%d" % m)
+            return ((1, 1), (0, 1))
+        if self.kind == DEGLEX_SUM:
+            return ((1,) * m, *unit[:-1])
+        assert self.weights is not None
+        if len(self.weights) != m:
+            raise ValueError("wdeglex weights have length %d, index has m=%d"
+                             % (len(self.weights), m))
+        scale = math.lcm(*(w.denominator for w in self.weights))
+        return (tuple(int(w * scale) for w in self.weights), *unit[:-1])
+
+    # Heaps and sorts use the key directly.
+    def key(self, a: MultiIndex) -> tuple[int, ...]:
+        return tuple([sum(map(operator.mul, row, a)) for row in self.forms(len(a))])
 
     def compare(self, a: MultiIndex, b: MultiIndex) -> Comparison:
         if len(a) != len(b):
@@ -397,58 +414,72 @@ def validate_monomial_order(order: Union[MonomialOrder, CompareFn],
         translation     compare(a,b) == compare(a+c, b+c) for all triples
         origin-minimum  o is strictly below every other point
 
-    Well-orderedness is not decidable by sampling; on N^m it follows from
-    translation invariance plus o being the minimum, which are tested.
+    The comparator is called once on every pair of the doubled box
+    [0, 2*box_bound]^m, which holds every a+c; the checks read that
+    table.  Each witness is the first in row-major order of the points,
+    pairs or triples.  Well-orderedness is not decidable by sampling; on
+    N^m it follows from translation invariance plus o being the minimum,
+    which are tested.
     """
     cmp = _as_compare(order)
+    rels = list(Comparison)
+    less, equal, greater, incomparable = range(4)
+    code = {rel: i for i, rel in enumerate(rels)}
+    wide = list(box((2 * box_bound,) * m))
+    table = np.array([[code[cmp(a, b)] for b in wide] for a in wide], dtype=np.int8)
     points = list(box((box_bound,) * m))
+    # row-major position in the doubled box; digits of a+c stay below its side
+    side = 2 * box_bound + 1
+    pos = np.array(points, dtype=np.int64) @ side ** np.arange(m - 1, -1, -1)
+    rel = table[np.ix_(pos, pos)]
     checks: list[Check] = []
 
-    tot_witness = None
-    for a, b in itertools.product(points, repeat=2):
-        if cmp(a, b) is Comparison.INCOMPARABLE:
-            tot_witness = witness(a=a, b=b)
-            break
-    checks.append(Check("totality", tot_witness is None, tot_witness))
+    hit = _first(rel == incomparable)
+    checks.append(Check("totality", hit is None,
+                        None if hit is None else witness(a=points[hit[0]],
+                                                         b=points[hit[1]])))
 
+    unequal = (rel == equal) != np.eye(len(points), dtype=bool)
+    mirror = np.array([greater, equal, less, -1])[rel]
+    hit = _first(unequal | ((mirror >= 0) & (rel.T != mirror)))
     anti_witness = None
-    for a, b in itertools.product(points, repeat=2):
-        rel, rev = cmp(a, b), cmp(b, a)
-        if (rel is Comparison.EQUAL) != (a == b):
-            anti_witness = witness(a=a, b=b, relation=rel.value)
-            break
-        mirror = {Comparison.LESS: Comparison.GREATER,
-                  Comparison.GREATER: Comparison.LESS,
-                  Comparison.EQUAL: Comparison.EQUAL}.get(rel)
-        if mirror is not None and rev is not mirror:
-            anti_witness = witness(a=a, b=b, relation=rel.value, reverse=rev.value)
-            break
+    if hit is not None:
+        a, b = hit
+        anti_witness = witness(a=points[a], b=points[b], relation=rels[rel[a, b]].value)
+        if not unequal[a, b]:
+            anti_witness["reverse"] = rels[rel[b, a]].value
     checks.append(Check("antisymmetry", anti_witness is None, anti_witness))
 
+    below = rel == less
     trans_witness = None
-    for a, b, c in itertools.product(points, repeat=3):
-        if (cmp(a, b) is Comparison.LESS and cmp(b, c) is Comparison.LESS
-                and cmp(a, c) is not Comparison.LESS):
-            trans_witness = witness(a=a, b=b, c=c)
+    for a in range(len(points)):
+        hit = _first(below[a][:, None] & below & ~below[a][None, :])
+        if hit is not None:
+            trans_witness = witness(a=points[a], b=points[hit[0]], c=points[hit[1]])
             break
     checks.append(Check("transitivity", trans_witness is None, trans_witness))
 
     shift_witness = None
-    for a, b, c in itertools.product(points, repeat=3):
-        if cmp(a, b) is not cmp(a + c, b + c):
-            shift_witness = witness(a=a, b=b, shift=c)
+    moved = pos[:, None] + pos[None, :]  # [b, c] -> position of b+c
+    for a in range(len(points)):
+        hit = _first(rel[a][:, None] != table[(pos[a] + pos)[None, :], moved])
+        if hit is not None:
+            shift_witness = witness(a=points[a], b=points[hit[0]], shift=points[hit[1]])
             break
     checks.append(Check("translation", shift_witness is None, shift_witness))
 
-    origin = MultiIndex.zero(m)
-    min_witness = None
-    for a in points:
-        if a != origin and cmp(origin, a) is not Comparison.LESS:
-            min_witness = witness(a=a)
-            break
-    checks.append(Check("origin-minimum", min_witness is None, min_witness))
+    # points[0] is the origin
+    hit = _first(rel[0, 1:] != less)
+    checks.append(Check("origin-minimum", hit is None,
+                        None if hit is None else witness(a=points[hit[0] + 1])))
 
     return Certificate.of(checks)
+
+
+def _first(mask: np.ndarray) -> Optional[tuple[int, ...]]:
+    """Row-major first True position of ``mask``, or None."""
+    hits = np.argwhere(mask)
+    return tuple(int(i) for i in hits[0]) if hits.size else None
 
 
 def validate_pair_compat(p: PartialOrder, order: MonomialOrder,

@@ -14,6 +14,7 @@ multiplying class matrices.  No floating-point value is used.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -343,25 +344,10 @@ def intersection_tensor(s: SchemeClasses) -> IntersectionTensor:
     return _tensor_from_counts(counts, s.labels, s.labels[ident])
 
 
-def _label_index(table: DistanceTable,
-                 labels: Sequence[MultiIndex]) -> np.ndarray:
-    """n x n matrix holding the position in ``labels`` of each distance."""
-    position = {lab: i for i, lab in enumerate(labels)}
-    return np.array([[position[lab] for lab in row] for row in table.labels],
-                    dtype=np.int64)
-
-
-def distance_matrices(table: DistanceTable,
-                      idx: Optional[np.ndarray] = None) -> SchemeClasses:
-    """0/1 matrices of the realized distance labels, sorted by the order.
-
-    ``idx`` is the label index matrix of the table, if already built.
-    """
-    labels = table.sorted_labels()
-    if idx is None:
-        idx = _label_index(table, labels)
-    mats = [(idx == c).astype(np.int64) for c in range(len(labels))]
-    return SchemeClasses(labels=labels, matrices=mats,
+def distance_matrices(table: DistanceTable) -> SchemeClasses:
+    """0/1 matrices of the realized distance labels, sorted by the order."""
+    mats = [(table.index == c).astype(np.int64) for c in range(len(table.realized))]
+    return SchemeClasses(labels=table.sorted_labels(), matrices=mats,
                          vertices=table.graph.vertices)
 
 
@@ -453,8 +439,13 @@ class MdrgResult:
 
     certificate: Certificate
     table: DistanceTable
-    scheme: Optional[SchemeClasses]
     tensor: Optional[IntersectionTensor]
+
+    @functools.cached_property
+    def scheme(self) -> Optional[SchemeClasses]:
+        """The distance matrices, on pass; built on first use, since the
+        n x n class matrices are large and the certificate needs none."""
+        return None if self.tensor is None else distance_matrices(self.table)
 
 
 def mdrg_check(g: ColoredGraph, order: MonomialOrder) -> MdrgResult:
@@ -479,10 +470,9 @@ def mdrg_check(g: ColoredGraph, order: MonomialOrder) -> MdrgResult:
             color=missing[0], unit=MultiIndex.unit(g.m, missing[0]),
             realized=sorted(lab.as_text() for lab in labels))))
     if missing:
-        return MdrgResult(Certificate.of(checks), table, None, None)
+        return MdrgResult(Certificate.of(checks), table, None)
 
-    idx = _label_index(table, labels)
-    counts = pair_counts(idx, len(labels))
+    counts = pair_counts(table.index, len(labels))
     count_witness = (_pair_witness(counts, labels, g.vertices)
                      if isinstance(counts, BadPair) else None)
     checks.append(Check("regular-counts", count_witness is None, count_witness,
@@ -490,9 +480,9 @@ def mdrg_check(g: ColoredGraph, order: MonomialOrder) -> MdrgResult:
                         "all %d vertex pairs consistent" % (g.n * g.n)))
     certificate = Certificate.of(checks)
     if count_witness is not None:
-        return MdrgResult(certificate, table, None, None)
+        return MdrgResult(certificate, table, None)
     tensor = _tensor_from_counts(counts, labels, MultiIndex.zero(g.m))
-    return MdrgResult(certificate, table, distance_matrices(table, idx), tensor)
+    return MdrgResult(certificate, table, tensor)
 
 
 # -- Structural consequences (checked independently in the test suite) ----------

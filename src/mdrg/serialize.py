@@ -156,11 +156,11 @@ def tensor_from_dict(data: Mapping[str, Any]) -> IntersectionTensor:
 
 def table_to_dict(table: DistanceTable) -> dict:
     g = table.graph
+    texts = [lab.as_text() for lab in table.sorted_labels()]
     distances = {}
-    for i, x in enumerate(g.vertices):
-        for j, y in enumerate(g.vertices):
-            if i < j:
-                distances["%s|%s" % (x, y)] = table.labels[i][j].as_text()
+    for i, (x, row) in enumerate(zip(g.vertices, table.index.tolist())):
+        for y, c in zip(g.vertices[i + 1:], row[i + 1:]):
+            distances["%s|%s" % (x, y)] = texts[c]
     return {
         "order": table.order.as_text(),
         "vertices": list(g.vertices),

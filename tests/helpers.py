@@ -6,7 +6,7 @@ search, direct counting on cycles instead of tensor products, explicit
 closed-form coefficient tables for the generalized 24-cell polynomials,
 dense Fraction elimination (``mdrg.exactlinalg``) instead of the
 recurrence and the triangular boundary test, and plain loops over the
-box instead of the order-compatibility table.
+box instead of the order-compatibility table and the order-axiom table.
 """
 
 from __future__ import annotations
@@ -271,4 +271,59 @@ def brute_force_pair_compat(p: PartialOrder, order: MonomialOrder,
             below_witness = witness(a=a)
             break
     checks.append(Check("origin-below", below_witness is None, below_witness))
+    return Certificate.of(checks)
+
+
+# -- Monomial-order axiom oracle --------------------------------------------------
+
+def brute_force_monomial_order(order, m: int, box_bound: int) -> Certificate:
+    """The five total-order axiom checks as plain loops over the box,
+    calling the comparator on every pair and triple."""
+    cmp = order.compare if isinstance(order, MonomialOrder) else order
+    points = list(box((box_bound,) * m))
+    checks = []
+
+    tot_witness = None
+    for a, b in itertools.product(points, repeat=2):
+        if cmp(a, b) is Comparison.INCOMPARABLE:
+            tot_witness = witness(a=a, b=b)
+            break
+    checks.append(Check("totality", tot_witness is None, tot_witness))
+
+    anti_witness = None
+    for a, b in itertools.product(points, repeat=2):
+        rel, rev = cmp(a, b), cmp(b, a)
+        if (rel is Comparison.EQUAL) != (a == b):
+            anti_witness = witness(a=a, b=b, relation=rel.value)
+            break
+        mirror = {Comparison.LESS: Comparison.GREATER,
+                  Comparison.GREATER: Comparison.LESS,
+                  Comparison.EQUAL: Comparison.EQUAL}.get(rel)
+        if mirror is not None and rev is not mirror:
+            anti_witness = witness(a=a, b=b, relation=rel.value, reverse=rev.value)
+            break
+    checks.append(Check("antisymmetry", anti_witness is None, anti_witness))
+
+    trans_witness = None
+    for a, b, c in itertools.product(points, repeat=3):
+        if (cmp(a, b) is Comparison.LESS and cmp(b, c) is Comparison.LESS
+                and cmp(a, c) is not Comparison.LESS):
+            trans_witness = witness(a=a, b=b, c=c)
+            break
+    checks.append(Check("transitivity", trans_witness is None, trans_witness))
+
+    shift_witness = None
+    for a, b, c in itertools.product(points, repeat=3):
+        if cmp(a, b) is not cmp(a + c, b + c):
+            shift_witness = witness(a=a, b=b, shift=c)
+            break
+    checks.append(Check("translation", shift_witness is None, shift_witness))
+
+    origin = MultiIndex.zero(m)
+    min_witness = None
+    for a in points:
+        if a != origin and cmp(origin, a) is not Comparison.LESS:
+            min_witness = witness(a=a)
+            break
+    checks.append(Check("origin-minimum", min_witness is None, min_witness))
     return Certificate.of(checks)

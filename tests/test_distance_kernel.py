@@ -1,0 +1,170 @@
+"""The packed-code distance kernel against the per-source search.
+
+``m_distance_table`` computes all m-distances with one int64 min-plus
+pass over integer codes of W a.  Here it is checked against
+``m_distance_from`` (the label-setting search it falls back to) and the
+simple-path oracle ``helpers.brute_force_distance`` on random connected
+graphs with n <= 12 and m <= 3, vertices renamed and reordered at
+random, under all four order kinds (wdeglex with non-integer weights);
+on disconnected graphs, which must raise with the same source and
+unreachable vertex; and on orders whose codes pass the int64 bound,
+which must take the fallback and give the same table.  The weight
+matrices themselves are checked against the defining comparisons.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import mdrg.graphs
+from mdrg import (ColoredGraph, DisconnectedGraphError, MonomialOrder,
+                  MultiIndex, box, m_distance_from, m_distance_table)
+
+from helpers import brute_force_distance, random_colored_graph
+
+
+def renamed(g: ColoredGraph, rng: random.Random) -> ColoredGraph:
+    """The same graph with fresh vertex names in a shuffled vertex list."""
+    names = dict(zip(g.vertices, ("v%d" % i for i in rng.sample(range(g.n), g.n))))
+    vertices = list(names.values())
+    rng.shuffle(vertices)
+    return ColoredGraph(g.m, vertices,
+                        [(names[u], names[v], c) for u, v, c in g.edge_names()])
+
+
+def weights(m: int):
+    return st.lists(st.fractions(min_value=Fraction(1, 4), max_value=4,
+                                 max_denominator=4),
+                    min_size=m, max_size=m)
+
+
+@st.composite
+def orders(draw, m: int) -> MonomialOrder:
+    kinds = ["deglex-sum", "lex", "wdeglex"] + (["deglex-y2"] if m == 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "wdeglex":
+        return MonomialOrder("wdeglex", tuple(draw(weights(m))))
+    return MonomialOrder.parse(kind)
+
+
+def search_table(g: ColoredGraph, order: MonomialOrder):
+    return tuple(tuple(m_distance_from(g, order, s)) for s in g.vertices)
+
+
+def packed_code_fits(g: ColoredGraph, order: MonomialOrder) -> bool:
+    forms = order.forms(g.m)
+    radix = (g.n - 1) * max(sum(row) for row in forms) + 1
+    return 2 * radix ** len(forms) < 2 ** 63
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(1, 12), m=st.integers(1, 3),
+       data=st.data())
+def test_kernel_matches_search_and_simple_paths(seed, n, m, data):
+    rng = random.Random(seed)
+    g = renamed(random_colored_graph(rng, n, m), rng)
+    order = data.draw(orders(m))
+    assert packed_code_fits(g, order)
+    with mock.patch.object(mdrg.graphs, "m_distance_from",
+                           wraps=m_distance_from) as search:
+        table = m_distance_table(g, order)
+    assert search.call_count == 0  # the int64 kernel ran
+    assert table.labels == search_table(g, order)
+    for i, x in enumerate(g.vertices):
+        for j, y in enumerate(g.vertices):
+            assert table.labels[i][j] == brute_force_distance(g, order, x, y)
+    ordered = table.sorted_labels()
+    assert table.realized == frozenset(ordered)
+    assert table.index.shape == (g.n, g.n)
+    for i, row in enumerate(table.labels):
+        for j, lab in enumerate(row):
+            assert ordered[table.index[i, j]] is lab  # labels are shared
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), sizes=st.lists(st.integers(1, 5),
+                                                    min_size=2, max_size=3),
+       m=st.integers(1, 3), data=st.data())
+def test_disconnected_graph_raises_like_the_search(seed, sizes, m, data):
+    rng = random.Random(seed)
+    vertices, edges = [], []
+    for part, size in enumerate(sizes):
+        piece = random_colored_graph(rng, size, m)
+        vertices += ["%d.%s" % (part, v) for v in piece.vertices]
+        edges += [("%d.%s" % (part, u), "%d.%s" % (part, v), c)
+                  for u, v, c in piece.edge_names()]
+    rng.shuffle(vertices)
+    g = ColoredGraph(m, vertices, edges)
+    order = data.draw(orders(m))
+    with pytest.raises(DisconnectedGraphError) as expected:
+        search_table(g, order)
+    with pytest.raises(DisconnectedGraphError) as got:
+        m_distance_table(g, order)
+    assert (got.value.source, got.value.unreachable) == (
+        expected.value.source, expected.value.unreachable)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(2, 12), data=st.data())
+def test_codes_past_the_bound_fall_back_to_the_search(seed, n, data):
+    rng = random.Random(seed)
+    g = renamed(random_colored_graph(rng, n, 2), rng)
+    tiny = data.draw(st.sampled_from(["1/1000000000000000,1",
+                                      "1,1/1000000000000000"]))
+    order = MonomialOrder.parse("wdeglex:" + tiny)
+    assert not packed_code_fits(g, order)
+    with mock.patch.object(mdrg.graphs, "m_distance_from",
+                           wraps=m_distance_from) as search:
+        table = m_distance_table(g, order)
+    assert search.call_count == g.n
+    assert table.labels == search_table(g, order)
+    ordered = table.sorted_labels()
+    assert all(ordered[table.index[i, j]] == lab
+               for i, row in enumerate(table.labels) for j, lab in enumerate(row))
+
+
+def defining_key(order: MonomialOrder, a: MultiIndex):
+    """Each kind's comparison as written in its definition."""
+    if order.kind == "deglex-sum":
+        return (sum(a), tuple(a))
+    if order.kind == "deglex-y2":
+        return (sum(a), a[1])
+    if order.kind == "lex":
+        return tuple(a)
+    return (sum(w * e for w, e in zip(order.weights, a)), tuple(a))
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 3), data=st.data())
+def test_forms_and_key_match_the_defining_comparisons(m, data):
+    order = data.draw(orders(m))
+    forms = order.forms(m)
+    assert len(forms) == m and all(len(row) == m for row in forms)
+    assert all(isinstance(w, int) and w >= 0 for row in forms for w in row)
+    points = list(box((3 if m < 3 else 2,) * m))
+    for a in points:
+        assert order.key(a) == tuple(sum(w * e for w, e in zip(row, a))
+                                     for row in forms)
+    for a, b in itertools.product(points, repeat=2):
+        ka, kb = defining_key(order, a), defining_key(order, b)
+        assert (order.key(a) < order.key(b)) == (ka < kb)
+        assert order.lt(a, b) == (ka < kb)
+        assert (order.key(a) == order.key(b)) == (a == b)
+
+
+def test_forms_of_each_kind():
+    assert MonomialOrder.parse("deglex-sum").forms(3) == ((1, 1, 1), (1, 0, 0),
+                                                          (0, 1, 0))
+    assert MonomialOrder.parse("deglex-y2").forms(2) == ((1, 1), (0, 1))
+    assert MonomialOrder.parse("lex").forms(2) == ((1, 0), (0, 1))
+    assert MonomialOrder.parse("wdeglex:1/2,3").forms(2) == ((1, 6), (1, 0))
+    with pytest.raises(ValueError):
+        MonomialOrder.parse("deglex-y2").forms(3)
+    with pytest.raises(ValueError):
+        MonomialOrder.parse("wdeglex:1/2,3").forms(3)
