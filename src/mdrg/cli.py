@@ -45,6 +45,13 @@ def _parse_order(text: str) -> MonomialOrder:
         raise UsageError("bad --order: %s" % exc)
 
 
+def _check_arity(order: MonomialOrder, g: ColoredGraph) -> None:
+    try:
+        order.forms(g.m)
+    except ValueError as exc:
+        raise UsageError("bad --order: %s" % exc)
+
+
 def _parse_partial(text: str) -> PartialOrder:
     try:
         return PartialOrder.parse(text)
@@ -148,6 +155,7 @@ def cmd_distances(args: argparse.Namespace) -> tuple[dict, int]:
     doc = _load(args.input)
     if not isinstance(doc, ColoredGraph):
         raise UsageError("%s is not a graph file" % args.input)
+    _check_arity(order, doc)
     try:
         table = m_distance_table(doc, order)
     except DisconnectedGraphError as exc:
@@ -165,6 +173,7 @@ def cmd_certify_mdrg(args: argparse.Namespace) -> tuple[dict, int]:
     doc = _load(args.input)
     if not isinstance(doc, ColoredGraph):
         raise UsageError("%s is not a graph file" % args.input)
+    _check_arity(order, doc)
     try:
         result = mdrg_check(doc, order)
     except DisconnectedGraphError as exc:
@@ -201,11 +210,14 @@ def cmd_verify_scheme(args: argparse.Namespace) -> tuple[dict, int]:
 
 # -- certify-ppoly -----------------------------------------------------------------
 
-def _tensor_from_document(doc, labeling: Optional[Labeling], order: MonomialOrder,
+def _tensor_from_document(doc, labeling: Optional[Labeling],
+                          order: Optional[MonomialOrder],
                           certificates: dict) -> Optional[IntersectionTensor]:
     """Reduce any input document to a labeled tensor; None means a
-    certificate already failed and the caller should stop at exit 1."""
+    certificate already failed and the caller should stop at exit 1.
+    A tensor's ``numbers`` certificate is reported only when it fails."""
     if isinstance(doc, ColoredGraph):
+        _check_arity(order, doc)
         result = mdrg_check(doc, order)
         certificates["mdrg"] = result.certificate
         if result.tensor is None:
@@ -217,6 +229,10 @@ def _tensor_from_document(doc, labeling: Optional[Labeling], order: MonomialOrde
             return None
         tensor = intersection_tensor(doc)
     else:
+        numbers = doc.validate()
+        if not numbers.passed:
+            certificates["numbers"] = numbers
+            return None
         tensor = doc
     if labeling is not None:
         try:
@@ -290,18 +306,9 @@ def cmd_type_ab(args: argparse.Namespace) -> tuple[dict, int]:
     doc = _load(args.input)
     if isinstance(doc, ColoredGraph):
         raise UsageError("type-ab takes a scheme or tensor file")
-    if isinstance(doc, SchemeClasses):
-        certificates["axioms"] = verify_scheme_axioms(doc)
-        if not certificates["axioms"].passed:
-            return _report("type-ab", inputs, certificates), 1
-        tensor = intersection_tensor(doc)
-    else:
-        tensor = doc
-    if labeling is not None:
-        try:
-            tensor = labeling.apply(tensor)
-        except ValueError as exc:
-            raise UsageError("bad --labeling: %s" % exc)
+    tensor = _tensor_from_document(doc, labeling, None, certificates)
+    if tensor is None:
+        return _report("type-ab", inputs, certificates), 1
 
     if args.region:
         try:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,11 +38,16 @@ def label_text(label: Label) -> str:
 
 
 class SchemeClasses:
-    """A set of 0/1 class matrices with distinct labels on named vertices."""
+    """A set of 0/1 class matrices with distinct labels on named vertices.
+
+    The matrices are read-only int64 copies, so :attr:`counts`, the pair
+    counts of the class index matrix, is computed once and shared by
+    :func:`verify_scheme_axioms` and :func:`intersection_tensor`.
+    """
 
     def __init__(self, labels: Sequence[Label], matrices: Sequence[np.ndarray],
                  vertices: Optional[Sequence[str]] = None):
-        mats = [np.asarray(mat, dtype=np.int64) for mat in matrices]
+        mats = [np.array(mat, dtype=np.int64) for mat in matrices]
         if not mats:
             raise ValueError("no classes given")
         n = mats[0].shape[0]
@@ -52,6 +58,7 @@ class SchemeClasses:
                 raise ValueError("class matrices must be 0/1")
             if not mat.any():
                 raise ValueError("class matrices must not be all zero")
+            mat.flags.writeable = False
         if len(labels) != len(mats):
             raise ValueError("%d labels for %d matrices" % (len(labels), len(mats)))
         texts = [label_text(lab) for lab in labels]
@@ -101,6 +108,14 @@ class SchemeClasses:
             raise ValueError("pair (%s, %s) not covered by any class"
                              % (self.vertices[x], self.vertices[y]))
         return idx
+
+    @functools.cached_property
+    def counts(self) -> Union[np.ndarray, "BadPair"]:
+        """:func:`pair_counts` of :meth:`class_index_matrix`, read-only."""
+        counts = pair_counts(self.class_index_matrix(), len(self.matrices))
+        if isinstance(counts, np.ndarray):
+            counts.flags.writeable = False
+        return counts
 
 
 class BadPair(NamedTuple):
@@ -182,8 +197,9 @@ def verify_scheme_axioms(s: SchemeClasses) -> Certificate:
     partition        the classes sum to the all-ones matrix
     closure          each product A_a A_b is constant on every class
                      support (the constants are the intersection numbers);
-                     counted by :func:`pair_counts`, whose witness is the
-                     first bad pair (x, y) in row-major order
+                     counted once into ``s.counts`` by :func:`pair_counts`,
+                     whose witness is the first bad pair (x, y) in
+                     row-major order
     """
     checks: list[Check] = []
 
@@ -210,9 +226,8 @@ def verify_scheme_axioms(s: SchemeClasses) -> Certificate:
     checks.append(Check("partition", part_witness is None, part_witness))
 
     if part_witness is None and sym_witness is None and ident is not None:
-        counts = pair_counts(s.class_index_matrix(), len(s.matrices))
-        closure_witness = (_pair_witness(counts, s.labels, s.vertices)
-                           if isinstance(counts, BadPair) else None)
+        closure_witness = (_pair_witness(s.counts, s.labels, s.vertices)
+                           if isinstance(s.counts, BadPair) else None)
         checks.append(Check("closure", closure_witness is None, closure_witness))
     else:
         checks.append(Check("closure", False,
@@ -283,16 +298,19 @@ class IntersectionTensor:
         integer intersection numbers; formal parameterized tensors need
         not).
         """
+        # The scans run on the numbers times their common denominator, as
+        # ints (absent = 0); witnesses still report the rationals.
         checks: list[Check] = []
-        neg = next((key for key, v in self.p.items() if v < 0), None)
+        scale = math.lcm(*(v.denominator for v in self.p.values()))
+        p = {key: v.numerator * (scale // v.denominator) for key, v in self.p.items()}
+        neg = next((key for key, v in p.items() if v < 0), None)
         checks.append(Check("nonnegative", neg is None,
                             None if neg is None else
                             witness(a=neg[0], b=neg[1], c=neg[2], value=self.p[neg])))
 
         delta_witness = None
         for a, c in itertools.product(self.labels, repeat=2):
-            expected = Fraction(1) if a == c else Fraction(0)
-            if self.get(self.identity, a, c) != expected:
+            if p.get((self.identity, a, c), 0) != scale * (a == c):
                 delta_witness = witness(a=a, c=c,
                                         value=self.get(self.identity, a, c))
                 break
@@ -300,7 +318,7 @@ class IntersectionTensor:
 
         comm_witness = None
         for a, b, c in itertools.product(self.labels, repeat=3):
-            if self.get(a, b, c) != self.get(b, a, c):
+            if p.get((a, b, c), 0) != p.get((b, a, c), 0):
                 comm_witness = witness(a=a, b=b, c=c,
                                        p_ab=self.get(a, b, c), p_ba=self.get(b, a, c))
                 break
@@ -308,9 +326,9 @@ class IntersectionTensor:
 
         sum_witness = None
         for a, c in itertools.product(self.labels, repeat=2):
-            total = sum((self.get(a, b, c) for b in self.labels), Fraction(0))
-            if total != self.valency(a):
-                sum_witness = witness(a=a, c=c, row_sum=total,
+            total = sum(p.get((a, b, c), 0) for b in self.labels)
+            if total != p.get((a, a, self.identity), 0):
+                sum_witness = witness(a=a, c=c, row_sum=Fraction(total, scale),
                                       valency=self.valency(a))
                 break
         checks.append(Check("row-sums", sum_witness is None, sum_witness))
@@ -327,13 +345,14 @@ class IntersectionTensor:
 def intersection_tensor(s: SchemeClasses) -> IntersectionTensor:
     """Read off intersection numbers, cross-checking every pair class.
 
-    Requires :func:`verify_scheme_axioms` to hold; raises ``ValueError``
+    Reads the counts that :func:`verify_scheme_axioms` already took
+    (``s.counts``).  Requires the axioms to hold; raises ``ValueError``
     with the first constancy violation otherwise.
     """
     ident = s.identity_index()
     if ident is None:
         raise ValueError("scheme has no identity class")
-    counts = pair_counts(s.class_index_matrix(), len(s.matrices))
+    counts = s.counts
     if isinstance(counts, BadPair):
         raise ValueError(
             "not an association scheme: product %s*%s is not constant "
@@ -346,7 +365,7 @@ def intersection_tensor(s: SchemeClasses) -> IntersectionTensor:
 
 def distance_matrices(table: DistanceTable) -> SchemeClasses:
     """0/1 matrices of the realized distance labels, sorted by the order."""
-    mats = [(table.index == c).astype(np.int64) for c in range(len(table.realized))]
+    mats = [table.index == c for c in range(len(table.realized))]
     return SchemeClasses(labels=table.sorted_labels(), matrices=mats,
                          vertices=table.graph.vertices)
 

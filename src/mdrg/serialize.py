@@ -1,16 +1,21 @@
 """JSON round-tripping for graphs, schemes, tensors, tables, polynomials.
 
-All rationals travel as strings "p" or "p/q"; floats are rejected on the
-way in so no inexact value can enter a computation.  Class labels are
-written as their text form; on the way in, anything that parses as a
-comma-separated tuple of integers becomes a multi-index and everything
-else stays an opaque tag.
+All rationals travel as strings "p" or "p/q", and class matrices hold
+integers; floats are rejected on the way in so no inexact value can
+enter a computation.  Class labels are written as their text form; on
+the way in, anything that parses as a comma-separated tuple of integers
+becomes a multi-index and everything else stays an opaque tag.
+
+Output is canonical JSON: :func:`dump_json` writes the bytes of
+``json.dumps(data, sort_keys=True, indent=2)`` without json's slow
+pure-Python indent path.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping, Union
 
 import numpy as np
@@ -109,10 +114,14 @@ def scheme_to_dict(s: SchemeClasses) -> dict:
 def scheme_from_dict(data: Mapping[str, Any]) -> SchemeClasses:
     try:
         labels = [label_from_text(str(lab)) for lab in data["labels"]]
-        matrices = [np.array(mat, dtype=np.int64) for mat in data["matrices"]]
+        matrices = np.array(data["matrices"])
     except KeyError as exc:
         raise InputFormatError("scheme document needs keys labels, matrices; "
                                "missing %s" % exc) from exc
+    except ValueError as exc:  # ragged nesting
+        raise InputFormatError("matrices must be n x n integer matrices") from exc
+    if matrices.ndim != 3 or matrices.dtype.kind not in "iu":
+        raise InputFormatError("matrices must be n x n integer matrices")
     vertices = data.get("vertices")
     if vertices is not None:
         vertices = [str(v) for v in vertices]
@@ -217,5 +226,28 @@ def load_document(path: str) -> Union[ColoredGraph, SchemeClasses, IntersectionT
 
 
 def dump_json(data: Any) -> str:
-    """Canonical report text: sorted keys, two-space indent, newline end."""
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    """Canonical report text: the bytes of ``json.dumps(data,
+    sort_keys=True, indent=2) + "\\n"``.  With an indent json's encoder is
+    pure Python, one step per matrix entry, so dicts, lists, strings and
+    ints are written here (a list of plain ints in one join); any other
+    value goes to ``json.dumps``, re-indented, which is exact because
+    JSON strings hold no raw newline."""
+    return _encode(data, "\n") + "\n"
+
+
+def _encode(value: Any, nl: str) -> str:
+    inner = nl + "  "
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return str(value)
+    if kind is dict and value and all(type(key) is str for key in value):
+        items = [encode_basestring_ascii(key) + ": " + _encode(value[key], inner)
+                 for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if (kind is list or kind is tuple) and value:
+        items = (map(str, value) if set(map(type, value)) == {int}
+                 else [_encode(item, inner) for item in value])
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", nl)

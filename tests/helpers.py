@@ -5,8 +5,10 @@ library internals: simple-path enumeration instead of the label-setting
 search, direct counting on cycles instead of tensor products, explicit
 closed-form coefficient tables for the generalized 24-cell polynomials,
 dense Fraction elimination (``mdrg.exactlinalg``) instead of the
-recurrence and the triangular boundary test, and plain loops over the
-box instead of the order-compatibility table and the order-axiom table.
+recurrence and the triangular boundary test, plain loops over the box
+instead of the order-compatibility table and the order-axiom table, and
+Fraction loops over every label triple instead of the integer scans of
+``IntersectionTensor.validate``.
 """
 
 from __future__ import annotations
@@ -173,6 +175,39 @@ def brute_force_pair_counts(idx: np.ndarray):
                 return (x, y)
     return {(a, b, c): value for c, counts in reference.items()
             for (a, b), value in counts.items()}
+
+
+def brute_force_validate(t, strict_integral: bool = False) -> Certificate:
+    """``IntersectionTensor.validate`` as plain loops over every triple
+    of labels in ``Fraction`` arithmetic, absent entries read as 0."""
+    checks = []
+    neg = next((key for key, v in t.p.items() if v < 0), None)
+    checks.append(Check("nonnegative", neg is None, None if neg is None else
+                        witness(a=neg[0], b=neg[1], c=neg[2], value=t.p[neg])))
+    found = None
+    for a, c in itertools.product(t.labels, repeat=2):
+        if t.get(t.identity, a, c) != (Fraction(1) if a == c else Fraction(0)):
+            found = witness(a=a, c=c, value=t.get(t.identity, a, c))
+            break
+    checks.append(Check("identity-rule", found is None, found))
+    found = None
+    for a, b, c in itertools.product(t.labels, repeat=3):
+        if t.get(a, b, c) != t.get(b, a, c):
+            found = witness(a=a, b=b, c=c, p_ab=t.get(a, b, c), p_ba=t.get(b, a, c))
+            break
+    checks.append(Check("commutativity", found is None, found))
+    found = None
+    for a, c in itertools.product(t.labels, repeat=2):
+        total = sum((t.get(a, b, c) for b in t.labels), Fraction(0))
+        if total != t.valency(a):
+            found = witness(a=a, c=c, row_sum=total, valency=t.valency(a))
+            break
+    checks.append(Check("row-sums", found is None, found))
+    if strict_integral:
+        frac = next((key for key, v in t.p.items() if v.denominator != 1), None)
+        checks.append(Check("integrality", frac is None, None if frac is None else
+                            witness(a=frac[0], b=frac[1], c=frac[2], value=t.p[frac])))
+    return Certificate.of(checks)
 
 
 # -- Dense exact-algebra oracles for polynomials and the boundary ----------------

@@ -1,0 +1,80 @@
+"""The canonical writer against ``json.dumps(..., sort_keys=True, indent=2)``.
+
+``dump_json`` joins dicts, lists and strings itself and delegates every
+other value to ``json.dumps``; its bytes must not differ from json's on
+any value json accepts.
+"""
+
+import json
+from collections import OrderedDict
+
+from hypothesis import given, settings, strategies as st
+
+from mdrg import (MonomialOrder, hamming_graph, m_distance_table, pauli_scheme4,
+                  symmetrize)
+from mdrg.cli import main
+from mdrg.serialize import dump_json, graph_to_dict, scheme_to_dict, table_to_dict
+
+
+def reference(value):
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+# Integers past 64 bits, but below the 4300-digit limit of int -> str.
+INTS = st.integers(-2 ** 200, 2 ** 200)
+# Any code point but surrogates: non-ASCII and control characters included.
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+
+
+@st.composite
+def ints_with_a_bool(draw):
+    items = draw(st.lists(INTS, max_size=5))
+    items.insert(draw(st.integers(0, len(items))), draw(st.booleans()))
+    return items
+
+
+SCALARS = st.one_of(st.none(), st.booleans(), INTS,
+                    st.floats(allow_nan=True, allow_infinity=True), TEXT,
+                    st.lists(INTS, max_size=6), ints_with_a_bool())
+
+
+def containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(TEXT, children, max_size=4),
+        st.dictionaries(INTS, children, max_size=4),
+        st.dictionaries(TEXT, children, max_size=4).map(OrderedDict))
+
+
+VALUES = st.recursive(SCALARS, containers, max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(VALUES)
+def test_dump_json_matches_json_dumps(value):
+    assert dump_json(value) == reference(value)
+
+
+def test_dump_json_fixed_cases():
+    for value in ({}, [], (), "", 0, -1, True, None, 1.5, [[]], {"a": {}},
+                  {"b": [1, 2], "a": [True, 1], "é": "\x00\n "},
+                  [1, [2, [3, []]], {"x": (4,)}], {2: "b", 10: "a"},
+                  [2 ** 70, -2 ** 70, 0]):
+        assert dump_json(value) == reference(value)
+
+
+def test_dump_json_symmetrize_document():
+    document = scheme_to_dict(symmetrize(pauli_scheme4(), 4))
+    assert dump_json(document) == reference(document)
+
+
+def test_dump_json_distances_report(tmp_path, capsys):
+    graph = hamming_graph(4, 4)
+    table = table_to_dict(m_distance_table(graph, MonomialOrder.parse("deglex-sum")))
+    assert dump_json(table) == reference(table)
+    path = tmp_path / "h44.json"
+    path.write_text(dump_json(graph_to_dict(graph)))
+    assert main(["distances", str(path), "--order", "deglex-sum"]) == 0
+    out = capsys.readouterr().out
+    assert out == reference(json.loads(out))

@@ -11,8 +11,11 @@ from mdrg import (
     MultiIndex,
     Polynomial,
     __version__,
+    cartesian_product,
     cell24,
+    cycle,
     m_distance_table,
+    mdrg_check,
 )
 from mdrg.cli import main
 from mdrg.schemes import distance_matrices
@@ -21,6 +24,7 @@ from mdrg.serialize import (
     graph_to_dict,
     polynomials_from_dict,
     scheme_to_dict,
+    tensor_to_dict,
 )
 
 mi = MultiIndex
@@ -188,6 +192,21 @@ def test_empty_class_is_input_error(tmp_path, capsys):
         assert "error: class matrices must not be all zero" in err
 
 
+@pytest.mark.parametrize("entry", [1.0, 1.9, "1"])
+def test_non_integer_class_entry_is_input_error(tmp_path, capsys, entry):
+    scheme = tmp_path / "float-entry.json"
+    scheme.write_text(json.dumps({
+        "labels": ["o", "a"], "vertices": ["u", "v"],
+        "matrices": [[[entry, 0], [0, 1]], [[0, 1], [1, 0]]]}))
+    for argv in (["verify-scheme", str(scheme)],
+                 ["certify-ppoly", str(scheme), "--order", "lex"],
+                 ["type-ab", str(scheme), "--region"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "error: matrices must be n x n integer matrices" in err
+
+
 def test_verify_scheme_rejects_graph(cell24_graph, capsys):
     code, _, err = run(capsys, "verify-scheme", cell24_graph)
     assert code == 2
@@ -242,6 +261,52 @@ def test_certify_ppoly_scheme_wrong_order_exits_1(tmp_path, capsys):
     assert checks["products-within-window"]["witness"] == {
         "a": "0,1", "b": "0,2", "bound": "1,1", "generator": "1,0",
         "value": "3", "window": "deglex-y2"}
+
+
+def _corrupted_cycle6(tmp_path):
+    """The cycle:6 tensor with p[1,2]^1 changed from 1 to 7."""
+    tensor = mdrg_check(cycle(6), MonomialOrder.parse("deglex-sum")).tensor
+    document = tensor_to_dict(tensor)
+    for row in document["p"]:
+        if row[:3] == ["1", "2", "1"]:
+            row[3] = "7"
+    path = tmp_path / "c6-corrupted.json"
+    path.write_text(dump_json(document))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify-ppoly", "--order", "deglex-sum", "--boundary", "--recurrences"],
+    ["type-ab", "--region"],
+    ["type-ab", "--alpha", "1/2", "--beta", "0"]])
+def test_tensor_input_is_validated(tmp_path, capsys, argv):
+    path = _corrupted_cycle6(tmp_path)
+    code, out, _ = run(capsys, argv[0], path, *argv[1:])
+    assert code == 1
+    report = json.loads(out)
+    assert sorted(report["certificates"]) == ["numbers"]
+    failing = [c["name"] for c in report["certificates"]["numbers"]["checks"]
+               if not c["passed"]]
+    assert failing == ["commutativity", "row-sums"]
+    assert "results" not in report
+
+
+@pytest.mark.parametrize("command", ["distances", "certify-mdrg",
+                                     "certify-ppoly"])
+def test_order_arity_is_usage_error(tmp_path, capsys, command):
+    c6 = tmp_path / "c6.json"
+    c6.write_text(dump_json(graph_to_dict(cycle(6))))
+    product = tmp_path / "c6xc4.json"
+    product.write_text(dump_json(graph_to_dict(
+        cartesian_product([cycle(6), cycle(4)]))))
+    for path, order, message in (
+            (c6, "deglex-y2", "deglex-y2 is defined for m=2, got m=1"),
+            (product, "wdeglex:1,2,3",
+             "wdeglex weights have length 3, index has m=2")):
+        code, out, err = run(capsys, command, str(path), "--order", order)
+        assert code == 2
+        assert out == ""
+        assert "error: bad --order: " + message in err
 
 
 def test_certify_ppoly_tensor_needs_labeling(gen24_tensor, capsys):

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mdrg import schemes
 from mdrg import (
     ColoredGraph,
     IntersectionTensor,
@@ -23,6 +25,7 @@ from mdrg import (
     cycle,
     distance_matrices,
     extract_polynomials,
+    gen24cell,
     generator_rows,
     hamming_graph,
     intersection_tensor,
@@ -34,7 +37,8 @@ from mdrg import (
     verify_scheme_axioms,
 )
 
-from helpers import cycle_intersection_numbers, regular_representation
+from helpers import (brute_force_validate, cycle_intersection_numbers,
+                     regular_representation)
 
 DEGLEX_SUM = MonomialOrder.parse("deglex-sum")
 
@@ -77,6 +81,29 @@ def test_scheme_classes_reject_empty_class():
     with pytest.raises(ValueError, match="all zero"):
         SchemeClasses(labels=["o", "a", "z"],
                       matrices=[eye, flip, np.zeros((2, 2), dtype=np.int64)])
+
+
+def test_scheme_counts_are_shared_and_matrices_read_only(monkeypatch):
+    calls = []
+    kernel = schemes.pair_counts
+
+    def counting(idx, k):
+        calls.append(k)
+        return kernel(idx, k)
+
+    monkeypatch.setattr(schemes, "pair_counts", counting)
+    s = pauli_scheme4()
+    assert verify_scheme_axioms(s).passed
+    assert intersection_tensor(s).valency("A1") == 2
+    assert calls == [3]
+    with pytest.raises(ValueError, match="read-only"):
+        s.matrices[1][0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        s.counts[0, 3] = 0
+    # the matrices are copies: the caller's arrays stay writable
+    eye = np.eye(2, dtype=np.int64)
+    SchemeClasses(labels=["o"], matrices=[eye])
+    eye[0, 0] = 1
 
 
 def test_class_index_matrix_rejects_bad_partitions():
@@ -177,6 +204,32 @@ def test_hamming_cube_tensor_frozen():
     assert [c.name for c in cert.checks] == [
         "nonnegative", "identity-rule", "commutativity", "row-sums",
         "integrality"]
+
+
+@st.composite
+def perturbed_tensors(draw):
+    """Small tensors (cycles, the 24-cell family) with a few entries set
+    to random rationals, zero or a negative value, or removed."""
+    if draw(st.booleans()):
+        base = cycle_tensor(draw(st.integers(3, 7)))
+    else:
+        base = gen24cell(draw(st.integers(2, 4)),
+                         draw(st.sampled_from([Fraction(1, 2), Fraction(3, 4), 1])))
+    p = dict(base.p)
+    for _ in range(draw(st.integers(0, 3))):
+        key = tuple(draw(st.sampled_from(base.labels)) for _ in range(3))
+        if draw(st.booleans()):
+            p.pop(key, None)
+        else:
+            p[key] = Fraction(draw(st.integers(-2, 6)), draw(st.integers(1, 3)))
+    return IntersectionTensor(labels=base.labels, identity=base.identity, p=p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(perturbed_tensors(), st.booleans())
+def test_tensor_validate_matches_loop_oracle(t, strict):
+    assert (t.validate(strict_integral=strict).to_dict()
+            == brute_force_validate(t, strict_integral=strict).to_dict())
 
 
 def test_tensor_constructor_and_accessors():

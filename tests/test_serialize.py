@@ -101,6 +101,15 @@ def test_scheme_round_trip():
         scheme_from_dict({"labels": ["A0"]})
 
 
+def test_scheme_from_dict_rejects_non_integer_entries():
+    for bad in (1.9, 1.0, "1", True, None):
+        with pytest.raises(InputFormatError, match="integer matrices"):
+            scheme_from_dict({"labels": ["o"], "matrices": [[[bad]]]})
+    for matrices in ([[[1, 0], [0, 1]], [[1]]], [[1, 0], [0, 1]], 1):
+        with pytest.raises(InputFormatError, match="integer matrices"):
+            scheme_from_dict({"labels": ["o"], "matrices": matrices})
+
+
 def test_tensor_round_trip():
     for t in (gen24cell(2, F(1, 2)), gen24cell(3, F(3, 4)),
               mdrg_check(cell24(), MonomialOrder.parse("deglex-sum")).tensor):
