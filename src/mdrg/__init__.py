@@ -29,8 +29,8 @@ from .ppoly import (Discovery, ExtractionError, IncompatibleOrderPairError,
                     Labeling, Polynomial, ab_region_for_scheme, boundary_check,
                     certify_ppoly, certify_ppoly_refined, certify_type_ab,
                     discover_labelings, extract_polynomials, verify_recurrences)
-from .schemes import (IntersectionTensor, MdrgResult, MonomialBasis,
-                      SchemeClasses, check_additive_nonvanishing,
+from .schemes import (CommutationError, IntersectionTensor, MdrgResult,
+                      MonomialBasis, SchemeClasses, check_additive_nonvanishing,
                       check_sum_decomposition, check_triangle_conditions,
                       check_walk_type_invariance, distance_matrices,
                       generator_rows, intersection_tensor, mdrg_check,
@@ -42,7 +42,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ABRegion", "AlphaBeta", "Certificate", "Check", "ColoredGraph",
-    "Comparison", "DisconnectedGraphError", "Discovery", "DistanceTable",
+    "CommutationError", "Comparison", "DisconnectedGraphError", "Discovery",
+    "DistanceTable",
     "ExtractionError", "GraphStructureError", "IncompatibleOrderPairError",
     "IntersectionTensor", "Interval", "Labeling", "MdrgResult",
     "MonomialBasis", "MonomialOrder", "MultiIndex", "PartialOrder",

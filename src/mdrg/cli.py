@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .certificates import Certificate
+from .certificates import Certificate, witness
 from .families import (cartesian_product, cell24, complete, cycle, gen24cell,
                        hamming_graph, pauli_scheme4, symmetrize)
 from .graphs import (ColoredGraph, DisconnectedGraphError, GraphStructureError,
@@ -27,8 +27,9 @@ from .ppoly import (ExtractionError, IncompatibleOrderPairError, Labeling,
                     certify_ppoly_refined, certify_type_ab,
                     discover_labelings, extract_polynomials,
                     verify_recurrences)
-from .schemes import (IntersectionTensor, SchemeClasses, intersection_tensor,
-                      label_text, mdrg_check, verify_scheme_axioms)
+from .schemes import (CommutationError, IntersectionTensor, SchemeClasses,
+                      intersection_tensor, label_text, mdrg_check,
+                      verify_scheme_axioms)
 from .serialize import (InputFormatError, dump_json, graph_from_dict,
                         graph_to_dict, load_document, polynomials_to_dict,
                         scheme_to_dict, table_to_dict, tensor_to_dict)
@@ -45,11 +46,12 @@ def _parse_order(text: str) -> MonomialOrder:
         raise UsageError("bad --order: %s" % exc)
 
 
-def _check_arity(order: MonomialOrder, g: ColoredGraph) -> None:
+def _check_arity(order, m: int, flag: str = "--order") -> None:
+    """An order or partial order (``forms(m)``) must be defined for m."""
     try:
-        order.forms(g.m)
+        order.forms(m)
     except ValueError as exc:
-        raise UsageError("bad --order: %s" % exc)
+        raise UsageError("bad %s: %s" % (flag, exc))
 
 
 def _parse_partial(text: str) -> PartialOrder:
@@ -155,7 +157,7 @@ def cmd_distances(args: argparse.Namespace) -> tuple[dict, int]:
     doc = _load(args.input)
     if not isinstance(doc, ColoredGraph):
         raise UsageError("%s is not a graph file" % args.input)
-    _check_arity(order, doc)
+    _check_arity(order, doc.m)
     try:
         table = m_distance_table(doc, order)
     except DisconnectedGraphError as exc:
@@ -173,7 +175,7 @@ def cmd_certify_mdrg(args: argparse.Namespace) -> tuple[dict, int]:
     doc = _load(args.input)
     if not isinstance(doc, ColoredGraph):
         raise UsageError("%s is not a graph file" % args.input)
-    _check_arity(order, doc)
+    _check_arity(order, doc.m)
     try:
         result = mdrg_check(doc, order)
     except DisconnectedGraphError as exc:
@@ -213,11 +215,11 @@ def cmd_verify_scheme(args: argparse.Namespace) -> tuple[dict, int]:
 def _tensor_from_document(doc, labeling: Optional[Labeling],
                           order: Optional[MonomialOrder],
                           certificates: dict) -> Optional[IntersectionTensor]:
-    """Reduce any input document to a labeled tensor; None means a
-    certificate already failed and the caller should stop at exit 1.
-    A tensor's ``numbers`` certificate is reported only when it fails."""
+    """Reduce any input document to a tensor with multi-index labels of
+    one length; None means a certificate already failed (exit 1).  A
+    tensor's ``numbers`` certificate is reported only when it fails."""
     if isinstance(doc, ColoredGraph):
-        _check_arity(order, doc)
+        _check_arity(order, doc.m)
         result = mdrg_check(doc, order)
         certificates["mdrg"] = result.certificate
         if result.tensor is None:
@@ -239,6 +241,10 @@ def _tensor_from_document(doc, labeling: Optional[Labeling],
             tensor = labeling.apply(tensor)
         except ValueError as exc:
             raise UsageError("bad --labeling: %s" % exc)
+    if (not tensor.labels_are_multiindex
+            or len({len(lab) for lab in tensor.labels}) != 1):
+        raise UsageError("certification needs multi-index labels of one "
+                         "length; apply a labeling")
     return tensor
 
 
@@ -256,38 +262,42 @@ def cmd_certify_ppoly(args: argparse.Namespace) -> tuple[dict, int]:
                                    certificates)
     if tensor is None:
         return _report("certify-ppoly", inputs, certificates), 1
+    _check_arity(order, tensor.m)
+    if partial is not None:
+        _check_arity(partial, tensor.m, "--partial")
 
-    try:
-        if partial is not None:
-            certificates["ppoly"] = certify_ppoly_refined(tensor, order, partial)
-        else:
-            certificates["ppoly"] = certify_ppoly(tensor, order)
-        if args.boundary:
-            certificates["boundary"] = boundary_check(
-                tensor, order=None if partial else order, partial=partial)
-    except IncompatibleOrderPairError as exc:
-        raise UsageError(str(exc))
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
+    window = {"order": None if partial else order, "partial": partial}
     results: dict = {"domain": sorted(lab.as_text() for lab in tensor.labels)}
     want_polys = args.polys is not None or args.recurrences
-    if want_polys and certificates["ppoly"].passed:
-        try:
-            polys, extraction = extract_polynomials(
-                tensor, order=None if partial else order, partial=partial)
-        except ExtractionError as exc:
-            raise UsageError(str(exc))
-        certificates["extraction"] = extraction
-        results["polynomials"] = polynomials_to_dict(polys)["polynomials"]
-        if args.polys:
-            with open(args.polys, "w", encoding="ascii") as handle:
-                handle.write(dump_json(polynomials_to_dict(polys)))
-        if args.recurrences:
-            certificates["recurrences"] = verify_recurrences(polys, tensor,
-                                                             partial)
-    elif want_polys:
-        print("skipping extraction: certification failed", file=sys.stderr)
+    try:
+        if partial is not None:
+            ppoly = certify_ppoly_refined(tensor, order, partial)
+        else:
+            ppoly = certify_ppoly(tensor, order)
+        certificates["ppoly"] = ppoly
+        # the monomial basis needs A_o = I and every A_{e_i}
+        if args.boundary and all(ppoly.check(name).passed for name in
+                                 ("identity-at-origin", "generators-realized")):
+            certificates["boundary"] = boundary_check(tensor, **window)
+        elif args.boundary and not args.quiet:
+            print("skipping boundary: no monomial basis", file=sys.stderr)
+        if want_polys and ppoly.passed:
+            polys, certificates["extraction"] = extract_polynomials(tensor,
+                                                                    **window)
+            results["polynomials"] = polynomials_to_dict(polys)["polynomials"]
+            if args.polys:
+                with open(args.polys, "w", encoding="ascii") as handle:
+                    handle.write(dump_json(polynomials_to_dict(polys)))
+            if args.recurrences:
+                certificates["recurrences"] = verify_recurrences(polys, tensor,
+                                                                 partial)
+        elif want_polys and not args.quiet:
+            print("skipping extraction: certification failed", file=sys.stderr)
+    except (IncompatibleOrderPairError, ExtractionError) as exc:
+        raise UsageError(str(exc))
+    except CommutationError as exc:
+        certificates["commutation"] = Certificate.single(
+            "commutation", False, witness(a=exc.index))
     return _report("certify-ppoly", inputs, certificates,
                    results), _verdict_code(certificates)
 
@@ -309,12 +319,11 @@ def cmd_type_ab(args: argparse.Namespace) -> tuple[dict, int]:
     tensor = _tensor_from_document(doc, labeling, None, certificates)
     if tensor is None:
         return _report("type-ab", inputs, certificates), 1
+    if tensor.m != 2:
+        raise UsageError("type-(alpha,beta) needs m=2, got m=%d" % tensor.m)
 
     if args.region:
-        try:
-            region = ab_region_for_scheme(tensor)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        region = ab_region_for_scheme(tensor)
         results = {"region": "empty" if region is None else region.as_text()}
         if region is not None:
             results["alpha"] = region.alpha.as_text()
@@ -330,10 +339,7 @@ def cmd_type_ab(args: argparse.Namespace) -> tuple[dict, int]:
         raise UsageError(str(exc))
     inputs["alpha"] = str(ab.alpha)
     inputs["beta"] = str(ab.beta)
-    try:
-        certificates["type-ab"] = certify_type_ab(tensor, ab)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    certificates["type-ab"] = certify_type_ab(tensor, ab)
     return _report("type-ab", inputs, certificates), _verdict_code(certificates)
 
 
@@ -344,16 +350,19 @@ def cmd_discover(args: argparse.Namespace) -> tuple[dict, int]:
     doc = _load(args.input)
     if not isinstance(doc, SchemeClasses):
         raise UsageError("discover takes a scheme file with class matrices")
-    try:
-        found = discover_labelings(doc, args.m, order)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    if not 1 <= args.m < len(doc.matrices):
+        raise UsageError("--m must lie in 1..%d" % (len(doc.matrices) - 1))
+    _check_arity(order, args.m)
+    inputs = {"input": args.input, "m": args.m, "order": order.as_text()}
+    axioms = verify_scheme_axioms(doc)
+    if not axioms.passed:
+        return _report("discover", inputs, {"axioms": axioms}), 1
+    found = discover_labelings(doc, args.m, order)
     results = {
         "count": len(found),
         "labelings": [{"generators": [label_text(g) for g in d.generators],
                        "labeling": d.labeling.as_text()} for d in found],
     }
-    inputs = {"input": args.input, "m": args.m, "order": order.as_text()}
     return _report("discover", inputs, results=results), 0 if found else 1
 
 

@@ -488,13 +488,14 @@ def validate_pair_compat(p: PartialOrder, order: MonomialOrder,
 
     On [0, box_bound]^m:
         refines-order   a precedes b implies a <= b under the total order
-        translation     a precedes b implies a+c precedes b+c
         origin-below    o precedes every point
 
-    The partial order is evaluated once, through its integer forms
-    (:meth:`PartialOrder.forms`; forms of a+c are sums), and the total
+    Translation (a precedes b implies a+c precedes b+c) needs no test:
+    both built-in partial orders are a <= b entrywise under integer forms
+    W (:meth:`PartialOrder.forms`), and W(a+c) <= W(b+c) iff W a <= W b.
+    The partial order is evaluated once through those forms, the total
     order through the ranks of its keys.  Each witness is the first in
-    row-major order of the points, pairs or triples.
+    row-major order of the points or pairs.
     """
     if m is None:
         if p.kind == AB:
@@ -503,9 +504,9 @@ def validate_pair_compat(p: PartialOrder, order: MonomialOrder,
             raise ValueError("m is required for the componentwise order")
     points = list(box((box_bound,) * m))
     weights = p.forms(m)
-    # Form values of a+c are at most 2 * box_bound * (largest row sum);
-    # below 2**62 int64 holds them exactly, above it Python ints do.
-    big = 2 * box_bound * max(sum(row) for row in weights) >= 2 ** 62
+    # Form values are at most box_bound * (largest row sum); below 2**62
+    # int64 holds them exactly, above it Python ints do.
+    big = box_bound * max(sum(row) for row in weights) >= 2 ** 62
     dtype = object if big else np.int64
     forms = np.array(points, dtype=dtype) @ np.array(weights, dtype=dtype).T
     keys = [order.key(a) for a in points]
@@ -521,17 +522,6 @@ def validate_pair_compat(p: PartialOrder, order: MonomialOrder,
         a, b = np.argwhere(bad)[0]
         refine_witness = witness(a=points[a], b=points[b], order=order.as_text())
     checks.append(Check("refines-order", refine_witness is None, refine_witness))
-
-    shift_witness = None
-    sums = forms[:, None, :] + forms[None, :, :]
-    for a in range(n):
-        moved = ((forms[a] + forms)[None, :, :] <= sums).all(axis=2)
-        bad = precedes[a][:, None] & ~moved
-        if bad.any():
-            b, c = np.argwhere(bad)[0]
-            shift_witness = witness(a=points[a], b=points[b], shift=points[c])
-            break
-    checks.append(Check("translation", shift_witness is None, shift_witness))
 
     # points[0] is the origin
     below = np.flatnonzero(~precedes[0])
@@ -620,18 +610,6 @@ class Interval:
     def clamp_geq(self, t: Fraction, closed: bool = True) -> "Interval":
         """Intersect with {x >= t} (closed) or {x > t}."""
         return self.intersect(Interval(t, self.hi, closed, self.hi_closed))
-
-    def remove_leq(self, t: Fraction, removed_closed: bool = True) -> "Interval":
-        """Subtract {x <= t} (or {x < t}); the result is again an interval."""
-        if t < self.lo or (t == self.lo and not removed_closed and not self.lo_closed):
-            return self
-        return Interval(t, self.hi, not removed_closed, self.hi_closed)
-
-    def remove_geq(self, t: Fraction, removed_closed: bool = True) -> "Interval":
-        """Subtract {x >= t} (or {x > t}); the result is again an interval."""
-        if t > self.hi or (t == self.hi and not removed_closed and not self.hi_closed):
-            return self
-        return Interval(self.lo, t, self.lo_closed, not removed_closed)
 
     def as_text(self) -> str:
         if self.empty:

@@ -7,12 +7,14 @@ a + e_i, and the coefficient at exactly a + e_i never vanishes while
 a + e_i stays in D.  Each class is then a polynomial in the generator
 classes A_{e_1}..A_{e_m}; those polynomials are read off the recurrence
 x_i v_a = sum_b p_{e_i,a}^b v_b, and the boundary span condition is a
-triangular elimination against the monomial vectors, both over a sparse
-view of the generator products.  A refined variant replaces the order window by a
-compatible partial order; the two-parameter family ``ab:alpha,beta``
-gives the type-(alpha, beta) notion, whose exact feasible parameter
-region is also computed.  Finally, labelings can be discovered from the
-bare scheme matrices by trying every ordered generator tuple.
+triangular elimination against the monomial vectors.  Every check reads
+the sparse view of the generator products, :func:`generator_rows`.  A
+refined variant replaces the order window by a compatible partial order;
+the two-parameter family ``ab:alpha,beta`` gives the type-(alpha, beta)
+notion, whose exact feasible parameter region, always a product of
+intervals, is computed in one pass.  Finally, labelings can be
+discovered from the bare scheme matrices by trying every ordered
+generator tuple.
 """
 
 from __future__ import annotations
@@ -28,11 +30,12 @@ from .certificates import Certificate, Check, witness
 # Not called here; kept as module attributes that perfbench/tracing.py wraps.
 from .exactlinalg import in_span, mat_vec, solve_columns  # noqa: F401
 from .graphs import ColoredGraph
-from .orders import (ABRegion, AlphaBeta, Interval, MonomialOrder, MultiIndex,
+from .orders import (ABRegion, AlphaBeta, MonomialOrder, MultiIndex,
                      PartialOrder, ab_feasible_region, box, check_domain,
                      validate_pair_compat)
 from .schemes import (IntersectionTensor, Label, MonomialBasis, SchemeClasses,
-                      label_text, mdrg_check, verify_scheme_axioms)
+                      generator_rows, label_text, mdrg_check,
+                      verify_scheme_axioms)
 
 
 class IncompatibleOrderPairError(ValueError):
@@ -219,41 +222,33 @@ def _structural_checks(t: IntersectionTensor) -> tuple[list[Check], Optional[int
     return checks, m
 
 
-def _window_checks(t: IntersectionTensor, m: int, leq, window_text: str,
-                   successors_only: bool = False) -> list[Check]:
-    dom = t.domain()
-    units = [MultiIndex.unit(m, c) for c in range(1, m + 1)]
-    window_witness = None
-    for unit in units:
-        for a in sorted(dom):
-            up = a + unit  # type: ignore[operator]
-            if successors_only and up not in dom:
-                continue
-            for b in sorted(dom):
-                value = t.get(unit, a, b)
-                if value != 0 and not leq(b, up):
-                    window_witness = witness(generator=unit, a=a, b=b,
-                                             bound=up, value=value,
-                                             window=window_text)
-                    break
-            if window_witness:
-                break
-        if window_witness:
-            break
-    checks = [Check("products-within-window", window_witness is None,
-                    window_witness)]
+def _steps(t: IntersectionTensor, rows: dict):
+    """(e_i, a, a + e_i, {b: p_{e_i,a}^b}) for each generator e_i and each
+    a in D in sorted order, read from :func:`generator_rows`."""
+    for unit in (MultiIndex.unit(t.m, c) for c in range(1, t.m + 1)):
+        for a in sorted(t.domain()):
+            yield unit, a, a + unit, rows.get((unit, a), {})
 
-    succ_witness = None
-    for unit in units:
-        for a in sorted(dom):
-            up = a + unit  # type: ignore[operator]
-            if up in dom and t.get(unit, a, up) == 0:
-                succ_witness = witness(generator=unit, a=a, successor=up)
-                break
-        if succ_witness:
-            break
-    checks.append(Check("successor-nonzero", succ_witness is None, succ_witness))
-    return checks
+
+def _outside_window(constraints, leq, window_text: str) -> Optional[dict]:
+    """Witness of the first (e_i, a, b, p_{e_i,a}^b) with b not below a + e_i."""
+    return next((witness(generator=unit, a=a, b=b, bound=a + unit,
+                         value=Fraction(value), window=window_text)
+                 for unit, a, b, value in constraints if not leq(b, a + unit)),
+                None)
+
+
+def _window_checks(t: IntersectionTensor, leq, window_text: str) -> list[Check]:
+    dom = t.domain()
+    steps = list(_steps(t, generator_rows(t)))
+    window_witness = _outside_window(
+        ((unit, a, b, value) for unit, a, _, row in steps
+         for b, value in row.items()), leq, window_text)
+    succ_witness = next((witness(generator=unit, a=a, successor=up)
+                         for unit, a, up, row in steps
+                         if up in dom and up not in row), None)
+    return [Check("products-within-window", window_witness is None, window_witness),
+            Check("successor-nonzero", succ_witness is None, succ_witness)]
 
 
 def certify_ppoly(t: IntersectionTensor, order: MonomialOrder) -> Certificate:
@@ -264,9 +259,9 @@ def certify_ppoly(t: IntersectionTensor, order: MonomialOrder) -> Certificate:
     b <= a + e_i under the order, and p_{e_i,a}^{a+e_i} != 0 whenever
     a + e_i stays in D.
     """
-    checks, m = _structural_checks(t)
+    checks, _ = _structural_checks(t)
     checks.extend(check_domain(t.domain(), "box").checks)
-    checks.extend(_window_checks(t, m, order.leq, order.as_text()))
+    checks.extend(_window_checks(t, order.leq, order.as_text()))
     return Certificate.of(checks)
 
 
@@ -287,7 +282,7 @@ def certify_ppoly_refined(t: IntersectionTensor, order: MonomialOrder,
             "partial order %s does not refine %s on the covering box: %s"
             % (partial.as_text(), order.as_text(), compat.witness))
     checks.extend(check_domain(t.domain(), "box").checks)
-    checks.extend(_window_checks(t, m, partial.precedes, partial.as_text()))
+    checks.extend(_window_checks(t, partial.precedes, partial.as_text()))
     return Certificate.of(checks)
 
 
@@ -375,7 +370,7 @@ def extract_polynomials(t: IntersectionTensor,
     Raises :class:`ExtractionError` when p_{e_i,a}^n is zero or some b on
     the right is not below n (certification prerequisite violated).  The
     monomial vectors of D are built first, so generators that do not
-    commute raise ``ValueError`` as in :class:`MonomialBasis`.
+    commute raise :class:`CommutationError` as in :class:`MonomialBasis`.
     """
     if (order is None) == (partial is None):
         raise ValueError("give exactly one of order/partial")
@@ -390,7 +385,7 @@ def extract_polynomials(t: IntersectionTensor,
     for n in sorted(dom, key=key)[1:]:  # o sorts first
         unit = MultiIndex.unit(t.m, next(i for i, e in enumerate(n) if e) + 1)
         a = n - unit
-        row = dict(basis.rows.get((unit, a), ()))
+        row = dict(basis.rows.get((unit, a), {}))
         lead = row.pop(n, 0)
         if not lead:
             raise ExtractionError("p_{%s,%s}^%s is zero; certify the scheme first"
@@ -425,37 +420,29 @@ def verify_recurrences(polys: Mapping[MultiIndex, Polynomial],
     With a partial order given, additionally checks that every class b
     contributing to the right side lies below a + e_i.
     """
-    m = t.m
-    dom = sorted(t.domain())
-    units = [MultiIndex.unit(m, c) for c in range(1, m + 1)]
+    dom = t.domain()
     support_witness = None
     identity_witness = None
-    for color, unit in enumerate(units, start=1):
-        for a in dom:
-            up = a + unit  # type: ignore[operator]
-            if up not in t.domain():
-                continue
-            if a not in polys:
-                raise ValueError("no polynomial for class %s" % a.as_text())
-            lhs = polys[a].shift(color)
-            rhs = Polynomial({})
-            for b in dom:
-                value = t.get(unit, a, b)
-                if value == 0:
-                    continue
-                if (partial is not None and support_witness is None
-                        and not partial.precedes(b, up)):
-                    support_witness = witness(generator=unit, a=a, b=b,
-                                              bound=up)
-                if b not in polys:
-                    raise ValueError("no polynomial for class %s" % b.as_text())
-                rhs = rhs + polys[b].scale(value)
-            if identity_witness is None and lhs != rhs:
-                diff = lhs - rhs
-                mono = sorted(diff.monomials())[0]
-                identity_witness = witness(
-                    generator=unit, a=a, monomial=mono,
-                    lhs=lhs.coeff(mono), rhs=rhs.coeff(mono))
+    for unit, a, up, row in _steps(t, generator_rows(t)):
+        if up not in dom:
+            continue
+        if a not in polys:
+            raise ValueError("no polynomial for class %s" % a.as_text())
+        lhs = polys[a].shift(unit.index(1) + 1)
+        rhs = Polynomial({})
+        for b, value in row.items():
+            if (partial is not None and support_witness is None
+                    and not partial.precedes(b, up)):
+                support_witness = witness(generator=unit, a=a, b=b, bound=up)
+            if b not in polys:
+                raise ValueError("no polynomial for class %s" % b.as_text())
+            rhs = rhs + polys[b].scale(value)
+        if identity_witness is None and lhs != rhs:
+            diff = lhs - rhs
+            mono = sorted(diff.monomials())[0]
+            identity_witness = witness(
+                generator=unit, a=a, monomial=mono,
+                lhs=lhs.coeff(mono), rhs=rhs.coeff(mono))
     checks = [Check("recurrence-identity", identity_witness is None,
                     identity_witness)]
     if partial is not None:
@@ -475,6 +462,30 @@ def _as_partial(ab: Union[PartialOrder, AlphaBeta, tuple]) -> PartialOrder:
     return PartialOrder.alpha_beta(alpha, beta)
 
 
+def _type_ab_requirements(t: IntersectionTensor) -> tuple[Optional[dict], list]:
+    """The requirements of the type-(alpha, beta) property on the steps
+    a -> a + e_i inside D, in one pass over the generator rows: the
+    witness of the first step whose coefficient p_{e_i,a}^{a+e_i} (up) or
+    p_{e_i,a+e_i}^a (down) is zero, and the window constraints
+    (e_i, a, b, p_{e_i,a}^b), each asking b below a + e_i.
+
+    :func:`certify_type_ab` and :func:`ab_region_for_scheme` both read
+    them, so the certificate and the region cannot drift apart.
+    """
+    rows = generator_rows(t)
+    dom = t.domain()
+    step_witness, window = None, []
+    for unit, a, up, row in _steps(t, rows):
+        if up not in dom:
+            continue
+        if step_witness is None and (up not in row
+                                     or a not in rows.get((unit, up), {})):
+            step_witness = witness(generator=unit, a=a, successor=up,
+                                   direction="up" if up not in row else "down")
+        window.extend((unit, a, b, value) for b, value in row.items())
+    return step_witness, window
+
+
 def certify_type_ab(t: IntersectionTensor,
                     ab: Union[PartialOrder, AlphaBeta, tuple]) -> Certificate:
     """Certify the type-(alpha, beta) property of a bivariate labeling.
@@ -492,134 +503,56 @@ def certify_type_ab(t: IntersectionTensor,
     if m != 2:
         raise ValueError("type-(alpha,beta) certification needs m=2, got m=%d" % m)
     checks.extend(check_domain(t.domain(), partial).checks)
-
-    dom = t.domain()
-    units = [MultiIndex.unit(2, 1), MultiIndex.unit(2, 2)]
-    step_witness = None
-    for unit in units:
-        for a in sorted(dom):
-            up = a + unit  # type: ignore[operator]
-            if up not in dom:
-                continue
-            if t.get(unit, a, up) == 0:
-                step_witness = witness(generator=unit, a=a, successor=up,
-                                       direction="up")
-                break
-            if t.get(unit, up, a) == 0:
-                step_witness = witness(generator=unit, a=a, successor=up,
-                                       direction="down")
-                break
-        if step_witness:
-            break
+    step_witness, window = _type_ab_requirements(t)
     checks.append(Check("unit-step-nonzero", step_witness is None, step_witness))
-    checks.extend(_window_checks(t, 2, partial.precedes, partial.as_text(),
-                                 successors_only=True)[:1])
+    window_witness = _outside_window(window, partial.precedes, partial.as_text())
+    checks.append(Check("products-within-window", window_witness is None, window_witness))
     return Certificate.of(checks)
 
 
 def ab_region_for_scheme(t: IntersectionTensor) -> Optional[ABRegion]:
-    """Exact set of (alpha, beta) for which :func:`certify_type_ab` passes.
+    """Exact set of (alpha, beta) for which :func:`certify_type_ab` passes,
+    as a product of intervals; None when empty.
 
-    The window conditions contribute "b below a+e_i" constraints, each a
-    pair of half-line conditions on alpha and beta separately; the
-    downset condition contributes exclusions "b never below a" for b
-    outside D.  The result is a product of intervals (None when empty);
-    configurations whose feasible set is not a product raise ValueError.
+    The unit steps do not depend on the parameters, and each window
+    constraint "b below a+e_i" is one half-line condition on alpha and one
+    on beta (:func:`ab_feasible_region`).  The downset condition excludes,
+    for a in D and b outside D, the parameters with b below a, that is
+    alpha (b2 - a2) <= a1 - b1 and beta (b1 - a1) <= a2 - b2:
+
+    - b <= a componentwise: both hold everywhere; the region is empty.
+    - b1 > a1, b2 < a2: the first holds iff alpha >= t = (b1-a1)/(a2-b2).
+      If t <= 1, the second holds for every beta < 1, as beta (b1-a1) <
+      b1-a1 <= a2-b2, so exactly alpha >= t is excluded; if t > 1, no
+      alpha <= 1 is, and cutting off alpha >= t changes nothing.
+    - b2 > a2, b1 < a1: symmetrically exactly beta >= (b2-a2)/(a1-b1).
+    - Otherwise one inequality fails for all alpha, beta >= 0.
+
+    So every exclusion cuts a half-line off one axis: the region stays a
+    product of intervals, and the order of the cuts does not matter.
     """
     checks, m = _structural_checks(t)
     if m != 2:
         raise ValueError("parameter regions need m=2, got m=%d" % m)
-    if not all(c.passed for c in checks):
+    step_witness, window = _type_ab_requirements(t)
+    if not all(c.passed for c in checks) or step_witness is not None:
         return None
-    dom = t.domain()
-    units = [MultiIndex.unit(2, 1), MultiIndex.unit(2, 2)]
-
-    # Parameter-free requirements first: both unit-step coefficients.
-    for unit in units:
-        for a in sorted(dom):
-            up = a + unit  # type: ignore[operator]
-            if up in dom and (t.get(unit, a, up) == 0 or t.get(unit, up, a) == 0):
-                return None
-
-    constraints = []
-    for unit in units:
-        for a in sorted(dom):
-            up = a + unit  # type: ignore[operator]
-            if up not in dom:
-                continue
-            for b in sorted(dom):
-                if t.get(unit, a, b) != 0:
-                    constraints.append((b, up))
-    region = ab_feasible_region(constraints)
+    region = ab_feasible_region((b, a + unit) for unit, a, b, _ in window)
     if region is None:
         return None
     alpha, beta = region.alpha, region.beta
-
-    exclusions = []
-    for a in sorted(dom):
-        bound = a[0] + a[1]
-        for b in box((bound, bound)):
-            if b not in dom:
-                exclusions.append((b, a))
-
-    def halfline(coef: int, rhs: int):
-        if coef > 0:
-            return ("leq", Fraction(rhs, coef))
-        if coef < 0:
-            return ("geq", Fraction(rhs, coef))
-        return ("all",) if rhs >= 0 else ("none",)
-
-    def solution_set(line, interval: Interval) -> Interval:
-        if line[0] == "all":
-            return interval
-        if line[0] == "none":
-            return Interval(Fraction(1), Fraction(0))
-        if line[0] == "leq":
-            return interval.clamp_leq(line[1])
-        return interval.clamp_geq(line[1])
-
-    def remove(line, interval: Interval) -> Interval:
-        if line[0] == "leq":
-            return interval.remove_leq(line[1])
-        assert line[0] == "geq"
-        return interval.remove_geq(line[1])
-
-    # Each exclusion removes its solution rectangle.  A rectangle touching
-    # both parameter axes properly cannot be subtracted from a product of
-    # intervals; such exclusions are retried after others shrink the
-    # region and only reported once the region is stable.
-    for _ in range(len(exclusions) + 2):
-        changed = False
-        blocked = None
-        for b, a in exclusions:
-            line_a = halfline(b[1] - a[1], a[0] - b[0])
-            line_b = halfline(b[0] - a[0], a[1] - b[1])
-            sol_a = solution_set(line_a, alpha)
-            sol_b = solution_set(line_b, beta)
-            if sol_a.empty or sol_b.empty:
+    dom = t.domain()
+    for a in dom:
+        for b in box((a[0] + a[1],) * 2):
+            d1, d2 = b[0] - a[0], b[1] - a[1]
+            if b in dom:
                 continue
-            covers_a = sol_a == alpha
-            covers_b = sol_b == beta
-            if covers_a and covers_b:
+            if d1 <= 0 and d2 <= 0:
                 return None
-            if covers_b:
-                alpha = remove(line_a, alpha)
-                changed = True
-            elif covers_a:
-                beta = remove(line_b, beta)
-                changed = True
-            else:
-                blocked = (b, a)
-                continue
-            if alpha.empty or beta.empty:
-                return None
-        if not changed:
-            if blocked is not None:
-                raise ValueError(
-                    "feasible region is not a product of intervals: "
-                    "excluding %s below %s cuts a corner"
-                    % (blocked[0].as_text(), blocked[1].as_text()))
-            break
+            if d1 > 0 > d2:
+                alpha = alpha.clamp_leq(Fraction(d1, -d2), closed=False)
+            elif d2 > 0 > d1:
+                beta = beta.clamp_leq(Fraction(d2, -d1), closed=False)
     region = ABRegion(alpha, beta)
     return None if region.empty else region
 

@@ -254,6 +254,11 @@ class IntersectionTensor:
         texts = [label_text(lab) for lab in self.labels]
         if len(set(texts)) != len(texts):
             raise ValueError("duplicate labels")
+        declared = set(self.labels)
+        bad = next((key for key in self.p if not declared.issuperset(key)), None)
+        if bad is not None:
+            raise ValueError("p entry %s names a label not among labels"
+                             % [label_text(lab) for lab in bad])
 
     def get(self, a: Label, b: Label, c: Label) -> Fraction:
         return self.p.get((a, b, c), Fraction(0))
@@ -373,23 +378,29 @@ def distance_matrices(table: DistanceTable) -> SchemeClasses:
 # -- Generator products and monomial coordinates -------------------------------
 
 def generator_rows(t: IntersectionTensor) -> dict:
-    """Sparse view (e_i, a) -> [(b, p_{e_i,a}^b), ...] of the products
+    """Sparse view (e_i, a) -> {b: p_{e_i,a}^b, ...} of the products
     A_{e_i} A_a, built in one pass over ``t.p``.
 
-    Zero entries are left out and integral values become ints, so
-    products of them stay ints.  Every e_i must be a class.
+    Zero entries are left out, each row is sorted by b, and integral
+    values become ints, so products of them stay ints.  A generator that
+    is not a class has no rows.
     """
     units = [MultiIndex.unit(t.m, c) for c in range(1, t.m + 1)]
-    missing = [unit for unit in units if unit not in t.domain()]
-    if missing:
-        raise ValueError("generator %s is not a class label" % missing[0].as_text())
     rows: dict = {}
     for (g, a, b), value in t.p.items():
         if g in units and value != 0:
             value = Fraction(value)
             rows.setdefault((g, a), []).append(
                 (b, value.numerator if value.denominator == 1 else value))
-    return rows
+    return {key: dict(sorted(row)) for key, row in rows.items()}
+
+
+class CommutationError(ValueError):
+    """The two generator paths to the monomial ``index`` disagree."""
+
+    def __init__(self, index: MultiIndex):
+        super().__init__("generator matrices do not commute at %s" % index.as_text())
+        self.index = index
 
 
 class MonomialBasis:
@@ -400,7 +411,8 @@ class MonomialBasis:
     incrementally by applying generators through :func:`generator_rows`;
     when a multi-index has two nonzero entries the vector is computed
     along two different generator paths and compared, which verifies
-    that the order of application is irrelevant.
+    that the order of application is irrelevant; a mismatch raises
+    :class:`CommutationError`.  Every e_i must be a class.
     """
 
     def __init__(self, t: IntersectionTensor):
@@ -408,6 +420,10 @@ class MonomialBasis:
             raise ValueError("monomial coordinates need multi-index labels")
         self.tensor = t
         self.m = t.m
+        units = [MultiIndex.unit(self.m, c) for c in range(1, self.m + 1)]
+        missing = [unit for unit in units if unit not in t.domain()]
+        if missing:
+            raise ValueError("generator %s is not a class label" % missing[0].as_text())
         self.rows = generator_rows(t)
         self.index = {lab: i for i, lab in enumerate(t.labels)}
         origin = MultiIndex.zero(self.m)
@@ -422,7 +438,7 @@ class MonomialBasis:
         out = [0] * len(vec)
         for a, x in zip(self.tensor.labels, vec):
             if x:
-                for b, value in self.rows.get((gen, a), ()):
+                for b, value in self.rows.get((gen, a), {}).items():
                     out[self.index[b]] += value * x
         return out
 
@@ -438,9 +454,7 @@ class MonomialBasis:
             gen = MultiIndex.unit(self.m, i + 1)
             paths.append(self.apply(gen, self.vector(a - gen)))
         if paths[0] != paths[-1]:
-            raise ValueError(
-                "generator matrices do not commute at %s; "
-                "tensor is not from a commutative scheme" % a.as_text())
+            raise CommutationError(a)
         self._cache[a] = paths[0]
         return paths[0]
 

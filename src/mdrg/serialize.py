@@ -158,7 +158,10 @@ def tensor_from_dict(data: Mapping[str, Any]) -> IntersectionTensor:
         value = fraction_from_json(row[3])
         if value != 0:
             p[(a, b, c)] = value
-    return IntersectionTensor(labels=labels, identity=identity, p=p)
+    try:
+        return IntersectionTensor(labels=labels, identity=identity, p=p)
+    except ValueError as exc:
+        raise InputFormatError(str(exc)) from exc
 
 
 # -- Distance tables ---------------------------------------------------------------

@@ -6,9 +6,11 @@ search, direct counting on cycles instead of tensor products, explicit
 closed-form coefficient tables for the generalized 24-cell polynomials,
 dense Fraction elimination (``mdrg.exactlinalg``) instead of the
 recurrence and the triangular boundary test, plain loops over the box
-instead of the order-compatibility table and the order-axiom table, and
+instead of the order-compatibility table and the order-axiom table,
 Fraction loops over every label triple instead of the integer scans of
-``IntersectionTensor.validate``.
+``IntersectionTensor.validate``, and dom x dom scans through ``t.get``
+instead of the generator rows, with the retry loop for the (alpha, beta)
+region.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from mdrg import (Certificate, Check, ColoredGraph, Comparison, Labeling,
-                  MonomialOrder, MultiIndex, PartialOrder, Polynomial, box,
-                  in_span, mat_vec, solve_columns)
+from mdrg import (ABRegion, Certificate, Check, ColoredGraph, Comparison,
+                  Interval, Labeling, MonomialOrder, MultiIndex, PartialOrder,
+                  Polynomial, ab_feasible_region, box, in_span, mat_vec,
+                  solve_columns)
 from mdrg.certificates import witness
 
 # The two label maps of the 24-cell family.  Diagonal sends the valency-8
@@ -362,3 +365,146 @@ def brute_force_monomial_order(order, m: int, box_bound: int) -> Certificate:
             break
     checks.append(Check("origin-minimum", min_witness is None, min_witness))
     return Certificate.of(checks)
+
+
+# -- dom x dom scans of the generator products ------------------------------------
+#
+# The window, unit-step, recurrence and (alpha, beta)-region checks as they
+# were written before they read ``generator_rows``: every (e_i, a, b) in
+# (unit, sorted a, sorted b) order through ``t.get``, and the region by
+# retrying exclusions until it is stable.
+
+def _units(m: int) -> list:
+    return [MultiIndex.unit(m, c) for c in range(1, m + 1)]
+
+
+def scan_window_checks(t, leq, window_text: str,
+                       successors_only: bool = False) -> list:
+    """``products-within-window`` and ``successor-nonzero``."""
+    dom = t.domain()
+    window_witness = None
+    for unit, a in itertools.product(_units(t.m), sorted(dom)):
+        up = a + unit
+        if successors_only and up not in dom:
+            continue
+        found = next((b for b in sorted(dom)
+                      if t.get(unit, a, b) != 0 and not leq(b, up)), None)
+        if found is not None:
+            window_witness = witness(generator=unit, a=a, b=found, bound=up,
+                                     value=t.get(unit, a, found),
+                                     window=window_text)
+            break
+    succ_witness = next((witness(generator=unit, a=a, successor=a + unit)
+                         for unit, a in itertools.product(_units(t.m), sorted(dom))
+                         if a + unit in dom and t.get(unit, a, a + unit) == 0),
+                        None)
+    return [Check("products-within-window", window_witness is None, window_witness),
+            Check("successor-nonzero", succ_witness is None, succ_witness)]
+
+
+def scan_unit_steps(t) -> Check:
+    """``unit-step-nonzero`` of the type-(alpha, beta) certificate."""
+    dom = t.domain()
+    for unit, a in itertools.product(_units(2), sorted(dom)):
+        up = a + unit
+        if up not in dom:
+            continue
+        for direction, value in (("up", t.get(unit, a, up)),
+                                 ("down", t.get(unit, up, a))):
+            if value == 0:
+                return Check("unit-step-nonzero", False,
+                             witness(generator=unit, a=a, successor=up,
+                                     direction=direction))
+    return Check("unit-step-nonzero", True)
+
+
+def scan_recurrences(polys, t, partial=None) -> Certificate:
+    """``verify_recurrences`` with the right side summed over all of D."""
+    dom = sorted(t.domain())
+    support_witness = identity_witness = None
+    for color, unit in enumerate(_units(t.m), start=1):
+        for a in dom:
+            up = a + unit
+            if up not in t.domain():
+                continue
+            lhs = polys[a].shift(color)
+            rhs = Polynomial({})
+            for b in dom:
+                value = t.get(unit, a, b)
+                if value == 0:
+                    continue
+                if (partial is not None and support_witness is None
+                        and not partial.precedes(b, up)):
+                    support_witness = witness(generator=unit, a=a, b=b, bound=up)
+                rhs = rhs + polys[b].scale(value)
+            if identity_witness is None and lhs != rhs:
+                mono = sorted((lhs - rhs).monomials())[0]
+                identity_witness = witness(generator=unit, a=a, monomial=mono,
+                                           lhs=lhs.coeff(mono), rhs=rhs.coeff(mono))
+    checks = [Check("recurrence-identity", identity_witness is None, identity_witness)]
+    if partial is not None:
+        checks.append(Check("recurrence-support", support_witness is None,
+                            support_witness))
+    return Certificate.of(checks)
+
+
+def scan_ab_region(t):
+    """The (alpha, beta) region by the retry loop: each exclusion "b below
+    a" (a in D, b not) removes its solution rectangle when that rectangle
+    spans one axis, and is retried until the region is stable.  Returns
+    None when empty; raises when a corner would have to be cut."""
+    dom = t.domain()
+    if (t.identity != MultiIndex.zero(2)
+            or any(unit not in dom for unit in _units(2))
+            or not scan_unit_steps(t).passed):
+        return None
+    region = ab_feasible_region(
+        (b, a + unit) for unit, a in itertools.product(_units(2), sorted(dom))
+        if a + unit in dom for b in sorted(dom) if t.get(unit, a, b) != 0)
+    if region is None:
+        return None
+    sides = [region.alpha, region.beta]
+
+    def solutions(coef, rhs, interval):  # {x : coef * x <= rhs} in interval
+        if coef > 0:
+            return interval.clamp_leq(Fraction(rhs, coef))
+        if coef < 0:
+            return interval.clamp_geq(Fraction(rhs, coef))
+        return interval if rhs >= 0 else Interval(Fraction(1), Fraction(0))
+
+    def remove(coef, rhs, interval):
+        bound = Fraction(rhs, coef)
+        if coef > 0:  # remove {x <= bound}
+            if bound < interval.lo:
+                return interval
+            return Interval(bound, interval.hi, False, interval.hi_closed)
+        if bound > interval.hi:  # remove {x >= bound}
+            return interval
+        return Interval(interval.lo, bound, interval.lo_closed, False)
+
+    exclusions = [(b, a) for a in sorted(dom) for b in box((a[0] + a[1],) * 2)
+                  if b not in dom]
+    for _ in range(len(exclusions) + 2):
+        changed, blocked = False, None
+        for b, a in exclusions:
+            lines = [(b[1] - a[1], a[0] - b[0]), (b[0] - a[0], a[1] - b[1])]
+            sols = [solutions(*line, side) for line, side in zip(lines, sides)]
+            if sols[0].empty or sols[1].empty:
+                continue
+            covers = [sol == side for sol, side in zip(sols, sides)]
+            if all(covers):
+                return None
+            if not any(covers):
+                blocked = (b, a)
+                continue
+            axis = 0 if covers[1] else 1
+            sides[axis] = remove(*lines[axis], sides[axis])
+            changed = True
+            if sides[axis].empty:
+                return None
+        if not changed:
+            if blocked is not None:
+                raise ValueError("not a product of intervals at %s below %s" % blocked)
+            break
+    region = ABRegion(*sides)
+    return None if region.empty else region

@@ -450,3 +450,148 @@ def test_quiet_silences_everything(cell24_graph, capsys):
                          "--order", "lex", "--quiet")
     assert code == 1
     assert out == "" and err == ""
+    # a failing window: extraction is skipped without a note
+    code, out, err = run(capsys, "certify-ppoly", cell24_graph,
+                         "--order", "deglex-sum", "--partial", "ab:1/2,0",
+                         "--recurrences", "--quiet")
+    assert code == 1
+    assert out == "" and err == ""
+
+
+# -- Honest exit codes: input errors exit 2, property failures exit 1 --------------
+
+def _c6_document():
+    return tensor_to_dict(
+        mdrg_check(cycle(6), MonomialOrder.parse("deglex-sum")).tensor)
+
+
+def _write(tmp_path, name, document):
+    path = tmp_path / name
+    path.write_text(dump_json(document))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-scheme"],
+    ["certify-ppoly", "--order", "deglex-sum", "--boundary", "--recurrences"],
+    ["type-ab", "--region"]])
+def test_tensor_entry_must_name_declared_labels(tmp_path, capsys, argv):
+    document = _c6_document()
+    document["p"].append(["1", "1", "9", "5"])
+    path = _write(tmp_path, "c6-extra.json", document)
+    code, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert "error: p entry ['1', '1', '9'] names a label not among labels" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify-ppoly", "--order", "deglex-sum"], ["type-ab", "--region"]])
+def test_labels_of_mixed_length_are_usage_error(tmp_path, capsys, argv):
+    document = _c6_document()
+    relabel = {"0": "0,0", "1": "1,0", "2": "0,1", "3": "3"}
+    document["labels"] = [relabel[lab] for lab in document["labels"]]
+    document["identity"] = "0,0"
+    document["p"] = [[relabel[x] for x in row[:3]] + row[3:]
+                     for row in document["p"]]
+    path = _write(tmp_path, "mixed.json", document)
+    code, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert "multi-index labels of one length" in err
+
+
+def test_order_and_partial_arity_on_tensors(tmp_path, gen24_tensor, capsys):
+    c6 = _write(tmp_path, "c6.json", _c6_document())
+    for argv, message in (
+            ([c6, "--order", "deglex-y2"],
+             "bad --order: deglex-y2 is defined for m=2, got m=1"),
+            ([gen24_tensor, "--labeling", AXIS_TEXT, "--order", "wdeglex:1,2,3"],
+             "bad --order: wdeglex weights have length 3, index has m=2"),
+            ([c6, "--order", "lex", "--partial", "ab:1,0"],
+             "bad --partial: ab order is defined for m=2, got m=1")):
+        code, out, err = run(capsys, "certify-ppoly", *argv, "--boundary")
+        assert code == 2
+        assert out == ""
+        assert "error: " + message in err
+    for mode in (["--region"], ["--alpha", "1/2", "--beta", "0"]):
+        code, out, err = run(capsys, "type-ab", c6, *mode)
+        assert code == 2
+        assert "error: type-(alpha,beta) needs m=2, got m=1" in err
+
+
+def test_discover_validates_m_and_reports_non_schemes(tmp_path, capsys):
+    pauli = tmp_path / "pauli.json"
+    assert main(["generate", "pauli4", "--out", str(pauli)]) == 0
+    capsys.readouterr()
+    for m, order, message in (("3", "deglex-sum", "--m must lie in 1..2"),
+                              ("1", "deglex-y2", "bad --order: deglex-y2")):
+        code, out, err = run(capsys, "discover", str(pauli), "--m", m,
+                             "--order", order)
+        assert code == 2
+        assert out == ""
+        assert message in err
+    # a path on three vertices: its distance classes are not closed
+    path = _write(tmp_path, "p3.json", {
+        "labels": ["A0", "A1", "A2"],
+        "matrices": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                     [[0, 1, 0], [1, 0, 1], [0, 1, 0]],
+                     [[0, 0, 1], [0, 0, 0], [1, 0, 0]]]})
+    code, out, _ = run(capsys, "discover", path, "--m", "1",
+                       "--order", "deglex-sum")
+    assert code == 1
+    report = json.loads(out)
+    assert sorted(report["certificates"]) == ["axioms"]
+    assert report["certificates"]["axioms"]["verdict"] == "fail"
+    assert "results" not in report
+
+
+def test_non_commuting_generators_fail_commutation(tmp_path, capsys):
+    # the C4 x C3 tensor with p_{a,b}^{1,0} moved around a 4-cycle of
+    # (a, b) pairs: still commutative, with valid identity rule and row
+    # sums, but A_{1,0} and A_{0,1} no longer commute at (2,1)
+    tensor = mdrg_check(cartesian_product([cycle(4), cycle(3)]),
+                        MonomialOrder.parse("deglex-sum")).tensor
+    p = dict(tensor.p)
+    c = mi((1, 0))
+    for (a, b), step in (((mi((1, 1)), mi((2, 0))), 1), ((mi((1, 0)), mi((0, 1))), 1),
+                         ((mi((1, 1)), mi((0, 1))), -1), ((mi((1, 0)), mi((2, 0))), -1)):
+        for key in {(a, b, c), (b, a, c)}:
+            p[key] = p.get(key, 0) + step
+    document = tensor_to_dict(type(tensor)(labels=tensor.labels,
+                                           identity=tensor.identity, p=p))
+    path = _write(tmp_path, "noncommuting.json", document)
+    assert run(capsys, "verify-scheme", path)[0] == 0
+    for flags in (["--boundary"], ["--recurrences"]):
+        code, out, _ = run(capsys, "certify-ppoly", path, "--order",
+                           "deglex-sum", *flags)
+        assert code == 1
+        report = json.loads(out)
+        assert report["certificates"]["ppoly"]["verdict"] == "pass"
+        assert report["certificates"]["commutation"] == {
+            "verdict": "fail",
+            "checks": [{"name": "commutation", "passed": False,
+                        "witness": {"a": "2,1"}}]}
+        assert "boundary" not in report["certificates"]
+        assert "extraction" not in report["certificates"]
+
+
+@pytest.mark.parametrize("relabel, failing", [
+    ({"0": "0,0", "1": "1,0", "2": "2,0", "3": "3,0"}, "generators-realized"),
+    ({"0": "1", "1": "0", "2": "2", "3": "3"}, "identity-at-origin")])
+def test_boundary_without_monomial_basis_is_skipped(tmp_path, capsys,
+                                                    relabel, failing):
+    document = _c6_document()
+    document["labels"] = [relabel[lab] for lab in document["labels"]]
+    document["identity"] = relabel[document["identity"]]
+    document["p"] = [[relabel[x] for x in row[:3]] + row[3:]
+                     for row in document["p"]]
+    path = _write(tmp_path, "relabeled.json", document)
+    code, out, err = run(capsys, "certify-ppoly", path, "--order", "lex",
+                         "--boundary", "--recurrences")
+    assert code == 1
+    assert "skipping boundary" in err
+    report = json.loads(out)
+    assert sorted(report["certificates"]) == ["ppoly"]
+    checks = {c["name"]: c for c in report["certificates"]["ppoly"]["checks"]}
+    assert not checks[failing]["passed"]

@@ -1,0 +1,196 @@
+"""The window, unit-step, recurrence and (alpha, beta)-region checks read
+the generator rows; here they are compared with the dom x dom scans and
+the retry-loop region of ``helpers``, and the region with certification.
+
+Inputs: tori C_a x C_b under deglex-sum and deglex-y2 with their own
+labels, with the two coordinates swapped, with the non-identity labels
+permuted, and with the classes sent onto random points of a small box;
+cycles with their classes sent onto such points (not box-closed, with
+zero, one or both generators among the classes); and the generalized
+24-cell grid under both label maps.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mdrg import (MonomialOrder, MultiIndex, PartialOrder, Polynomial,
+                  ab_region_for_scheme, cartesian_product, certify_ppoly,
+                  certify_ppoly_refined, certify_type_ab, cycle,
+                  extract_polynomials, gen24cell, mdrg_check,
+                  verify_recurrences)
+
+from helpers import (AXIS_LABELING, DIAGONAL_LABELING, scan_ab_region,
+                     scan_recurrences, scan_unit_steps, scan_window_checks)
+
+PARTIALS = [PartialOrder.parse(text) for text in
+            ("componentwise", "ab:0,0", "ab:1/2,0", "ab:1,0", "ab:1/3,1/2")]
+WINDOW_CHECKS = ("products-within-window", "successor-nonzero")
+
+
+@st.composite
+def relabeled_tori(draw):
+    a, b = draw(st.integers(3, 7)), draw(st.integers(3, 6))
+    if draw(st.booleans()):  # a cycle, whose classes go onto points of N^2
+        g, how = cycle(a + b), "points"
+    else:
+        g = cartesian_product([cycle(a), cycle(b)])
+        how = draw(st.sampled_from(["own", "swap", "permute", "points"]))
+    t = mdrg_check(g, MonomialOrder.parse(
+        draw(st.sampled_from(["deglex-sum", "deglex-y2"])) if g.m == 2
+        else "lex")).tensor
+    moved = [lab for lab in t.labels if lab != t.identity]
+    if how == "own":
+        return t
+    if how == "swap":
+        targets = [MultiIndex((lab[1], lab[0])) for lab in moved]
+    elif how == "permute":
+        targets = draw(st.permutations(moved))
+    else:
+        side = next(s for s in range(2, 9) if s * s >= len(moved) + 3)
+        side += draw(st.integers(0, 2))
+        units = [MultiIndex((1, 0)), MultiIndex((0, 1))]
+        points = [MultiIndex((i, j)) for i in range(side) for j in range(side)
+                  if (i or j) and MultiIndex((i, j)) not in units]
+        keep = draw(st.integers(0, 2))  # how many generators stay classes
+        targets = draw(st.permutations(
+            units[:keep] + draw(st.permutations(points))[:len(moved) - keep]))
+    return t.relabel({t.identity: MultiIndex((0, 0)), **dict(zip(moved, targets))})
+
+
+def _gen24cell_grid():
+    for ell in ("2", "3", "4"):
+        for s in ("1/2", "3/4", "1"):
+            t = gen24cell(Fraction(ell), Fraction(s))
+            yield AXIS_LABELING.apply(t)
+            yield DIAGONAL_LABELING.apply(t)
+
+
+def _named(cert, names):
+    return [c.to_dict() for c in cert.checks if c.name in names]
+
+
+def _check_against_scans(t):
+    orders = [MonomialOrder.parse(text) for text in ("deglex-sum", "lex",
+                                                     "deglex-y2")]
+    for order in orders:
+        assert (_named(certify_ppoly(t, order), WINDOW_CHECKS)
+                == [c.to_dict() for c in scan_window_checks(
+                    t, order.leq, order.as_text())])
+    for partial in PARTIALS:
+        refined = certify_ppoly_refined(t, orders[2], partial)
+        assert (_named(refined, WINDOW_CHECKS)
+                == [c.to_dict() for c in scan_window_checks(
+                    t, partial.precedes, partial.as_text())])
+        if partial.kind != "ab":
+            continue
+        typed = certify_type_ab(t, partial)
+        assert (_named(typed, ("unit-step-nonzero", "products-within-window"))
+                == [scan_unit_steps(t).to_dict(),
+                    scan_window_checks(t, partial.precedes, partial.as_text(),
+                                       successors_only=True)[0].to_dict()])
+    region = ab_region_for_scheme(t)
+    loop = scan_ab_region(t)
+    assert (region and region.as_text()) == (loop and loop.as_text())
+    for order in orders:
+        if certify_ppoly(t, order).passed:
+            polys, _ = extract_polynomials(t, order=order)
+            _check_recurrences(t, polys)
+
+
+def _check_recurrences(t, polys):
+    for partial in (None, PARTIALS[0], PARTIALS[1]):
+        assert (verify_recurrences(polys, t, partial).to_dict()
+                == scan_recurrences(polys, t, partial).to_dict())
+    # a wrong polynomial gives an identity witness on both routes
+    n = max(polys)
+    broken = dict(polys)
+    broken[n] = polys[n] + Polynomial({MultiIndex.zero(t.m): Fraction(1)})
+    fast = verify_recurrences(broken, t)
+    assert fast.to_dict() == scan_recurrences(broken, t).to_dict()
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabeled_tori())
+def test_generator_row_checks_match_scans_on_tori(t):
+    _check_against_scans(t)
+
+
+def test_generator_row_checks_match_scans_on_the_gen24cell_grid():
+    for t in _gen24cell_grid():
+        _check_against_scans(t)
+
+
+def test_missing_generator_reads_zeros():
+    t = mdrg_check(cartesian_product([cycle(6), cycle(4)]),
+                   MonomialOrder.parse("deglex-sum")).tensor
+    # (0,1) is no class: the labels move to the first axis and beyond
+    moved = sorted(lab for lab in t.labels if lab != t.identity)
+    targets = [MultiIndex((i, 0)) for i in range(1, len(moved))] + [MultiIndex((1, 1))]
+    lacking = t.relabel({t.identity: t.identity, **dict(zip(moved, targets))})
+    assert MultiIndex((0, 1)) not in lacking.domain()
+    _check_against_scans(lacking)
+    assert not certify_type_ab(lacking, (Fraction(1, 2), Fraction(0))).passed
+    assert ab_region_for_scheme(lacking) is None
+
+
+def _grid(t):
+    """Every ratio p/q in [0, 1] with q at most the largest coordinate sum
+    of D plus one, which holds every cut point of the region, and the
+    midpoints between neighbours, which stand for the open sides."""
+    top = max(sum(lab) for lab in t.labels) + 1
+    cuts = sorted({Fraction(p, q) for q in range(1, top + 1)
+                   for p in range(q + 1)})
+    return sorted(set(cuts) | {(x + y) / 2 for x, y in zip(cuts, cuts[1:])})
+
+
+def _region_agrees(t, pairs):
+    region = ab_region_for_scheme(t)
+    for alpha, beta in pairs:
+        expected = region is not None and region.contains(alpha, beta)
+        assert certify_type_ab(t, (alpha, beta)).passed == expected, \
+            (alpha, beta, region and region.as_text())
+
+
+@settings(max_examples=40, deadline=None)
+@given(relabeled_tori(), st.data())
+def test_region_contains_exactly_the_certified_parameters(t, data):
+    grid = _grid(t)
+    betas = [x for x in grid if x < 1]
+    alpha = data.draw(st.sampled_from(grid))
+    beta = data.draw(st.sampled_from(betas))
+    pairs = [(a, beta) for a in grid] + [(alpha, b) for b in betas]
+    pairs += data.draw(st.lists(st.tuples(st.sampled_from(grid),
+                                          st.sampled_from(betas)), max_size=10))
+    _region_agrees(t, pairs)
+
+
+def test_region_on_the_gen24cell_grid():
+    for t in _gen24cell_grid():
+        grid = _grid(t)
+        _region_agrees(t, [(a, b) for a in grid for b in grid if b < 1])
+
+
+@pytest.mark.parametrize("a, b, text", [
+    (3, 6, "alpha in [0, 1/3), beta in [0, 1)"),
+    (8, 3, "alpha in [0, 1), beta in [0, 1/4)")])
+def test_torus_regions_are_cut_open(a, b, text):
+    t = mdrg_check(cartesian_product([cycle(a), cycle(b)]),
+                   MonomialOrder.parse("deglex-y2")).tensor
+    assert ab_region_for_scheme(t).as_text() == text
+    grid = _grid(t)
+    _region_agrees(t, [(x, y) for x in grid for y in grid if y < 1])
+
+
+def test_region_is_empty_when_a_componentwise_smaller_index_is_missing():
+    # C8 with its classes 1..4 sent to e1, e2, (2,1), (1,2): every step
+    # inside D starts at o, but (1,1) and (2,0), below (2,1) componentwise,
+    # are missing, so no parameter makes D a downset
+    t = mdrg_check(cycle(8), MonomialOrder.parse("lex")).tensor
+    targets = [(0, 0), (1, 0), (0, 1), (2, 1), (1, 2)]
+    t = t.relabel({MultiIndex((i,)): MultiIndex(p) for i, p in enumerate(targets)})
+    assert scan_ab_region(t) is None
+    assert ab_region_for_scheme(t) is None
+    grid = _grid(t)
+    _region_agrees(t, [(x, y) for x in grid for y in grid if y < 1])

@@ -286,8 +286,8 @@ def test_interval_algebra():
     assert Interval(Fraction(1), Fraction(1), True, False).empty
     clamped = unit.clamp_geq(Fraction(1, 2))
     assert clamped == Interval(Fraction(1, 2), Fraction(1), True, False)
-    removed = unit.remove_geq(Fraction(1, 2))
-    assert removed == Interval(Fraction(0), Fraction(1, 2), True, False)
+    cut = unit.clamp_leq(Fraction(1, 2), closed=False)
+    assert cut == Interval(Fraction(0), Fraction(1, 2), True, False)
     assert unit.intersect(Interval(Fraction(1, 4), Fraction(3))) == \
         Interval(Fraction(1, 4), Fraction(1), True, False)
 

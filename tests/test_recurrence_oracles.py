@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mdrg import (ColoredGraph, MonomialOrder, PartialOrder,
+from mdrg import (Certificate, ColoredGraph, MonomialOrder, PartialOrder,
                   boundary_check, cartesian_product, certify_ppoly,
                   certify_ppoly_refined, cycle, extract_polynomials,
                   gen24cell, mdrg_check, validate_pair_compat)
@@ -125,7 +125,11 @@ def order_pairs(draw):
 def test_pair_compat_table_matches_triple_loop(pair):
     partial, order, bound, m = pair
     fast = validate_pair_compat(partial, order, bound, m=m)
-    assert fast.to_dict() == brute_force_pair_compat(partial, order, bound, m).to_dict()
+    slow = brute_force_pair_compat(partial, order, bound, m)
+    # translation holds for linear forms, so the table leaves it out
+    assert slow.check("translation").passed
+    assert fast.to_dict() == Certificate.of(
+        c for c in slow.checks if c.name != "translation").to_dict()
 
 
 def test_pair_compat_ab_one_zero_fails_against_lex():
@@ -133,4 +137,5 @@ def test_pair_compat_ab_one_zero_fails_against_lex():
                                 MonomialOrder.parse("lex"), 4)
     assert cert.check("refines-order").witness == {"a": "1,0", "b": "0,1",
                                                    "order": "lex"}
-    assert cert.check("translation").passed and cert.check("origin-below").passed
+    assert [c.name for c in cert.checks] == ["refines-order", "origin-below"]
+    assert cert.check("origin-below").passed

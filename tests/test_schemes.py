@@ -325,9 +325,13 @@ def test_generator_rows_contract():
     assert image[index[mi((2,))]] == 1
     assert image[index[mi((1,))]] == 0
 
-    with pytest.raises(ValueError):
-        generator_rows(IntersectionTensor(labels=(mi((0,)),), identity=mi((0,)),
-                                          p={(mi((0,)), mi((0,)), mi((0,))): 1}))
+    assert all(list(row) == sorted(row) for row in rows.values())
+    # a missing generator has no rows; the monomial basis needs it
+    lone = IntersectionTensor(labels=(mi((0,)),), identity=mi((0,)),
+                              p={(mi((0,)), mi((0,)), mi((0,))): 1})
+    assert generator_rows(lone) == {}
+    with pytest.raises(ValueError, match="generator 1 is not a class label"):
+        MonomialBasis(lone)
     opaque = t.relabel({mi((0,)): "B0", mi((1,)): "B1", mi((2,)): "B2",
                         mi((3,)): "B3"})
     with pytest.raises(ValueError):

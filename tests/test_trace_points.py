@@ -1,0 +1,47 @@
+"""The benchmark's tracer wraps mdrg functions at the module attributes
+listed in ``perfbench/tracing.py`` (``POINTS``).  Every listed attribute
+must exist, or ``--trace 1`` stops with AttributeError, and a traced
+command must print the same bytes as an untraced one.
+"""
+
+import importlib
+import importlib.util
+import pathlib
+
+from mdrg.cli import main
+
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+AXIS_TEXT = "A0=0,0;A1=0,2;A2=1,0;A3=0,1;A4=2,0"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_trace_point_resolves():
+    for owner_path, attr, _, _ in _tracing().POINTS:
+        module_path, _, class_name = owner_path.partition(":")
+        owner = importlib.import_module(module_path)
+        if class_name:
+            owner = getattr(owner, class_name)
+        assert callable(getattr(owner, attr, None)), (owner_path, attr)
+
+
+def test_traced_report_is_byte_identical(tmp_path, capsys):
+    tensor = tmp_path / "t24.json"
+    assert main(["generate", "gen24cell:2,1/2", "--out", str(tensor)]) == 0
+    argv = ["type-ab", str(tensor), "--labeling", AXIS_TEXT, "--region"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        assert main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert capsys.readouterr().out == plain
+    assert tracer.layer_metrics()["ppoly.type_ab.calls"] == 1
