@@ -21,7 +21,7 @@ from .families import (cartesian_product, cell24, complete, cycle, gen24cell,
                        hamming_graph, pauli_scheme4, symmetrize)
 from .graphs import (ColoredGraph, DisconnectedGraphError, GraphStructureError,
                      m_distance_table)
-from .orders import AlphaBeta, MonomialOrder, PartialOrder
+from .orders import AlphaBeta, MonomialOrder, MultiIndex, PartialOrder
 from .ppoly import (ExtractionError, IncompatibleOrderPairError, Labeling,
                     ab_region_for_scheme, boundary_check, certify_ppoly,
                     certify_ppoly_refined, certify_type_ab,
@@ -39,35 +39,40 @@ class UsageError(Exception):
     """Bad flags, parameters, or input documents: exit code 2."""
 
 
-def _parse_order(text: str) -> MonomialOrder:
+def _parse(parse, flag: str, text: Optional[str]):
+    """``parse(text)``, None for no text; a ValueError is a usage error."""
+    if text is None:
+        return None
     try:
-        return MonomialOrder.parse(text)
-    except ValueError as exc:
-        raise UsageError("bad --order: %s" % exc)
-
-
-def _check_arity(order, m: int, flag: str = "--order") -> None:
-    """An order or partial order (``forms(m)``) must be defined for m."""
-    try:
-        order.forms(m)
+        return parse(text)
     except ValueError as exc:
         raise UsageError("bad %s: %s" % (flag, exc))
 
 
-def _parse_partial(text: str) -> PartialOrder:
-    try:
-        return PartialOrder.parse(text)
-    except ValueError as exc:
-        raise UsageError("bad --partial: %s" % exc)
+def _check_arity(m: int, order, partial=None) -> None:
+    """``--order`` and ``--partial`` (``forms(m)``) must be defined for m."""
+    for flag, given in (("--order", order), ("--partial", partial)):
+        try:
+            if given is not None:
+                given.forms(m)
+        except ValueError as exc:
+            raise UsageError("bad %s: %s" % (flag, exc))
 
 
-def _parse_labeling(text: Optional[str]) -> Optional[Labeling]:
-    if text is None:
-        return None
-    try:
-        return Labeling.parse(text)
-    except ValueError as exc:
-        raise UsageError("bad --labeling: %s" % exc)
+def _input_m(doc, labeling: Optional[Labeling]) -> int:
+    """The m of a certification input, read before any certificate: the
+    graph's m, else the length of the ``--labeling`` indices, else of the
+    document's labels, which must be multi-indices of one length."""
+    if isinstance(doc, ColoredGraph):
+        return doc.m
+    labels = doc.labels if labeling is None else labeling.as_dict().values()
+    lengths = {len(lab) if isinstance(lab, MultiIndex) else -1 for lab in labels}
+    if labeling is not None and len(lengths) != 1:
+        raise UsageError("bad --labeling: labeling mixes multi-index lengths")
+    if len(lengths) != 1 or -1 in lengths:
+        raise UsageError("certification needs multi-index labels of one "
+                         "length; apply a labeling")
+    return lengths.pop()
 
 
 def _load(path: str):
@@ -153,11 +158,11 @@ def cmd_generate(args: argparse.Namespace) -> tuple[dict, int]:
 # -- distances ---------------------------------------------------------------------
 
 def cmd_distances(args: argparse.Namespace) -> tuple[dict, int]:
-    order = _parse_order(args.order)
+    order = _parse(MonomialOrder.parse, "--order", args.order)
     doc = _load(args.input)
     if not isinstance(doc, ColoredGraph):
         raise UsageError("%s is not a graph file" % args.input)
-    _check_arity(order, doc.m)
+    _check_arity(doc.m, order)
     try:
         table = m_distance_table(doc, order)
     except DisconnectedGraphError as exc:
@@ -171,11 +176,11 @@ def cmd_distances(args: argparse.Namespace) -> tuple[dict, int]:
 # -- certify-mdrg ------------------------------------------------------------------
 
 def cmd_certify_mdrg(args: argparse.Namespace) -> tuple[dict, int]:
-    order = _parse_order(args.order)
+    order = _parse(MonomialOrder.parse, "--order", args.order)
     doc = _load(args.input)
     if not isinstance(doc, ColoredGraph):
         raise UsageError("%s is not a graph file" % args.input)
-    _check_arity(order, doc.m)
+    _check_arity(doc.m, order)
     try:
         result = mdrg_check(doc, order)
     except DisconnectedGraphError as exc:
@@ -215,11 +220,10 @@ def cmd_verify_scheme(args: argparse.Namespace) -> tuple[dict, int]:
 def _tensor_from_document(doc, labeling: Optional[Labeling],
                           order: Optional[MonomialOrder],
                           certificates: dict) -> Optional[IntersectionTensor]:
-    """Reduce any input document to a tensor with multi-index labels of
-    one length; None means a certificate already failed (exit 1).  A
-    tensor's ``numbers`` certificate is reported only when it fails."""
+    """Reduce an input document checked by :func:`_input_m` to a tensor;
+    None means a certificate already failed (exit 1).  A tensor's
+    ``numbers`` certificate is reported only when it fails."""
     if isinstance(doc, ColoredGraph):
-        _check_arity(order, doc.m)
         result = mdrg_check(doc, order)
         certificates["mdrg"] = result.certificate
         if result.tensor is None:
@@ -241,30 +245,24 @@ def _tensor_from_document(doc, labeling: Optional[Labeling],
             tensor = labeling.apply(tensor)
         except ValueError as exc:
             raise UsageError("bad --labeling: %s" % exc)
-    if (not tensor.labels_are_multiindex
-            or len({len(lab) for lab in tensor.labels}) != 1):
-        raise UsageError("certification needs multi-index labels of one "
-                         "length; apply a labeling")
     return tensor
 
 
 def cmd_certify_ppoly(args: argparse.Namespace) -> tuple[dict, int]:
-    order = _parse_order(args.order)
-    partial = _parse_partial(args.partial) if args.partial else None
-    labeling = _parse_labeling(args.labeling)
+    order = _parse(MonomialOrder.parse, "--order", args.order)
+    partial = _parse(PartialOrder.parse, "--partial", args.partial or None)
+    labeling = _parse(Labeling.parse, "--labeling", args.labeling)
     inputs = {"input": args.input, "order": order.as_text()}
     if partial is not None:
         inputs["partial"] = partial.as_text()
     if labeling is not None:
         inputs["labeling"] = labeling.as_text()
     certificates: dict[str, Certificate] = {}
-    tensor = _tensor_from_document(_load(args.input), labeling, order,
-                                   certificates)
+    doc = _load(args.input)
+    _check_arity(_input_m(doc, labeling), order, partial)
+    tensor = _tensor_from_document(doc, labeling, order, certificates)
     if tensor is None:
         return _report("certify-ppoly", inputs, certificates), 1
-    _check_arity(order, tensor.m)
-    if partial is not None:
-        _check_arity(partial, tensor.m, "--partial")
 
     window = {"order": None if partial else order, "partial": partial}
     results: dict = {"domain": sorted(lab.as_text() for lab in tensor.labels)}
@@ -305,22 +303,30 @@ def cmd_certify_ppoly(args: argparse.Namespace) -> tuple[dict, int]:
 # -- type-ab -----------------------------------------------------------------------
 
 def cmd_type_ab(args: argparse.Namespace) -> tuple[dict, int]:
-    labeling = _parse_labeling(args.labeling)
+    labeling = _parse(Labeling.parse, "--labeling", args.labeling)
     inputs = {"input": args.input}
     if labeling is not None:
         inputs["labeling"] = labeling.as_text()
     parameters = args.alpha is not None or args.beta is not None
     if args.region == parameters:
         raise UsageError("give either --region or both --alpha and --beta")
-    certificates: dict[str, Certificate] = {}
+    if parameters:
+        if args.alpha is None or args.beta is None:
+            raise UsageError("give both --alpha and --beta")
+        try:
+            ab = AlphaBeta(Fraction(args.alpha), Fraction(args.beta))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(str(exc))
     doc = _load(args.input)
     if isinstance(doc, ColoredGraph):
         raise UsageError("type-ab takes a scheme or tensor file")
+    m = _input_m(doc, labeling)
+    if m != 2:
+        raise UsageError("type-(alpha,beta) needs m=2, got m=%d" % m)
+    certificates: dict[str, Certificate] = {}
     tensor = _tensor_from_document(doc, labeling, None, certificates)
     if tensor is None:
         return _report("type-ab", inputs, certificates), 1
-    if tensor.m != 2:
-        raise UsageError("type-(alpha,beta) needs m=2, got m=%d" % tensor.m)
 
     if args.region:
         region = ab_region_for_scheme(tensor)
@@ -331,12 +337,6 @@ def cmd_type_ab(args: argparse.Namespace) -> tuple[dict, int]:
         code = _verdict_code(certificates) if region is not None else 1
         return _report("type-ab", inputs, certificates, results), code
 
-    if args.alpha is None or args.beta is None:
-        raise UsageError("give both --alpha and --beta")
-    try:
-        ab = AlphaBeta(Fraction(args.alpha), Fraction(args.beta))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(str(exc))
     inputs["alpha"] = str(ab.alpha)
     inputs["beta"] = str(ab.beta)
     certificates["type-ab"] = certify_type_ab(tensor, ab)
@@ -346,13 +346,13 @@ def cmd_type_ab(args: argparse.Namespace) -> tuple[dict, int]:
 # -- discover ----------------------------------------------------------------------
 
 def cmd_discover(args: argparse.Namespace) -> tuple[dict, int]:
-    order = _parse_order(args.order)
+    order = _parse(MonomialOrder.parse, "--order", args.order)
     doc = _load(args.input)
     if not isinstance(doc, SchemeClasses):
         raise UsageError("discover takes a scheme file with class matrices")
     if not 1 <= args.m < len(doc.matrices):
         raise UsageError("--m must lie in 1..%d" % (len(doc.matrices) - 1))
-    _check_arity(order, args.m)
+    _check_arity(args.m, order)
     inputs = {"input": args.input, "m": args.m, "order": order.as_text()}
     axioms = verify_scheme_axioms(doc)
     if not axioms.passed:

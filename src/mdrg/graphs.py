@@ -13,8 +13,8 @@ packs W a into one radix-R integer code, exact and order-faithful on
 simple paths, and finds all distances with one int64 min-plus
 Floyd-Warshall; when the codes could pass the int64 bound it falls back
 to :func:`m_distance_from`, a label-setting search (Dijkstra with
-multi-index labels keyed by the order), which also serves comparator
-orders and the tests as an oracle.
+multi-index labels keyed by the order, :func:`least_labels`), which also
+serves comparator orders and the tests as an oracle.
 """
 
 from __future__ import annotations
@@ -139,36 +139,39 @@ class ColoredGraph:
         return len(seen) == self.n
 
 
-def m_distance_from(g: ColoredGraph, order: OrderLike,
-                    source: str) -> list[MultiIndex]:
-    """Single-source m-distances as a list aligned with ``g.vertices``.
-
-    Label-setting search: the frontier is a heap keyed by the monomial
-    order; when a vertex is popped its label is final, because appending
-    an edge never decreases a label (translation invariance, o minimal).
-    Raises :class:`DisconnectedGraphError` naming an unreachable vertex.
-    """
-    key = order_key_function(order)
-    src = g.index(source)
-    zero = MultiIndex.zero(g.m)
-    units = [MultiIndex.unit(g.m, c) for c in range(1, g.m + 1)]
-    done: list[Optional[MultiIndex]] = [None] * g.n
+def least_labels(adjacency: Sequence[Sequence[tuple[int, int]]], m: int,
+                 key, source: int) -> list[Optional[MultiIndex]]:
+    """Least m-length of a walk from ``source`` to each node (None when
+    unreachable) over adjacency lists of (neighbour, color): a heap keyed
+    by the monomial order, where a popped label is final because appending
+    an edge never decreases a label (translation invariance, o minimal)."""
+    zero = MultiIndex.zero(m)
+    units = [MultiIndex.unit(m, c) for c in range(1, m + 1)]
+    done: list[Optional[MultiIndex]] = [None] * len(adjacency)
     counter = itertools.count()
-    heap = [(key(zero), next(counter), src, zero)]
-    remaining = g.n
+    heap = [(key(zero), next(counter), source, zero)]
+    remaining = len(adjacency)
     while heap and remaining:
         _, _, v, label = heapq.heappop(heap)
         if done[v] is not None:
             continue
         done[v] = label
         remaining -= 1
-        for w, color in g.neighbors(v):
+        for w, color in adjacency[v]:
             if done[w] is None:
                 nxt = label + units[color - 1]
                 heapq.heappush(heap, (key(nxt), next(counter), w, nxt))
-    if remaining:
-        unreachable = g.vertices[done.index(None)]
-        raise DisconnectedGraphError(source, unreachable)
+    return done
+
+
+def m_distance_from(g: ColoredGraph, order: OrderLike,
+                    source: str) -> list[MultiIndex]:
+    """Single-source m-distances aligned with ``g.vertices``, by
+    :func:`least_labels`; raises :class:`DisconnectedGraphError`."""
+    done = least_labels(g._adjacency, g.m, order_key_function(order),
+                        g.index(source))
+    if None in done:
+        raise DisconnectedGraphError(source, g.vertices[done.index(None)])
     return done  # type: ignore[return-value]
 
 

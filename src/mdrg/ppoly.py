@@ -13,8 +13,8 @@ refined variant replaces the order window by a compatible partial order;
 the two-parameter family ``ab:alpha,beta`` gives the type-(alpha, beta)
 notion, whose exact feasible parameter region, always a product of
 intervals, is computed in one pass.  Finally, labelings can be
-discovered from the bare scheme matrices by trying every ordered
-generator tuple.
+discovered from a bare scheme by trying every ordered generator tuple
+on its intersection numbers.
 """
 
 from __future__ import annotations
@@ -29,12 +29,13 @@ import numpy as np
 from .certificates import Certificate, Check, witness
 # Not called here; kept as module attributes that perfbench/tracing.py wraps.
 from .exactlinalg import in_span, mat_vec, solve_columns  # noqa: F401
-from .graphs import ColoredGraph
+from .schemes import mdrg_check  # noqa: F401
+from .graphs import least_labels
 from .orders import (ABRegion, AlphaBeta, MonomialOrder, MultiIndex,
                      PartialOrder, ab_feasible_region, box, check_domain,
                      validate_pair_compat)
 from .schemes import (IntersectionTensor, Label, MonomialBasis, SchemeClasses,
-                      generator_rows, label_text, mdrg_check,
+                      generator_rows, intersection_tensor, label_text,
                       verify_scheme_axioms)
 
 
@@ -561,59 +562,54 @@ def ab_region_for_scheme(t: IntersectionTensor) -> Optional[ABRegion]:
 
 @dataclass
 class Discovery:
-    """A successful labeling: generator tuple, tag-to-index map, certificate."""
+    """A successful labeling: generator tuple and tag-to-index map."""
 
     generators: tuple[Label, ...]
     labeling: Labeling
-    certificate: Certificate
 
 
 def discover_labelings(s: SchemeClasses, m: int,
                        order: MonomialOrder) -> list[Discovery]:
     """All ordered generator m-tuples realizing the scheme by distances.
 
-    For each ordered tuple of distinct non-identity classes, colors the
-    union graph by the tuple and accepts when the m-distance matrices
-    coincide with the scheme's classes as a set and the graph certifies
-    m-distance-regular.  Candidates whose union graph is disconnected
-    are skipped (their distances are undefined).
+    A tuple (g_1..g_m) of distinct non-identity classes colors the union
+    graph of the A_{g_i} by i.  Each class c gets the least a with c in
+    the support of A^a = A_{g_1}^{a_1}..A_{g_m}^{a_m}, by a label-setting
+    search (:func:`least_labels`) from the identity with an edge b -> c
+    of color i whenever p_{b,g_i}^c != 0.  The tuple is accepted when
+    every class is reached, the labels are distinct and each g_i gets
+    e_i.  The cost does not depend on the number of vertices.
+
+    These are the graph's conditions (connected, distance partition equal
+    to the scheme's, colors realized): the A's commute in a symmetric
+    scheme, so A^a counts the walks of m-length a and is a nonnegative
+    combination of classes; hence d(x, y) = min{a : (A^a)_{xy} != 0} is
+    the label of the class of (x, y).  A pair at distance e_i is an edge
+    of color i, so e_i is realized iff g_i gets e_i.
     """
     axioms = verify_scheme_axioms(s)
     if not axioms.passed:
         raise ValueError("input is not an association scheme: %s" % axioms.witness)
-    ident = s.identity_index()
-    assert ident is not None
-    candidates = [i for i in range(len(s.matrices)) if i != ident]
+    t = intersection_tensor(s)
+    k = len(s.labels)
+    ident = s.labels.index(t.identity)
+    candidates = [i for i in range(k) if i != ident]
     if not 1 <= m <= len(candidates):
         raise ValueError("m must lie in 1..%d" % len(candidates))
-    by_bytes = {mat.tobytes(): i for i, mat in enumerate(s.matrices)}
+    position = {lab: i for i, lab in enumerate(s.labels)}
+    support: list[list[list[int]]] = [[[] for _ in range(k)] for _ in range(k)]
+    for b, g, c in t.p:  # support[b][g]: the c with p_{b,g}^c != 0
+        support[position[b]][position[g]].append(position[c])
+    units = [MultiIndex.unit(m, i) for i in range(1, m + 1)]
     found: list[Discovery] = []
     for tup in itertools.permutations(candidates, m):
-        edges: list[tuple[str, str, int]] = []
-        for color, class_index in enumerate(tup, start=1):
-            mat = s.matrices[class_index]
-            for x, y in np.argwhere(np.triu(mat, 1) == 1):
-                edges.append((s.vertices[x], s.vertices[y], color))
-        graph = ColoredGraph(m, s.vertices, edges)
-        if not graph.is_connected():
-            continue
-        result = mdrg_check(graph, order)
-        if not result.certificate.passed or result.scheme is None:
-            continue
-        if len(result.scheme.matrices) != len(s.matrices):
-            continue
-        mapping: dict[Label, MultiIndex] = {}
-        matched = True
-        for lab, mat in zip(result.scheme.labels, result.scheme.matrices):
-            index = by_bytes.get(mat.tobytes())
-            if index is None:
-                matched = False
-                break
-            mapping[s.labels[index]] = lab  # type: ignore[assignment]
-        if not matched:
+        adjacency = [[(c, color) for color, g in enumerate(tup, start=1)
+                      for c in row[g]] for row in support]
+        labels = least_labels(adjacency, m, order.key, ident)
+        if (None in labels or len(set(labels)) != k
+                or any(labels[g] != unit for g, unit in zip(tup, units))):
             continue
         found.append(Discovery(
             generators=tuple(s.labels[i] for i in tup),
-            labeling=Labeling.from_dict(mapping),
-            certificate=result.certificate))
+            labeling=Labeling.from_dict(dict(zip(s.labels, labels)))))
     return found

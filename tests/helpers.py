@@ -10,7 +10,8 @@ instead of the order-compatibility table and the order-axiom table,
 Fraction loops over every label triple instead of the integer scans of
 ``IntersectionTensor.validate``, and dom x dom scans through ``t.get``
 instead of the generator rows, with the retry loop for the (alpha, beta)
-region.
+region, and a colored graph certified per generator tuple instead of the
+label-setting search over the intersection numbers.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ from fractions import Fraction
 import numpy as np
 
 from mdrg import (ABRegion, Certificate, Check, ColoredGraph, Comparison,
-                  Interval, Labeling, MonomialOrder, MultiIndex, PartialOrder,
-                  Polynomial, ab_feasible_region, box, in_span, mat_vec,
-                  solve_columns)
+                  Discovery, Interval, Labeling, MonomialOrder, MultiIndex,
+                  PartialOrder, Polynomial, SchemeClasses, ab_feasible_region,
+                  box, in_span, mat_vec, mdrg_check, solve_columns,
+                  verify_scheme_axioms)
 from mdrg.certificates import witness
 
 # The two label maps of the 24-cell family.  Diagonal sends the valency-8
@@ -508,3 +510,42 @@ def scan_ab_region(t):
             break
     region = ABRegion(*sides)
     return None if region.empty else region
+
+
+# -- Labeling discovery by graphs -------------------------------------------------
+
+def graph_discover_labelings(s: SchemeClasses, m: int,
+                             order: MonomialOrder) -> list:
+    """``discover_labelings`` on graphs: for each ordered tuple of distinct
+    non-identity classes, color the union graph by the tuple, and accept
+    when it is connected, certifies m-distance-regular, and its distance
+    matrices coincide with the scheme's classes as a set."""
+    axioms = verify_scheme_axioms(s)
+    if not axioms.passed:
+        raise ValueError("input is not an association scheme: %s" % axioms.witness)
+    ident = s.identity_index()
+    candidates = [i for i in range(len(s.matrices)) if i != ident]
+    if not 1 <= m <= len(candidates):
+        raise ValueError("m must lie in 1..%d" % len(candidates))
+    by_bytes = {mat.tobytes(): i for i, mat in enumerate(s.matrices)}
+    found = []
+    for tup in itertools.permutations(candidates, m):
+        edges = [(s.vertices[x], s.vertices[y], color)
+                 for color, class_index in enumerate(tup, start=1)
+                 for x, y in np.argwhere(np.triu(s.matrices[class_index], 1) == 1)]
+        graph = ColoredGraph(m, s.vertices, edges)
+        if not graph.is_connected():
+            continue
+        result = mdrg_check(graph, order)
+        if not result.certificate.passed:
+            continue
+        if len(result.scheme.matrices) != len(s.matrices):
+            continue
+        indices = [by_bytes.get(mat.tobytes()) for mat in result.scheme.matrices]
+        if None in indices:
+            continue
+        found.append(Discovery(
+            generators=tuple(s.labels[i] for i in tup),
+            labeling=Labeling.from_dict({s.labels[i]: lab for i, lab
+                                         in zip(indices, result.scheme.labels)})))
+    return found

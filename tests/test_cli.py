@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from mdrg import (
+    ColoredGraph,
     MonomialOrder,
     MultiIndex,
     Polynomial,
@@ -263,16 +264,23 @@ def test_certify_ppoly_scheme_wrong_order_exits_1(tmp_path, capsys):
         "value": "3", "window": "deglex-y2"}
 
 
-def _corrupted_cycle6(tmp_path):
-    """The cycle:6 tensor with p[1,2]^1 changed from 1 to 7."""
-    tensor = mdrg_check(cycle(6), MonomialOrder.parse("deglex-sum")).tensor
+def _corrupted(tmp_path, graph, entry):
+    """The deglex-sum distance tensor of ``graph`` with p[a,b]^c changed
+    from 1 to 7, for ``entry`` = [a, b, c]."""
+    tensor = mdrg_check(graph, MonomialOrder.parse("deglex-sum")).tensor
     document = tensor_to_dict(tensor)
     for row in document["p"]:
-        if row[:3] == ["1", "2", "1"]:
+        if row[:3] == entry:
+            assert row[3] == "1"
             row[3] = "7"
-    path = tmp_path / "c6-corrupted.json"
+    path = tmp_path / "corrupted.json"
     path.write_text(dump_json(document))
     return str(path)
+
+
+def _corrupted_cycle6(tmp_path):
+    """The cycle:6 tensor with p[1,2]^1 changed from 1 to 7."""
+    return _corrupted(tmp_path, cycle(6), ["1", "2", "1"])
 
 
 @pytest.mark.parametrize("argv", [
@@ -280,7 +288,11 @@ def _corrupted_cycle6(tmp_path):
     ["type-ab", "--region"],
     ["type-ab", "--alpha", "1/2", "--beta", "0"]])
 def test_tensor_input_is_validated(tmp_path, capsys, argv):
-    path = _corrupted_cycle6(tmp_path)
+    # type-ab checks m = 2 before any certificate, so it reads an m = 2
+    # tensor: C4 x C3 with p[(1,0),(0,1)]^(1,1) changed from 1 to 7
+    path = (_corrupted_cycle6(tmp_path) if argv[0] == "certify-ppoly" else
+            _corrupted(tmp_path, cartesian_product([cycle(4), cycle(3)]),
+                       ["1,0", "0,1", "1,1"]))
     code, out, _ = run(capsys, argv[0], path, *argv[1:])
     assert code == 1
     report = json.loads(out)
@@ -289,6 +301,37 @@ def test_tensor_input_is_validated(tmp_path, capsys, argv):
                if not c["passed"]]
     assert failing == ["commutativity", "row-sums"]
     assert "results" not in report
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["type-ab", "--alpha", "x", "--beta", "0"], "Invalid literal for Fraction"),
+    (["type-ab", "--alpha", "2", "--beta", "0"], "alpha must lie in [0, 1], got 2"),
+    (["type-ab", "--alpha", "1/2"], "give both --alpha and --beta"),
+    (["type-ab", "--region"], "type-(alpha,beta) needs m=2, got m=1"),
+    (["certify-ppoly", "--order", "deglex-y2"],
+     "bad --order: deglex-y2 is defined for m=2, got m=1")],
+    ids=["alpha-x", "alpha-2", "alpha-alone", "region-m1", "order-m1"])
+def test_usage_is_checked_before_tensor_numbers(tmp_path, capsys, argv, message):
+    path = _corrupted_cycle6(tmp_path)
+    code, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert "error: " in err and message in err
+
+
+def test_partial_arity_is_checked_before_mdrg(tmp_path, capsys):
+    # the path on three vertices is not distance-regular (exit 1 with
+    # a fitting order), but an ab order does not fit its m = 1
+    p3 = _write(tmp_path, "p3.json", graph_to_dict(
+        ColoredGraph(1, ["a", "b", "c"], [("a", "b", 1), ("b", "c", 1)])))
+    code, out, _ = run(capsys, "certify-ppoly", p3, "--order", "deglex-sum")
+    assert code == 1
+    assert json.loads(out)["certificates"]["mdrg"]["verdict"] == "fail"
+    code, out, err = run(capsys, "certify-ppoly", p3, "--order", "deglex-sum",
+                         "--partial", "ab:1,0")
+    assert code == 2
+    assert out == ""
+    assert "error: bad --partial: ab order is defined for m=2, got m=1" in err
 
 
 @pytest.mark.parametrize("command", ["distances", "certify-mdrg",

@@ -1,10 +1,12 @@
 """Certification, extraction, type-(alpha, beta), and labeling discovery."""
 
+import functools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdrg import (
     AlphaBeta,
@@ -24,15 +26,18 @@ from mdrg import (
     certify_ppoly,
     certify_ppoly_refined,
     certify_type_ab,
+    complete,
     cycle,
     discover_labelings,
     distance_matrices,
     extract_polynomials,
     gen24cell,
+    hamming_graph,
     intersection_tensor,
     m_distance_table,
     mdrg_check,
     pauli_scheme4,
+    symmetrize,
     verify_recurrences,
 )
 
@@ -43,6 +48,7 @@ from helpers import (
     closed_form_v11,
     closed_form_v20,
     fraction_matrix,
+    graph_discover_labelings,
 )
 
 F = Fraction
@@ -413,7 +419,6 @@ def test_discover_labelings_24cell():
     axis = by_generators[("A2", "A3")]
     assert axis.labeling.as_text() == "A0=0,0;A1=0,2;A2=1,0;A3=0,1;A4=2,0"
     for d in found:
-        assert d.certificate.passed
         assert d.labeling.as_dict()["A0"] == mi((0, 0))
     # no single class realizes all four non-identity classes by distance
     assert discover_labelings(tags, 1, DEGLEX_SUM) == []
@@ -435,3 +440,51 @@ def test_discover_rejects_non_scheme():
     s = SchemeClasses(labels=["A0", "A1", "A2"], matrices=[eye, adj, far])
     with pytest.raises(ValueError):
         discover_labelings(s, 1, DEGLEX_SUM)
+
+
+FAMILY_SCHEMES = {
+    "C6": lambda: mdrg_check(cycle(6), DEGLEX_SUM).scheme,
+    "C7": lambda: mdrg_check(cycle(7), DEGLEX_SUM).scheme,
+    "K5": lambda: mdrg_check(complete(5), DEGLEX_SUM).scheme,
+    "H(3,2)": lambda: mdrg_check(hamming_graph(3, 2), DEGLEX_SUM).scheme,
+    "C4xC3": lambda: mdrg_check(cartesian_product([cycle(4), cycle(3)]),
+                                DEGLEX_SUM).scheme,
+    "cell24": lambda: mdrg_check(cell24(), DEGLEX_Y2).scheme,
+    "pauli4": pauli_scheme4,
+    "symmetrize:2": lambda: symmetrize(pauli_scheme4(), 2),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def family_scheme(name):
+    return FAMILY_SCHEMES[name]()
+
+
+@st.composite
+def retagged_schemes(draw):
+    """A family scheme with its classes permuted and given fresh tags, and
+    its vertices permuted."""
+    s = family_scheme(draw(st.sampled_from(sorted(FAMILY_SCHEMES))))
+    k = len(s.labels)
+    classes = draw(st.permutations(range(k)))
+    points = np.array(draw(st.permutations(range(s.n))))
+    tags = draw(st.lists(st.text("ABQxyz_", min_size=1, max_size=3),
+                         min_size=k, max_size=k, unique=True))
+    return SchemeClasses(labels=tags,
+                         matrices=[s.matrices[c][np.ix_(points, points)]
+                                   for c in classes],
+                         vertices=[s.vertices[p] for p in points])
+
+
+@settings(max_examples=60, deadline=None)
+@given(retagged_schemes(), st.sampled_from([
+    (1, "deglex-sum"), (1, "lex"),
+    (2, "deglex-sum"), (2, "lex"), (2, "deglex-y2")]))
+def test_discover_labelings_matches_graph_oracle(s, case):
+    m, order = case[0], MonomialOrder.parse(case[1])
+    if m >= len(s.labels):
+        for discover in (discover_labelings, graph_discover_labelings):
+            with pytest.raises(ValueError):
+                discover(s, m, order)
+        return
+    assert discover_labelings(s, m, order) == graph_discover_labelings(s, m, order)

@@ -6,7 +6,10 @@ command must print the same bytes as an untraced one.
 
 import importlib
 import importlib.util
+import math
 import pathlib
+
+import pytest
 
 from mdrg.cli import main
 
@@ -30,10 +33,9 @@ def test_every_trace_point_resolves():
         assert callable(getattr(owner, attr, None)), (owner_path, attr)
 
 
-def test_traced_report_is_byte_identical(tmp_path, capsys):
-    tensor = tmp_path / "t24.json"
-    assert main(["generate", "gen24cell:2,1/2", "--out", str(tensor)]) == 0
-    argv = ["type-ab", str(tensor), "--labeling", AXIS_TEXT, "--region"]
+def _traced(argv, capsys):
+    """Run ``argv`` plain and traced; both must exit 0 with the same
+    stdout.  Returns the traced run's layer metrics."""
     capsys.readouterr()
     assert main(argv) == 0
     plain = capsys.readouterr().out
@@ -44,4 +46,24 @@ def test_traced_report_is_byte_identical(tmp_path, capsys):
     finally:
         tracer.uninstall()
     assert capsys.readouterr().out == plain
-    assert tracer.layer_metrics()["ppoly.type_ab.calls"] == 1
+    return tracer.layer_metrics()
+
+
+def test_traced_report_is_byte_identical(tmp_path, capsys):
+    tensor = tmp_path / "t24.json"
+    assert main(["generate", "gen24cell:2,1/2", "--out", str(tensor)]) == 0
+    metrics = _traced(["type-ab", str(tensor), "--labeling", AXIS_TEXT,
+                       "--region"], capsys)
+    assert metrics["ppoly.type_ab.calls"] == 1
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_traced_discover_counts_tuples(tmp_path, capsys, m):
+    pauli = tmp_path / "pauli.json"
+    assert main(["generate", "pauli4", "--out", str(pauli)]) == 0
+    metrics = _traced(["discover", str(pauli), "--m", str(m),
+                       "--order", "deglex-sum"], capsys)
+    # the tracer counts the tuples from the scheme's three class matrices
+    assert metrics["ppoly.discover.tuples"] == math.perm(3 - 1, m)
+    assert metrics["ppoly.discover.found"] == m
+    assert metrics["ppoly.discover_labelings.calls"] == 1
