@@ -39,12 +39,12 @@ class UsageError(Exception):
     """Bad flags, parameters, or input documents: exit code 2."""
 
 
-def _parse(parse, flag: str, text: Optional[str]):
-    """``parse(text)``, None for no text; a ValueError is a usage error."""
-    if text is None:
+def _parse(parse, flag: str, value):
+    """``parse(value)``, None for None; a ValueError is a usage error."""
+    if value is None:
         return None
     try:
-        return parse(text)
+        return parse(value)
     except ValueError as exc:
         raise UsageError("bad %s: %s" % (flag, exc))
 
@@ -62,9 +62,12 @@ def _check_arity(m: int, order, partial=None) -> None:
 def _input_m(doc, labeling: Optional[Labeling]) -> int:
     """The m of a certification input, read before any certificate: the
     graph's m, else the length of the ``--labeling`` indices, else of the
-    document's labels, which must be multi-indices of one length."""
+    document's labels, which must be multi-indices of one length.  A
+    labeling of a scheme or tensor must name exactly its classes."""
     if isinstance(doc, ColoredGraph):
         return doc.m
+    if labeling is not None:
+        _parse(labeling.keyed_by, "--labeling", doc.labels)
     labels = doc.labels if labeling is None else labeling.as_dict().values()
     lengths = {len(lab) if isinstance(lab, MultiIndex) else -1 for lab in labels}
     if labeling is not None and len(lengths) != 1:
@@ -350,8 +353,8 @@ def cmd_discover(args: argparse.Namespace) -> tuple[dict, int]:
     doc = _load(args.input)
     if not isinstance(doc, SchemeClasses):
         raise UsageError("discover takes a scheme file with class matrices")
-    if not 1 <= args.m < len(doc.matrices):
-        raise UsageError("--m must lie in 1..%d" % (len(doc.matrices) - 1))
+    if not 1 <= args.m < len(doc.labels):
+        raise UsageError("--m must lie in 1..%d" % (len(doc.labels) - 1))
     _check_arity(args.m, order)
     inputs = {"input": args.input, "m": args.m, "order": order.as_text()}
     axioms = verify_scheme_axioms(doc)
@@ -441,11 +444,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     start = time.perf_counter()
     try:
         report, code = args.handler(args)
-    except UsageError as exc:
-        if not args.quiet:
-            print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (GraphStructureError, InputFormatError) as exc:
+    except (UsageError, GraphStructureError, InputFormatError) as exc:
         if not args.quiet:
             print("error: %s" % exc, file=sys.stderr)
         return 2

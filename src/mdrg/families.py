@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -92,28 +92,17 @@ def cartesian_product(factors: Sequence[ColoredGraph]) -> ColoredGraph:
 
 # -- Symmetrization --------------------------------------------------------------
 
-def _arrangements(counts: Sequence[int]) -> Iterable[tuple[int, ...]]:
-    """Distinct sequences containing counts[s] copies of each symbol s."""
-    total = sum(counts)
-    if total == 0:
-        yield ()
-        return
-    for s, c in enumerate(counts):
-        if c:
-            rest = list(counts)
-            rest[s] -= 1
-            for tail in _arrangements(rest):
-                yield (s,) + tail
-
-
 def symmetrize(base: SchemeClasses, k: int) -> SchemeClasses:
     """The k-fold symmetric tensor scheme of a base scheme.
 
     For a base scheme with identity A_0 and classes A_1..A_m on q points,
     the class of multi-index n (with |n| <= k) is the sum over all
     distinct arrangements of n_1 copies of A_1, ..., n_m copies of A_m
-    and k-|n| copies of A_0 of the corresponding Kronecker products.
-    Each sum is 0/1 because the base classes have disjoint supports.
+    and k-|n| copies of A_0 of the corresponding Kronecker products: a
+    pair of words lies in it when exactly n_j of its letter positions
+    hold a pair of class A_j.  Each such position adds R^m + R^(m-j)
+    (R = k+1) to the pair's code, one Kronecker sum per position, so the
+    code |n| R^m + sum_j n_j R^(m-j) sorts as the labels: by |n|, then lex.
 
     Vertices are words of base-vertex indices, matching
     :func:`hamming_graph` names, so for the one-class base the union of
@@ -124,29 +113,24 @@ def symmetrize(base: SchemeClasses, k: int) -> SchemeClasses:
     ident = base.identity_index()
     if ident is None:
         raise ValueError("base scheme has no identity class")
-    others = [i for i in range(len(base.matrices)) if i != ident]
-    m = len(others)
-    q = base.n
+    if base.index is None:
+        raise ValueError("base classes must partition the vertex pairs")
+    others = [i for i in range(len(base.labels)) if i != ident]
+    m, q, radix = len(others), base.n, k + 1
+    if radix ** (m + 1) >= 2 ** 63:
+        raise ValueError("too many classes for int64 codes")
+    weight = np.zeros(len(base.labels), dtype=np.int64)
+    weight[others] = [radix ** m + radix ** (m - j) for j in range(1, m + 1)]
+    code = np.zeros((1, 1), dtype=np.int64)
+    for _ in range(k):
+        code = (code[:, None, :, None] + weight[base.index][None, :, None, :]
+                ).reshape(len(code) * q, -1)
+    combos = sorted((combo for combo in itertools.product(range(radix), repeat=m)
+                     if sum(combo) <= k), key=sum)
     names = [_word(w, q) for w in itertools.product(range(q), repeat=k)]
-    labels: list[Label] = []
-    matrices: list[np.ndarray] = []
-    for total in range(k + 1):
-        for combo in itertools.product(range(k + 1), repeat=m):
-            if sum(combo) != total:
-                continue
-            acc = np.zeros((q ** k, q ** k), dtype=np.int64)
-            counts = [k - total] + list(combo)
-            for arrangement in _arrangements(counts):
-                term = np.array([[1]], dtype=np.int64)
-                for s in arrangement:
-                    factor = base.matrices[ident if s == 0 else others[s - 1]]
-                    term = np.kron(term, factor)
-                acc += term
-            if not np.isin(acc, (0, 1)).all():
-                raise AssertionError("symmetrized class is not 0/1")
-            labels.append(MultiIndex(combo))
-            matrices.append(acc)
-    return SchemeClasses(labels=labels, matrices=matrices, vertices=names)
+    return SchemeClasses.from_index([MultiIndex(combo) for combo in combos],
+                                    np.unique(code, return_inverse=True)[1]
+                                    .reshape(code.shape), names)
 
 
 def pauli_scheme4() -> SchemeClasses:
@@ -156,14 +140,9 @@ def pauli_scheme4() -> SchemeClasses:
     I (x) s + s (x) I, and s (x) s: pairs of 2-bit words grouped by how
     many bits differ.
     """
-    eye = np.eye(2, dtype=np.int64)
-    flip = np.array([[0, 1], [1, 0]], dtype=np.int64)
-    a0 = np.kron(eye, eye)
-    a1 = np.kron(eye, flip) + np.kron(flip, eye)
-    a2 = np.kron(flip, flip)
-    return SchemeClasses(labels=["A0", "A1", "A2"],
-                         matrices=[a0, a1, a2],
-                         vertices=["00", "01", "10", "11"])
+    differing_bits = [[bin(x ^ y).count("1") for y in range(4)] for x in range(4)]
+    return SchemeClasses.from_index(["A0", "A1", "A2"], differing_bits,
+                                    ["00", "01", "10", "11"])
 
 
 # -- The 24-cell and its two-parameter interpolation ------------------------------

@@ -163,19 +163,22 @@ class Labeling:
     def as_dict(self) -> dict[Label, MultiIndex]:
         return dict(self.pairs)
 
+    def keyed_by(self, labels: Sequence[Label]) -> dict[Label, MultiIndex]:
+        """The map keyed by ``labels``, matched to the tags by text form
+        ("1,0" names (1, 0)); ValueError unless they name exactly those."""
+        by_text = {label_text(tag): idx for tag, idx in self.pairs}
+        texts = [label_text(lab) for lab in labels]
+        if set(by_text) != set(texts):
+            raise ValueError("labeling names %s but the tensor has classes %s"
+                             % (sorted(by_text), sorted(texts)))
+        return {lab: by_text[text] for lab, text in zip(labels, texts)}
+
     def apply(self, t: IntersectionTensor) -> IntersectionTensor:
         """Relabel a tensor; the identity class must receive the origin."""
-        mapping = self.as_dict()
-        if set(mapping) != set(t.labels):
-            raise ValueError("labeling names %s but the tensor has classes %s"
-                             % (sorted(map(label_text, mapping)),
-                                sorted(map(label_text, t.labels))))
-        values = list(mapping.values())
-        ms = {len(v) for v in values}
+        mapping = self.keyed_by(t.labels)
+        ms = {len(v) for v in mapping.values()}
         if len(ms) != 1:
             raise ValueError("labeling mixes multi-index lengths")
-        if len(set(values)) != len(values):
-            raise ValueError("labeling is not injective")
         origin = MultiIndex.zero(ms.pop())
         if mapping[t.identity] != origin:
             raise ValueError("labeling must send the identity class %s to %s"

@@ -18,6 +18,7 @@ import functools
 import itertools
 import math
 import random
+from collections import abc
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
@@ -37,85 +38,160 @@ def label_text(label: Label) -> str:
     return label.as_text() if isinstance(label, MultiIndex) else str(label)
 
 
-class SchemeClasses:
-    """A set of 0/1 class matrices with distinct labels on named vertices.
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
-    The matrices are read-only int64 copies, so :attr:`counts`, the pair
-    counts of the class index matrix, is computed once and shared by
-    :func:`verify_scheme_axioms` and :func:`intersection_tensor`.
+
+class SchemeClasses:
+    """Classes of vertex pairs with distinct labels on named vertices.
+
+    When the classes partition the pairs, as the classes of a scheme do,
+    the one stored form is :attr:`index`, the read-only n x n matrix of
+    class indices (uint16 while k <= 65 535), and :attr:`matrices`
+    derives each 0/1 class matrix on access.  0/1 input that does not
+    partition keeps its matrices as read-only int64 copies and has
+    ``index`` None, so that :func:`verify_scheme_axioms` can say where it
+    fails.  :attr:`counts`, the pair counts of the index, is computed once
+    and shared by :func:`verify_scheme_axioms` and :func:`intersection_tensor`.
     """
 
     def __init__(self, labels: Sequence[Label], matrices: Sequence[np.ndarray],
                  vertices: Optional[Sequence[str]] = None):
-        mats = [np.array(mat, dtype=np.int64) for mat in matrices]
+        mats = [np.asarray(mat) for mat in matrices]
         if not mats:
             raise ValueError("no classes given")
         n = mats[0].shape[0]
         for mat in mats:
-            if mat.shape != (n, n):
-                raise ValueError("class matrices must all be n x n")
-            if not np.isin(mat, (0, 1)).all():
-                raise ValueError("class matrices must be 0/1")
+            if (mat.dtype.kind not in "biu" or mat.shape != (n, n)
+                    or not ((mat == 0) | (mat == 1)).all()):
+                raise ValueError("class matrices must be n x n 0/1 integer "
+                                 "matrices, got %s %s" % (mat.dtype, mat.shape))
             if not mat.any():
                 raise ValueError("class matrices must not be all zero")
-            mat.flags.writeable = False
         if len(labels) != len(mats):
             raise ValueError("%d labels for %d matrices" % (len(labels), len(mats)))
-        texts = [label_text(lab) for lab in labels]
-        if len(set(texts)) != len(texts):
+        partition = (np.sum(mats, axis=0) == 1).all()
+        self._matrices = None if partition else tuple(
+            _read_only(mat.astype(np.int64)) for mat in mats)
+        self._store(labels, np.argmax(mats, axis=0) if partition else None, vertices, n)
+
+    @classmethod
+    def from_index(cls, labels: Sequence[Label], index: np.ndarray,
+                   vertices: Optional[Sequence[str]] = None) -> "SchemeClasses":
+        """The classes of an n x n integer matrix using each index 0..k-1."""
+        index = np.asarray(index)
+        k = len(labels)
+        if (index.dtype.kind not in "iu" or index.ndim != 2 or not index.size
+                or index.shape[0] != index.shape[1] or index.min() < 0
+                or index.max() >= k
+                or not np.bincount(index.ravel(), minlength=k).all()):
+            raise ValueError("class indices must be an n x n integer matrix "
+                             "using each of 0..%d" % (k - 1))
+        self = cls.__new__(cls)
+        self._matrices = None
+        self._store(labels, index, vertices, len(index))
+        return self
+
+    def _store(self, labels: Sequence[Label], index: Optional[np.ndarray],
+               vertices: Optional[Sequence[str]], n: int) -> None:
+        if len({label_text(lab) for lab in labels}) != len(labels):
             raise ValueError("duplicate class labels")
-        if vertices is None:
-            vertices = [str(i) for i in range(n)]
-        names = tuple(str(v) for v in vertices)
+        names = tuple(str(v) for v in (range(n) if vertices is None else vertices))
         if len(names) != n or len(set(names)) != n:
             raise ValueError("vertex names must be %d distinct strings" % n)
-        self.labels = tuple(labels)
-        self.matrices = tuple(mats)
-        self.vertices = names
+        self.labels, self.vertices = tuple(labels), names
+        self.index = None if index is None else _read_only(
+            index.astype(np.uint16 if len(labels) <= 65535 else np.uint32))
 
     @property
     def n(self) -> int:
-        return self.matrices[0].shape[0]
+        return len(self.vertices)
+
+    @property
+    def matrices(self) -> Sequence[np.ndarray]:
+        """The read-only 0/1 int64 class matrices in label order, made
+        from :attr:`index` one at a time on access when it is set."""
+        return self._matrices or _ClassMatrices(self.index, len(self.labels))
+
+    def _memberships(self) -> tuple[np.ndarray, np.ndarray]:
+        """Arrays (pairs, classes): pair x*n + y lies in class c."""
+        if self.index is not None:
+            return np.arange(self.n ** 2), self.index.ravel()
+        classes, x, y = np.nonzero(np.stack(self._matrices))
+        return x * self.n + y, classes
+
+    def _holds(self, pairs: np.ndarray, classes: np.ndarray) -> np.ndarray:
+        """Whether pair x*n + y lies in class c, entry by entry."""
+        if self.index is not None:
+            return self.index.ravel()[pairs] == classes
+        return np.stack(self._matrices).reshape(len(self.labels), -1)[classes, pairs] == 1
 
     def identity_index(self) -> Optional[int]:
-        eye = np.eye(self.n, dtype=np.int64)
-        for i, mat in enumerate(self.matrices):
-            if np.array_equal(mat, eye):
-                return i
-        return None
+        """The first class that holds exactly the n pairs (x, x)."""
+        pairs, classes = self._memberships()  # every class holds a pair
+        diagonal = np.bincount(classes[pairs % (self.n + 1) == 0],
+                               minlength=len(self.labels))
+        hits = np.flatnonzero((np.bincount(classes) == self.n) & (diagonal == self.n))
+        return int(hits[0]) if hits.size else None
 
     def matrix_for(self, label: Label) -> np.ndarray:
-        for lab, mat in zip(self.labels, self.matrices):
-            if lab == label:
-                return mat
-        raise KeyError("no class labeled %r" % (label,))
+        if label not in self.labels:
+            raise KeyError("no class labeled %r" % (label,))
+        return self.matrices[self.labels.index(label)]
 
     def class_index_matrix(self) -> np.ndarray:
-        """n x n matrix holding the class index of each vertex pair.
-
-        Requires the classes to partition all pairs; raises otherwise.
-        """
-        idx = np.full((self.n, self.n), -1, dtype=np.int64)
-        for i, mat in enumerate(self.matrices):
-            overlap = (idx != -1) & (mat == 1)
-            if overlap.any():
-                x, y = np.argwhere(overlap)[0]
-                raise ValueError("classes overlap at (%s, %s)"
-                                 % (self.vertices[x], self.vertices[y]))
-            idx[mat == 1] = i
-        if (idx == -1).any():
-            x, y = np.argwhere(idx == -1)[0]
-            raise ValueError("pair (%s, %s) not covered by any class"
-                             % (self.vertices[x], self.vertices[y]))
-        return idx
+        """:attr:`index`; ValueError if the classes do not partition the pairs."""
+        if self.index is None:
+            raise ValueError("classes do not partition the pairs: %s"
+                             % _cover_witness(self))
+        return self.index
 
     @functools.cached_property
     def counts(self) -> Union[np.ndarray, "BadPair"]:
         """:func:`pair_counts` of :meth:`class_index_matrix`, read-only."""
-        counts = pair_counts(self.class_index_matrix(), len(self.matrices))
-        if isinstance(counts, np.ndarray):
-            counts.flags.writeable = False
-        return counts
+        counts = pair_counts(self.class_index_matrix(), len(self.labels))
+        return _read_only(counts) if isinstance(counts, np.ndarray) else counts
+
+
+class _ClassMatrices(abc.Sequence):
+    """The read-only 0/1 int64 matrices ``index == c``, each made when read."""
+
+    def __init__(self, index: np.ndarray, k: int):
+        self._index, self._k = index, k
+
+    def __len__(self) -> int:
+        return self._k
+
+    def __getitem__(self, c):
+        if isinstance(c, slice):
+            return [self[i] for i in range(self._k)[c]]
+        return _read_only((self._index == range(self._k)[c]).astype(np.int64))
+
+
+def _cover_witness(s: SchemeClasses) -> Optional[dict]:
+    """The first pair, in row-major order, not in exactly one class, with
+    the number of classes it lies in; None when the classes partition."""
+    if s.index is not None:
+        return None
+    cover = np.sum(s.matrices, axis=0)
+    x, y = np.argwhere(cover != 1)[0]
+    return witness(x=s.vertices[x], y=s.vertices[y], coverage=int(cover[x, y]))
+
+
+def _asymmetry(s: SchemeClasses) -> Optional[dict]:
+    """The first class A with A != A^T, at the first pair in row-major
+    order where they differ; None when every class is symmetric."""
+    n = s.n
+    pairs, classes = s._memberships()
+    mirrored = pairs % n * n + pairs // n
+    lonely = ~s._holds(mirrored, classes)
+    if not lonely.any():
+        return None
+    c = int(classes[lonely].min())
+    mine = lonely & (classes == c)
+    x, y = divmod(int(min(pairs[mine].min(), mirrored[mine].min())), n)
+    return witness(label=s.labels[c], x=s.vertices[x], y=s.vertices[y])
 
 
 class BadPair(NamedTuple):
@@ -206,23 +282,9 @@ def verify_scheme_axioms(s: SchemeClasses) -> Certificate:
     ident = s.identity_index()
     checks.append(Check("identity-class", ident is not None,
                         None if ident is not None else witness(reason="no identity class")))
-
-    sym_witness = None
-    for lab, mat in zip(s.labels, s.matrices):
-        if not np.array_equal(mat, mat.T):
-            x, y = np.argwhere(mat != mat.T)[0]
-            sym_witness = witness(label=lab, x=s.vertices[x], y=s.vertices[y])
-            break
+    sym_witness = _asymmetry(s)
     checks.append(Check("symmetry", sym_witness is None, sym_witness))
-
-    total = np.zeros((s.n, s.n), dtype=np.int64)
-    for mat in s.matrices:
-        total += mat
-    part_witness = None
-    if not (total == 1).all():
-        x, y = np.argwhere(total != 1)[0]
-        part_witness = witness(x=s.vertices[x], y=s.vertices[y],
-                               coverage=int(total[x, y]))
+    part_witness = _cover_witness(s)
     checks.append(Check("partition", part_witness is None, part_witness))
 
     if part_witness is None and sym_witness is None and ident is not None:
@@ -369,10 +431,10 @@ def intersection_tensor(s: SchemeClasses) -> IntersectionTensor:
 
 
 def distance_matrices(table: DistanceTable) -> SchemeClasses:
-    """0/1 matrices of the realized distance labels, sorted by the order."""
-    mats = [table.index == c for c in range(len(table.realized))]
-    return SchemeClasses(labels=table.sorted_labels(), matrices=mats,
-                         vertices=table.graph.vertices)
+    """The classes of the realized distance labels, sorted by the order:
+    the table's index matrix."""
+    return SchemeClasses.from_index(table.sorted_labels(), table.index,
+                                    table.graph.vertices)
 
 
 # -- Generator products and monomial coordinates -------------------------------
@@ -459,11 +521,6 @@ class MonomialBasis:
         return paths[0]
 
 
-def monomial_coeffs(t: IntersectionTensor, a: MultiIndex) -> list:
-    """Coordinates of the monomial product A^a in the class basis."""
-    return MonomialBasis(t).vector(a)
-
-
 # -- m-distance-regularity ------------------------------------------------------
 
 @dataclass
@@ -476,8 +533,7 @@ class MdrgResult:
 
     @functools.cached_property
     def scheme(self) -> Optional[SchemeClasses]:
-        """The distance matrices, on pass; built on first use, since the
-        n x n class matrices are large and the certificate needs none."""
+        """The distance classes, on pass, as the table's index matrix."""
         return None if self.tensor is None else distance_matrices(self.table)
 
 
@@ -558,12 +614,9 @@ def check_sum_decomposition(table: DistanceTable,
     from the table.
     """
     dom = t.domain()
-    g = table.graph
-    rep: dict[MultiIndex, tuple[int, int]] = {}
-    for i, row in enumerate(table.labels):
-        for j, lab in enumerate(row):
-            if lab not in rep:
-                rep[lab] = (i, j)
+    n = table.graph.n
+    # the first pair of each class in row-major order
+    first = dict(zip(table.sorted_labels(), np.unique(table.index, return_index=True)[1]))
     for c in sorted(dom):
         for b in box(tuple(c)):  # type: ignore[arg-type]
             remainder = c - b  # type: ignore[operator]
@@ -574,8 +627,8 @@ def check_sum_decomposition(table: DistanceTable,
             if t.get(b, remainder, c) == 0:
                 return Certificate.single("sum-decomposition", False,
                                           witness(c=c, b=b, count=0))
-            x, y = rep[c]  # type: ignore[index]
-            found = sum(1 for z in range(g.n)
+            x, y = divmod(int(first[c]), n)
+            found = sum(1 for z in range(n)
                         if table.labels[x][z] == b and table.labels[z][y] == remainder)
             if found != t.get(b, remainder, c):
                 return Certificate.single(

@@ -10,8 +10,10 @@ instead of the order-compatibility table and the order-axiom table,
 Fraction loops over every label triple instead of the integer scans of
 ``IntersectionTensor.validate``, and dom x dom scans through ``t.get``
 instead of the generator rows, with the retry loop for the (alpha, beta)
-region, and a colored graph certified per generator tuple instead of the
-label-setting search over the intersection numbers.
+region, a colored graph certified per generator tuple instead of the
+label-setting search over the intersection numbers, and loops over dense
+0/1 class matrices and sums of Kronecker products instead of the class
+index matrix.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from mdrg import (ABRegion, Certificate, Check, ColoredGraph, Comparison,
                   box, in_span, mat_vec, mdrg_check, solve_columns,
                   verify_scheme_axioms)
 from mdrg.certificates import witness
+from mdrg.schemes import BadPair, _pair_witness, pair_counts
 
 # The two label maps of the 24-cell family.  Diagonal sends the valency-8
 # class A1 to (1,1); axis sends it to (0,2).
@@ -180,6 +183,107 @@ def brute_force_pair_counts(idx: np.ndarray):
                 return (x, y)
     return {(a, b, c): value for c, counts in reference.items()
             for (a, b), value in counts.items()}
+
+
+# -- Class-matrix loops (oracle for the class index form) --------------------------
+
+def matrix_identity_index(matrices) -> "int | None":
+    """The first class matrix equal to the identity."""
+    eye = np.eye(len(matrices[0]), dtype=np.int64)
+    for i, mat in enumerate(matrices):
+        if np.array_equal(mat, eye):
+            return i
+    return None
+
+
+def matrix_class_index_matrix(matrices, vertices) -> np.ndarray:
+    """Class index of each pair, filled class by class; raises ValueError
+    at the first overlap, else at the first uncovered pair."""
+    n = len(matrices[0])
+    idx = np.full((n, n), -1, dtype=np.int64)
+    for i, mat in enumerate(matrices):
+        mat = np.asarray(mat)
+        overlap = (idx != -1) & (mat == 1)
+        if overlap.any():
+            x, y = np.argwhere(overlap)[0]
+            raise ValueError("classes overlap at (%s, %s)" % (vertices[x], vertices[y]))
+        idx[mat == 1] = i
+    if (idx == -1).any():
+        x, y = np.argwhere(idx == -1)[0]
+        raise ValueError("pair (%s, %s) not covered by any class"
+                         % (vertices[x], vertices[y]))
+    return idx
+
+
+def matrix_verify_scheme_axioms(labels, matrices, vertices) -> Certificate:
+    """``verify_scheme_axioms`` as loops over the class matrices; closure
+    runs ``pair_counts`` on :func:`matrix_class_index_matrix`."""
+    mats = [np.asarray(mat, dtype=np.int64) for mat in matrices]
+    n = len(mats[0])
+    checks = []
+    ident = matrix_identity_index(mats)
+    checks.append(Check("identity-class", ident is not None,
+                        None if ident is not None else witness(reason="no identity class")))
+    sym_witness = None
+    for lab, mat in zip(labels, mats):
+        if not np.array_equal(mat, mat.T):
+            x, y = np.argwhere(mat != mat.T)[0]
+            sym_witness = witness(label=lab, x=vertices[x], y=vertices[y])
+            break
+    checks.append(Check("symmetry", sym_witness is None, sym_witness))
+    total = np.zeros((n, n), dtype=np.int64)
+    for mat in mats:
+        total += mat
+    part_witness = None
+    if not (total == 1).all():
+        x, y = np.argwhere(total != 1)[0]
+        part_witness = witness(x=vertices[x], y=vertices[y], coverage=int(total[x, y]))
+    checks.append(Check("partition", part_witness is None, part_witness))
+    if part_witness is None and sym_witness is None and ident is not None:
+        counts = pair_counts(matrix_class_index_matrix(mats, vertices), len(mats))
+        closure_witness = (_pair_witness(counts, labels, vertices)
+                           if isinstance(counts, BadPair) else None)
+        checks.append(Check("closure", closure_witness is None, closure_witness))
+    else:
+        checks.append(Check("closure", False,
+                            witness(reason="skipped: structural axioms failed")))
+    return Certificate.of(checks)
+
+
+def _arrangements(counts):
+    """Distinct sequences containing counts[s] copies of each symbol s."""
+    if sum(counts) == 0:
+        yield ()
+        return
+    for s, c in enumerate(counts):
+        if c:
+            rest = list(counts)
+            rest[s] -= 1
+            for tail in _arrangements(rest):
+                yield (s,) + tail
+
+
+def kron_symmetrize(base: SchemeClasses, k: int):
+    """(labels, matrices) of ``symmetrize(base, k)``: each class the sum of
+    the Kronecker products over the arrangements of its base classes."""
+    ident = matrix_identity_index(base.matrices)
+    others = [i for i in range(len(base.labels)) if i != ident]
+    m = len(others)
+    q = base.n
+    labels, matrices = [], []
+    for total in range(k + 1):
+        for combo in itertools.product(range(k + 1), repeat=m):
+            if sum(combo) != total:
+                continue
+            acc = np.zeros((q ** k, q ** k), dtype=np.int64)
+            for arrangement in _arrangements([k - total] + list(combo)):
+                term = np.array([[1]], dtype=np.int64)
+                for s in arrangement:
+                    term = np.kron(term, base.matrices[ident if s == 0 else others[s - 1]])
+                acc += term
+            labels.append(MultiIndex(combo))
+            matrices.append(acc)
+    return labels, matrices
 
 
 def brute_force_validate(t, strict_integral: bool = False) -> Certificate:
@@ -524,7 +628,7 @@ def graph_discover_labelings(s: SchemeClasses, m: int,
     if not axioms.passed:
         raise ValueError("input is not an association scheme: %s" % axioms.witness)
     ident = s.identity_index()
-    candidates = [i for i in range(len(s.matrices)) if i != ident]
+    candidates = [i for i in range(len(s.labels)) if i != ident]
     if not 1 <= m <= len(candidates):
         raise ValueError("m must lie in 1..%d" % len(candidates))
     by_bytes = {mat.tobytes(): i for i, mat in enumerate(s.matrices)}

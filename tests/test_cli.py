@@ -638,3 +638,45 @@ def test_boundary_without_monomial_basis_is_skipped(tmp_path, capsys,
     assert sorted(report["certificates"]) == ["ppoly"]
     checks = {c["name"]: c for c in report["certificates"]["ppoly"]["checks"]}
     assert not checks[failing]["passed"]
+
+
+# -- --labeling matches classes by their text form ---------------------------------
+
+def test_labeling_applies_to_multi_index_classes(tmp_path, capsys):
+    graph = _write(tmp_path, "c6.json", graph_to_dict(cycle(6)))
+    code, out, _ = run(capsys, "certify-ppoly", graph, "--order", "deglex-sum",
+                       "--labeling", "0=0;1=1;2=2;3=3")
+    assert code == 0
+    report = json.loads(out)
+    assert report["inputs"]["labeling"] == "0=0;1=1;2=2;3=3"
+    assert report["results"]["domain"] == ["0", "1", "2", "3"]
+    # swapping two classes is applied, and fails the window checks
+    code, out, _ = run(capsys, "certify-ppoly", graph, "--order", "deglex-sum",
+                       "--labeling", "0=0;1=2;2=1;3=3")
+    assert code == 1
+    assert json.loads(out)["certificates"]["ppoly"]["verdict"] == "fail"
+    tensor = _write(tmp_path, "c6-tensor.json", _c6_document())
+    code, _, _ = run(capsys, "certify-ppoly", tensor, "--order", "deglex-sum",
+                     "--labeling", "0=0;1=1;2=2;3=3")
+    assert code == 0
+
+
+@pytest.mark.parametrize("command", [
+    ["certify-ppoly", "--order", "deglex-sum"], ["type-ab", "--region"]])
+def test_labeling_names_are_checked_before_axioms(tmp_path, capsys, command):
+    # a path on three vertices fails its axioms; the wrong tag comes first
+    path = _write(tmp_path, "p3.json", {
+        "labels": ["A0", "A1", "A2"],
+        "matrices": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                     [[0, 1, 0], [1, 0, 1], [0, 1, 0]],
+                     [[0, 0, 1], [0, 0, 0], [1, 0, 0]]]})
+    code, out, err = run(capsys, command[0], path, *command[1:],
+                         "--labeling", "A0=0,0;A1=1,0;A9=0,1")
+    assert code == 2
+    assert out == ""
+    assert ("bad --labeling: labeling names ['A0', 'A1', 'A9'] but the tensor "
+            "has classes ['A0', 'A1', 'A2']") in err
+    code, out, _ = run(capsys, command[0], path, *command[1:],
+                       "--labeling", "A0=0,0;A1=1,0;A2=0,1")
+    assert code == 1
+    assert json.loads(out)["certificates"]["axioms"]["verdict"] == "fail"

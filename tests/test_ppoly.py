@@ -488,3 +488,13 @@ def test_discover_labelings_matches_graph_oracle(s, case):
                 discover(s, m, order)
         return
     assert discover_labelings(s, m, order) == graph_discover_labelings(s, m, order)
+
+
+def test_labeling_matches_classes_by_text_form():
+    by_tag = Labeling.parse("1,0=0,1;0,0=0,0")
+    assert by_tag.keyed_by([mi((0, 0)), mi((1, 0))]) == {
+        mi((0, 0)): mi((0, 0)), mi((1, 0)): mi((0, 1))}
+    by_index = Labeling.from_dict({mi((0,)): mi((0,)), mi((1,)): mi((1,))})
+    assert by_index.keyed_by(["0", "1"]) == {"0": mi((0,)), "1": mi((1,))}
+    with pytest.raises(ValueError, match=r"labeling names \['0,0', '1,0'\]"):
+        by_tag.keyed_by([mi((0, 0)), mi((0, 1))])

@@ -1,0 +1,218 @@
+"""CLI outputs pinned by sha256: stdout, exit code and every written file.
+
+Each case runs one command in a fresh directory holding the input files
+below, with relative paths, so reports do not depend on where the test
+runs.  A digest covers the exit code, the stdout bytes and the bytes of
+every file the command writes (``--out``, ``--polys``).  Any change to a
+report, to ``scheme_to_dict`` bytes or to ``generate`` output shows here.
+"""
+
+import hashlib
+
+import pytest
+
+from mdrg import MonomialOrder, cartesian_product, cycle, mdrg_check
+from mdrg.cli import main
+from mdrg.serialize import dump_json, scheme_to_dict
+
+DEGLEX_SUM = MonomialOrder.parse("deglex-sum")
+
+
+def _distance_scheme(graph) -> str:
+    return dump_json(scheme_to_dict(mdrg_check(graph, DEGLEX_SUM).scheme))
+
+
+def _scheme(labels, matrices) -> str:
+    return dump_json({"labels": labels, "matrices": matrices})
+
+
+I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+ROTATE = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+
+INPUTS = {
+    "c6.json": lambda: _distance_scheme(cycle(6)),
+    "c4x3.json": lambda: _distance_scheme(cartesian_product([cycle(4), cycle(3)])),
+    "overlap.json": lambda: _scheme(["A0", "A1"], [I3, [[1, 1, 1]] * 3]),
+    "gap.json": lambda: _scheme(["A0", "A1"], [I3, [[0, 1, 0], [1, 0, 0], [0, 0, 0]]]),
+    "asym.json": lambda: _scheme(["A0", "A1", "A2"],
+                                 [I3, ROTATE, [list(r) for r in zip(*ROTATE)]]),
+    "noident.json": lambda: _scheme(["A0", "A1"],
+                                    [[[1, 1, 0], [1, 1, 0], [0, 0, 1]],
+                                     [[0, 0, 1], [0, 0, 1], [1, 1, 0]]]),
+    "path.json": lambda: _scheme(["A0", "A1", "A2"],
+                                 [I3, [[0, 1, 0], [1, 0, 1], [0, 1, 0]],
+                                  [[0, 0, 1], [0, 0, 0], [1, 0, 0]]]),
+}
+
+GENERATED = [
+    ["generate", "pauli4", "--out", "pauli4.json"],
+    ["generate", "symmetrize:2", "--scheme", "pauli4.json", "--out", "sym2.json"],
+    ["generate", "symmetrize:3", "--scheme", "pauli4.json", "--out", "sym3.json"],
+]
+
+# (file, --labeling for certify-ppoly or None, --labeling for type-ab or None)
+SCHEMES = [
+    ("pauli4.json", "A0=0;A1=1;A2=2", "A0=0,0;A1=1,0;A2=0,1"),
+    ("sym2.json", None, None),
+    ("sym3.json", None, None),
+    ("c6.json", None, None),
+    ("c4x3.json", None, None),
+]
+# class count of each failing file
+FAILING = {"overlap.json": 2, "gap.json": 2, "asym.json": 3, "noident.json": 2,
+           "path.json": 3}
+
+
+def _with_labeling(argv, labeling):
+    return argv + ["--labeling", labeling] if labeling else argv
+
+
+def _cases():
+    cases = [["generate", "pauli4"],
+             ["generate", "symmetrize:2", "--scheme", "pauli4.json"],
+             ["generate", "symmetrize:2", "--scheme", "c6.json"],
+             ["generate", "symmetrize:2", "--scheme", "asym.json"]]
+    cases += GENERATED
+    for path, ppoly_labeling, ab_labeling in SCHEMES:
+        cases += [
+            ["verify-scheme", path],
+            _with_labeling(["certify-ppoly", path, "--order", "deglex-sum",
+                            "--boundary", "--recurrences", "--polys", "polys.json"],
+                           ppoly_labeling),
+            _with_labeling(["type-ab", path, "--region"], ab_labeling),
+            ["discover", path, "--m", "1", "--order", "deglex-sum"],
+            ["discover", path, "--m", "2", "--order", "deglex-sum"],
+        ]
+    for path, k in FAILING.items():
+        cases += [
+            ["verify-scheme", path],
+            ["certify-ppoly", path, "--order", "deglex-sum", "--labeling",
+             ";".join("A%d=%d" % (i, i) for i in range(k))],
+            ["discover", path, "--m", "1", "--order", "deglex-sum"],
+        ]
+    return cases
+
+
+CASES = {" ".join(argv): argv for argv in _cases()}
+
+DIGESTS = {
+    'certify-ppoly asym.json --order deglex-sum --labeling A0=0;A1=1;A2=2':
+        '78aae5e2957fa48682dcf58c9017158a1b83278241c4fc273c14c9278d0be466',
+    'certify-ppoly c4x3.json --order deglex-sum --boundary --recurrences --polys polys.json':
+        'eb12cfa324e5414b67cab7213d287d137899bd66582154d342d84638f1fb725d',
+    'certify-ppoly c6.json --order deglex-sum --boundary --recurrences --polys polys.json':
+        '34f0dd4ff5427cb2d8895843fecf1bb82c30f4ac6ba49e2a36870c503b976bf3',
+    'certify-ppoly gap.json --order deglex-sum --labeling A0=0;A1=1':
+        '4481877431899b1deef012591f4bdf699b47fdbff465bac200e4ed4eecb0610f',
+    'certify-ppoly noident.json --order deglex-sum --labeling A0=0;A1=1':
+        '9f1e77db512c852b6ecf0f13f4a0f0fee510e9a92e28cfb32c96cc89ed8eb085',
+    'certify-ppoly overlap.json --order deglex-sum --labeling A0=0;A1=1':
+        'f44308fdd1677d97adcc3d9422bf9313c20a3593da4ffa2135effc8edc4aa528',
+    'certify-ppoly path.json --order deglex-sum --labeling A0=0;A1=1;A2=2':
+        'd8a7729e84dca60fcf4e0b8a0f92ab7158aad27753669f8dc8113c1fdc9efec7',
+    'certify-ppoly pauli4.json --order deglex-sum --boundary --recurrences --polys polys.json --labeling A0=0;A1=1;A2=2':
+        '846c8dc36f828d14a4473e3ec833952dc596395afd8ae280b16d4fdc70db5877',
+    'certify-ppoly sym2.json --order deglex-sum --boundary --recurrences --polys polys.json':
+        '148172b7f8961f91171afae818f10069d4641e54a436de5d9b5b0b1577258a35',
+    'certify-ppoly sym3.json --order deglex-sum --boundary --recurrences --polys polys.json':
+        '6889e8bdb538e8f4c222f169a21193f709b11c19b1b3b6684c2131110ed0e48b',
+    'discover asym.json --m 1 --order deglex-sum':
+        'ea88f8b34bfc8cfea521c091c6ee232a4d6a607c07310a5aae002f01430fa637',
+    'discover c4x3.json --m 1 --order deglex-sum':
+        '87774dbab16ddb184a02fa6d0ad1b25c7a699d05736d43e04579cd8d842e5772',
+    'discover c4x3.json --m 2 --order deglex-sum':
+        'e44d7f82f9d09d66f2e89a025bdcd1eadbad795d3c4916a12ac8db95a0bb3244',
+    'discover c6.json --m 1 --order deglex-sum':
+        '5e1e431e2b2700e67e48b9512afbd546b3266c0480e17336137516347e1a931b',
+    'discover c6.json --m 2 --order deglex-sum':
+        '164718a5e7a4259f3b45021d6a7bf8f721dff7a2a0157b9c289f0d007737d3bb',
+    'discover gap.json --m 1 --order deglex-sum':
+        '0d3140448a1fc95e135a0abf90b30feca749e5c0a1f118a88e071865f3b5f4b0',
+    'discover noident.json --m 1 --order deglex-sum':
+        '59229555b8c035c9564f98b41b926bafbeed02943c6631105e13e268954b6ff3',
+    'discover overlap.json --m 1 --order deglex-sum':
+        '08265abd60a648bdce91a9d6592506da74719e205f557d2ddcc85f2eef90f719',
+    'discover path.json --m 1 --order deglex-sum':
+        '71bae2d65d9e6bf399dbdefb497de7215f96934a70032882d1b252e7f0e0dec6',
+    'discover pauli4.json --m 1 --order deglex-sum':
+        '4a73a463399f6cad1b31415c52b3d624cd17fc3d84272bcaa4c3b15948a4524a',
+    'discover pauli4.json --m 2 --order deglex-sum':
+        '603c149ccfa0a05cbbcf8211d74f86ca104cc33b0e8593c65e72dde3f0998d6a',
+    'discover sym2.json --m 1 --order deglex-sum':
+        '3cc737f26fce6b67f13bd702ba278edf7e4d0806d5916cfceb9568d58ba8a756',
+    'discover sym2.json --m 2 --order deglex-sum':
+        'dffd2c45bdb4e183aa497de83ed5c7dd688ef8e2d01b19b4f688a0240d78beca',
+    'discover sym3.json --m 1 --order deglex-sum':
+        '4fbeaf954685bb4a4591ab200cf616195ccde8d423d292f00ddefbc025e9cf9d',
+    'discover sym3.json --m 2 --order deglex-sum':
+        '38a7e456d35487e58108ed112b39041532684473df822ea3761d25aa113acb09',
+    'generate pauli4':
+        'b9e87203cd06f4748aace55d1f65dc9e890ac650f49810d9bae28608947d26a2',
+    'generate pauli4 --out pauli4.json':
+        '15b2916292140beaa96dff03b7472eee643eb629616e79cdf093bbb73ddc143e',
+    'generate symmetrize:2 --scheme asym.json':
+        '3323380252ea643a34620d843a67e6fdd1deb07b609ccd04a958b1c2b4c13f1e',
+    'generate symmetrize:2 --scheme c6.json':
+        '6eaebf4bb8f13f7c581ebba15bef149fe72d97e5441edd686e24cb15312984a1',
+    'generate symmetrize:2 --scheme pauli4.json':
+        '412201e0a06e49a1c77ff83f156f9d18e238aeea7b94ddccd83c32b6147a7945',
+    'generate symmetrize:2 --scheme pauli4.json --out sym2.json':
+        'a39a79000cd4d8c820ea3234b29726a5e5b98facc0ca9f6404e3a37c03492189',
+    'generate symmetrize:3 --scheme pauli4.json --out sym3.json':
+        '7702f7d1198eb2b1cfea9a2ec7dc911b700b301ce84cdb8c11173e562fd33406',
+    'type-ab c4x3.json --region':
+        '202ffd2c6d6616c7662d1110291d7220d7755ebfe3f04ac8cc832658d401b997',
+    'type-ab c6.json --region':
+        '5362fb632b157f283b9135804a517da6491d939d8635435911a91f389c9e4aff',
+    'type-ab pauli4.json --region --labeling A0=0,0;A1=1,0;A2=0,1':
+        '1e828cf838cc56724a75db139c630297f520e4b7958ae2f3cf8ad816e2822aad',
+    'type-ab sym2.json --region':
+        '85a1cab68f76f2bebfc5e1129153287abfd9e7d0911b88371d4ed99ee496f542',
+    'type-ab sym3.json --region':
+        '1c63a02e0aeb62423b3739c1ee59711661c227ae4f790ef356ce8d9c91654992',
+    'verify-scheme asym.json':
+        '30a88c498736f1c0365a611f42ef6db694ddede43823515f89085264c97c3488',
+    'verify-scheme c4x3.json':
+        '059e1fc0f75fd8dfdcd272f0f9fee6056af284541f471e4d0dd88728b74b39ee',
+    'verify-scheme c6.json':
+        'ef01b8d219012568899aa24eb674cf1d898dcf455d7a790ea6aeccbed737972e',
+    'verify-scheme gap.json':
+        '6c9cf00fdfb5e18a2f60ff4159a44a8265d742bf25904ca0f9e3e27330c20709',
+    'verify-scheme noident.json':
+        '8e2edb1dd638bfad7b55bdb083ab51121d59d672afd78e32a7b1cbc2bdaadac3',
+    'verify-scheme overlap.json':
+        '994658b55053f32dae4e76b8252793c08e84abc56cd888601a46fa4446a5417a',
+    'verify-scheme path.json':
+        'd18c3e42dae225e1ed36f3fb910dbae14b693976a3756978d1b4ad2ab8c29d58',
+    'verify-scheme pauli4.json':
+        'b56ad64dd6c1fb7a9d8db55a3ed204d440ce718a517b1ce830d2ba9fb62e95ec',
+    'verify-scheme sym2.json':
+        'dd9d134029510d59aa90ee9f6a2e743fbce7ba11ccc74d4bc08731c67a59c952',
+    'verify-scheme sym3.json':
+        '71b49fdac8cc008bf91c4c61f698928e78dbb214be15300c381ec0131064de32',
+}
+
+
+def _digest(tmp_path, capsys, argv) -> str:
+    for name, text in INPUTS.items():
+        (tmp_path / name).write_text(text())
+    for setup in GENERATED:
+        if setup == argv:
+            break
+        assert main(setup) == 0
+    capsys.readouterr()
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(b"exit %d\n" % code + out.encode("ascii"))
+    for i, flag in enumerate(argv):
+        if flag in ("--out", "--polys"):
+            path = tmp_path / argv[i + 1]
+            digest.update(b"\n%s\n" % argv[i + 1].encode()
+                          + (path.read_bytes() if path.exists() else b"missing"))
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_digest(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _digest(tmp_path, capsys, CASES[name]) == DIGESTS[name]
