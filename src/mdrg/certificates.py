@@ -22,7 +22,7 @@ def witness_value(value: Any) -> Any:
     strings, booleans and ints pass through.  Floats are rejected: all
     reported quantities in this package are exact.
     """
-    if value is None or isinstance(value, (int, str)):
+    if isinstance(value, bool) or isinstance(value, int):
         return value
     if isinstance(value, float):
         raise TypeError("witnesses must be exact; got a float: %r" % (value,))
@@ -30,12 +30,16 @@ def witness_value(value: Any) -> Any:
         return str(value)
     if hasattr(value, "as_text"):
         return value.as_text()
+    if isinstance(value, str):
+        return value
     if isinstance(value, Mapping):
         return {str(k): witness_value(v) for k, v in value.items()}
     if isinstance(value, (tuple, list)):
         return [witness_value(v) for v in value]
     if isinstance(value, (set, frozenset)):
         return sorted(witness_value(v) for v in value)
+    if value is None:
+        return None
     raise TypeError("cannot place %r in a witness" % (value,))
 
 
@@ -85,10 +89,16 @@ class Certificate:
     def verdict(self) -> str:
         return "pass" if self.passed else "fail"
 
+    def failures(self) -> tuple[Check, ...]:
+        return tuple(c for c in self.checks if not c.passed)
+
     @property
     def witness(self) -> Optional[dict]:
         """Witness of the first failing check, if any."""
-        return next((c.witness for c in self.checks if not c.passed), None)
+        for c in self.checks:
+            if not c.passed:
+                return c.witness
+        return None
 
     def check(self, name: str) -> Check:
         for c in self.checks:

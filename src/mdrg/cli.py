@@ -444,7 +444,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     start = time.perf_counter()
     try:
         report, code = args.handler(args)
-    except (UsageError, GraphStructureError, InputFormatError) as exc:
+    except UsageError as exc:
+        if not args.quiet:
+            print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except (GraphStructureError, InputFormatError) as exc:
         if not args.quiet:
             print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -116,9 +116,16 @@ class ColoredGraph:
             mat = np.zeros((self.n, self.n), dtype=np.int64)
             for iu, iv, c in self.edges:
                 if c == color:
-                    mat[iu, iv] = mat[iv, iu] = 1
+                    mat[iu, iv] = 1
+                    mat[iv, iu] = 1
             self._color_matrices[color] = mat
         return self._color_matrices[color]
+
+    def union_matrix(self) -> np.ndarray:
+        total = np.zeros((self.n, self.n), dtype=np.int64)
+        for color in range(1, self.m + 1):
+            total += self.color_matrix(color)
+        return total
 
     def is_connected(self) -> bool:
         seen = {0}

@@ -209,6 +209,9 @@ class MonomialOrder:
     def lt(self, a: MultiIndex, b: MultiIndex) -> bool:
         return self.compare(a, b) is Comparison.LESS
 
+    def min_of(self, items: Iterable[MultiIndex]) -> MultiIndex:
+        return min(items, key=self.key)
+
     def sorted(self, items: Iterable[MultiIndex]) -> list[MultiIndex]:
         return sorted(items, key=self.key)
 
@@ -231,6 +234,11 @@ class MonomialOrder:
         if text in (DEGLEX_SUM, DEGLEX_Y2, LEX):
             return cls(text)
         raise ValueError("unknown order %r" % text)
+
+
+def compare_monomial(order: MonomialOrder, a: MultiIndex, b: MultiIndex) -> Comparison:
+    """Compare under a total order; one of LESS / EQUAL / GREATER."""
+    return order.compare(a, b)
 
 
 # -- Partial orders ------------------------------------------------------------
@@ -332,6 +340,9 @@ class PartialOrder:
             return Comparison.GREATER
         return Comparison.INCOMPARABLE
 
+    def downset(self, a: MultiIndex) -> frozenset[MultiIndex]:
+        return downset_enum(a, self)
+
     def as_text(self) -> str:
         if self.kind == COMPONENTWISE:
             return COMPONENTWISE
@@ -354,6 +365,11 @@ class PartialOrder:
                 raise ValueError("bad ab parameters %r" % raw) from exc
             return cls.alpha_beta(alpha, beta)
         raise ValueError("unknown partial order %r" % text)
+
+
+def compare_partial(p: PartialOrder, a: MultiIndex, b: MultiIndex) -> Comparison:
+    """Compare under a partial order; INCOMPARABLE when neither precedes."""
+    return p.compare(a, b)
 
 
 def downset_enum(a: MultiIndex, p: PartialOrder) -> frozenset[MultiIndex]:

@@ -176,9 +176,12 @@ class Labeling:
     def apply(self, t: IntersectionTensor) -> IntersectionTensor:
         """Relabel a tensor; the identity class must receive the origin."""
         mapping = self.keyed_by(t.labels)
-        ms = {len(v) for v in mapping.values()}
+        values = list(mapping.values())
+        ms = {len(v) for v in values}
         if len(ms) != 1:
             raise ValueError("labeling mixes multi-index lengths")
+        if len(set(values)) != len(values):
+            raise ValueError("labeling is not injective")
         origin = MultiIndex.zero(ms.pop())
         if mapping[t.identity] != origin:
             raise ValueError("labeling must send the identity class %s to %s"

@@ -163,9 +163,7 @@ class _ClassMatrices(abc.Sequence):
     def __len__(self) -> int:
         return self._k
 
-    def __getitem__(self, c):
-        if isinstance(c, slice):
-            return [self[i] for i in range(self._k)[c]]
+    def __getitem__(self, c: int) -> np.ndarray:
         return _read_only((self._index == range(self._k)[c]).astype(np.int64))
 
 
@@ -519,6 +517,11 @@ class MonomialBasis:
             raise CommutationError(a)
         self._cache[a] = paths[0]
         return paths[0]
+
+
+def monomial_coeffs(t: IntersectionTensor, a: MultiIndex) -> list:
+    """Coordinates of the monomial product A^a in the class basis."""
+    return MonomialBasis(t).vector(a)
 
 
 # -- m-distance-regularity ------------------------------------------------------

@@ -127,7 +127,7 @@ def test_criterion_3_symmetrization():
                  s.matrices[s.labels.index(mi((0, 1)))]]
         h = hamming_graph(k, 4)
         assert list(s.vertices) == list(h.vertices)
-        assert np.array_equal(units[0] + units[1], h.color_matrix(1))
+        assert np.array_equal(units[0] + units[1], h.union_matrix())
 
         edges = []
         for color, mat in enumerate(units, start=1):

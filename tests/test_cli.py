@@ -680,3 +680,21 @@ def test_labeling_names_are_checked_before_axioms(tmp_path, capsys, command):
                        "--labeling", "A0=0,0;A1=1,0;A2=0,1")
     assert code == 1
     assert json.loads(out)["certificates"]["axioms"]["verdict"] == "fail"
+
+
+# -- symmetrize:k needs a base whose classes partition the pairs -------------------
+
+@pytest.mark.parametrize("second", [
+    [[0, 1, 0], [1, 0, 0], [0, 0, 0]],  # (x, z) lies in no class
+    [[1, 1, 1]] * 3])                    # the diagonal lies in both classes
+def test_symmetrize_rejects_a_base_that_does_not_partition(tmp_path, capsys, second):
+    base = _write(tmp_path, "base.json", {
+        "labels": ["A0", "A1"],
+        "matrices": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], second],
+        "vertices": ["x", "y", "z"]})
+    for k in ("1", "2"):
+        code, out, err = run(capsys, "generate", "symmetrize:" + k, "--scheme", base)
+        assert code == 2
+        assert out == ""
+        assert ("error: family 'symmetrize:%s': base classes must partition "
+                "the vertex pairs\n" % k) in err

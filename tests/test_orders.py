@@ -19,7 +19,7 @@ import pytest
 
 from mdrg import (ABRegion, AlphaBeta, Comparison, Interval, MonomialOrder,
                   MultiIndex, PartialOrder, ab_feasible_region, box,
-                  check_domain,
+                  check_domain, compare_monomial, compare_partial,
                   componentwise_leq, downset_enum, validate_monomial_order,
                   validate_pair_compat)
 from mdrg.orders import order_key_function
@@ -84,7 +84,7 @@ def test_deglex_sum_breaks_degree_ties_on_the_left():
     assert od.lt(mi(0, 2), mi(1, 1))
     assert od.lt(mi(1, 1), mi(2, 0))
     assert od.lt(mi(2, 0), mi(0, 3))  # degree dominates
-    assert od.sorted([mi(2, 0), mi(0, 2), mi(1, 1)])[0] == mi(0, 2)
+    assert od.min_of([mi(2, 0), mi(0, 2), mi(1, 1)]) == mi(0, 2)
 
 
 def test_deglex_y2_breaks_degree_ties_on_the_second_entry():
@@ -124,9 +124,9 @@ def test_order_parse_rejects_unknown_and_bad_weights():
 
 def test_compare_monomial_trichotomy():
     od = MonomialOrder.parse("deglex-sum")
-    assert od.compare(mi(1, 0), mi(0, 2)) is Comparison.LESS
-    assert od.compare(mi(1, 1), mi(1, 1)) is Comparison.EQUAL
-    assert od.compare(mi(2, 0), mi(0, 2)) is Comparison.GREATER
+    assert compare_monomial(od, mi(1, 0), mi(0, 2)) is Comparison.LESS
+    assert compare_monomial(od, mi(1, 1), mi(1, 1)) is Comparison.EQUAL
+    assert compare_monomial(od, mi(2, 0), mi(0, 2)) is Comparison.GREATER
 
 
 def test_order_key_function_matches_comparisons():
@@ -195,15 +195,15 @@ def test_ab_precedes_known_pairs():
     assert half.precedes(mi(1, 0), mi(0, 2))
     assert not half.precedes(mi(1, 1), mi(0, 2))
     assert one.precedes(mi(1, 1), mi(0, 2))  # the alpha = 1 boundary case
-    assert half.compare(mi(1, 0), mi(0, 1)) is Comparison.INCOMPARABLE
-    assert half.compare(mi(0, 2), mi(1, 0)) is Comparison.GREATER
-    assert half.compare(mi(1, 1), mi(1, 1)) is Comparison.EQUAL
+    assert compare_partial(half, mi(1, 0), mi(0, 1)) is Comparison.INCOMPARABLE
+    assert compare_partial(half, mi(0, 2), mi(1, 0)) is Comparison.GREATER
+    assert compare_partial(half, mi(1, 1), mi(1, 1)) is Comparison.EQUAL
 
 
 def test_componentwise_partial_order():
     p = PartialOrder.componentwise()
     assert p.precedes(mi(1, 0, 2), mi(1, 1, 2))
-    assert p.compare(mi(1, 0), mi(0, 1)) is Comparison.INCOMPARABLE
+    assert compare_partial(p, mi(1, 0), mi(0, 1)) is Comparison.INCOMPARABLE
     assert downset_enum(mi(1, 1), p) == frozenset(
         [mi(0, 0), mi(0, 1), mi(1, 0), mi(1, 1)])
 

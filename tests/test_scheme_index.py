@@ -176,8 +176,6 @@ def test_from_index_validation():
     with pytest.raises(IndexError):
         s.matrices[2]
     assert s.matrices[-1].tolist() == [[0, 1], [1, 0]]
-    assert [mat.tolist() for mat in s.matrices[::-1]] == [[[0, 1], [1, 0]],
-                                                          [[1, 0], [0, 1]]]
 
 
 def test_distance_scheme_holds_only_its_index():

@@ -32,6 +32,7 @@ from mdrg import (
     m_distance_table,
     mat_vec,
     mdrg_check,
+    monomial_coeffs,
     pauli_scheme4,
     verify_scheme_axioms,
 )
@@ -369,6 +370,7 @@ def test_monomial_basis_against_matrix_products():
         for lab in scheme.labels:
             x, y = rep_pair[index[lab]]
             assert vec[index[lab]] == int(product[x, y]), (a, lab)
+    assert monomial_coeffs(t, mi((0, 2))) == basis.vector(mi((0, 2)))
     with pytest.raises(ValueError):
         basis.vector(mi((1, 2, 0)))
 
