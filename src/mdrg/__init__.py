@@ -22,8 +22,7 @@ from .graphs import (ColoredGraph, DisconnectedGraphError, DistanceTable,
                      m_distance_table)
 from .orders import (ABRegion, AlphaBeta, Comparison, Interval, MonomialOrder,
                      MultiIndex, PartialOrder, ab_feasible_region, box,
-                     check_domain, componentwise_leq, compare_monomial,
-                     compare_partial, downset_enum, validate_monomial_order,
+                     check_domain, downset_enum, validate_monomial_order,
                      validate_pair_compat)
 from .ppoly import (Discovery, ExtractionError, IncompatibleOrderPairError,
                     Labeling, Polynomial, ab_region_for_scheme, boundary_check,
@@ -34,7 +33,7 @@ from .schemes import (CommutationError, IntersectionTensor, MdrgResult,
                       check_sum_decomposition, check_triangle_conditions,
                       check_walk_type_invariance, distance_matrices,
                       generator_rows, intersection_tensor, mdrg_check,
-                      monomial_coeffs, verify_scheme_axioms)
+                      verify_scheme_axioms)
 from .families import (cartesian_product, cell24, complete, cycle, gen24cell,
                        hamming_graph, pauli_scheme4, symmetrize)
 
@@ -53,11 +52,11 @@ __all__ = [
     "certify_type_ab", "check_additive_nonvanishing", "check_domain",
     "check_precompat_graph", "check_sum_decomposition",
     "check_triangle_conditions", "check_walk_type_invariance",
-    "compare_monomial", "compare_partial", "complete", "componentwise_leq",
+    "complete",
     "count_walks_by_type", "cycle", "discover_labelings", "distance_matrices",
     "distance_profile", "downset_enum", "extract_polynomials", "gen24cell",
     "generator_rows", "hamming_graph", "in_span", "intersection_tensor", "m_distance_from",
-    "m_distance_table", "mat_vec", "mdrg_check", "monomial_coeffs",
+    "m_distance_table", "mat_vec", "mdrg_check",
     "pauli_scheme4", "rank", "solve_columns", "symmetrize",
     "validate_monomial_order", "validate_pair_compat", "verify_recurrences",
     "verify_scheme_axioms", "witness",

@@ -89,9 +89,6 @@ class Certificate:
     def verdict(self) -> str:
         return "pass" if self.passed else "fail"
 
-    def failures(self) -> tuple[Check, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
     @property
     def witness(self) -> Optional[dict]:
         """Witness of the first failing check, if any."""

@@ -30,9 +30,9 @@ from .ppoly import (ExtractionError, IncompatibleOrderPairError, Labeling,
 from .schemes import (CommutationError, IntersectionTensor, SchemeClasses,
                       intersection_tensor, label_text, mdrg_check,
                       verify_scheme_axioms)
-from .serialize import (InputFormatError, dump_json, graph_from_dict,
-                        graph_to_dict, load_document, polynomials_to_dict,
-                        scheme_to_dict, table_to_dict, tensor_to_dict)
+from .serialize import (InputFormatError, dump_json, graph_to_dict,
+                        load_document, polynomials_to_dict, scheme_to_dict,
+                        table_to_dict, tensor_to_dict)
 
 
 class UsageError(Exception):
@@ -166,10 +166,7 @@ def cmd_distances(args: argparse.Namespace) -> tuple[dict, int]:
     if not isinstance(doc, ColoredGraph):
         raise UsageError("%s is not a graph file" % args.input)
     _check_arity(doc.m, order)
-    try:
-        table = m_distance_table(doc, order)
-    except DisconnectedGraphError as exc:
-        raise UsageError(str(exc))
+    table = m_distance_table(doc, order)
     results = table_to_dict(table)
     results["size"] = len(table.realized)
     return _report("distances", {"input": args.input, "order": order.as_text()},
@@ -184,10 +181,7 @@ def cmd_certify_mdrg(args: argparse.Namespace) -> tuple[dict, int]:
     if not isinstance(doc, ColoredGraph):
         raise UsageError("%s is not a graph file" % args.input)
     _check_arity(doc.m, order)
-    try:
-        result = mdrg_check(doc, order)
-    except DisconnectedGraphError as exc:
-        raise UsageError(str(exc))
+    result = mdrg_check(doc, order)
     certificates = {"mdrg": result.certificate}
     results = {}
     if result.tensor is not None:
@@ -267,7 +261,7 @@ def cmd_certify_ppoly(args: argparse.Namespace) -> tuple[dict, int]:
     if tensor is None:
         return _report("certify-ppoly", inputs, certificates), 1
 
-    window = {"order": None if partial else order, "partial": partial}
+    window = order if partial is None else partial
     results: dict = {"domain": sorted(lab.as_text() for lab in tensor.labels)}
     want_polys = args.polys is not None or args.recurrences
     try:
@@ -279,12 +273,12 @@ def cmd_certify_ppoly(args: argparse.Namespace) -> tuple[dict, int]:
         # the monomial basis needs A_o = I and every A_{e_i}
         if args.boundary and all(ppoly.check(name).passed for name in
                                  ("identity-at-origin", "generators-realized")):
-            certificates["boundary"] = boundary_check(tensor, **window)
+            certificates["boundary"] = boundary_check(tensor, window)
         elif args.boundary and not args.quiet:
             print("skipping boundary: no monomial basis", file=sys.stderr)
         if want_polys and ppoly.passed:
             polys, certificates["extraction"] = extract_polynomials(tensor,
-                                                                    **window)
+                                                                    window)
             results["polynomials"] = polynomials_to_dict(polys)["polynomials"]
             if args.polys:
                 with open(args.polys, "w", encoding="ascii") as handle:
@@ -448,7 +442,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if not args.quiet:
             print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (GraphStructureError, InputFormatError) as exc:
+    except (DisconnectedGraphError, GraphStructureError, InputFormatError) as exc:
         if not args.quiet:
             print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -13,8 +13,8 @@ packs W a into one radix-R integer code, exact and order-faithful on
 simple paths, and finds all distances with one int64 min-plus
 Floyd-Warshall; when the codes could pass the int64 bound it falls back
 to :func:`m_distance_from`, a label-setting search (Dijkstra with
-multi-index labels keyed by the order, :func:`least_labels`), which also
-serves comparator orders and the tests as an oracle.
+multi-index labels keyed by ``order.key``, :func:`least_labels`), which
+also serves the tests as an oracle.
 """
 
 from __future__ import annotations
@@ -22,15 +22,12 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .certificates import Certificate, Check, witness
-from .orders import (Comparison, CompareFn, MonomialOrder, MultiIndex,
-                     PartialOrder, order_key_function)
-
-OrderLike = Union[MonomialOrder, CompareFn]
+from .certificates import Certificate, witness
+from .orders import MonomialOrder, MultiIndex, PartialOrder
 
 
 class GraphStructureError(ValueError):
@@ -121,12 +118,6 @@ class ColoredGraph:
             self._color_matrices[color] = mat
         return self._color_matrices[color]
 
-    def union_matrix(self) -> np.ndarray:
-        total = np.zeros((self.n, self.n), dtype=np.int64)
-        for color in range(1, self.m + 1):
-            total += self.color_matrix(color)
-        return total
-
     def is_connected(self) -> bool:
         seen = {0}
         stack = [0]
@@ -164,12 +155,11 @@ def least_labels(adjacency: Sequence[Sequence[tuple[int, int]]], m: int,
     return done
 
 
-def m_distance_from(g: ColoredGraph, order: OrderLike,
+def m_distance_from(g: ColoredGraph, order: MonomialOrder,
                     source: str) -> list[MultiIndex]:
     """Single-source m-distances aligned with ``g.vertices``, by
     :func:`least_labels`; raises :class:`DisconnectedGraphError`."""
-    done = least_labels(g._adjacency, g.m, order_key_function(order),
-                        g.index(source))
+    done = least_labels(g._adjacency, g.m, order.key, g.index(source))
     if None in done:
         raise DisconnectedGraphError(source, g.vertices[done.index(None)])
     return done  # type: ignore[return-value]
@@ -320,7 +310,7 @@ def check_precompat_graph(g: ColoredGraph, order: MonomialOrder,
         for yi in range(g.n):
             bound_base = row[yi]
             for zi, color in g.neighbors(yi):
-                if not p.precedes(row[zi], bound_base + units[color - 1]):
+                if not p.leq(row[zi], bound_base + units[color - 1]):
                     w = witness(
                         x=g.vertices[xi], y=g.vertices[yi], z=g.vertices[zi],
                         color=color, d_xy=bound_base, d_xz=row[zi],

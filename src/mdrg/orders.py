@@ -17,8 +17,11 @@ This module provides:
     - exact interval arithmetic for the feasible (alpha, beta) parameter
       region of a system of "b precedes c" constraints.
 
-All arithmetic is exact: parameters are ``fractions.Fraction``, and no
-comparison ever goes through floating point.
+Both kinds of order compare two multi-indices through integer weight
+rows W (``forms(m)``) and nothing else: a monomial order compares W a
+lexicographically, a partial order entrywise.  All arithmetic is exact:
+parameters are ``fractions.Fraction``, and no comparison ever goes
+through floating point.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -111,12 +113,6 @@ class MultiIndex(tuple):
 
     def __repr__(self) -> str:
         return "MultiIndex(%s)" % (tuple(self),)
-
-
-def componentwise_leq(a: MultiIndex, b: MultiIndex) -> bool:
-    if len(a) != len(b):
-        raise ValueError("mixed lengths: %d vs %d" % (len(a), len(b)))
-    return all(x <= y for x, y in zip(a, b))
 
 
 def box(bounds: Sequence[int]) -> Iterator[MultiIndex]:
@@ -209,9 +205,6 @@ class MonomialOrder:
     def lt(self, a: MultiIndex, b: MultiIndex) -> bool:
         return self.compare(a, b) is Comparison.LESS
 
-    def min_of(self, items: Iterable[MultiIndex]) -> MultiIndex:
-        return min(items, key=self.key)
-
     def sorted(self, items: Iterable[MultiIndex]) -> list[MultiIndex]:
         return sorted(items, key=self.key)
 
@@ -234,11 +227,6 @@ class MonomialOrder:
         if text in (DEGLEX_SUM, DEGLEX_Y2, LEX):
             return cls(text)
         raise ValueError("unknown order %r" % text)
-
-
-def compare_monomial(order: MonomialOrder, a: MultiIndex, b: MultiIndex) -> Comparison:
-    """Compare under a total order; one of LESS / EQUAL / GREATER."""
-    return order.compare(a, b)
 
 
 # -- Partial orders ------------------------------------------------------------
@@ -290,33 +278,32 @@ class PartialOrder:
     def componentwise(cls) -> "PartialOrder":
         return cls(COMPONENTWISE)
 
-    def precedes(self, a: MultiIndex, b: MultiIndex) -> bool:
-        """True iff a is below-or-equal b in this partial order."""
-        if len(a) != len(b):
-            raise ValueError("mixed lengths: %d vs %d" % (len(a), len(b)))
-        if self.kind == COMPONENTWISE:
-            return componentwise_leq(a, b)
-        if len(a) != 2:
-            raise ValueError("ab order is defined for m=2, got m=%d" % len(a))
-        assert self.ab is not None
-        al, be = self.ab.alpha, self.ab.beta
-        return (a[0] + al * a[1] <= b[0] + al * b[1]
-                and be * a[0] + a[1] <= be * b[0] + b[1])
-
-    def forms(self, m: int) -> list[tuple[int, ...]]:
+    @functools.lru_cache(maxsize=64)  # leq() reads W on every call
+    def forms(self, m: int) -> tuple[tuple[int, ...], ...]:
         """Integer rows W with a preceding b iff W a <= W b entrywise.
 
         ``componentwise`` has W = I.  For ``ab`` with alpha = p/q and
         beta = p'/q' the rows are the two defining forms times their
-        denominators, (q, p) and (p', q').
+        denominators, (q, p) and (p', q').  Every W is nonnegative with a
+        positive diagonal.
         """
         if self.kind == COMPONENTWISE:
-            return [tuple(int(i == j) for j in range(m)) for i in range(m)]
+            return tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
         if m != 2:
             raise ValueError("ab order is defined for m=2, got m=%d" % m)
         assert self.ab is not None
         al, be = self.ab.alpha, self.ab.beta
-        return [(al.denominator, al.numerator), (be.numerator, be.denominator)]
+        return ((al.denominator, al.numerator), (be.numerator, be.denominator))
+
+    def leq(self, a: MultiIndex, b: MultiIndex) -> bool:
+        """True iff a is below-or-equal b: W (b - a) >= 0 entrywise."""
+        if len(a) != len(b):
+            raise ValueError("mixed lengths: %d vs %d" % (len(a), len(b)))
+        diff = tuple(map(operator.sub, b, a))
+        for row in self.forms(len(a)):
+            if sum(map(operator.mul, row, diff)) < 0:
+                return False
+        return True
 
     def key(self, a: MultiIndex):
         """Sort key of a linear extension: a strictly below b sorts first.
@@ -328,8 +315,8 @@ class PartialOrder:
         return (total, tuple(a))
 
     def compare(self, a: MultiIndex, b: MultiIndex) -> Comparison:
-        ab_ = self.precedes(a, b)
-        ba = self.precedes(b, a)
+        ab_ = self.leq(a, b)
+        ba = self.leq(b, a)
         if ab_ and ba:
             # Only possible at a == b: the defining forms are injective
             # on the valid parameter range.
@@ -339,9 +326,6 @@ class PartialOrder:
         if ba:
             return Comparison.GREATER
         return Comparison.INCOMPARABLE
-
-    def downset(self, a: MultiIndex) -> frozenset[MultiIndex]:
-        return downset_enum(a, self)
 
     def as_text(self) -> str:
         if self.kind == COMPONENTWISE:
@@ -367,28 +351,17 @@ class PartialOrder:
         raise ValueError("unknown partial order %r" % text)
 
 
-def compare_partial(p: PartialOrder, a: MultiIndex, b: MultiIndex) -> Comparison:
-    """Compare under a partial order; INCOMPARABLE when neither precedes."""
-    return p.compare(a, b)
-
-
 def downset_enum(a: MultiIndex, p: PartialOrder) -> frozenset[MultiIndex]:
     """All b in N^m with b preceding a.  Finite by the order axioms.
 
-    For ``ab`` the two defining inequalities bound each coordinate:
-    b1 <= a1 + alpha*a2 and b2 <= beta*a1 + a2, so enumerating the box
-    spanned by those bounds suffices.  For ``componentwise`` the box is a
-    itself.
+    The rows W of ``p.forms`` are nonnegative with a positive diagonal,
+    so b below a gives W_jj b_j <= (W b)_j <= (W a)_j: the box
+    b_j <= (W a)_j // W_jj holds the downset, and is enumerated.
     """
-    if p.kind == COMPONENTWISE:
-        return frozenset(b for b in box(tuple(a)))
-    if len(a) != 2:
-        raise ValueError("ab order is defined for m=2, got m=%d" % len(a))
-    assert p.ab is not None
-    al, be = p.ab.alpha, p.ab.beta
-    hi1 = int(a[0] + al * a[1])
-    hi2 = int(be * a[0] + a[1])
-    return frozenset(b for b in box((hi1, hi2)) if p.precedes(b, a))
+    rows = p.forms(len(a))
+    bounds = [sum(map(operator.mul, row, a)) // row[j]
+              for j, row in enumerate(rows)]
+    return frozenset(b for b in box(bounds) if p.leq(b, a))
 
 
 # -- Validators ----------------------------------------------------------------
@@ -483,7 +456,7 @@ def _first(mask: np.ndarray) -> Optional[tuple[int, ...]]:
 
 
 def validate_pair_compat(p: PartialOrder, order: MonomialOrder,
-                         box_bound: int, m: Optional[int] = None) -> Certificate:
+                         box_bound: int, m: int) -> Certificate:
     """Test that a partial order and a total order form a compatible pair.
 
     On [0, box_bound]^m:
@@ -497,11 +470,6 @@ def validate_pair_compat(p: PartialOrder, order: MonomialOrder,
     order through the ranks of its keys.  Each witness is the first in
     row-major order of the points or pairs.
     """
-    if m is None:
-        if p.kind == AB:
-            m = 2
-        else:
-            raise ValueError("m is required for the componentwise order")
     points = list(box((box_bound,) * m))
     weights = p.forms(m)
     # Form values are at most box_bound * (largest row sum); below 2**62
@@ -676,21 +644,3 @@ def ab_feasible_region(constraints: Iterable[ABConstraint]) -> Optional[ABRegion
             return None
     region = ABRegion(alpha, beta)
     return None if region.empty else region
-
-
-def order_key_function(order: Union[MonomialOrder, CompareFn]):
-    """A sort key for heaps: native keys for built-ins, cmp wrapper else."""
-    if isinstance(order, MonomialOrder):
-        return order.key
-
-    def as_int(a: MultiIndex, b: MultiIndex) -> int:
-        rel = order(a, b)
-        if rel is Comparison.LESS:
-            return -1
-        if rel is Comparison.GREATER:
-            return 1
-        if rel is Comparison.EQUAL:
-            return 0
-        raise ValueError("comparator returned INCOMPARABLE; not a total order")
-
-    return cmp_to_key(as_int)

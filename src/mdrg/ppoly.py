@@ -39,6 +39,10 @@ from .schemes import (IntersectionTensor, Label, MonomialBasis, SchemeClasses,
                       verify_scheme_axioms)
 
 
+# The order a window check reads: ``leq``, ``key`` and ``as_text``.
+Window = Union[MonomialOrder, PartialOrder]
+
+
 class IncompatibleOrderPairError(ValueError):
     """The partial order does not refine the monomial order on the
     covering box; refined certification is not meaningful for the pair."""
@@ -289,7 +293,7 @@ def certify_ppoly_refined(t: IntersectionTensor, order: MonomialOrder,
             "partial order %s does not refine %s on the covering box: %s"
             % (partial.as_text(), order.as_text(), compat.witness))
     checks.extend(check_domain(t.domain(), "box").checks)
-    checks.extend(_window_checks(t, partial.precedes, partial.as_text()))
+    checks.extend(_window_checks(t, partial.leq, partial.as_text()))
     return Certificate.of(checks)
 
 
@@ -313,29 +317,23 @@ def _eliminate(vec: list, rows: dict[int, tuple]) -> Optional[int]:
     return None
 
 
-def boundary_check(t: IntersectionTensor,
-                   order: Optional[MonomialOrder] = None,
-                   partial: Optional[PartialOrder] = None) -> Certificate:
+def boundary_check(t: IntersectionTensor, window: Window) -> Certificate:
     """Span condition at the boundary of D.
 
     For every a in D with a + e_i outside D, the product A_{e_i} A^a must
     lie in the span of the monomials A^b with b in D and b below a + e_i
-    (under the order, or the partial order if given).  Tested exactly by
+    under ``window``, a monomial or a partial order.  Tested exactly by
     reducing the product against an echelon of the window's monomial
-    vectors, each pivoted on its largest class under the order.  On a
-    certified tensor A^b tops out at class b, so the vectors are their
+    vectors, each pivoted on its largest class under ``window.key``.  On
+    a certified tensor A^b tops out at class b, so the vectors are their
     own echelon and each case costs one pass over the product.
     """
-    if (order is None) == (partial is None):
-        raise ValueError("give exactly one of order/partial")
-    leq = order.leq if order is not None else partial.precedes  # type: ignore[union-attr]
-    key = order.key if order is not None else partial.key  # type: ignore[union-attr]
     basis = MonomialBasis(t)
     m = t.m
     dom = sorted(t.domain())
     units = [MultiIndex.unit(m, c) for c in range(1, m + 1)]
     # position r of a reordered vector holds the r-th class under the order
-    positions = [basis.index[lab] for lab in sorted(dom, key=key)]
+    positions = [basis.index[lab] for lab in sorted(dom, key=window.key)]
     cases = 0
     for a in dom:
         for unit in units:
@@ -343,9 +341,9 @@ def boundary_check(t: IntersectionTensor,
             if up in basis.index:
                 continue
             cases += 1
-            window = [b for b in dom if leq(b, up)]
+            below = [b for b in dom if window.leq(b, up)]
             rows: dict[int, tuple] = {}
-            for b in window:
+            for b in below:
                 vec = [basis.vector(b)[i] for i in positions]
                 top = _eliminate(vec, rows)
                 if top is not None:
@@ -355,14 +353,12 @@ def boundary_check(t: IntersectionTensor,
             if _eliminate([target[i] for i in positions], rows) is not None:
                 return Certificate.single(
                     "boundary-span", False,
-                    witness(generator=unit, a=a, bound=up, window=window))
+                    witness(generator=unit, a=a, bound=up, window=below))
     return Certificate.single("boundary-span", True,
                               detail="%d boundary cases" % cases)
 
 
-def extract_polynomials(t: IntersectionTensor,
-                        order: Optional[MonomialOrder] = None,
-                        partial: Optional[PartialOrder] = None
+def extract_polynomials(t: IntersectionTensor, window: Window
                         ) -> tuple[dict[MultiIndex, Polynomial], Certificate]:
     """Defining polynomials v_n with v_n(A_{e_1}..A_{e_m}) = A_n.
 
@@ -371,25 +367,22 @@ def extract_polynomials(t: IntersectionTensor,
 
         v_n = (x_i v_a - sum_{b != n} p_{e_i,a}^b v_b) / p_{e_i,a}^n,
 
-    taking D in increasing order (for a partial order, a linear
-    extension), so every v on the right is already known.  The returned
+    taking D in increasing ``window.key`` order (for a partial order, a
+    linear extension), so every v on the right is already known.  The returned
     certificate records that every leading coefficient is nonzero.
     Raises :class:`ExtractionError` when p_{e_i,a}^n is zero or some b on
-    the right is not below n (certification prerequisite violated).  The
+    the right is not below n under ``window`` (certification prerequisite
+    violated).  The
     monomial vectors of D are built first, so generators that do not
     commute raise :class:`CommutationError` as in :class:`MonomialBasis`.
     """
-    if (order is None) == (partial is None):
-        raise ValueError("give exactly one of order/partial")
-    leq = order.leq if order is not None else partial.precedes  # type: ignore[union-attr]
-    key = order.key if order is not None else partial.key  # type: ignore[union-attr]
     basis = MonomialBasis(t)
     dom = sorted(t.domain())
     for n in dom:
         basis.vector(n)
     origin = MultiIndex.zero(t.m)
     polys = {origin: Polynomial({origin: Fraction(1)})}
-    for n in sorted(dom, key=key)[1:]:  # o sorts first
+    for n in sorted(dom, key=window.key)[1:]:  # o sorts first
         unit = MultiIndex.unit(t.m, next(i for i, e in enumerate(n) if e) + 1)
         a = n - unit
         row = dict(basis.rows.get((unit, a), {}))
@@ -397,7 +390,7 @@ def extract_polynomials(t: IntersectionTensor,
         if not lead:
             raise ExtractionError("p_{%s,%s}^%s is zero; certify the scheme first"
                                   % (unit.as_text(), a.as_text(), n.as_text()))
-        outside = [b for b in row if not leq(b, n)]
+        outside = [b for b in row if not window.leq(b, n)]
         if outside:
             raise ExtractionError(
                 "A_%s A_%s reaches A_%s, which is not below %s; certify the "
@@ -439,7 +432,7 @@ def verify_recurrences(polys: Mapping[MultiIndex, Polynomial],
         rhs = Polynomial({})
         for b, value in row.items():
             if (partial is not None and support_witness is None
-                    and not partial.precedes(b, up)):
+                    and not partial.leq(b, up)):
                 support_witness = witness(generator=unit, a=a, b=b, bound=up)
             if b not in polys:
                 raise ValueError("no polynomial for class %s" % b.as_text())
@@ -512,7 +505,7 @@ def certify_type_ab(t: IntersectionTensor,
     checks.extend(check_domain(t.domain(), partial).checks)
     step_witness, window = _type_ab_requirements(t)
     checks.append(Check("unit-step-nonzero", step_witness is None, step_witness))
-    window_witness = _outside_window(window, partial.precedes, partial.as_text())
+    window_witness = _outside_window(window, partial.leq, partial.as_text())
     checks.append(Check("products-within-window", window_witness is None, window_witness))
     return Certificate.of(checks)
 

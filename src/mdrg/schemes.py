@@ -519,11 +519,6 @@ class MonomialBasis:
         return paths[0]
 
 
-def monomial_coeffs(t: IntersectionTensor, a: MultiIndex) -> list:
-    """Coordinates of the monomial product A^a in the class basis."""
-    return MonomialBasis(t).vector(a)
-
-
 # -- m-distance-regularity ------------------------------------------------------
 
 @dataclass

@@ -11,9 +11,10 @@ Fraction loops over every label triple instead of the integer scans of
 ``IntersectionTensor.validate``, and dom x dom scans through ``t.get``
 instead of the generator rows, with the retry loop for the (alpha, beta)
 region, a colored graph certified per generator tuple instead of the
-label-setting search over the intersection numbers, and loops over dense
+label-setting search over the intersection numbers, loops over dense
 0/1 class matrices and sums of Kronecker products instead of the class
-index matrix.
+index matrix, and the defining Fraction inequalities of each partial
+order instead of its integer weight rows.
 """
 
 from __future__ import annotations
@@ -386,6 +387,45 @@ def span_boundary_check(t, leq) -> Certificate:
                               detail="%d boundary cases" % cases)
 
 
+# -- Partial orders by their defining inequalities ---------------------------------
+
+def fraction_precedes(p: PartialOrder, a: MultiIndex, b: MultiIndex) -> bool:
+    """a below-or-equal b, per kind: componentwise entries, or the two
+    (alpha, beta) inequalities in Fraction arithmetic."""
+    if len(a) != len(b):
+        raise ValueError("mixed lengths: %d vs %d" % (len(a), len(b)))
+    if p.kind == "componentwise":
+        return all(x <= y for x, y in zip(a, b))
+    if len(a) != 2:
+        raise ValueError("ab order is defined for m=2, got m=%d" % len(a))
+    al, be = p.ab.alpha, p.ab.beta
+    return (a[0] + al * a[1] <= b[0] + al * b[1]
+            and be * a[0] + a[1] <= be * b[0] + b[1])
+
+
+def fraction_compare(p: PartialOrder, a: MultiIndex, b: MultiIndex) -> Comparison:
+    """The four-way comparison read from :func:`fraction_precedes`."""
+    below, above = fraction_precedes(p, a, b), fraction_precedes(p, b, a)
+    if below and above:
+        return Comparison.EQUAL
+    if below:
+        return Comparison.LESS
+    if above:
+        return Comparison.GREATER
+    return Comparison.INCOMPARABLE
+
+
+def fraction_downset(a: MultiIndex, p: PartialOrder) -> frozenset:
+    """All b preceding a, per kind: the box below a for ``componentwise``;
+    for ``ab`` the box b1 <= a1 + alpha*a2, b2 <= beta*a1 + a2, filtered."""
+    if p.kind == "componentwise":
+        return frozenset(box(tuple(a)))
+    al, be = p.ab.alpha, p.ab.beta
+    hi1 = int(a[0] + al * a[1])
+    hi2 = int(be * a[0] + a[1])
+    return frozenset(b for b in box((hi1, hi2)) if fraction_precedes(p, b, a))
+
+
 # -- Order-pair compatibility oracle ---------------------------------------------
 
 def brute_force_pair_compat(p: PartialOrder, order: MonomialOrder,
@@ -396,14 +436,15 @@ def brute_force_pair_compat(p: PartialOrder, order: MonomialOrder,
 
     refine_witness = None
     for a, b in itertools.product(points, repeat=2):
-        if a != b and p.precedes(a, b) and order.compare(a, b) is not Comparison.LESS:
+        if (a != b and fraction_precedes(p, a, b)
+                and order.compare(a, b) is not Comparison.LESS):
             refine_witness = witness(a=a, b=b, order=order.as_text())
             break
     checks.append(Check("refines-order", refine_witness is None, refine_witness))
 
     shift_witness = None
     for a, b, c in itertools.product(points, repeat=3):
-        if p.precedes(a, b) and not p.precedes(a + c, b + c):
+        if fraction_precedes(p, a, b) and not fraction_precedes(p, a + c, b + c):
             shift_witness = witness(a=a, b=b, shift=c)
             break
     checks.append(Check("translation", shift_witness is None, shift_witness))
@@ -411,7 +452,7 @@ def brute_force_pair_compat(p: PartialOrder, order: MonomialOrder,
     origin = MultiIndex.zero(m)
     below_witness = None
     for a in points:
-        if not p.precedes(origin, a):
+        if not fraction_precedes(p, origin, a):
             below_witness = witness(a=a)
             break
     checks.append(Check("origin-below", below_witness is None, below_witness))
@@ -540,7 +581,7 @@ def scan_recurrences(polys, t, partial=None) -> Certificate:
                 if value == 0:
                     continue
                 if (partial is not None and support_witness is None
-                        and not partial.precedes(b, up)):
+                        and not partial.leq(b, up)):
                     support_witness = witness(generator=unit, a=a, b=b, bound=up)
                 rhs = rhs + polys[b].scale(value)
             if identity_witness is None and lhs != rhs:

@@ -127,7 +127,7 @@ def test_criterion_3_symmetrization():
                  s.matrices[s.labels.index(mi((0, 1)))]]
         h = hamming_graph(k, 4)
         assert list(s.vertices) == list(h.vertices)
-        assert np.array_equal(units[0] + units[1], h.union_matrix())
+        assert np.array_equal(units[0] + units[1], h.color_matrix(1))
 
         edges = []
         for color, mat in enumerate(units, start=1):
@@ -162,8 +162,8 @@ def test_criterion_4_gen24cell_family():
 
         assert certify_ppoly(axis, DEGLEX_SUM).passed
 
-        axis_polys, _ = extract_polynomials(axis, order=DEGLEX_SUM)
-        diag_polys, _ = extract_polynomials(diag, order=DEGLEX_Y2)
+        axis_polys, _ = extract_polynomials(axis, DEGLEX_SUM)
+        diag_polys, _ = extract_polynomials(diag, DEGLEX_Y2)
         fell = F(ell)
         assert axis_polys[mi((2, 0))] == Polynomial(closed_form_v20(fell, s))
         assert axis_polys[mi((0, 2))] == Polynomial(closed_form_v02(fell, s))
@@ -190,7 +190,7 @@ def test_criterion_5_univariate_regression():
     for name, g in graphs.items():
         result = mdrg_check(g, DEGLEX_SUM)
         assert result.certificate.passed, name
-        polys, cert = extract_polynomials(result.tensor, order=DEGLEX_SUM)
+        polys, cert = extract_polynomials(result.tensor, DEGLEX_SUM)
         assert cert.passed
         for index, poly in expected[name].items():
             assert polys[index] == poly, (name, index)

@@ -528,6 +528,16 @@ def test_tensor_entry_must_name_declared_labels(tmp_path, capsys, argv):
     assert "error: p entry ['1', '1', '9'] names a label not among labels" in err
 
 
+@pytest.mark.parametrize("command", ["distances", "certify-mdrg", "certify-ppoly"])
+def test_disconnected_graph_is_usage_error(tmp_path, capsys, command):
+    path = _write(tmp_path, "cut.json", {"m": 1, "vertices": ["a", "b", "c"],
+                                         "edges": [["a", "b", 1]]})
+    code, out, err = run(capsys, command, path, "--order", "deglex-sum")
+    assert code == 2
+    assert out == ""
+    assert err == "error: vertex 'c' is unreachable from 'a'\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["certify-ppoly", "--order", "deglex-sum"], ["type-ab", "--region"]])
 def test_labels_of_mixed_length_are_usage_error(tmp_path, capsys, argv):

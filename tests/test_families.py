@@ -99,7 +99,7 @@ def test_symmetrize_pauli_matches_hamming():
     union = s2.matrix_for(mi((1, 0))) + s2.matrix_for(mi((0, 1)))
     h = hamming_graph(2, 4)
     assert list(h.vertices) == list(s2.vertices)
-    assert np.array_equal(union, h.union_matrix())
+    assert np.array_equal(union, h.color_matrix(1))
 
 
 def test_symmetrize_cube_of_one_class_base():
@@ -111,7 +111,7 @@ def test_symmetrize_cube_of_one_class_base():
     assert s3.n == 8
     assert sorted(s3.labels) == [mi((0,)), mi((1,)), mi((2,)), mi((3,))]
     assert np.array_equal(s3.matrix_for(mi((1,))),
-                          hamming_graph(3, 2).union_matrix())
+                          hamming_graph(3, 2).color_matrix(1))
     assert verify_scheme_axioms(s3).passed
 
 

@@ -82,20 +82,20 @@ def _check_against_scans(t):
         refined = certify_ppoly_refined(t, orders[2], partial)
         assert (_named(refined, WINDOW_CHECKS)
                 == [c.to_dict() for c in scan_window_checks(
-                    t, partial.precedes, partial.as_text())])
+                    t, partial.leq, partial.as_text())])
         if partial.kind != "ab":
             continue
         typed = certify_type_ab(t, partial)
         assert (_named(typed, ("unit-step-nonzero", "products-within-window"))
                 == [scan_unit_steps(t).to_dict(),
-                    scan_window_checks(t, partial.precedes, partial.as_text(),
+                    scan_window_checks(t, partial.leq, partial.as_text(),
                                        successors_only=True)[0].to_dict()])
     region = ab_region_for_scheme(t)
     loop = scan_ab_region(t)
     assert (region and region.as_text()) == (loop and loop.as_text())
     for order in orders:
         if certify_ppoly(t, order).passed:
-            polys, _ = extract_polynomials(t, order=order)
+            polys, _ = extract_polynomials(t, order)
             _check_recurrences(t, polys)
 
 

@@ -16,13 +16,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdrg import (ABRegion, AlphaBeta, Comparison, Interval, MonomialOrder,
                   MultiIndex, PartialOrder, ab_feasible_region, box,
-                  check_domain, compare_monomial, compare_partial,
-                  componentwise_leq, downset_enum, validate_monomial_order,
+                  check_domain, downset_enum, validate_monomial_order,
                   validate_pair_compat)
-from mdrg.orders import order_key_function
+
+from helpers import fraction_compare, fraction_downset, fraction_precedes
 
 # -- Helpers ---------------------------------------------------------------------
 
@@ -73,8 +74,8 @@ def test_box_enumeration_and_componentwise():
     points = list(box((2, 1)))
     assert len(points) == 6
     assert points[0] == mi(0, 0)
-    assert componentwise_leq(mi(1, 0), mi(1, 1))
-    assert not componentwise_leq(mi(2, 0), mi(1, 1))
+    assert PartialOrder.componentwise().leq(mi(1, 0), mi(1, 1))
+    assert not PartialOrder.componentwise().leq(mi(2, 0), mi(1, 1))
 
 
 # -- Monomial orders ----------------------------------------------------------------
@@ -84,7 +85,7 @@ def test_deglex_sum_breaks_degree_ties_on_the_left():
     assert od.lt(mi(0, 2), mi(1, 1))
     assert od.lt(mi(1, 1), mi(2, 0))
     assert od.lt(mi(2, 0), mi(0, 3))  # degree dominates
-    assert od.min_of([mi(2, 0), mi(0, 2), mi(1, 1)]) == mi(0, 2)
+    assert min([mi(2, 0), mi(0, 2), mi(1, 1)], key=od.key) == mi(0, 2)
 
 
 def test_deglex_y2_breaks_degree_ties_on_the_second_entry():
@@ -124,17 +125,9 @@ def test_order_parse_rejects_unknown_and_bad_weights():
 
 def test_compare_monomial_trichotomy():
     od = MonomialOrder.parse("deglex-sum")
-    assert compare_monomial(od, mi(1, 0), mi(0, 2)) is Comparison.LESS
-    assert compare_monomial(od, mi(1, 1), mi(1, 1)) is Comparison.EQUAL
-    assert compare_monomial(od, mi(2, 0), mi(0, 2)) is Comparison.GREATER
-
-
-def test_order_key_function_matches_comparisons():
-    rng = random.Random(7)
-    points = [MultiIndex((rng.randrange(4), rng.randrange(4))) for _ in range(30)]
-    for od in all_orders():
-        key = order_key_function(od)
-        assert sorted(points, key=key) == od.sorted(points)
+    assert od.compare(mi(1, 0), mi(0, 2)) is Comparison.LESS
+    assert od.compare(mi(1, 1), mi(1, 1)) is Comparison.EQUAL
+    assert od.compare(mi(2, 0), mi(0, 2)) is Comparison.GREATER
 
 
 # -- Order validators ----------------------------------------------------------------
@@ -192,18 +185,18 @@ def test_ab_parameter_validation():
 def test_ab_precedes_known_pairs():
     half = PartialOrder.parse("ab:1/2,0")
     one = PartialOrder.parse("ab:1,0")
-    assert half.precedes(mi(1, 0), mi(0, 2))
-    assert not half.precedes(mi(1, 1), mi(0, 2))
-    assert one.precedes(mi(1, 1), mi(0, 2))  # the alpha = 1 boundary case
-    assert compare_partial(half, mi(1, 0), mi(0, 1)) is Comparison.INCOMPARABLE
-    assert compare_partial(half, mi(0, 2), mi(1, 0)) is Comparison.GREATER
-    assert compare_partial(half, mi(1, 1), mi(1, 1)) is Comparison.EQUAL
+    assert half.leq(mi(1, 0), mi(0, 2))
+    assert not half.leq(mi(1, 1), mi(0, 2))
+    assert one.leq(mi(1, 1), mi(0, 2))  # the alpha = 1 boundary case
+    assert half.compare(mi(1, 0), mi(0, 1)) is Comparison.INCOMPARABLE
+    assert half.compare(mi(0, 2), mi(1, 0)) is Comparison.GREATER
+    assert half.compare(mi(1, 1), mi(1, 1)) is Comparison.EQUAL
 
 
 def test_componentwise_partial_order():
     p = PartialOrder.componentwise()
-    assert p.precedes(mi(1, 0, 2), mi(1, 1, 2))
-    assert compare_partial(p, mi(1, 0), mi(0, 1)) is Comparison.INCOMPARABLE
+    assert p.leq(mi(1, 0, 2), mi(1, 1, 2))
+    assert p.compare(mi(1, 0), mi(0, 1)) is Comparison.INCOMPARABLE
     assert downset_enum(mi(1, 1), p) == frozenset(
         [mi(0, 0), mi(0, 1), mi(1, 0), mi(1, 1)])
 
@@ -219,27 +212,53 @@ def test_ab_downsets_at_the_alpha_one_boundary():
         [mi(0, 0), mi(1, 0), mi(0, 1), mi(0, 2)])
 
 
+@st.composite
+def partial_orders_and_points(draw):
+    """``ab:alpha,beta`` with alpha in [0, 1], beta in [0, 1) and
+    denominators up to 6 on N^2, or ``componentwise`` on N^m for m = 1..3;
+    two points of [0, 4]^m."""
+    if draw(st.booleans()):
+        q, r = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        alpha = Fraction(draw(st.integers(0, q)), q)
+        beta = Fraction(draw(st.integers(0, r - 1)), r)
+        p, m = PartialOrder.alpha_beta(alpha, beta), 2
+    else:
+        p, m = PartialOrder.componentwise(), draw(st.integers(1, 3))
+    point = st.lists(st.integers(0, 4), min_size=m, max_size=m).map(MultiIndex)
+    return p, draw(point), draw(point)
+
+
+@settings(max_examples=300, deadline=None)
+@given(partial_orders_and_points())
+def test_weight_rows_match_the_defining_inequalities(case):
+    p, a, b = case
+    assert p.leq(a, b) == fraction_precedes(p, a, b)
+    assert p.compare(a, b) is fraction_compare(p, a, b)
+    assert downset_enum(a, p) == fraction_downset(a, p)
+
+
 def test_pair_compat_deglex_y2_refines_every_valid_ab():
     od = MonomialOrder.parse("deglex-y2")
     for alpha in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)):
         for beta in (Fraction(0), Fraction(1, 2), Fraction(3, 4)):
             p = PartialOrder.alpha_beta(alpha, beta)
-            cert = validate_pair_compat(p, od, 4)
+            cert = validate_pair_compat(p, od, 4, m=2)
             assert cert.passed, (p.as_text(), cert.witness)
 
 
 def test_pair_compat_deglex_sum_fails_exactly_at_alpha_one():
     od = MonomialOrder.parse("deglex-sum")
-    assert validate_pair_compat(PartialOrder.parse("ab:1/2,0"), od, 4).passed
-    assert validate_pair_compat(PartialOrder.parse("ab:99/100,9/10"), od, 4).passed
+    assert validate_pair_compat(PartialOrder.parse("ab:1/2,0"), od, 4, m=2).passed
+    assert validate_pair_compat(PartialOrder.parse("ab:99/100,9/10"), od, 4,
+                                m=2).passed
     one = PartialOrder.parse("ab:1,0")
-    cert = validate_pair_compat(one, od, 4)
+    cert = validate_pair_compat(one, od, 4, m=2)
     assert not cert.passed
     failed = cert.check("refines-order")
     assert not failed.passed
     assert failed.witness == {"a": "1,0", "b": "0,1", "order": "deglex-sum"}
     # the pair behind the scheme-level failures violates compatibility too
-    assert one.precedes(mi(1, 1), mi(0, 2))
+    assert one.leq(mi(1, 1), mi(0, 2))
     assert od.lt(mi(0, 2), mi(1, 1))
 
 
@@ -247,8 +266,6 @@ def test_pair_compat_componentwise_refines_all_builtins():
     p = PartialOrder.componentwise()
     for od in all_orders():
         assert validate_pair_compat(p, od, 3, m=2).passed
-    with pytest.raises(ValueError):
-        validate_pair_compat(p, MonomialOrder.parse("lex"), 3)  # m required
 
 
 # -- Domain closure ------------------------------------------------------------------
@@ -324,6 +341,6 @@ def test_ab_region_contains_matches_precedes():
         region = ab_feasible_region([(b, c)])
         for alpha in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)):
             for beta in (Fraction(0), Fraction(2, 5), Fraction(7, 8)):
-                expected = PartialOrder.alpha_beta(alpha, beta).precedes(b, c)
+                expected = PartialOrder.alpha_beta(alpha, beta).leq(b, c)
                 got = region is not None and region.contains(alpha, beta)
                 assert got == expected, (b, c, alpha, beta)

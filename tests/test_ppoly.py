@@ -105,7 +105,7 @@ def test_polynomial_evaluate_on_class_matrices():
     one = Polynomial({mi((0, 0)): F(1)})
     assert np.array_equal(one.evaluate([x, y]),
                           fraction_matrix(np.eye(24, dtype=np.int64)))
-    polys, _ = extract_polynomials(result.tensor, order=DEGLEX_SUM)
+    polys, _ = extract_polynomials(result.tensor, DEGLEX_SUM)
     for n in result.tensor.domain():
         expected = fraction_matrix(scheme.matrix_for(n))
         assert np.array_equal(polys[n].evaluate([x, y]), expected), n
@@ -215,24 +215,20 @@ def test_certify_ppoly_refined_torus_componentwise():
 
 def test_boundary_check():
     diag, axis = diag_tensor(), axis_tensor()
-    cert = boundary_check(diag, order=DEGLEX_Y2)
+    cert = boundary_check(diag, DEGLEX_Y2)
     assert cert.passed and cert.checks[0].detail == "5 boundary cases"
-    assert boundary_check(diag, partial=PartialOrder.parse("ab:1,0")).passed
-    assert boundary_check(axis, order=DEGLEX_SUM).passed
+    assert boundary_check(diag, PartialOrder.parse("ab:1,0")).passed
+    assert boundary_check(axis, DEGLEX_SUM).passed
 
-    cert = boundary_check(axis, order=DEGLEX_Y2)
+    cert = boundary_check(axis, DEGLEX_Y2)
     assert not cert.passed
     assert cert.witness == {"generator": "1,0", "a": "0,1", "bound": "1,1",
                             "window": ["0,0", "0,1", "1,0", "2,0"]}
     # under ab:1,0 even (0,2) leaves the window, so the axis boundary
     # fails although the plain deglex-sum one passes
-    cert = boundary_check(axis, partial=PartialOrder.parse("ab:1,0"))
+    cert = boundary_check(axis, PartialOrder.parse("ab:1,0"))
     assert not cert.passed
     assert cert.witness["window"] == ["0,0", "0,1", "1,0", "2,0"]
-    with pytest.raises(ValueError):
-        boundary_check(diag)
-    with pytest.raises(ValueError):
-        boundary_check(diag, order=DEGLEX_Y2, partial=PartialOrder.parse("ab:1,0"))
 
 
 # -- Extraction -------------------------------------------------------------------
@@ -243,7 +239,7 @@ def test_extraction_matches_closed_forms_across_parameters():
             t = gen24cell(ell, s)
             axis = AXIS_LABELING.apply(t)
             diag = DIAGONAL_LABELING.apply(t)
-            polys, cert = extract_polynomials(axis, order=DEGLEX_SUM)
+            polys, cert = extract_polynomials(axis, DEGLEX_SUM)
             assert cert.passed
             assert sorted(polys) == sorted(axis.domain())
             assert polys[mi((0, 0))] == Polynomial({mi((0, 0)): F(1)})
@@ -251,14 +247,14 @@ def test_extraction_matches_closed_forms_across_parameters():
             assert polys[mi((0, 1))] == Polynomial({mi((0, 1)): F(1)})
             assert dict(polys[mi((0, 2))].terms()) == closed_form_v02(F(ell), s)
             assert dict(polys[mi((2, 0))].terms()) == closed_form_v20(F(ell), s)
-            dpolys, dcert = extract_polynomials(diag, order=DEGLEX_Y2)
+            dpolys, dcert = extract_polynomials(diag, DEGLEX_Y2)
             assert dcert.passed
             assert dict(dpolys[mi((1, 1))].terms()) == closed_form_v11(F(ell), s)
             assert dict(dpolys[mi((2, 0))].terms()) == closed_form_v20(F(ell), s)
 
 
 def test_extraction_at_24_cell_parameters_frozen():
-    polys, cert = extract_polynomials(axis_tensor(), order=DEGLEX_SUM)
+    polys, cert = extract_polynomials(axis_tensor(), DEGLEX_SUM)
     assert cert.passed
     assert [c.name for c in cert.checks] == ["unique-solution", "leading-nonzero"]
     assert polys[mi((2, 0))] == Polynomial({
@@ -267,13 +263,13 @@ def test_extraction_at_24_cell_parameters_frozen():
         mi((0, 0)): F(-8, 3), mi((0, 1)): F(-1, 3), mi((1, 0)): F(-4, 3),
         mi((0, 2)): F(1, 3)})
     # the same class expressed through the diagonal labeling
-    dpolys, _ = extract_polynomials(diag_tensor(), partial=PartialOrder.parse("ab:1,0"))
+    dpolys, _ = extract_polynomials(diag_tensor(), PartialOrder.parse("ab:1,0"))
     assert dpolys[mi((1, 1))] == Polynomial({
         mi((0, 1)): F(-1), mi((1, 1)): F(1, 3)})
 
 
 def test_extraction_torus_product_forms():
-    polys, cert = extract_polynomials(torus_tensor(), order=DEGLEX_Y2)
+    polys, cert = extract_polynomials(torus_tensor(), DEGLEX_Y2)
     assert cert.passed
     assert polys[mi((1, 1))] == Polynomial({mi((1, 1)): F(1)})
     assert polys[mi((2, 0))] == Polynomial({mi((0, 0)): F(-2), mi((2, 0)): F(1)})
@@ -286,30 +282,25 @@ def test_extraction_torus_product_forms():
 
 def test_extraction_error_paths():
     c6 = cycle6_tensor()
-    with pytest.raises(ValueError):
-        extract_polynomials(c6)
-    with pytest.raises(ValueError):
-        extract_polynomials(c6, order=DEGLEX_SUM,
-                            partial=PartialOrder.parse("componentwise"))
     p = dict(c6.p)
     del p[(mi((1,)), mi((1,)), mi((2,)))]
     broken = IntersectionTensor(labels=c6.labels, identity=c6.identity, p=p)
     with pytest.raises(ExtractionError):
-        extract_polynomials(broken, order=DEGLEX_SUM)
+        extract_polynomials(broken, DEGLEX_SUM)
 
 
 # -- Recurrences ------------------------------------------------------------------
 
 def test_verify_recurrences():
     axis = axis_tensor()
-    polys, _ = extract_polynomials(axis, order=DEGLEX_SUM)
+    polys, _ = extract_polynomials(axis, DEGLEX_SUM)
     cert = verify_recurrences(polys, axis)
     assert cert.passed
     assert [c.name for c in cert.checks] == ["recurrence-identity"]
 
     diag = diag_tensor()
     one = PartialOrder.parse("ab:1,0")
-    dpolys, _ = extract_polynomials(diag, partial=one)
+    dpolys, _ = extract_polynomials(diag, one)
     cert = verify_recurrences(dpolys, diag, partial=one)
     assert cert.passed
     assert [c.name for c in cert.checks] == ["recurrence-identity",

@@ -32,7 +32,7 @@ WINDOWS = ([(order, None) for order in ORDERS]
 def _window(order_text, partial_text):
     order = MonomialOrder.parse(order_text)
     partial = PartialOrder.parse(partial_text) if partial_text else None
-    leq = partial.precedes if partial else order.leq
+    leq = partial.leq if partial else order.leq
     return order, partial, leq
 
 
@@ -53,11 +53,11 @@ def _certified(t, order, partial):
 
 
 def _check_against_oracles(t, order, partial, leq):
-    kwargs = {"partial": partial} if partial else {"order": order}
-    assert (boundary_check(t, **kwargs).to_dict()
+    window = partial if partial else order
+    assert (boundary_check(t, window).to_dict()
             == span_boundary_check(t, leq).to_dict())
     if _certified(t, order, partial).passed:
-        polys, cert = extract_polynomials(t, **kwargs)
+        polys, cert = extract_polynomials(t, window)
         assert cert.passed
         assert polys == solve_polynomials(t, leq)
         return True
@@ -94,7 +94,7 @@ def test_recurrence_and_boundary_on_the_gen24cell_grid(ell, s):
     assert any(certified)
     # the axis labeling under deglex-y2 fails the window and the boundary
     assert not certify_ppoly(axis, MonomialOrder.parse("deglex-y2")).passed
-    assert not boundary_check(axis, order=MonomialOrder.parse("deglex-y2")).passed
+    assert not boundary_check(axis, MonomialOrder.parse("deglex-y2")).passed
 
 
 @st.composite
@@ -134,7 +134,7 @@ def test_pair_compat_table_matches_triple_loop(pair):
 
 def test_pair_compat_ab_one_zero_fails_against_lex():
     cert = validate_pair_compat(PartialOrder.parse("ab:1,0"),
-                                MonomialOrder.parse("lex"), 4)
+                                MonomialOrder.parse("lex"), 4, m=2)
     assert cert.check("refines-order").witness == {"a": "1,0", "b": "0,1",
                                                    "order": "lex"}
     assert [c.name for c in cert.checks] == ["refines-order", "origin-below"]

@@ -62,6 +62,17 @@ SCHEMES = [
 FAILING = {"overlap.json": 2, "gap.json": 2, "asym.json": 3, "noident.json": 2,
            "path.json": 3}
 
+# --partial windows and type-ab parameters
+WINDOWS = [
+    ["certify-ppoly", "c4x3.json", "--order", "deglex-sum", "--partial",
+     "componentwise", "--boundary", "--recurrences", "--polys", "p.json"],
+    ["certify-ppoly", "c4x3.json", "--order", "deglex-y2", "--partial",
+     "ab:1/2,0", "--boundary", "--recurrences"],
+    ["certify-ppoly", "c4x3.json", "--order", "deglex-sum", "--partial", "ab:1,0"],
+    ["type-ab", "c4x3.json", "--alpha", "1/2", "--beta", "0"],
+    ["type-ab", "c4x3.json", "--alpha", "1", "--beta", "0"],
+]
+
 
 def _with_labeling(argv, labeling):
     return argv + ["--labeling", labeling] if labeling else argv
@@ -90,6 +101,7 @@ def _cases():
              ";".join("A%d=%d" % (i, i) for i in range(k))],
             ["discover", path, "--m", "1", "--order", "deglex-sum"],
         ]
+    cases += WINDOWS
     return cases
 
 
@@ -100,6 +112,12 @@ DIGESTS = {
         '78aae5e2957fa48682dcf58c9017158a1b83278241c4fc273c14c9278d0be466',
     'certify-ppoly c4x3.json --order deglex-sum --boundary --recurrences --polys polys.json':
         'eb12cfa324e5414b67cab7213d287d137899bd66582154d342d84638f1fb725d',
+    'certify-ppoly c4x3.json --order deglex-sum --partial ab:1,0':
+        '5362fb632b157f283b9135804a517da6491d939d8635435911a91f389c9e4aff',
+    'certify-ppoly c4x3.json --order deglex-sum --partial componentwise --boundary --recurrences --polys p.json':
+        '8cf21cd5d2abdbaeb1c78939a2cc56e39b3ec432d7d3b2bd83b79dbc895be369',
+    'certify-ppoly c4x3.json --order deglex-y2 --partial ab:1/2,0 --boundary --recurrences':
+        '470dedba5540380cf2c7d61a28d657151a62c3b529191cb0705ad54ab4fd6842',
     'certify-ppoly c6.json --order deglex-sum --boundary --recurrences --polys polys.json':
         '34f0dd4ff5427cb2d8895843fecf1bb82c30f4ac6ba49e2a36870c503b976bf3',
     'certify-ppoly gap.json --order deglex-sum --labeling A0=0;A1=1':
@@ -160,6 +178,10 @@ DIGESTS = {
         'a39a79000cd4d8c820ea3234b29726a5e5b98facc0ca9f6404e3a37c03492189',
     'generate symmetrize:3 --scheme pauli4.json --out sym3.json':
         '7702f7d1198eb2b1cfea9a2ec7dc911b700b301ce84cdb8c11173e562fd33406',
+    'type-ab c4x3.json --alpha 1 --beta 0':
+        '144ca48ebcb0de0c26e9087b4b627158a5b653d35468c5ec41022f2bbb753ba0',
+    'type-ab c4x3.json --alpha 1/2 --beta 0':
+        'b3e36482549da733f1815447461706c0917e12a1a95aff68f39d935aab8e1716',
     'type-ab c4x3.json --region':
         '202ffd2c6d6616c7662d1110291d7220d7755ebfe3f04ac8cc832658d401b997',
     'type-ab c6.json --region':
