@@ -17,21 +17,16 @@ integer matrices only.
 from .certificates import Certificate, Check, witness
 from .exactlinalg import SingularSystemError, in_span, mat_vec, rank, solve_columns
 from .graphs import (ColoredGraph, DisconnectedGraphError, DistanceTable,
-                     GraphStructureError, check_precompat_graph,
-                     count_walks_by_type, distance_profile, m_distance_from,
-                     m_distance_table)
+                     GraphStructureError, m_distance_from, m_distance_table)
 from .orders import (ABRegion, AlphaBeta, Comparison, Interval, MonomialOrder,
                      MultiIndex, PartialOrder, ab_feasible_region, box,
-                     check_domain, downset_enum, validate_monomial_order,
-                     validate_pair_compat)
+                     check_domain, downset_enum, validate_pair_compat)
 from .ppoly import (Discovery, ExtractionError, IncompatibleOrderPairError,
                     Labeling, Polynomial, ab_region_for_scheme, boundary_check,
                     certify_ppoly, certify_ppoly_refined, certify_type_ab,
                     discover_labelings, extract_polynomials, verify_recurrences)
 from .schemes import (CommutationError, IntersectionTensor, MdrgResult,
-                      MonomialBasis, SchemeClasses, check_additive_nonvanishing,
-                      check_sum_decomposition, check_triangle_conditions,
-                      check_walk_type_invariance, distance_matrices,
+                      MonomialBasis, SchemeClasses, distance_matrices,
                       generator_rows, intersection_tensor, mdrg_check,
                       verify_scheme_axioms)
 from .families import (cartesian_product, cell24, complete, cycle, gen24cell,
@@ -49,15 +44,11 @@ __all__ = [
     "Polynomial", "SchemeClasses", "SingularSystemError",
     "ab_feasible_region", "ab_region_for_scheme", "boundary_check", "box",
     "cartesian_product", "cell24", "certify_ppoly", "certify_ppoly_refined",
-    "certify_type_ab", "check_additive_nonvanishing", "check_domain",
-    "check_precompat_graph", "check_sum_decomposition",
-    "check_triangle_conditions", "check_walk_type_invariance",
-    "complete",
-    "count_walks_by_type", "cycle", "discover_labelings", "distance_matrices",
-    "distance_profile", "downset_enum", "extract_polynomials", "gen24cell",
-    "generator_rows", "hamming_graph", "in_span", "intersection_tensor", "m_distance_from",
-    "m_distance_table", "mat_vec", "mdrg_check",
-    "pauli_scheme4", "rank", "solve_columns", "symmetrize",
-    "validate_monomial_order", "validate_pair_compat", "verify_recurrences",
+    "certify_type_ab", "check_domain", "complete", "cycle",
+    "discover_labelings", "distance_matrices", "downset_enum",
+    "extract_polynomials", "gen24cell", "generator_rows", "hamming_graph",
+    "in_span", "intersection_tensor", "m_distance_from", "m_distance_table",
+    "mat_vec", "mdrg_check", "pauli_scheme4", "rank", "solve_columns",
+    "symmetrize", "validate_pair_compat", "verify_recurrences",
     "verify_scheme_axioms", "witness",
 ]

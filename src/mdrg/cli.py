@@ -87,6 +87,14 @@ def _load(path: str):
         raise UsageError(str(exc))
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="ascii") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise UsageError("cannot write %s: %s" % (path, exc.strerror or exc))
+
+
 def _report(command: str, inputs: dict, certificates: Optional[dict] = None,
             results: Optional[dict] = None) -> dict:
     doc = {"version": __version__, "command": command, "inputs": inputs}
@@ -152,8 +160,7 @@ def _generate_document(family: str, scheme_path: Optional[str]) -> dict:
 def cmd_generate(args: argparse.Namespace) -> tuple[dict, int]:
     document = _generate_document(args.family, args.scheme)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as handle:
-            handle.write(dump_json(document))
+        _write(args.out, dump_json(document))
         return {}, 0
     return document, 0
 
@@ -168,7 +175,7 @@ def cmd_distances(args: argparse.Namespace) -> tuple[dict, int]:
     _check_arity(doc.m, order)
     table = m_distance_table(doc, order)
     results = table_to_dict(table)
-    results["size"] = len(table.realized)
+    results["size"] = len(table.labels)
     return _report("distances", {"input": args.input, "order": order.as_text()},
                    results=results), 0
 
@@ -281,8 +288,7 @@ def cmd_certify_ppoly(args: argparse.Namespace) -> tuple[dict, int]:
                                                                     window)
             results["polynomials"] = polynomials_to_dict(polys)["polynomials"]
             if args.polys:
-                with open(args.polys, "w", encoding="ascii") as handle:
-                    handle.write(dump_json(polynomials_to_dict(polys)))
+                _write(args.polys, dump_json(polynomials_to_dict(polys)))
             if args.recurrences:
                 certificates["recurrences"] = verify_recurrences(polys, tensor,
                                                                  partial)
@@ -438,11 +444,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     start = time.perf_counter()
     try:
         report, code = args.handler(args)
-    except UsageError as exc:
-        if not args.quiet:
-            print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (DisconnectedGraphError, GraphStructureError, InputFormatError) as exc:
+    except (UsageError, DisconnectedGraphError, GraphStructureError,
+            InputFormatError) as exc:
         if not args.quiet:
             print("error: %s" % exc, file=sys.stderr)
         return 2

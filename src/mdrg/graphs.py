@@ -26,8 +26,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .certificates import Certificate, witness
-from .orders import MonomialOrder, MultiIndex, PartialOrder
+from .orders import MonomialOrder, MultiIndex
 
 
 class GraphStructureError(ValueError):
@@ -87,7 +86,6 @@ class ColoredGraph:
             adjacency[iu].append((iv, color))
             adjacency[iv].append((iu, color))
         self._adjacency = [tuple(nbrs) for nbrs in adjacency]
-        self._color_matrices: dict[int, np.ndarray] = {}
 
     @property
     def n(self) -> int:
@@ -104,30 +102,6 @@ class ColoredGraph:
 
     def edge_names(self) -> list[tuple[str, str, int]]:
         return [(self.vertices[u], self.vertices[v], c) for u, v, c in self.edges]
-
-    def color_matrix(self, color: int) -> np.ndarray:
-        """0/1 adjacency matrix of the given color (cached)."""
-        if not 1 <= color <= self.m:
-            raise ValueError("color %d outside 1..%d" % (color, self.m))
-        if color not in self._color_matrices:
-            mat = np.zeros((self.n, self.n), dtype=np.int64)
-            for iu, iv, c in self.edges:
-                if c == color:
-                    mat[iu, iv] = 1
-                    mat[iv, iu] = 1
-            self._color_matrices[color] = mat
-        return self._color_matrices[color]
-
-    def is_connected(self) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w, _ in self._adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
 
 
 def least_labels(adjacency: Sequence[Sequence[tuple[int, int]]], m: int,
@@ -169,23 +143,26 @@ def m_distance_from(g: ColoredGraph, order: MonomialOrder,
 class DistanceTable:
     """All-pairs m-distances of a connected colored graph.
 
-    ``labels[i][j]`` is the m-distance between vertices i and j; the
-    diagonal is o and the table is symmetric.  ``realized`` is the set D
-    of labels that occur, and ``index[i, j]`` (an n x n int64 matrix) is
-    the position of ``labels[i][j]`` in :meth:`sorted_labels`.
+    ``labels`` is the set D of realized m-distances, sorted by the order,
+    and ``index[i, j]`` (an n x n int64 matrix) is the position in
+    ``labels`` of the m-distance between vertices i and j; the diagonal
+    is 0, the position of o, and the matrix is symmetric.
     """
 
     graph: ColoredGraph = field(repr=False)
     order: MonomialOrder
-    labels: tuple[tuple[MultiIndex, ...], ...]
-    realized: frozenset[MultiIndex]
+    labels: tuple[MultiIndex, ...]
     index: np.ndarray = field(repr=False, compare=False)
 
+    @property
+    def realized(self) -> frozenset[MultiIndex]:
+        return frozenset(self.labels)
+
     def label(self, x: str, y: str) -> MultiIndex:
-        return self.labels[self.graph.index(x)][self.graph.index(y)]
+        return self.labels[self.index[self.graph.index(x), self.graph.index(y)]]
 
     def sorted_labels(self) -> list[MultiIndex]:
-        return self.order.sorted(self.realized)
+        return list(self.labels)
 
 
 def m_distance_table(g: ColoredGraph, order: MonomialOrder) -> DistanceTable:
@@ -242,9 +219,7 @@ def m_distance_table(g: ColoredGraph, order: MonomialOrder) -> DistanceTable:
             "asymmetric distances between %r and %r: %s vs %s"
             % (g.vertices[i], g.vertices[j], ordered[index[i, j]].as_text(),
                ordered[index[j, i]].as_text()))
-    labels = tuple(tuple(map(ordered.__getitem__, row)) for row in index.tolist())
-    return DistanceTable(graph=g, order=order, labels=labels,
-                         realized=frozenset(ordered), index=index)
+    return DistanceTable(graph=g, order=order, labels=tuple(ordered), index=index)
 
 
 def _decode(order: MonomialOrder, forms, code: int, radix: int) -> MultiIndex:
@@ -269,54 +244,3 @@ def _decode(order: MonomialOrder, forms, code: int, radix: int) -> MultiIndex:
         raise ValueError("distance code %d does not decode under %s"
                          % (code, order.as_text()))
     return label
-
-
-def count_walks_by_type(g: ColoredGraph, x: str, y: str,
-                        colors: Sequence[int]) -> int:
-    """Number of walks from x to y whose edge colors are exactly ``colors``.
-
-    Computed as a chain of matrix-vector products with the per-color
-    adjacency matrices, on Python ints so that counts never overflow.
-    """
-    vec = np.zeros(g.n, dtype=object)
-    vec[g.index(x)] = 1
-    for color in colors:
-        vec = g.color_matrix(color).astype(object) @ vec
-    return int(vec[g.index(y)])
-
-
-def distance_profile(table: DistanceTable) -> dict[MultiIndex, int]:
-    """Per-label count of partners of a fixed vertex; well-defined only
-    for regular instances, reported from vertex 0 (useful diagnostics)."""
-    counts: dict[MultiIndex, int] = {}
-    for lab in table.labels[0]:
-        counts[lab] = counts.get(lab, 0) + 1
-    return counts
-
-
-def check_precompat_graph(g: ColoredGraph, order: MonomialOrder,
-                          p: PartialOrder) -> Certificate:
-    """Local test that the graph's distances respect a partial order.
-
-    For every ordered pair (x, y) and every edge (y, z) of color i the
-    distance must satisfy d(x,z) preceded-by d(x,y) + e_i.  This is the
-    one-step version of the walk condition: extending any walk by one
-    edge can only move the target distance up in the partial order.
-    """
-    table = m_distance_table(g, order)
-    units = [MultiIndex.unit(g.m, c) for c in range(1, g.m + 1)]
-    for xi in range(g.n):
-        row = table.labels[xi]
-        for yi in range(g.n):
-            bound_base = row[yi]
-            for zi, color in g.neighbors(yi):
-                if not p.leq(row[zi], bound_base + units[color - 1]):
-                    w = witness(
-                        x=g.vertices[xi], y=g.vertices[yi], z=g.vertices[zi],
-                        color=color, d_xy=bound_base, d_xz=row[zi],
-                        bound=bound_base + units[color - 1],
-                        partial=p.as_text())
-                    return Certificate.single("edge-step-precedence", False, w)
-    return Certificate.single("edge-step-precedence", True,
-                              detail="checked %d vertex/edge incidences"
-                                     % (g.n * 2 * len(g.edges)))

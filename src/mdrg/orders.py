@@ -11,8 +11,8 @@ This module provides:
     - PartialOrder: the two-parameter family ``ab:alpha,beta`` on N^2
       ((i,j) precedes (i',j') iff i+alpha*j <= i'+alpha*j' and
       beta*i+j <= beta*i'+j') and the componentwise order on N^m.
-    - exhaustive validators for the order axioms and for compatibility of
-      a (partial, total) order pair on a finite box.
+    - a validator for compatibility of a (partial, total) order pair on
+      a finite box.
     - downset enumeration and domain-closure checks.
     - exact interval arithmetic for the feasible (alpha, beta) parameter
       region of a system of "b precedes c" constraints.
@@ -30,7 +30,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -121,6 +121,20 @@ def box(bounds: Sequence[int]) -> Iterator[MultiIndex]:
         yield MultiIndex(values)
 
 
+def _per_m(weight_rows):
+    """Memoize ``weight_rows(self, m)`` in ``self._forms``, keyed by m alone:
+    ``key`` and ``leq`` read the rows on every call, and a cache keyed by
+    the order itself would hash its fields (two Fractions for ``ab``) each
+    time.  Errors are not memoized."""
+    @functools.wraps(weight_rows)
+    def forms(self, m: int) -> tuple[tuple[int, ...], ...]:
+        rows = self._forms.get(m)
+        if rows is None:
+            rows = self._forms[m] = weight_rows(self, m)
+        return rows
+    return forms
+
+
 # -- Total (monomial) orders --------------------------------------------------
 
 DEGLEX_SUM = "deglex-sum"
@@ -146,6 +160,8 @@ class MonomialOrder:
 
     kind: str
     weights: Optional[tuple[Fraction, ...]] = None
+    _forms: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in _ORDER_KINDS:
@@ -158,7 +174,7 @@ class MonomialOrder:
         elif self.weights is not None:
             raise ValueError("weights only apply to wdeglex")
 
-    @functools.lru_cache(maxsize=64)  # key() reads W on every call
+    @_per_m
     def forms(self, m: int) -> tuple[tuple[int, ...], ...]:
         """Integer weight matrix W: a is below b iff W a < W b lexicographically.
 
@@ -263,6 +279,8 @@ class PartialOrder:
 
     kind: str
     ab: Optional[AlphaBeta] = None
+    _forms: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in (AB, COMPONENTWISE):
@@ -278,7 +296,7 @@ class PartialOrder:
     def componentwise(cls) -> "PartialOrder":
         return cls(COMPONENTWISE)
 
-    @functools.lru_cache(maxsize=64)  # leq() reads W on every call
+    @_per_m
     def forms(self, m: int) -> tuple[tuple[int, ...], ...]:
         """Integer rows W with a preceding b iff W a <= W b entrywise.
 
@@ -365,95 +383,6 @@ def downset_enum(a: MultiIndex, p: PartialOrder) -> frozenset[MultiIndex]:
 
 
 # -- Validators ----------------------------------------------------------------
-
-CompareFn = Callable[[MultiIndex, MultiIndex], Comparison]
-
-
-def _as_compare(order: Union[MonomialOrder, CompareFn]) -> CompareFn:
-    if isinstance(order, MonomialOrder):
-        return order.compare
-    return order
-
-
-def validate_monomial_order(order: Union[MonomialOrder, CompareFn],
-                            m: int, box_bound: int) -> Certificate:
-    """Exhaustively test the total-order axioms on [0, box_bound]^m.
-
-    Checks, each with a concrete witness on failure:
-        totality        every pair compares LESS/EQUAL/GREATER
-        antisymmetry    EQUAL iff identical, and compare(a,b)
-                        mirrors compare(b,a)
-        transitivity    LESS is transitive over all triples
-        translation     compare(a,b) == compare(a+c, b+c) for all triples
-        origin-minimum  o is strictly below every other point
-
-    The comparator is called once on every pair of the doubled box
-    [0, 2*box_bound]^m, which holds every a+c; the checks read that
-    table.  Each witness is the first in row-major order of the points,
-    pairs or triples.  Well-orderedness is not decidable by sampling; on
-    N^m it follows from translation invariance plus o being the minimum,
-    which are tested.
-    """
-    cmp = _as_compare(order)
-    rels = list(Comparison)
-    less, equal, greater, incomparable = range(4)
-    code = {rel: i for i, rel in enumerate(rels)}
-    wide = list(box((2 * box_bound,) * m))
-    table = np.array([[code[cmp(a, b)] for b in wide] for a in wide], dtype=np.int8)
-    points = list(box((box_bound,) * m))
-    # row-major position in the doubled box; digits of a+c stay below its side
-    side = 2 * box_bound + 1
-    pos = np.array(points, dtype=np.int64) @ side ** np.arange(m - 1, -1, -1)
-    rel = table[np.ix_(pos, pos)]
-    checks: list[Check] = []
-
-    hit = _first(rel == incomparable)
-    checks.append(Check("totality", hit is None,
-                        None if hit is None else witness(a=points[hit[0]],
-                                                         b=points[hit[1]])))
-
-    unequal = (rel == equal) != np.eye(len(points), dtype=bool)
-    mirror = np.array([greater, equal, less, -1])[rel]
-    hit = _first(unequal | ((mirror >= 0) & (rel.T != mirror)))
-    anti_witness = None
-    if hit is not None:
-        a, b = hit
-        anti_witness = witness(a=points[a], b=points[b], relation=rels[rel[a, b]].value)
-        if not unequal[a, b]:
-            anti_witness["reverse"] = rels[rel[b, a]].value
-    checks.append(Check("antisymmetry", anti_witness is None, anti_witness))
-
-    below = rel == less
-    trans_witness = None
-    for a in range(len(points)):
-        hit = _first(below[a][:, None] & below & ~below[a][None, :])
-        if hit is not None:
-            trans_witness = witness(a=points[a], b=points[hit[0]], c=points[hit[1]])
-            break
-    checks.append(Check("transitivity", trans_witness is None, trans_witness))
-
-    shift_witness = None
-    moved = pos[:, None] + pos[None, :]  # [b, c] -> position of b+c
-    for a in range(len(points)):
-        hit = _first(rel[a][:, None] != table[(pos[a] + pos)[None, :], moved])
-        if hit is not None:
-            shift_witness = witness(a=points[a], b=points[hit[0]], shift=points[hit[1]])
-            break
-    checks.append(Check("translation", shift_witness is None, shift_witness))
-
-    # points[0] is the origin
-    hit = _first(rel[0, 1:] != less)
-    checks.append(Check("origin-minimum", hit is None,
-                        None if hit is None else witness(a=points[hit[0] + 1])))
-
-    return Certificate.of(checks)
-
-
-def _first(mask: np.ndarray) -> Optional[tuple[int, ...]]:
-    """Row-major first True position of ``mask``, or None."""
-    hits = np.argwhere(mask)
-    return tuple(int(i) for i in hits[0]) if hits.size else None
-
 
 def validate_pair_compat(p: PartialOrder, order: MonomialOrder,
                          box_bound: int, m: int) -> Certificate:

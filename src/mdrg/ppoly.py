@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
-import numpy as np
-
 from .certificates import Certificate, Check, witness
 # Not called here; kept as module attributes that perfbench/tracing.py wraps.
 from .exactlinalg import in_span, mat_vec, solve_columns  # noqa: F401
@@ -111,34 +109,6 @@ class Polynomial:
         m = len(next(iter(self._coeffs)))
         e = MultiIndex.unit(m, color)
         return Polynomial({a + e: v for a, v in self._coeffs.items()})
-
-    def evaluate(self, arguments: Sequence[np.ndarray]) -> np.ndarray:
-        """Evaluate at pairwise-commuting square matrices over Fraction.
-
-        Arguments are numpy object arrays; the result is exact.
-        """
-        if not arguments:
-            raise ValueError("need one matrix per variable")
-        n = arguments[0].shape[0]
-        eye = np.array([[Fraction(1) if i == j else Fraction(0)
-                         for j in range(n)] for i in range(n)], dtype=object)
-        powers: dict[MultiIndex, np.ndarray] = {}
-
-        def monomial(a: MultiIndex) -> np.ndarray:
-            if a in powers:
-                return powers[a]
-            if a.degree == 0:
-                value = eye
-            else:
-                i = next(k for k, e in enumerate(a) if e > 0)
-                value = arguments[i] @ monomial(a - MultiIndex.unit(len(a), i + 1))
-            powers[a] = value
-            return value
-
-        total = np.array([[Fraction(0)] * n for _ in range(n)], dtype=object)
-        for a, coefficient in self._coeffs.items():
-            total = total + monomial(a) * coefficient
-        return total
 
     def as_text(self) -> str:
         if self.is_zero:

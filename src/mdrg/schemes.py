@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 from collections import abc
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,8 +27,8 @@ import numpy as np
 from .certificates import Certificate, Check, witness
 # Not called here; kept as a module attribute that perfbench/tracing.py wraps.
 from .exactlinalg import mat_vec  # noqa: F401
-from .graphs import ColoredGraph, DistanceTable, count_walks_by_type, m_distance_table
-from .orders import MonomialOrder, MultiIndex, box
+from .graphs import ColoredGraph, DistanceTable, m_distance_table
+from .orders import MonomialOrder, MultiIndex
 
 Label = Union[MultiIndex, str]
 
@@ -134,11 +133,6 @@ class SchemeClasses:
                                minlength=len(self.labels))
         hits = np.flatnonzero((np.bincount(classes) == self.n) & (diagonal == self.n))
         return int(hits[0]) if hits.size else None
-
-    def matrix_for(self, label: Label) -> np.ndarray:
-        if label not in self.labels:
-            raise KeyError("no class labeled %r" % (label,))
-        return self.matrices[self.labels.index(label)]
 
     def class_index_matrix(self) -> np.ndarray:
         """:attr:`index`; ValueError if the classes do not partition the pairs."""
@@ -550,7 +544,7 @@ def mdrg_check(g: ColoredGraph, order: MonomialOrder) -> MdrgResult:
 
     checks: list[Check] = []
     missing = [c for c in range(1, g.m + 1)
-               if MultiIndex.unit(g.m, c) not in table.realized]
+               if MultiIndex.unit(g.m, c) not in labels]
     checks.append(Check(
         "colors-realized", not missing,
         None if not missing else witness(
@@ -570,90 +564,3 @@ def mdrg_check(g: ColoredGraph, order: MonomialOrder) -> MdrgResult:
         return MdrgResult(certificate, table, None)
     tensor = _tensor_from_counts(counts, labels, MultiIndex.zero(g.m))
     return MdrgResult(certificate, table, tensor)
-
-
-# -- Structural consequences (checked independently in the test suite) ----------
-
-def check_triangle_conditions(t: IntersectionTensor,
-                              order: MonomialOrder) -> Certificate:
-    """p_{a,b}^c != 0 forces the three triangle bounds under the order."""
-    for (a, b, c), value in t.p.items():
-        if value == 0:
-            continue
-        for lhs, r1, r2, name in ((a, b, c, "a<=b+c"), (b, a, c, "b<=a+c"),
-                                  (c, a, b, "c<=a+b")):
-            if not order.leq(lhs, r1 + r2):  # type: ignore[operator]
-                return Certificate.single(
-                    "triangle", False,
-                    witness(a=a, b=b, c=c, violated=name, value=value))
-    return Certificate.single("triangle", True)
-
-
-def check_additive_nonvanishing(t: IntersectionTensor) -> Certificate:
-    """a, b, a+b all realized forces p_{a,b}^{a+b} != 0."""
-    dom = t.domain()
-    for a, b in itertools.product(sorted(dom), repeat=2):
-        total = a + b  # type: ignore[operator]
-        if total in dom and t.get(a, b, total) == 0:
-            return Certificate.single("additive-nonvanishing", False,
-                                      witness(a=a, b=b, sum=total))
-    return Certificate.single("additive-nonvanishing", True)
-
-
-def check_sum_decomposition(table: DistanceTable,
-                            t: IntersectionTensor) -> Certificate:
-    """Every componentwise split of a realized distance is realized.
-
-    For each c in D and each b <= c componentwise there must exist, for
-    every pair at distance c, a vertex z with d(x,z)=b and d(z,y)=c-b.
-    With regularity certified the count of such z is the same for all
-    pairs at distance c, so checking p_{b,c-b}^c != 0 covers every pair;
-    one representative pair per class is additionally re-counted straight
-    from the table.
-    """
-    dom = t.domain()
-    n = table.graph.n
-    # the first pair of each class in row-major order
-    first = dict(zip(table.sorted_labels(), np.unique(table.index, return_index=True)[1]))
-    for c in sorted(dom):
-        for b in box(tuple(c)):  # type: ignore[arg-type]
-            remainder = c - b  # type: ignore[operator]
-            if b not in dom or remainder not in dom:
-                return Certificate.single(
-                    "sum-decomposition", False,
-                    witness(c=c, b=b, missing=b if b not in dom else remainder))
-            if t.get(b, remainder, c) == 0:
-                return Certificate.single("sum-decomposition", False,
-                                          witness(c=c, b=b, count=0))
-            x, y = divmod(int(first[c]), n)
-            found = sum(1 for z in range(n)
-                        if table.labels[x][z] == b and table.labels[z][y] == remainder)
-            if found != t.get(b, remainder, c):
-                return Certificate.single(
-                    "sum-decomposition", False,
-                    witness(c=c, b=b, recount=found, tensor=t.get(b, remainder, c)))
-    return Certificate.single("sum-decomposition", True)
-
-
-def check_walk_type_invariance(g: ColoredGraph, rng: random.Random,
-                               samples: int = 50,
-                               max_length: int = 4) -> Certificate:
-    """Walk counts depend only on the multiset of edge colors.
-
-    Samples (x, y, color sequence) triples and compares the walk count of
-    every distinct permutation of the sequence.
-    """
-    for _ in range(samples):
-        x = rng.choice(g.vertices)
-        y = rng.choice(g.vertices)
-        length = rng.randint(2, max_length)
-        colors = tuple(rng.randint(1, g.m) for _ in range(length))
-        perms = sorted(set(itertools.permutations(colors)))
-        counts = [count_walks_by_type(g, x, y, perm) for perm in perms]
-        if len(set(counts)) != 1:
-            return Certificate.single(
-                "walk-type-invariance", False,
-                witness(x=x, y=y, types=[list(p) for p in perms],
-                        counts=counts))
-    return Certificate.single("walk-type-invariance", True,
-                              detail="%d sampled triples" % samples)

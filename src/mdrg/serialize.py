@@ -60,14 +60,6 @@ def label_from_text(text: str) -> Label:
         return str(text)
 
 
-def multiindex_from_json(value: Union[str, list]) -> MultiIndex:
-    if isinstance(value, str):
-        return MultiIndex.parse(value)
-    if isinstance(value, list):
-        return MultiIndex(value)
-    raise InputFormatError("bad multi-index %r" % (value,))
-
-
 # -- Graphs ----------------------------------------------------------------------
 
 def graph_to_dict(g: ColoredGraph) -> dict:
@@ -86,7 +78,7 @@ def graph_from_dict(data: Mapping[str, Any]) -> ColoredGraph:
     except KeyError as exc:
         raise InputFormatError("graph document needs keys m, vertices, edges; "
                                "missing %s" % exc) from exc
-    if not isinstance(m, int):
+    if not isinstance(m, int) or isinstance(m, bool):
         raise InputFormatError("m must be an integer")
     triples = []
     for edge in edges:
@@ -94,7 +86,7 @@ def graph_from_dict(data: Mapping[str, Any]) -> ColoredGraph:
             raise InputFormatError("edges are [u, v, color] triples, got %r"
                                    % (edge,))
         u, v, color = edge
-        if not isinstance(color, int):
+        if not isinstance(color, int) or isinstance(color, bool):
             raise InputFormatError("edge color must be an integer, got %r"
                                    % (color,))
         triples.append((str(u), str(v), color))
@@ -192,16 +184,6 @@ def polynomials_to_dict(polys: Mapping[MultiIndex, Polynomial]) -> dict:
                       for a, v in polys[n].terms()],
         })
     return {"polynomials": out}
-
-
-def polynomials_from_dict(data: Mapping[str, Any]) -> dict[MultiIndex, Polynomial]:
-    polys: dict[MultiIndex, Polynomial] = {}
-    for entry in data["polynomials"]:
-        n = MultiIndex.parse(str(entry["n"]))
-        coeffs = {MultiIndex.parse(str(term["a"])): fraction_from_json(term["coef"])
-                  for term in entry["terms"]}
-        polys[n] = Polynomial(coeffs)
-    return polys
 
 
 # -- Documents ---------------------------------------------------------------------

@@ -15,6 +15,12 @@ label-setting search over the intersection numbers, loops over dense
 0/1 class matrices and sums of Kronecker products instead of the class
 index matrix, and the defining Fraction inequalities of each partial
 order instead of its integer weight rows.
+
+It also holds the checks that only the tests run: the structural
+consequences of m-distance-regularity (triangle bounds, additive
+nonvanishing, sum decomposition, walk-type invariance, edge-step
+precedence), the order-axiom validator, per-color adjacency matrices,
+and readers of documents the CLI only writes.
 """
 
 from __future__ import annotations
@@ -23,16 +29,19 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from mdrg import (ABRegion, Certificate, Check, ColoredGraph, Comparison,
-                  Discovery, Interval, Labeling, MonomialOrder, MultiIndex,
-                  PartialOrder, Polynomial, SchemeClasses, ab_feasible_region,
-                  box, in_span, mat_vec, mdrg_check, solve_columns,
+                  Discovery, DistanceTable, IntersectionTensor, Interval,
+                  Labeling, MonomialOrder, MultiIndex, PartialOrder, Polynomial,
+                  SchemeClasses, ab_feasible_region, box, in_span, mat_vec,
+                  m_distance_table, mdrg_check, solve_columns,
                   verify_scheme_axioms)
 from mdrg.certificates import witness
 from mdrg.schemes import BadPair, _pair_witness, pair_counts
+from mdrg.serialize import InputFormatError, fraction_from_json
 
 # The two label maps of the 24-cell family.  Diagonal sends the valency-8
 # class A1 to (1,1); axis sends it to (0,2).
@@ -92,6 +101,201 @@ def random_colored_graph(rng: random.Random, n: int, m: int,
             edges.add((min(u, v), max(u, v)))
     colored = [(names[u], names[v], rng.randint(1, m)) for u, v in sorted(edges)]
     return ColoredGraph(m, names, colored)
+
+
+# -- Graph and distance-table views ---------------------------------------------
+
+def label_rows(table: DistanceTable) -> tuple:
+    """The n x n m-distances of a table as rows of labels:
+    ``label_rows(table)[i][j]`` is the m-distance between vertices i and j."""
+    return tuple(tuple(table.labels[c] for c in row) for row in table.index.tolist())
+
+
+def color_matrix(g: ColoredGraph, color: int) -> np.ndarray:
+    """0/1 adjacency matrix of the given color."""
+    if not 1 <= color <= g.m:
+        raise ValueError("color %d outside 1..%d" % (color, g.m))
+    mat = np.zeros((g.n, g.n), dtype=np.int64)
+    for iu, iv, c in g.edges:
+        if c == color:
+            mat[iu, iv] = 1
+            mat[iv, iu] = 1
+    return mat
+
+
+def is_connected(g: ColoredGraph) -> bool:
+    seen = {0}
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for w, _ in g.neighbors(v):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == g.n
+
+
+def count_walks_by_type(g: ColoredGraph, x: str, y: str,
+                        colors: Sequence[int]) -> int:
+    """Number of walks from x to y whose edge colors are exactly ``colors``.
+
+    Computed as a chain of matrix-vector products with the per-color
+    adjacency matrices, on Python ints so that counts never overflow.
+    """
+    vec = np.zeros(g.n, dtype=object)
+    vec[g.index(x)] = 1
+    for color in colors:
+        vec = color_matrix(g, color).astype(object) @ vec
+    return int(vec[g.index(y)])
+
+
+def distance_profile(table: DistanceTable) -> dict[MultiIndex, int]:
+    """Per-label count of partners of a fixed vertex; well-defined only
+    for regular instances, reported from vertex 0."""
+    counts: dict[MultiIndex, int] = {}
+    for lab in label_rows(table)[0]:
+        counts[lab] = counts.get(lab, 0) + 1
+    return counts
+
+
+# -- Structural consequences of m-distance-regularity ------------------------------
+#
+# Necessary conditions on a certified graph or its intersection numbers,
+# each with a witness on failure: the certifier's results are checked
+# against them.
+
+def check_precompat_graph(g: ColoredGraph, order: MonomialOrder,
+                          p: PartialOrder) -> Certificate:
+    """Local test that the graph's distances respect a partial order.
+
+    For every ordered pair (x, y) and every edge (y, z) of color i the
+    distance must satisfy d(x,z) preceded-by d(x,y) + e_i.  This is the
+    one-step version of the walk condition: extending any walk by one
+    edge can only move the target distance up in the partial order.
+    """
+    rows = label_rows(m_distance_table(g, order))
+    units = [MultiIndex.unit(g.m, c) for c in range(1, g.m + 1)]
+    for xi in range(g.n):
+        row = rows[xi]
+        for yi in range(g.n):
+            bound_base = row[yi]
+            for zi, color in g.neighbors(yi):
+                if not p.leq(row[zi], bound_base + units[color - 1]):
+                    w = witness(
+                        x=g.vertices[xi], y=g.vertices[yi], z=g.vertices[zi],
+                        color=color, d_xy=bound_base, d_xz=row[zi],
+                        bound=bound_base + units[color - 1],
+                        partial=p.as_text())
+                    return Certificate.single("edge-step-precedence", False, w)
+    return Certificate.single("edge-step-precedence", True,
+                              detail="checked %d vertex/edge incidences"
+                                     % (g.n * 2 * len(g.edges)))
+
+
+def check_triangle_conditions(t: IntersectionTensor,
+                              order: MonomialOrder) -> Certificate:
+    """p_{a,b}^c != 0 forces the three triangle bounds under the order."""
+    for (a, b, c), value in t.p.items():
+        if value == 0:
+            continue
+        for lhs, r1, r2, name in ((a, b, c, "a<=b+c"), (b, a, c, "b<=a+c"),
+                                  (c, a, b, "c<=a+b")):
+            if not order.leq(lhs, r1 + r2):
+                return Certificate.single(
+                    "triangle", False,
+                    witness(a=a, b=b, c=c, violated=name, value=value))
+    return Certificate.single("triangle", True)
+
+
+def check_additive_nonvanishing(t: IntersectionTensor) -> Certificate:
+    """a, b, a+b all realized forces p_{a,b}^{a+b} != 0."""
+    dom = t.domain()
+    for a, b in itertools.product(sorted(dom), repeat=2):
+        total = a + b
+        if total in dom and t.get(a, b, total) == 0:
+            return Certificate.single("additive-nonvanishing", False,
+                                      witness(a=a, b=b, sum=total))
+    return Certificate.single("additive-nonvanishing", True)
+
+
+def check_sum_decomposition(table: DistanceTable,
+                            t: IntersectionTensor) -> Certificate:
+    """Every componentwise split of a realized distance is realized.
+
+    For each c in D and each b <= c componentwise there must exist, for
+    every pair at distance c, a vertex z with d(x,z)=b and d(z,y)=c-b.
+    With regularity certified the count of such z is the same for all
+    pairs at distance c, so checking p_{b,c-b}^c != 0 covers every pair;
+    one representative pair per class is additionally re-counted straight
+    from the table.
+    """
+    dom = t.domain()
+    n = table.graph.n
+    rows = label_rows(table)
+    # the first pair of each class in row-major order
+    first = dict(zip(table.labels, np.unique(table.index, return_index=True)[1]))
+    for c in sorted(dom):
+        for b in box(tuple(c)):
+            remainder = c - b
+            if b not in dom or remainder not in dom:
+                return Certificate.single(
+                    "sum-decomposition", False,
+                    witness(c=c, b=b, missing=b if b not in dom else remainder))
+            if t.get(b, remainder, c) == 0:
+                return Certificate.single("sum-decomposition", False,
+                                          witness(c=c, b=b, count=0))
+            x, y = divmod(int(first[c]), n)
+            found = sum(1 for z in range(n)
+                        if rows[x][z] == b and rows[z][y] == remainder)
+            if found != t.get(b, remainder, c):
+                return Certificate.single(
+                    "sum-decomposition", False,
+                    witness(c=c, b=b, recount=found, tensor=t.get(b, remainder, c)))
+    return Certificate.single("sum-decomposition", True)
+
+
+def check_walk_type_invariance(g: ColoredGraph, rng: random.Random,
+                               samples: int = 50,
+                               max_length: int = 4) -> Certificate:
+    """Walk counts depend only on the multiset of edge colors.
+
+    Samples (x, y, color sequence) triples and compares the walk count of
+    every distinct permutation of the sequence.
+    """
+    for _ in range(samples):
+        x = rng.choice(g.vertices)
+        y = rng.choice(g.vertices)
+        length = rng.randint(2, max_length)
+        colors = tuple(rng.randint(1, g.m) for _ in range(length))
+        perms = sorted(set(itertools.permutations(colors)))
+        counts = [count_walks_by_type(g, x, y, perm) for perm in perms]
+        if len(set(counts)) != 1:
+            return Certificate.single(
+                "walk-type-invariance", False,
+                witness(x=x, y=y, types=[list(p) for p in perms],
+                        counts=counts))
+    return Certificate.single("walk-type-invariance", True,
+                              detail="%d sampled triples" % samples)
+
+
+# -- Document readers the CLI does not need ------------------------------------------
+
+def multiindex_from_json(value: Union[str, list]) -> MultiIndex:
+    if isinstance(value, str):
+        return MultiIndex.parse(value)
+    if isinstance(value, list):
+        return MultiIndex(value)
+    raise InputFormatError("bad multi-index %r" % (value,))
+
+
+def polynomials_from_dict(data: Mapping[str, Any]) -> dict[MultiIndex, Polynomial]:
+    polys: dict[MultiIndex, Polynomial] = {}
+    for entry in data["polynomials"]:
+        n = MultiIndex.parse(str(entry["n"]))
+        coeffs = {MultiIndex.parse(str(term["a"])): fraction_from_json(term["coef"])
+                  for term in entry["terms"]}
+        polys[n] = Polynomial(coeffs)
+    return polys
 
 
 # -- Cycle oracle --------------------------------------------------------------
@@ -459,7 +663,7 @@ def brute_force_pair_compat(p: PartialOrder, order: MonomialOrder,
     return Certificate.of(checks)
 
 
-# -- Monomial-order axiom oracle --------------------------------------------------
+# -- Monomial-order axioms: one comparison table, and plain loops as its oracle --
 
 def brute_force_monomial_order(order, m: int, box_bound: int) -> Certificate:
     """The five total-order axiom checks as plain loops over the box,
@@ -512,6 +716,95 @@ def brute_force_monomial_order(order, m: int, box_bound: int) -> Certificate:
             break
     checks.append(Check("origin-minimum", min_witness is None, min_witness))
     return Certificate.of(checks)
+
+
+CompareFn = Callable[[MultiIndex, MultiIndex], Comparison]
+
+
+def _as_compare(order: Union[MonomialOrder, CompareFn]) -> CompareFn:
+    if isinstance(order, MonomialOrder):
+        return order.compare
+    return order
+
+
+def validate_monomial_order(order: Union[MonomialOrder, CompareFn],
+                            m: int, box_bound: int) -> Certificate:
+    """Exhaustively test the total-order axioms on [0, box_bound]^m.
+
+    Checks, each with a concrete witness on failure:
+        totality        every pair compares LESS/EQUAL/GREATER
+        antisymmetry    EQUAL iff identical, and compare(a,b)
+                        mirrors compare(b,a)
+        transitivity    LESS is transitive over all triples
+        translation     compare(a,b) == compare(a+c, b+c) for all triples
+        origin-minimum  o is strictly below every other point
+
+    The comparator is called once on every pair of the doubled box
+    [0, 2*box_bound]^m, which holds every a+c; the checks read that
+    table.  Each witness is the first in row-major order of the points,
+    pairs or triples.  Well-orderedness is not decidable by sampling; on
+    N^m it follows from translation invariance plus o being the minimum,
+    which are tested.  :func:`brute_force_monomial_order` is its oracle.
+    """
+    cmp = _as_compare(order)
+    rels = list(Comparison)
+    less, equal, greater, incomparable = range(4)
+    code = {rel: i for i, rel in enumerate(rels)}
+    wide = list(box((2 * box_bound,) * m))
+    table = np.array([[code[cmp(a, b)] for b in wide] for a in wide], dtype=np.int8)
+    points = list(box((box_bound,) * m))
+    # row-major position in the doubled box; digits of a+c stay below its side
+    side = 2 * box_bound + 1
+    pos = np.array(points, dtype=np.int64) @ side ** np.arange(m - 1, -1, -1)
+    rel = table[np.ix_(pos, pos)]
+    checks: list[Check] = []
+
+    hit = _first(rel == incomparable)
+    checks.append(Check("totality", hit is None,
+                        None if hit is None else witness(a=points[hit[0]],
+                                                         b=points[hit[1]])))
+
+    unequal = (rel == equal) != np.eye(len(points), dtype=bool)
+    mirror = np.array([greater, equal, less, -1])[rel]
+    hit = _first(unequal | ((mirror >= 0) & (rel.T != mirror)))
+    anti_witness = None
+    if hit is not None:
+        a, b = hit
+        anti_witness = witness(a=points[a], b=points[b], relation=rels[rel[a, b]].value)
+        if not unequal[a, b]:
+            anti_witness["reverse"] = rels[rel[b, a]].value
+    checks.append(Check("antisymmetry", anti_witness is None, anti_witness))
+
+    below = rel == less
+    trans_witness = None
+    for a in range(len(points)):
+        hit = _first(below[a][:, None] & below & ~below[a][None, :])
+        if hit is not None:
+            trans_witness = witness(a=points[a], b=points[hit[0]], c=points[hit[1]])
+            break
+    checks.append(Check("transitivity", trans_witness is None, trans_witness))
+
+    shift_witness = None
+    moved = pos[:, None] + pos[None, :]  # [b, c] -> position of b+c
+    for a in range(len(points)):
+        hit = _first(rel[a][:, None] != table[(pos[a] + pos)[None, :], moved])
+        if hit is not None:
+            shift_witness = witness(a=points[a], b=points[hit[0]], shift=points[hit[1]])
+            break
+    checks.append(Check("translation", shift_witness is None, shift_witness))
+
+    # points[0] is the origin
+    hit = _first(rel[0, 1:] != less)
+    checks.append(Check("origin-minimum", hit is None,
+                        None if hit is None else witness(a=points[hit[0] + 1])))
+
+    return Certificate.of(checks)
+
+
+def _first(mask: np.ndarray) -> Optional[tuple[int, ...]]:
+    """Row-major first True position of ``mask``, or None."""
+    hits = np.argwhere(mask)
+    return tuple(int(i) for i in hits[0]) if hits.size else None
 
 
 # -- dom x dom scans of the generator products ------------------------------------
@@ -679,7 +972,7 @@ def graph_discover_labelings(s: SchemeClasses, m: int,
                  for color, class_index in enumerate(tup, start=1)
                  for x, y in np.argwhere(np.triu(s.matrices[class_index], 1) == 1)]
         graph = ColoredGraph(m, s.vertices, edges)
-        if not graph.is_connected():
+        if not is_connected(graph):
             continue
         result = mdrg_check(graph, order)
         if not result.certificate.passed:

@@ -23,10 +23,11 @@ from mdrg.schemes import distance_matrices
 from mdrg.serialize import (
     dump_json,
     graph_to_dict,
-    polynomials_from_dict,
     scheme_to_dict,
     tensor_to_dict,
 )
+
+from helpers import polynomials_from_dict
 
 mi = MultiIndex
 AXIS_TEXT = "A0=0,0;A1=0,2;A2=1,0;A3=0,1;A4=2,0"
@@ -536,6 +537,32 @@ def test_disconnected_graph_is_usage_error(tmp_path, capsys, command):
     assert code == 2
     assert out == ""
     assert err == "error: vertex 'c' is unreachable from 'a'\n"
+
+
+@pytest.mark.parametrize("command", ["distances", "certify-mdrg"])
+def test_bool_in_graph_document_is_usage_error(tmp_path, capsys, command):
+    # JSON true is a Python bool, which isinstance counts as the int 1
+    for m, color, message in ((True, 1, "m must be an integer"),
+                              (1, True, "edge color must be an integer, got True")):
+        path = _write(tmp_path, "triangle.json", {
+            "m": m, "vertices": ["a", "b", "c"],
+            "edges": [["a", "b", color], ["b", "c", color], ["c", "a", color]]})
+        code, out, err = run(capsys, command, path, "--order", "lex")
+        assert code == 2
+        assert out == ""
+        assert err == "error: %s\n" % message
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys, gen24_tensor):
+    target = tmp_path / "missing" / "x.json"
+    for argv in (["generate", "cycle:6", "--out", str(target)],
+                 ["certify-ppoly", gen24_tensor, "--order", "deglex-sum",
+                  "--labeling", AXIS_TEXT, "--polys", str(target)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: cannot write %s: No such file or directory\n" % target
+    assert not target.parent.exists()
 
 
 @pytest.mark.parametrize("argv", [

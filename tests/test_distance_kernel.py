@@ -26,7 +26,7 @@ import mdrg.graphs
 from mdrg import (ColoredGraph, DisconnectedGraphError, MonomialOrder,
                   MultiIndex, box, m_distance_from, m_distance_table)
 
-from helpers import brute_force_distance, random_colored_graph
+from helpers import brute_force_distance, label_rows, random_colored_graph
 
 
 def renamed(g: ColoredGraph, rng: random.Random) -> ColoredGraph:
@@ -75,16 +75,22 @@ def test_kernel_matches_search_and_simple_paths(seed, n, m, data):
                            wraps=m_distance_from) as search:
         table = m_distance_table(g, order)
     assert search.call_count == 0  # the int64 kernel ran
-    assert table.labels == search_table(g, order)
+    rows = label_rows(table)
+    assert rows == search_table(g, order)
     for i, x in enumerate(g.vertices):
         for j, y in enumerate(g.vertices):
-            assert table.labels[i][j] == brute_force_distance(g, order, x, y)
-    ordered = table.sorted_labels()
-    assert table.realized == frozenset(ordered)
-    assert table.index.shape == (g.n, g.n)
-    for i, row in enumerate(table.labels):
-        for j, lab in enumerate(row):
-            assert ordered[table.index[i, j]] is lab  # labels are shared
+            assert rows[i][j] == brute_force_distance(g, order, x, y)
+    assert_realized_in_order(table)
+
+
+def assert_realized_in_order(table):
+    """``labels`` holds each realized distance once, sorted by the order,
+    and ``index`` uses every position."""
+    assert table.labels == tuple(table.order.sorted(set(table.labels)))
+    assert table.sorted_labels() == list(table.labels)
+    assert table.realized == frozenset(table.labels)
+    assert table.index.shape == (table.graph.n, table.graph.n)
+    assert sorted(set(table.index.ravel().tolist())) == list(range(len(table.labels)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -123,10 +129,8 @@ def test_codes_past_the_bound_fall_back_to_the_search(seed, n, data):
                            wraps=m_distance_from) as search:
         table = m_distance_table(g, order)
     assert search.call_count == g.n
-    assert table.labels == search_table(g, order)
-    ordered = table.sorted_labels()
-    assert all(ordered[table.index[i, j]] == lab
-               for i, row in enumerate(table.labels) for j, lab in enumerate(row))
+    assert label_rows(table) == search_table(g, order)
+    assert_realized_in_order(table)
 
 
 def defining_key(order: MonomialOrder, a: MultiIndex):

@@ -1,10 +1,14 @@
-"""Every import in the package is used.
+"""Every import in the package is used, and so is every public name.
 
 A name imported by a module of ``src/mdrg`` must be referenced in that
 module, be listed in its ``__all__``, or sit on an import line marked
 ``# noqa: F401`` (kept as a module attribute for outside callers, such as
 the benchmark's tracer, which wraps functions where the caller looks them
-up).  Checked with the standard ``ast`` module, so no linter is needed.
+up).  A name in ``mdrg.__all__`` must be referenced by the package
+outside its own definition and ``__init__.py``, or by the benchmark in
+``perfbench/``: code that only the tests call belongs in
+``tests/helpers.py``.  Checked with the standard ``ast`` module, so no
+linter is needed.
 """
 
 import ast
@@ -12,7 +16,11 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mdrg"
+import mdrg
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "mdrg"
+BENCHMARK = ROOT / "perfbench"
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -47,3 +55,40 @@ def _unused_imports(path: Path) -> list[str]:
                          ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert _unused_imports(path) == []
+
+
+def _references(tree: ast.AST, strings: bool = False) -> set[str]:
+    """Names read in ``tree``, as a bare name or an attribute, outside
+    the body of the function or class that defines them; with
+    ``strings``, also every string constant (the benchmark's tracer names
+    the functions it wraps)."""
+    found: set[str] = set()
+
+    def visit(node: ast.AST, inside: frozenset) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            name = None
+        if name is not None and name not in inside:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    used: set[str] = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "__init__.py":
+            used |= _references(ast.parse(path.read_text()))
+    for path in BENCHMARK.glob("*.py"):
+        used |= _references(ast.parse(path.read_text()), strings=True)
+    assert sorted(set(mdrg.__all__) - used) == []

@@ -17,9 +17,9 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from mdrg import Comparison, MonomialOrder, MultiIndex, box, validate_monomial_order
+from mdrg import Comparison, MonomialOrder, MultiIndex, box
 
-from helpers import brute_force_monomial_order
+from helpers import brute_force_monomial_order, validate_monomial_order
 
 BUILTIN = {1: ["deglex-sum", "lex", "wdeglex:3/2"],
            2: ["deglex-sum", "deglex-y2", "lex", "wdeglex:1/2,3"],

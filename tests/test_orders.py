@@ -20,10 +20,10 @@ from hypothesis import given, settings, strategies as st
 
 from mdrg import (ABRegion, AlphaBeta, Comparison, Interval, MonomialOrder,
                   MultiIndex, PartialOrder, ab_feasible_region, box,
-                  check_domain, downset_enum, validate_monomial_order,
-                  validate_pair_compat)
+                  check_domain, downset_enum, validate_pair_compat)
 
-from helpers import fraction_compare, fraction_downset, fraction_precedes
+from helpers import (fraction_compare, fraction_downset, fraction_precedes,
+                     validate_monomial_order)
 
 # -- Helpers ---------------------------------------------------------------------
 
@@ -128,6 +128,26 @@ def test_compare_monomial_trichotomy():
     assert od.compare(mi(1, 0), mi(0, 2)) is Comparison.LESS
     assert od.compare(mi(1, 1), mi(1, 1)) is Comparison.EQUAL
     assert od.compare(mi(2, 0), mi(0, 2)) is Comparison.GREATER
+
+
+def test_memoized_forms_leave_equality_hash_and_arity_errors_alone():
+    for text, bad_m in (("deglex-y2", 3), ("wdeglex:1/2,3", 3)):
+        fresh, used = MonomialOrder.parse(text), MonomialOrder.parse(text)
+        used.forms(2)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                used.forms(bad_m)
+    fresh, used = PartialOrder.parse("ab:1/2,0"), PartialOrder.parse("ab:1/2,0")
+    assert used.forms(2) == ((2, 1), (0, 1))
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    assert used != PartialOrder.parse("ab:1/3,0")
+    assert len({used, fresh, PartialOrder.componentwise()}) == 2
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            used.forms(3)
+    assert PartialOrder.componentwise().forms(3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 # -- Order validators ----------------------------------------------------------------

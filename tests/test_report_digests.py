@@ -1,10 +1,12 @@
-"""CLI outputs pinned by sha256: stdout, exit code and every written file.
+"""CLI outputs pinned by sha256: exit code, stdout, written files, stderr.
 
 Each case runs one command in a fresh directory holding the input files
 below, with relative paths, so reports do not depend on where the test
-runs.  A digest covers the exit code, the stdout bytes and the bytes of
-every file the command writes (``--out``, ``--polys``).  Any change to a
-report, to ``scheme_to_dict`` bytes or to ``generate`` output shows here.
+runs.  A digest covers the exit code, the stdout bytes, the bytes of
+every file the command writes (``--out``, ``--polys``) and, when
+anything is left of it without the ``elapsed:`` line, stderr.  Any change
+to a report, to ``scheme_to_dict`` bytes, to ``generate`` output or to an
+error message shows here.
 """
 
 import hashlib
@@ -13,7 +15,7 @@ import pytest
 
 from mdrg import MonomialOrder, cartesian_product, cycle, mdrg_check
 from mdrg.cli import main
-from mdrg.serialize import dump_json, scheme_to_dict
+from mdrg.serialize import dump_json, graph_to_dict, scheme_to_dict
 
 DEGLEX_SUM = MonomialOrder.parse("deglex-sum")
 
@@ -24,6 +26,10 @@ def _distance_scheme(graph) -> str:
 
 def _scheme(labels, matrices) -> str:
     return dump_json({"labels": labels, "matrices": matrices})
+
+
+def _graph(graph) -> str:
+    return dump_json(graph_to_dict(graph))
 
 
 I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -42,6 +48,12 @@ INPUTS = {
     "path.json": lambda: _scheme(["A0", "A1", "A2"],
                                  [I3, [[0, 1, 0], [1, 0, 1], [0, 1, 0]],
                                   [[0, 0, 1], [0, 0, 0], [1, 0, 0]]]),
+    "c6g.json": lambda: _graph(cycle(6)),
+    "c4x3g.json": lambda: _graph(cartesian_product([cycle(4), cycle(3)])),
+    "pathg.json": lambda: dump_json({"m": 1, "vertices": ["a", "b", "c"],
+                                     "edges": [["a", "b", 1], ["b", "c", 1]]}),
+    "split.json": lambda: dump_json({"m": 1, "vertices": ["a", "b", "c"],
+                                     "edges": [["a", "b", 1]]}),
 }
 
 GENERATED = [
@@ -73,6 +85,24 @@ WINDOWS = [
     ["type-ab", "c4x3.json", "--alpha", "1", "--beta", "0"],
 ]
 
+# distance tables and m-distance-regularity of graph files; the wdeglex
+# weights push the radix codes past int64, so the label-setting search
+# builds that table
+GRAPHS = [
+    ["distances", "c6g.json", "--order", "deglex-sum"],
+    ["distances", "c4x3g.json", "--order", "deglex-sum"],
+    ["distances", "c4x3g.json", "--order", "lex"],
+    ["distances", "c4x3g.json", "--order", "wdeglex:1000000000000,1"],
+    ["distances", "split.json", "--order", "lex"],
+    ["certify-mdrg", "c6g.json", "--order", "deglex-sum"],
+    ["certify-mdrg", "c4x3g.json", "--order", "deglex-sum"],
+    ["certify-mdrg", "c4x3g.json", "--order", "lex"],
+    ["certify-mdrg", "c4x3g.json", "--order", "wdeglex:1000000000000,1"],
+    ["certify-mdrg", "pathg.json", "--order", "lex"],
+    ["certify-ppoly", "c4x3g.json", "--order", "deglex-sum", "--boundary",
+     "--recurrences"],
+]
+
 
 def _with_labeling(argv, labeling):
     return argv + ["--labeling", labeling] if labeling else argv
@@ -101,23 +131,35 @@ def _cases():
              ";".join("A%d=%d" % (i, i) for i in range(k))],
             ["discover", path, "--m", "1", "--order", "deglex-sum"],
         ]
-    cases += WINDOWS
+    cases += WINDOWS + GRAPHS
     return cases
 
 
 CASES = {" ".join(argv): argv for argv in _cases()}
 
 DIGESTS = {
+    'certify-mdrg c4x3g.json --order deglex-sum':
+        'ed22f9257cb1c8a9648d9744d296367091bcb986cd2b0e7bbf64c4f0a80ed4f5',
+    'certify-mdrg c4x3g.json --order lex':
+        'acc74709e36d053e02b2ffad69ed0f107176968ac4b8eb285239de8736464c0b',
+    'certify-mdrg c4x3g.json --order wdeglex:1000000000000,1':
+        '923fdd6f309b416ed34e9a05a79608dc7efb7dede261f8d29adb4b1708ae412c',
+    'certify-mdrg c6g.json --order deglex-sum':
+        '8418b42aaaf0a208ea8738480af1791f46da0fb2702d76fc05fcc6b4ed32d797',
+    'certify-mdrg pathg.json --order lex':
+        '9d38ac0201cb123db53c5d6ad977270fbdbd105b582462ecd102126f2396e86d',
     'certify-ppoly asym.json --order deglex-sum --labeling A0=0;A1=1;A2=2':
         '78aae5e2957fa48682dcf58c9017158a1b83278241c4fc273c14c9278d0be466',
     'certify-ppoly c4x3.json --order deglex-sum --boundary --recurrences --polys polys.json':
         'eb12cfa324e5414b67cab7213d287d137899bd66582154d342d84638f1fb725d',
     'certify-ppoly c4x3.json --order deglex-sum --partial ab:1,0':
-        '5362fb632b157f283b9135804a517da6491d939d8635435911a91f389c9e4aff',
+        'e8e6fd8e7b1299b90879c507343fddec1f9f6d886de3a0b32d2773cae5338af5',
     'certify-ppoly c4x3.json --order deglex-sum --partial componentwise --boundary --recurrences --polys p.json':
         '8cf21cd5d2abdbaeb1c78939a2cc56e39b3ec432d7d3b2bd83b79dbc895be369',
     'certify-ppoly c4x3.json --order deglex-y2 --partial ab:1/2,0 --boundary --recurrences':
         '470dedba5540380cf2c7d61a28d657151a62c3b529191cb0705ad54ab4fd6842',
+    'certify-ppoly c4x3g.json --order deglex-sum --boundary --recurrences':
+        '1a5715008ec768e7d9bf1ecda2086acea071e383f6215d36418fbcb775a747c4',
     'certify-ppoly c6.json --order deglex-sum --boundary --recurrences --polys polys.json':
         '34f0dd4ff5427cb2d8895843fecf1bb82c30f4ac6ba49e2a36870c503b976bf3',
     'certify-ppoly gap.json --order deglex-sum --labeling A0=0;A1=1':
@@ -164,6 +206,16 @@ DIGESTS = {
         '4fbeaf954685bb4a4591ab200cf616195ccde8d423d292f00ddefbc025e9cf9d',
     'discover sym3.json --m 2 --order deglex-sum':
         '38a7e456d35487e58108ed112b39041532684473df822ea3761d25aa113acb09',
+    'distances c4x3g.json --order deglex-sum':
+        'c52554218c820726e071df058b1e970c38d93593e3f01a881c62d6a2229bd400',
+    'distances c4x3g.json --order lex':
+        'b4083b23c54cbf566b8c8b67efcc70da51b02234de9894191c03d9eee8ba2604',
+    'distances c4x3g.json --order wdeglex:1000000000000,1':
+        'ae827e07ddf7e801ed61f807bfc99730449f27eac2974cf12509ba380c507f0c',
+    'distances c6g.json --order deglex-sum':
+        '034d3671361bde035048bf69163c27b741d0f8e9f0ffbb6a516adceaea0d75cd',
+    'distances split.json --order lex':
+        '7bbc75a8b6c48862794172dd8606f61c04493ce8692d174cd020e5a7894a0eba',
     'generate pauli4':
         'b9e87203cd06f4748aace55d1f65dc9e890ac650f49810d9bae28608947d26a2',
     'generate pauli4 --out pauli4.json':
@@ -185,7 +237,7 @@ DIGESTS = {
     'type-ab c4x3.json --region':
         '202ffd2c6d6616c7662d1110291d7220d7755ebfe3f04ac8cc832658d401b997',
     'type-ab c6.json --region':
-        '5362fb632b157f283b9135804a517da6491d939d8635435911a91f389c9e4aff',
+        '2fba55f84048fd43a0d197eb0cc8f9be6559cf040d4bb92892e807cdf355ef90',
     'type-ab pauli4.json --region --labeling A0=0,0;A1=1,0;A2=0,1':
         '1e828cf838cc56724a75db139c630297f520e4b7958ae2f3cf8ad816e2822aad',
     'type-ab sym2.json --region':
@@ -224,13 +276,17 @@ def _digest(tmp_path, capsys, argv) -> str:
         assert main(setup) == 0
     capsys.readouterr()
     code = main(list(argv))
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     digest = hashlib.sha256(b"exit %d\n" % code + out.encode("ascii"))
     for i, flag in enumerate(argv):
         if flag in ("--out", "--polys"):
             path = tmp_path / argv[i + 1]
             digest.update(b"\n%s\n" % argv[i + 1].encode()
                           + (path.read_bytes() if path.exists() else b"missing"))
+    err = "".join(line for line in err.splitlines(keepends=True)
+                  if not line.startswith("elapsed: "))
+    if err:
+        digest.update(b"\nstderr\n" + err.encode())
     return digest.hexdigest()
 
 

@@ -18,10 +18,6 @@ from mdrg import (
     boundary_check,
     cartesian_product,
     cell24,
-    check_additive_nonvanishing,
-    check_sum_decomposition,
-    check_triangle_conditions,
-    check_walk_type_invariance,
     cycle,
     distance_matrices,
     extract_polynomials,
@@ -36,7 +32,9 @@ from mdrg import (
     verify_scheme_axioms,
 )
 
-from helpers import (brute_force_validate, cycle_intersection_numbers,
+from helpers import (brute_force_validate, check_additive_nonvanishing,
+                     check_sum_decomposition, check_triangle_conditions,
+                     check_walk_type_invariance, cycle_intersection_numbers,
                      regular_representation)
 
 DEGLEX_SUM = MonomialOrder.parse("deglex-sum")
@@ -67,9 +65,7 @@ def test_scheme_classes_validation():
     s = pauli_scheme4()
     assert s.n == 4
     assert s.identity_index() == 0
-    assert s.matrix_for("A2")[0, 3] == 1
-    with pytest.raises(KeyError):
-        s.matrix_for("A9")
+    assert s.matrices[s.labels.index("A2")][0, 3] == 1
     idx = s.class_index_matrix()
     assert idx[0, 0] == 0 and idx[0, 1] == 1 and idx[0, 3] == 2
 
@@ -360,8 +356,8 @@ def test_monomial_basis_against_matrix_products():
     basis = MonomialBasis(t)
     index = {lab: i for i, lab in enumerate(scheme.labels)}
     rep_pair = [tuple(np.argwhere(mat == 1)[0]) for mat in scheme.matrices]
-    a1 = scheme.matrix_for(mi((1, 0))).astype(np.int64)
-    a2 = scheme.matrix_for(mi((0, 1))).astype(np.int64)
+    a1 = scheme.matrices[index[mi((1, 0))]].astype(np.int64)
+    a2 = scheme.matrices[index[mi((0, 1))]].astype(np.int64)
     for a in (mi((0, 0)), mi((1, 0)), mi((0, 1)), mi((2, 0)), mi((0, 2)),
               mi((1, 1)), mi((2, 1)), mi((2, 2))):
         product = np.linalg.matrix_power(a1, a[0]) @ np.linalg.matrix_power(a2, a[1])

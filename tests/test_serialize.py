@@ -29,8 +29,6 @@ from mdrg.serialize import (
     graph_to_dict,
     label_from_text,
     load_document,
-    multiindex_from_json,
-    polynomials_from_dict,
     polynomials_to_dict,
     scheme_from_dict,
     scheme_to_dict,
@@ -38,6 +36,8 @@ from mdrg.serialize import (
     tensor_from_dict,
     tensor_to_dict,
 )
+
+from helpers import multiindex_from_json, polynomials_from_dict
 
 F = Fraction
 mi = MultiIndex
@@ -84,6 +84,13 @@ def test_graph_from_dict_errors():
     with pytest.raises(InputFormatError):
         graph_from_dict({"m": 1, "vertices": ["a", "b"],
                          "edges": [["a", "b", "1"]]})
+    # JSON true is a bool, which Python counts as the int 1
+    with pytest.raises(InputFormatError):
+        graph_from_dict({"m": True, "vertices": ["a", "b"],
+                         "edges": [["a", "b", 1]]})
+    with pytest.raises(InputFormatError):
+        graph_from_dict({"m": 1, "vertices": ["a", "b"],
+                         "edges": [["a", "b", True]]})
 
 
 def test_scheme_round_trip():
