@@ -18,9 +18,9 @@ from .certificates import Certificate, Check, witness
 from .exactlinalg import SingularSystemError, in_span, mat_vec, rank, solve_columns
 from .graphs import (ColoredGraph, DisconnectedGraphError, DistanceTable,
                      GraphStructureError, m_distance_from, m_distance_table)
-from .orders import (ABRegion, AlphaBeta, Comparison, Interval, MonomialOrder,
-                     MultiIndex, PartialOrder, ab_feasible_region, box,
-                     check_domain, downset_enum, validate_pair_compat)
+from .orders import (ABRegion, AlphaBeta, Interval, MonomialOrder, MultiIndex,
+                     PartialOrder, ab_feasible_region, box, check_domain,
+                     downset_enum, validate_pair_compat)
 from .ppoly import (Discovery, ExtractionError, IncompatibleOrderPairError,
                     Labeling, Polynomial, ab_region_for_scheme, boundary_check,
                     certify_ppoly, certify_ppoly_refined, certify_type_ab,
@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ABRegion", "AlphaBeta", "Certificate", "Check", "ColoredGraph",
-    "CommutationError", "Comparison", "DisconnectedGraphError", "Discovery",
+    "CommutationError", "DisconnectedGraphError", "Discovery",
     "DistanceTable",
     "ExtractionError", "GraphStructureError", "IncompatibleOrderPairError",
     "IntersectionTensor", "Interval", "Labeling", "MdrgResult",

@@ -342,7 +342,7 @@ def cmd_type_ab(args: argparse.Namespace) -> tuple[dict, int]:
 
     inputs["alpha"] = str(ab.alpha)
     inputs["beta"] = str(ab.beta)
-    certificates["type-ab"] = certify_type_ab(tensor, ab)
+    certificates["type-ab"] = certify_type_ab(tensor, PartialOrder("ab", ab))
     return _report("type-ab", inputs, certificates), _verdict_code(certificates)
 
 
@@ -435,10 +435,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    # Built once per process: building costs far more than parsing, and
+    # parse_args returns a fresh namespace each call.
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     start = time.perf_counter()

@@ -47,11 +47,14 @@ class ColoredGraph:
 
     Vertices are named by opaque strings; the vertex list fixes the index
     order used by all matrices and tables.  At most one edge may join a
-    pair of vertices, loops are rejected, and colors must lie in 1..m.
+    pair of vertices, loops are rejected, and m and the colors are ints,
+    not bools, with colors in 1..m.
     """
 
     def __init__(self, m: int, vertices: Sequence[str],
                  edges: Iterable[tuple[str, str, int]]):
+        if not isinstance(m, int) or isinstance(m, bool):
+            raise GraphStructureError("m must be an integer, got %r" % (m,))
         if m < 1:
             raise GraphStructureError("need m >= 1, got %d" % m)
         names = tuple(str(v) for v in vertices)
@@ -65,7 +68,8 @@ class ColoredGraph:
         for u, v, color in edges:
             if u not in index or v not in index:
                 raise GraphStructureError("edge (%r, %r) uses unknown vertex" % (u, v))
-            if not isinstance(color, int) or not 1 <= color <= m:
+            if (not isinstance(color, int) or isinstance(color, bool)
+                    or not 1 <= color <= m):
                 raise GraphStructureError(
                     "edge (%r, %r) has color %r outside 1..%d" % (u, v, color, m))
             iu, iv = index[u], index[v]
@@ -96,9 +100,6 @@ class ColoredGraph:
             return self._index[name]
         except KeyError:
             raise KeyError("unknown vertex %r" % name) from None
-
-    def neighbors(self, i: int) -> tuple[tuple[int, int], ...]:
-        return self._adjacency[i]
 
     def edge_names(self) -> list[tuple[str, str, int]]:
         return [(self.vertices[u], self.vertices[v], c) for u, v, c in self.edges]
@@ -158,12 +159,6 @@ class DistanceTable:
     def realized(self) -> frozenset[MultiIndex]:
         return frozenset(self.labels)
 
-    def label(self, x: str, y: str) -> MultiIndex:
-        return self.labels[self.index[self.graph.index(x), self.graph.index(y)]]
-
-    def sorted_labels(self) -> list[MultiIndex]:
-        return list(self.labels)
-
 
 def m_distance_table(g: ColoredGraph, order: MonomialOrder) -> DistanceTable:
     """All-pairs m-distances; verifies symmetry and the o diagonal.
@@ -202,7 +197,7 @@ def m_distance_table(g: ColoredGraph, order: MonomialOrder) -> DistanceTable:
         ordered = [_decode(order, forms, int(code), radix) for code in codes]
     else:
         rows = [m_distance_from(g, order, s) for s in g.vertices]
-        ordered = order.sorted(set(itertools.chain.from_iterable(rows)))
+        ordered = sorted(set(itertools.chain.from_iterable(rows)), key=order.key)
         position = {lab: i for i, lab in enumerate(ordered)}
         index = np.array([[position[lab] for lab in row] for row in rows],
                          dtype=np.int64)

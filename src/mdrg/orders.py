@@ -19,9 +19,10 @@ This module provides:
 
 Both kinds of order compare two multi-indices through integer weight
 rows W (``forms(m)``) and nothing else: a monomial order compares W a
-lexicographically, a partial order entrywise.  All arithmetic is exact:
-parameters are ``fractions.Fraction``, and no comparison ever goes
-through floating point.
+lexicographically, a partial order entrywise.  Callers read an order
+through ``key`` (sorts and heaps) and ``leq`` (windows).  All arithmetic
+is exact: parameters are ``fractions.Fraction``, and no comparison ever
+goes through floating point.
 """
 
 from __future__ import annotations
@@ -31,20 +32,12 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .certificates import Certificate, Check, witness
-
-
-class Comparison(Enum):
-    LESS = "less"
-    EQUAL = "equal"
-    GREATER = "greater"
-    INCOMPARABLE = "incomparable"
 
 
 class MultiIndex(tuple):
@@ -205,24 +198,10 @@ class MonomialOrder:
     def key(self, a: MultiIndex) -> tuple[int, ...]:
         return tuple([sum(map(operator.mul, row, a)) for row in self.forms(len(a))])
 
-    def compare(self, a: MultiIndex, b: MultiIndex) -> Comparison:
+    def leq(self, a: MultiIndex, b: MultiIndex) -> bool:
         if len(a) != len(b):
             raise ValueError("mixed lengths: %d vs %d" % (len(a), len(b)))
-        ka, kb = self.key(a), self.key(b)
-        if ka < kb:
-            return Comparison.LESS
-        if ka > kb:
-            return Comparison.GREATER
-        return Comparison.EQUAL
-
-    def leq(self, a: MultiIndex, b: MultiIndex) -> bool:
-        return self.compare(a, b) is not Comparison.GREATER
-
-    def lt(self, a: MultiIndex, b: MultiIndex) -> bool:
-        return self.compare(a, b) is Comparison.LESS
-
-    def sorted(self, items: Iterable[MultiIndex]) -> list[MultiIndex]:
-        return sorted(items, key=self.key)
+        return self.key(a) <= self.key(b)
 
     def as_text(self) -> str:
         if self.kind == WDEGLEX:
@@ -331,19 +310,6 @@ class PartialOrder:
         """
         total = sum(w * e for row in self.forms(len(a)) for w, e in zip(row, a))
         return (total, tuple(a))
-
-    def compare(self, a: MultiIndex, b: MultiIndex) -> Comparison:
-        ab_ = self.leq(a, b)
-        ba = self.leq(b, a)
-        if ab_ and ba:
-            # Only possible at a == b: the defining forms are injective
-            # on the valid parameter range.
-            return Comparison.EQUAL
-        if ab_:
-            return Comparison.LESS
-        if ba:
-            return Comparison.GREATER
-        return Comparison.INCOMPARABLE
 
     def as_text(self) -> str:
         if self.kind == COMPONENTWISE:
@@ -476,15 +442,6 @@ class Interval:
             return True
         return self.lo == self.hi and not (self.lo_closed and self.hi_closed)
 
-    def contains(self, x: Fraction) -> bool:
-        if x < self.lo or x > self.hi:
-            return False
-        if x == self.lo and not self.lo_closed:
-            return False
-        if x == self.hi and not self.hi_closed:
-            return False
-        return True
-
     def intersect(self, other: "Interval") -> "Interval":
         if self.lo > other.lo:
             lo, lo_closed = self.lo, self.lo_closed
@@ -532,9 +489,6 @@ class ABRegion:
     @property
     def empty(self) -> bool:
         return self.alpha.empty or self.beta.empty
-
-    def contains(self, alpha: Fraction, beta: Fraction) -> bool:
-        return self.alpha.contains(alpha) and self.beta.contains(beta)
 
     def as_text(self) -> str:
         if self.empty:

@@ -29,7 +29,7 @@ from .certificates import Certificate, Check, witness
 from .exactlinalg import in_span, mat_vec, solve_columns  # noqa: F401
 from .schemes import mdrg_check  # noqa: F401
 from .graphs import least_labels
-from .orders import (ABRegion, AlphaBeta, MonomialOrder, MultiIndex,
+from .orders import (ABRegion, MonomialOrder, MultiIndex,
                      PartialOrder, ab_feasible_region, box, check_domain,
                      validate_pair_compat)
 from .schemes import (IntersectionTensor, Label, MonomialBasis, SchemeClasses,
@@ -57,7 +57,11 @@ class ExtractionError(ValueError):
 # -- Polynomials -----------------------------------------------------------------
 
 class Polynomial:
-    """A polynomial over Q in m variables, stored as multidegree -> coefficient."""
+    """A polynomial over Q in m variables, stored as multidegree -> coefficient.
+
+    A canonical, zero-free coefficient map; the recurrences that build and
+    check polynomials do their arithmetic on plain dicts.
+    """
 
     __slots__ = ("_coeffs",)
 
@@ -75,9 +79,6 @@ class Polynomial:
     def terms(self) -> list[tuple[MultiIndex, Fraction]]:
         return sorted(self._coeffs.items(), key=lambda kv: (kv[0].degree, tuple(kv[0])))
 
-    def monomials(self) -> frozenset[MultiIndex]:
-        return frozenset(self._coeffs)
-
     @property
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -86,29 +87,6 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        out = dict(self._coeffs)
-        for a, value in other._coeffs.items():
-            out[a] = out.get(a, Fraction(0)) + value
-        return Polynomial(out)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, factor: Fraction) -> "Polynomial":
-        return Polynomial({a: factor * v for a, v in self._coeffs.items()})
-
-    def shift(self, color: int) -> "Polynomial":
-        """Multiply by the variable x_color (1-based)."""
-        if not self._coeffs:
-            return self
-        m = len(next(iter(self._coeffs)))
-        e = MultiIndex.unit(m, color)
-        return Polynomial({a + e: v for a, v in self._coeffs.items()})
 
     def as_text(self) -> str:
         if self.is_zero:
@@ -314,7 +292,8 @@ def boundary_check(t: IntersectionTensor, window: Window) -> Certificate:
             below = [b for b in dom if window.leq(b, up)]
             rows: dict[int, tuple] = {}
             for b in below:
-                vec = [basis.vector(b)[i] for i in positions]
+                vector = basis.vector(b)
+                vec = [vector[i] for i in positions]
                 top = _eliminate(vec, rows)
                 if top is not None:
                     rows[top] = (vec[top], [(s, value) for s, value
@@ -351,7 +330,7 @@ def extract_polynomials(t: IntersectionTensor, window: Window
     for n in dom:
         basis.vector(n)
     origin = MultiIndex.zero(t.m)
-    polys = {origin: Polynomial({origin: Fraction(1)})}
+    known = {origin: {origin: Fraction(1)}}  # n -> coefficients of v_n
     for n in sorted(dom, key=window.key)[1:]:  # o sorts first
         unit = MultiIndex.unit(t.m, next(i for i, e in enumerate(n) if e) + 1)
         a = n - unit
@@ -366,12 +345,12 @@ def extract_polynomials(t: IntersectionTensor, window: Window
                 "A_%s A_%s reaches A_%s, which is not below %s; certify the "
                 "scheme first" % (unit.as_text(), a.as_text(),
                                   outside[0].as_text(), n.as_text()))
-        coeffs = {c + unit: value for c, value in polys[a]._coeffs.items()}
+        coeffs = {c + unit: value for c, value in known[a].items()}
         for b, p in row.items():
-            for c, value in polys[b]._coeffs.items():
+            for c, value in known[b].items():
                 coeffs[c] = coeffs.get(c, 0) - p * value
-        polys[n] = Polynomial({c: value / lead for c, value in coeffs.items()})
-    polys = {n: polys[n] for n in dom}
+        known[n] = {c: value / lead for c, value in coeffs.items() if value}
+    polys = {n: Polynomial(known[n]) for n in dom}
     lead_witness = next((witness(n=n) for n in dom if polys[n].coeff(n) == 0),
                         None)
     certificate = Certificate.of([
@@ -388,7 +367,9 @@ def verify_recurrences(polys: Mapping[MultiIndex, Polynomial],
     """Check x_i v_a = sum_b p_{e_i,a}^b v_b for every a + e_i in D.
 
     With a partial order given, additionally checks that every class b
-    contributing to the right side lies below a + e_i.
+    contributing to the right side lies below a + e_i.  An identity
+    witness names the least monomial, as a tuple, where the sides differ,
+    with the coefficient of each side.
     """
     dom = t.domain()
     support_witness = None
@@ -398,21 +379,23 @@ def verify_recurrences(polys: Mapping[MultiIndex, Polynomial],
             continue
         if a not in polys:
             raise ValueError("no polynomial for class %s" % a.as_text())
-        lhs = polys[a].shift(unit.index(1) + 1)
-        rhs = Polynomial({})
-        for b, value in row.items():
+        # diff = x_i v_a - sum_b p_{e_i,a}^b v_b
+        diff = {c + unit: value for c, value in polys[a].terms()}
+        for b, p in row.items():
             if (partial is not None and support_witness is None
                     and not partial.leq(b, up)):
                 support_witness = witness(generator=unit, a=a, b=b, bound=up)
             if b not in polys:
                 raise ValueError("no polynomial for class %s" % b.as_text())
-            rhs = rhs + polys[b].scale(value)
-        if identity_witness is None and lhs != rhs:
-            diff = lhs - rhs
-            mono = sorted(diff.monomials())[0]
+            for c, value in polys[b].terms():
+                diff[c] = diff.get(c, 0) - p * value
+        if identity_witness is None and any(diff.values()):
+            mono = min(c for c, value in diff.items() if value)
+            lhs = (polys[a].coeff(mono - unit) if mono[unit.index(1)]
+                   else Fraction(0))
             identity_witness = witness(
                 generator=unit, a=a, monomial=mono,
-                lhs=lhs.coeff(mono), rhs=rhs.coeff(mono))
+                lhs=lhs, rhs=Fraction(lhs - diff[mono]))
     checks = [Check("recurrence-identity", identity_witness is None,
                     identity_witness)]
     if partial is not None:
@@ -422,15 +405,6 @@ def verify_recurrences(polys: Mapping[MultiIndex, Polynomial],
 
 
 # -- Type (alpha, beta) -----------------------------------------------------------
-
-def _as_partial(ab: Union[PartialOrder, AlphaBeta, tuple]) -> PartialOrder:
-    if isinstance(ab, PartialOrder):
-        return ab
-    if isinstance(ab, AlphaBeta):
-        return PartialOrder("ab", ab)
-    alpha, beta = ab
-    return PartialOrder.alpha_beta(alpha, beta)
-
 
 def _type_ab_requirements(t: IntersectionTensor) -> tuple[Optional[dict], list]:
     """The requirements of the type-(alpha, beta) property on the steps
@@ -456,8 +430,7 @@ def _type_ab_requirements(t: IntersectionTensor) -> tuple[Optional[dict], list]:
     return step_witness, window
 
 
-def certify_type_ab(t: IntersectionTensor,
-                    ab: Union[PartialOrder, AlphaBeta, tuple]) -> Certificate:
+def certify_type_ab(t: IntersectionTensor, partial: PartialOrder) -> Certificate:
     """Certify the type-(alpha, beta) property of a bivariate labeling.
 
     D must be a downset of the (alpha, beta) partial order; for every
@@ -466,7 +439,6 @@ def certify_type_ab(t: IntersectionTensor,
     a + e_i in D must satisfy b below a + e_i.  Unlike plain
     certification, nothing is imposed at boundary steps leaving D.
     """
-    partial = _as_partial(ab)
     if partial.kind != "ab":
         raise ValueError("type certification needs an ab partial order")
     checks, m = _structural_checks(t)

@@ -425,7 +425,7 @@ def intersection_tensor(s: SchemeClasses) -> IntersectionTensor:
 def distance_matrices(table: DistanceTable) -> SchemeClasses:
     """The classes of the realized distance labels, sorted by the order:
     the table's index matrix."""
-    return SchemeClasses.from_index(table.sorted_labels(), table.index,
+    return SchemeClasses.from_index(table.labels, table.index,
                                     table.graph.vertices)
 
 
@@ -540,7 +540,7 @@ def mdrg_check(g: ColoredGraph, order: MonomialOrder) -> MdrgResult:
     an association scheme whose intersection numbers are those counts.
     """
     table = m_distance_table(g, order)
-    labels = table.sorted_labels()
+    labels = table.labels
 
     checks: list[Check] = []
     missing = [c for c in range(1, g.m + 1)

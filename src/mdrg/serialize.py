@@ -80,17 +80,29 @@ def graph_from_dict(data: Mapping[str, Any]) -> ColoredGraph:
                                "missing %s" % exc) from exc
     if not isinstance(m, int) or isinstance(m, bool):
         raise InputFormatError("m must be an integer")
-    triples = []
+    for key, value in (("vertices", vertices), ("edges", edges)):
+        if not isinstance(value, list):
+            raise InputFormatError("%s must be a list, got %s"
+                                   % (key, type(value).__name__))
+    # each color needs an edge, and a larger m costs O(m^2) in every key
+    if m > max(1, len(edges)):
+        raise InputFormatError("m=%d is more than the number of edges (%d); "
+                               "every color needs an edge" % (m, len(edges)))
+    for v in vertices:
+        if not isinstance(v, str):
+            raise InputFormatError("vertex names must be strings, got %r" % (v,))
     for edge in edges:
         if not (isinstance(edge, (list, tuple)) and len(edge) == 3):
             raise InputFormatError("edges are [u, v, color] triples, got %r"
                                    % (edge,))
         u, v, color = edge
+        if not isinstance(u, str) or not isinstance(v, str):
+            raise InputFormatError("edge endpoints must be vertex names, got %r"
+                                   % (edge,))
         if not isinstance(color, int) or isinstance(color, bool):
             raise InputFormatError("edge color must be an integer, got %r"
                                    % (color,))
-        triples.append((str(u), str(v), color))
-    return ColoredGraph(m, [str(v) for v in vertices], triples)
+    return ColoredGraph(m, vertices, edges)
 
 
 # -- Scheme classes ---------------------------------------------------------------
@@ -160,7 +172,7 @@ def tensor_from_dict(data: Mapping[str, Any]) -> IntersectionTensor:
 
 def table_to_dict(table: DistanceTable) -> dict:
     g = table.graph
-    texts = [lab.as_text() for lab in table.sorted_labels()]
+    texts = [lab.as_text() for lab in table.labels]
     distances = {}
     for i, (x, row) in enumerate(zip(g.vertices, table.index.tolist())):
         for y, c in zip(g.vertices[i + 1:], row[i + 1:]):

@@ -19,8 +19,9 @@ order instead of its integer weight rows.
 It also holds the checks that only the tests run: the structural
 consequences of m-distance-regularity (triangle bounds, additive
 nonvanishing, sum decomposition, walk-type invariance, edge-step
-precedence), the order-axiom validator, per-color adjacency matrices,
-and readers of documents the CLI only writes.
+precedence), the order-axiom validator with its four-way comparison,
+per-color adjacency matrices and lists, interval membership, and readers
+of documents the CLI only writes.
 """
 
 from __future__ import annotations
@@ -28,14 +29,15 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
+from enum import Enum
 from fractions import Fraction
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from mdrg import (ABRegion, Certificate, Check, ColoredGraph, Comparison,
-                  Discovery, DistanceTable, IntersectionTensor, Interval,
-                  Labeling, MonomialOrder, MultiIndex, PartialOrder, Polynomial,
+from mdrg import (ABRegion, Certificate, Check, ColoredGraph, Discovery,
+                  DistanceTable, IntersectionTensor, Interval, Labeling,
+                  MonomialOrder, MultiIndex, PartialOrder, Polynomial,
                   SchemeClasses, ab_feasible_region, box, in_span, mat_vec,
                   m_distance_table, mdrg_check, solve_columns,
                   verify_scheme_axioms)
@@ -47,6 +49,15 @@ from mdrg.serialize import InputFormatError, fraction_from_json
 # class A1 to (1,1); axis sends it to (0,2).
 DIAGONAL_LABELING = Labeling.parse("A0=0,0;A1=1,1;A2=1,0;A3=0,1;A4=2,0")
 AXIS_LABELING = Labeling.parse("A0=0,0;A1=0,2;A2=1,0;A3=0,1;A4=2,0")
+
+
+class Comparison(Enum):
+    """The four-way answer of a comparator, as the order validators read it."""
+
+    LESS = "less"
+    EQUAL = "equal"
+    GREATER = "greater"
+    INCOMPARABLE = "incomparable"
 
 
 # -- Brute-force m-distance ---------------------------------------------------
@@ -66,15 +77,16 @@ def brute_force_distance(g: ColoredGraph, order: MonomialOrder,
     counts = [0] * g.m
     visited = [False] * g.n
     visited[start] = True
+    nbrs = adjacency(g)
 
     def dfs(v: int) -> None:
-        for w, color in g.neighbors(v):
+        for w, color in nbrs[v]:
             if visited[w]:
                 continue
             counts[color - 1] += 1
             if w == goal:
                 candidate = MultiIndex(counts)
-                if not best or order.lt(candidate, best[0]):
+                if not best or order.key(candidate) < order.key(best[0]):
                     best[:] = [candidate]
             else:
                 visited[w] = True
@@ -111,6 +123,15 @@ def label_rows(table: DistanceTable) -> tuple:
     return tuple(tuple(table.labels[c] for c in row) for row in table.index.tolist())
 
 
+def adjacency(g: ColoredGraph) -> list[list[tuple[int, int]]]:
+    """(neighbour, color) lists of each vertex, read from ``g.edges``."""
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for iu, iv, color in g.edges:
+        nbrs[iu].append((iv, color))
+        nbrs[iv].append((iu, color))
+    return nbrs
+
+
 def color_matrix(g: ColoredGraph, color: int) -> np.ndarray:
     """0/1 adjacency matrix of the given color."""
     if not 1 <= color <= g.m:
@@ -124,11 +145,12 @@ def color_matrix(g: ColoredGraph, color: int) -> np.ndarray:
 
 
 def is_connected(g: ColoredGraph) -> bool:
+    nbrs = adjacency(g)
     seen = {0}
     stack = [0]
     while stack:
         v = stack.pop()
-        for w, _ in g.neighbors(v):
+        for w, _ in nbrs[v]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -175,11 +197,12 @@ def check_precompat_graph(g: ColoredGraph, order: MonomialOrder,
     """
     rows = label_rows(m_distance_table(g, order))
     units = [MultiIndex.unit(g.m, c) for c in range(1, g.m + 1)]
+    nbrs = adjacency(g)
     for xi in range(g.n):
         row = rows[xi]
         for yi in range(g.n):
             bound_base = row[yi]
-            for zi, color in g.neighbors(yi):
+            for zi, color in nbrs[yi]:
                 if not p.leq(row[zi], bound_base + units[color - 1]):
                     w = witness(
                         x=g.vertices[xi], y=g.vertices[yi], z=g.vertices[zi],
@@ -607,18 +630,6 @@ def fraction_precedes(p: PartialOrder, a: MultiIndex, b: MultiIndex) -> bool:
             and be * a[0] + a[1] <= be * b[0] + b[1])
 
 
-def fraction_compare(p: PartialOrder, a: MultiIndex, b: MultiIndex) -> Comparison:
-    """The four-way comparison read from :func:`fraction_precedes`."""
-    below, above = fraction_precedes(p, a, b), fraction_precedes(p, b, a)
-    if below and above:
-        return Comparison.EQUAL
-    if below:
-        return Comparison.LESS
-    if above:
-        return Comparison.GREATER
-    return Comparison.INCOMPARABLE
-
-
 def fraction_downset(a: MultiIndex, p: PartialOrder) -> frozenset:
     """All b preceding a, per kind: the box below a for ``componentwise``;
     for ``ab`` the box b1 <= a1 + alpha*a2, b2 <= beta*a1 + a2, filtered."""
@@ -641,7 +652,7 @@ def brute_force_pair_compat(p: PartialOrder, order: MonomialOrder,
     refine_witness = None
     for a, b in itertools.product(points, repeat=2):
         if (a != b and fraction_precedes(p, a, b)
-                and order.compare(a, b) is not Comparison.LESS):
+                and not order.key(a) < order.key(b)):
             refine_witness = witness(a=a, b=b, order=order.as_text())
             break
     checks.append(Check("refines-order", refine_witness is None, refine_witness))
@@ -668,7 +679,7 @@ def brute_force_pair_compat(p: PartialOrder, order: MonomialOrder,
 def brute_force_monomial_order(order, m: int, box_bound: int) -> Certificate:
     """The five total-order axiom checks as plain loops over the box,
     calling the comparator on every pair and triple."""
-    cmp = order.compare if isinstance(order, MonomialOrder) else order
+    cmp = _as_compare(order)
     points = list(box((box_bound,) * m))
     checks = []
 
@@ -721,9 +732,21 @@ def brute_force_monomial_order(order, m: int, box_bound: int) -> Certificate:
 CompareFn = Callable[[MultiIndex, MultiIndex], Comparison]
 
 
+def key_compare(order: MonomialOrder) -> CompareFn:
+    """The comparator of a monomial order, read from its sort key."""
+    def cmp(a: MultiIndex, b: MultiIndex) -> Comparison:
+        if len(a) != len(b):
+            raise ValueError("mixed lengths: %d vs %d" % (len(a), len(b)))
+        ka, kb = order.key(a), order.key(b)
+        if ka < kb:
+            return Comparison.LESS
+        return Comparison.GREATER if ka > kb else Comparison.EQUAL
+    return cmp
+
+
 def _as_compare(order: Union[MonomialOrder, CompareFn]) -> CompareFn:
     if isinstance(order, MonomialOrder):
-        return order.compare
+        return key_compare(order)
     return order
 
 
@@ -867,8 +890,8 @@ def scan_recurrences(polys, t, partial=None) -> Certificate:
             up = a + unit
             if up not in t.domain():
                 continue
-            lhs = polys[a].shift(color)
-            rhs = Polynomial({})
+            lhs = {c + unit: value for c, value in polys[a].terms()}
+            rhs: dict = {}
             for b in dom:
                 value = t.get(unit, a, b)
                 if value == 0:
@@ -876,16 +899,34 @@ def scan_recurrences(polys, t, partial=None) -> Certificate:
                 if (partial is not None and support_witness is None
                         and not partial.leq(b, up)):
                     support_witness = witness(generator=unit, a=a, b=b, bound=up)
-                rhs = rhs + polys[b].scale(value)
+                for c, coef in polys[b].terms():
+                    rhs[c] = rhs.get(c, Fraction(0)) + value * coef
+            rhs = {c: coef for c, coef in rhs.items() if coef}
             if identity_witness is None and lhs != rhs:
-                mono = sorted((lhs - rhs).monomials())[0]
+                mono = sorted(c for c in set(lhs) | set(rhs)
+                              if lhs.get(c) != rhs.get(c))[0]
                 identity_witness = witness(generator=unit, a=a, monomial=mono,
-                                           lhs=lhs.coeff(mono), rhs=rhs.coeff(mono))
+                                           lhs=lhs.get(mono, Fraction(0)),
+                                           rhs=rhs.get(mono, Fraction(0)))
     checks = [Check("recurrence-identity", identity_witness is None, identity_witness)]
     if partial is not None:
         checks.append(Check("recurrence-support", support_witness is None,
                             support_witness))
     return Certificate.of(checks)
+
+
+def interval_contains(interval: Interval, x: Fraction) -> bool:
+    """x lies in the interval, each endpoint open or closed."""
+    lo, hi = interval.lo, interval.hi
+    return ((lo < x or (lo == x and interval.lo_closed))
+            and (x < hi or (x == hi and interval.hi_closed)))
+
+
+def region_contains(region: Optional[ABRegion], alpha: Fraction,
+                    beta: Fraction) -> bool:
+    """(alpha, beta) lies in the region; None stands for the empty one."""
+    return (region is not None and interval_contains(region.alpha, alpha)
+            and interval_contains(region.beta, beta))
 
 
 def scan_ab_region(t):

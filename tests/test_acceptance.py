@@ -16,7 +16,6 @@ import numpy as np
 from mdrg import (
     ColoredGraph,
     cell24,
-    Comparison,
     MonomialOrder,
     MultiIndex,
     PartialOrder,
@@ -43,6 +42,7 @@ from mdrg.serialize import tensor_to_dict
 
 from helpers import (
     AXIS_LABELING,
+    Comparison,
     DIAGONAL_LABELING,
     brute_force_distance,
     check_additive_nonvanishing,

@@ -18,6 +18,7 @@ from mdrg import (
     m_distance_table,
     mdrg_check,
 )
+import mdrg.cli
 from mdrg.cli import main
 from mdrg.schemes import distance_matrices
 from mdrg.serialize import (
@@ -64,6 +65,18 @@ def test_version(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
     assert out.strip() == __version__
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    first = run(capsys, "generate", "cycle:4")
+    assert first[0] == 0
+    monkeypatch.setattr(mdrg.cli, "build_parser", None)  # a rebuild would fail
+    again = run(capsys, "generate", "cycle:4")
+    assert again[:2] == first[:2] and again[2].startswith("elapsed: ")
+    code, out, err = run(capsys, "generate")
+    assert (code, out) == (2, "") and "usage" in err
+    code, out, _ = run(capsys, "generate", "cycle:4", "--quiet")
+    assert (code, out) == (0, "")
 
 
 def test_generate_stdout_and_file(tmp_path, capsys):

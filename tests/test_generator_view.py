@@ -21,8 +21,9 @@ from mdrg import (MonomialOrder, MultiIndex, PartialOrder, Polynomial,
                   extract_polynomials, gen24cell, mdrg_check,
                   verify_recurrences)
 
-from helpers import (AXIS_LABELING, DIAGONAL_LABELING, scan_ab_region,
-                     scan_recurrences, scan_unit_steps, scan_window_checks)
+from helpers import (AXIS_LABELING, DIAGONAL_LABELING, region_contains,
+                     scan_ab_region, scan_recurrences, scan_unit_steps,
+                     scan_window_checks)
 
 PARTIALS = [PartialOrder.parse(text) for text in
             ("componentwise", "ab:0,0", "ab:1/2,0", "ab:1,0", "ab:1/3,1/2")]
@@ -106,7 +107,10 @@ def _check_recurrences(t, polys):
     # a wrong polynomial gives an identity witness on both routes
     n = max(polys)
     broken = dict(polys)
-    broken[n] = polys[n] + Polynomial({MultiIndex.zero(t.m): Fraction(1)})
+    coeffs = dict(polys[n].terms())
+    origin = MultiIndex.zero(t.m)
+    coeffs[origin] = coeffs.get(origin, 0) + 1
+    broken[n] = Polynomial(coeffs)
     fast = verify_recurrences(broken, t)
     assert fast.to_dict() == scan_recurrences(broken, t).to_dict()
 
@@ -131,7 +135,8 @@ def test_missing_generator_reads_zeros():
     lacking = t.relabel({t.identity: t.identity, **dict(zip(moved, targets))})
     assert MultiIndex((0, 1)) not in lacking.domain()
     _check_against_scans(lacking)
-    assert not certify_type_ab(lacking, (Fraction(1, 2), Fraction(0))).passed
+    assert not certify_type_ab(
+        lacking, PartialOrder.alpha_beta(Fraction(1, 2), Fraction(0))).passed
     assert ab_region_for_scheme(lacking) is None
 
 
@@ -148,8 +153,9 @@ def _grid(t):
 def _region_agrees(t, pairs):
     region = ab_region_for_scheme(t)
     for alpha, beta in pairs:
-        expected = region is not None and region.contains(alpha, beta)
-        assert certify_type_ab(t, (alpha, beta)).passed == expected, \
+        expected = region_contains(region, alpha, beta)
+        assert certify_type_ab(
+            t, PartialOrder.alpha_beta(alpha, beta)).passed == expected, \
             (alpha, beta, region and region.as_text())
 
 

@@ -56,6 +56,17 @@ def test_graph_rejects_malformed_input():
         ColoredGraph(2, ["a", "b"], [("a", "b", 1), ("b", "a", 2)])
 
 
+def test_graph_rejects_bool_m_and_colors():
+    # bool is a subclass of int: True would pass as m = 1 or color 1
+    with pytest.raises(GraphStructureError, match="m must be an integer"):
+        ColoredGraph(True, ["a", "b"], [("a", "b", 1)])
+    for color in (True, False):
+        with pytest.raises(GraphStructureError, match="has color"):
+            ColoredGraph(2, ["a", "b"], [("a", "b", color)])
+    with pytest.raises(GraphStructureError):
+        ColoredGraph("1", ["a"], [])
+
+
 def test_graph_accessors():
     g = ColoredGraph(2, ["a", "b", "c"], [("a", "b", 1), ("b", "c", 2)])
     assert g.n == 3
@@ -121,8 +132,9 @@ def test_torus_grid_distances_are_componentwise_pairs():
     assert len(table.realized) == 40
     assert table.realized == frozenset(
         MultiIndex((i, j)) for i in range(8) for j in range(5))
-    assert table.label("0,0", "3,2") == mi(3, 2)
-    assert table.label("0,0", "13,8") == mi(1, 1)
+    rows = label_rows(table)
+    assert rows[g.index("0,0")][g.index("3,2")] == mi(3, 2)
+    assert rows[g.index("0,0")][g.index("13,8")] == mi(1, 1)
     # the product distance never depends on the tie-breaking order
     for od in (DEGLEX_Y2, LEX):
         other = m_distance_table(g, od)
@@ -151,21 +163,21 @@ def test_label_setting_matches_brute_force_on_random_graphs():
         n = rng.randint(4, 8)
         g = random_colored_graph(rng, n, 2, extra_edges=rng.randint(1, 3))
         od = orders[trial % len(orders)]
-        table = m_distance_table(g, od)
-        for x in g.vertices:
-            for y in g.vertices:
+        rows = label_rows(m_distance_table(g, od))
+        for i, x in enumerate(g.vertices):
+            for j, y in enumerate(g.vertices):
                 expected = brute_force_distance(g, od, x, y)
-                assert table.label(x, y) == expected, (trial, x, y)
+                assert rows[i][j] == expected, (trial, x, y)
 
 
 def test_brute_force_agreement_for_three_colors():
     rng = random.Random(5)
     for _ in range(6):
         g = random_colored_graph(rng, 6, 3, extra_edges=2)
-        table = m_distance_table(g, DEGLEX_SUM)
-        for x in g.vertices:
-            for y in g.vertices:
-                assert table.label(x, y) == brute_force_distance(g, DEGLEX_SUM, x, y)
+        rows = label_rows(m_distance_table(g, DEGLEX_SUM))
+        for i, x in enumerate(g.vertices):
+            for j, y in enumerate(g.vertices):
+                assert rows[i][j] == brute_force_distance(g, DEGLEX_SUM, x, y)
 
 
 # -- Walk counts -----------------------------------------------------------------------

@@ -7,8 +7,10 @@ the benchmark's tracer, which wraps functions where the caller looks them
 up).  A name in ``mdrg.__all__`` must be referenced by the package
 outside its own definition and ``__init__.py``, or by the benchmark in
 ``perfbench/``: code that only the tests call belongs in
-``tests/helpers.py``.  Checked with the standard ``ast`` module, so no
-linter is needed.
+``tests/helpers.py``.  So must every public method or property of a
+class of the package: some attribute read in the package, other than
+inside the method itself, or in the benchmark must name it.  Checked
+with the standard ``ast`` module, so no linter is needed.
 """
 
 import ast
@@ -57,17 +59,18 @@ def test_every_import_is_used(path):
     assert _unused_imports(path) == []
 
 
-def _references(tree: ast.AST, strings: bool = False) -> set[str]:
+def _references(tree: ast.AST, strings: bool = False,
+                names: bool = True) -> set[str]:
     """Names read in ``tree``, as a bare name or an attribute, outside
     the body of the function or class that defines them; with
     ``strings``, also every string constant (the benchmark's tracer names
-    the functions it wraps)."""
+    the functions it wraps); without ``names``, attributes only."""
     found: set[str] = set()
 
     def visit(node: ast.AST, inside: frozenset) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inside = inside | {node.name}
-        if isinstance(node, ast.Name):
+        if names and isinstance(node, ast.Name):
             name = node.id
         elif isinstance(node, ast.Attribute):
             name = node.attr
@@ -92,3 +95,26 @@ def test_every_public_name_is_used_outside_the_tests():
     for path in BENCHMARK.glob("*.py"):
         used |= _references(ast.parse(path.read_text()), strings=True)
     assert sorted(set(mdrg.__all__) - used) == []
+
+
+def test_every_public_method_is_used_outside_the_tests():
+    """A method is read as ``obj.name``, so a bare name (``sorted``, the
+    builtin) does not count; the benchmark's strings do (its tracer wraps
+    ``IntersectionTensor.validate`` by name)."""
+    used: set[str] = set()
+    methods: list[str] = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used |= _references(tree, names=False)
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                methods += ["%s:%s.%s" % (path.name, cls.name, node.name)
+                            for node in cls.body
+                            if isinstance(node, (ast.FunctionDef,
+                                                 ast.AsyncFunctionDef))
+                            and not node.name.startswith("_")]
+    for path in BENCHMARK.glob("*.py"):
+        used |= _references(ast.parse(path.read_text()), strings=True,
+                            names=False)
+    assert [name for name in methods
+            if name.rpartition(".")[2] not in used] == []

@@ -17,9 +17,10 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from mdrg import Comparison, MonomialOrder, MultiIndex, box
+from mdrg import MonomialOrder, MultiIndex, box
 
-from helpers import brute_force_monomial_order, validate_monomial_order
+from helpers import (Comparison, brute_force_monomial_order, key_compare,
+                     validate_monomial_order)
 
 BUILTIN = {1: ["deglex-sum", "lex", "wdeglex:3/2"],
            2: ["deglex-sum", "deglex-y2", "lex", "wdeglex:1/2,3"],
@@ -35,7 +36,7 @@ def by_last_entry(a: MultiIndex, b: MultiIndex) -> Comparison:
 
 
 def skewed(a: MultiIndex, b: MultiIndex) -> Comparison:
-    rel = MonomialOrder.parse("deglex-sum").compare(a, b)
+    rel = key_compare(MonomialOrder.parse("deglex-sum"))(a, b)
     return {Comparison.LESS: Comparison.GREATER,
             Comparison.GREATER: Comparison.LESS}.get(rel, rel)
 
@@ -54,9 +55,9 @@ def priorities(rng: random.Random, wide: list):
 def relation_table(rng: random.Random, wide: list, noise: float):
     """deglex-sum with each answer replaced, with probability ``noise``,
     by a random relation (INCOMPARABLE included)."""
-    base = MonomialOrder.parse("deglex-sum")
+    base = key_compare(MonomialOrder.parse("deglex-sum"))
     table = {(a, b): (rng.choice(list(Comparison)) if rng.random() < noise
-                      else base.compare(a, b))
+                      else base(a, b))
              for a, b in itertools.product(wide, repeat=2)}
     return lambda a, b: table[(a, b)]
 

@@ -54,6 +54,24 @@ INPUTS = {
                                      "edges": [["a", "b", 1], ["b", "c", 1]]}),
     "split.json": lambda: dump_json({"m": 1, "vertices": ["a", "b", "c"],
                                      "edges": [["a", "b", 1]]}),
+    # malformed graph documents: each is an input error (exit 2)
+    "textvertices.json": lambda: dump_json({"m": 1, "vertices": "abc",
+                                            "edges": [["a", "b", 1], ["b", "c", 1]]}),
+    "textedges.json": lambda: dump_json({"m": 1, "vertices": ["a", "b"],
+                                         "edges": {"a": "b"}}),
+    "nullvertex.json": lambda: dump_json({"m": 1, "vertices": ["a", "b", None],
+                                          "edges": [["a", "b", 1], ["b", None, 1]]}),
+    "numbervertex.json": lambda: dump_json({"m": 1, "vertices": ["a", "b", 3],
+                                            "edges": [["a", "b", 1], ["b", 3, 1]]}),
+    "listvertex.json": lambda: dump_json({"m": 1, "vertices": ["a", ["b"]],
+                                          "edges": [["a", "b", 1]]}),
+    "nullend.json": lambda: dump_json({"m": 1, "vertices": ["a", "b", "None"],
+                                       "edges": [["a", "b", 1], ["b", None, 1]]}),
+    "numberend.json": lambda: dump_json({"m": 1, "vertices": ["a", "b", "3"],
+                                         "edges": [["a", "b", 1], ["b", 3, 1]]}),
+    "bigm.json": lambda: dump_json({"m": 2000, "vertices": ["a", "b", "c"],
+                                    "edges": [["a", "b", 1], ["b", "c", 1],
+                                              ["c", "a", 1]]}),
 }
 
 GENERATED = [
@@ -103,6 +121,13 @@ GRAPHS = [
      "--recurrences"],
 ]
 
+# graph documents that are not lists of vertex names and [u, v, color]
+# edges, or whose m exceeds max(1, number of edges)
+BAD_GRAPHS = [["distances", path, "--order", "lex"] for path in (
+    "textvertices.json", "textedges.json", "nullvertex.json",
+    "numbervertex.json", "listvertex.json", "nullend.json", "numberend.json")]
+BAD_GRAPHS.append(["certify-mdrg", "bigm.json", "--order", "deglex-sum"])
+
 
 def _with_labeling(argv, labeling):
     return argv + ["--labeling", labeling] if labeling else argv
@@ -131,13 +156,15 @@ def _cases():
              ";".join("A%d=%d" % (i, i) for i in range(k))],
             ["discover", path, "--m", "1", "--order", "deglex-sum"],
         ]
-    cases += WINDOWS + GRAPHS
+    cases += WINDOWS + GRAPHS + BAD_GRAPHS
     return cases
 
 
 CASES = {" ".join(argv): argv for argv in _cases()}
 
 DIGESTS = {
+    'certify-mdrg bigm.json --order deglex-sum':
+        '57fcff3e7175de6f071a0fefae061c7588fb213f3a8bb38d0344c3254a026d24',
     'certify-mdrg c4x3g.json --order deglex-sum':
         'ed22f9257cb1c8a9648d9744d296367091bcb986cd2b0e7bbf64c4f0a80ed4f5',
     'certify-mdrg c4x3g.json --order lex':
@@ -214,8 +241,22 @@ DIGESTS = {
         'ae827e07ddf7e801ed61f807bfc99730449f27eac2974cf12509ba380c507f0c',
     'distances c6g.json --order deglex-sum':
         '034d3671361bde035048bf69163c27b741d0f8e9f0ffbb6a516adceaea0d75cd',
+    'distances listvertex.json --order lex':
+        '4625919667cb418f5802a3aa80d2ec34f9d58312e219c539ce3b178274741039',
+    'distances nullend.json --order lex':
+        '4d959ff18dd42e52d0867b15c25ed2de31e1ca5642c56735d2dce626711417a6',
+    'distances nullvertex.json --order lex':
+        'fb0ae973e567e14b1192b79299afe046ec848984daaec076be90fee9dba21055',
+    'distances numberend.json --order lex':
+        '40d2f239902fb94d805dda02bd7491951518a753f8bd0db1c2f5e40d737beee1',
+    'distances numbervertex.json --order lex':
+        '2476c68d25019946739cbc97e7757560abda0cb8905324da11592980723cb621',
     'distances split.json --order lex':
         '7bbc75a8b6c48862794172dd8606f61c04493ce8692d174cd020e5a7894a0eba',
+    'distances textedges.json --order lex':
+        '44d9f6d6dbc9be5d31902a45584cd13acf43ef8e549daddebafbb0feee532155',
+    'distances textvertices.json --order lex':
+        '8a22bbffbe01a8adb888a31c5f35f3699dbec104ba95514a2d08fd8ebe447986',
     'generate pauli4':
         'b9e87203cd06f4748aace55d1f65dc9e890ac650f49810d9bae28608947d26a2',
     'generate pauli4 --out pauli4.json':

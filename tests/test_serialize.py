@@ -1,6 +1,7 @@
 """JSON document round trips and input validation."""
 
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -91,6 +92,21 @@ def test_graph_from_dict_errors():
     with pytest.raises(InputFormatError):
         graph_from_dict({"m": 1, "vertices": ["a", "b"],
                          "edges": [["a", "b", True]]})
+
+
+def test_graph_documents_are_lists_of_strings_with_bounded_m():
+    path = {"vertices": ["a", "b", "c"], "edges": [["a", "b", 1], ["b", "c", 2]]}
+    for bad, message in (({"vertices": "abc"}, "vertices must be a list, got str"),
+                         ({"edges": {"a": "b"}}, "edges must be a list, got dict"),
+                         ({"vertices": ["a", "b", None]}, "got None"),
+                         ({"vertices": ["a", "b", 3]}, "got 3"),
+                         ({"edges": [["a", "b", 1], ["b", None, 2]]},
+                          "edge endpoints must be vertex names"),
+                         ({"m": 3}, "m=3 is more than the number of edges (2)")):
+        with pytest.raises(InputFormatError, match=re.escape(message)):
+            graph_from_dict({"m": 2, **path, **bad})
+    assert graph_from_dict({"m": 2, **path}).m == 2
+    assert graph_from_dict({"m": 1, "vertices": ["a"], "edges": []}).n == 1
 
 
 def test_scheme_round_trip():
