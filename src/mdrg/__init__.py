@@ -17,7 +17,7 @@ integer matrices only.
 from .certificates import Certificate, Check, witness
 from .exactlinalg import SingularSystemError, in_span, mat_vec, rank, solve_columns
 from .graphs import (ColoredGraph, DisconnectedGraphError, DistanceTable,
-                     GraphStructureError, m_distance_from, m_distance_table)
+                     GraphStructureError, m_distance_table)
 from .orders import (ABRegion, AlphaBeta, Interval, MonomialOrder, MultiIndex,
                      PartialOrder, ab_feasible_region, box, check_domain,
                      downset_enum, validate_pair_compat)
@@ -47,7 +47,7 @@ __all__ = [
     "certify_type_ab", "check_domain", "complete", "cycle",
     "discover_labelings", "distance_matrices", "downset_enum",
     "extract_polynomials", "gen24cell", "generator_rows", "hamming_graph",
-    "in_span", "intersection_tensor", "m_distance_from", "m_distance_table",
+    "in_span", "intersection_tensor", "m_distance_table",
     "mat_vec", "mdrg_check", "pauli_scheme4", "rank", "solve_columns",
     "symmetrize", "validate_pair_compat", "verify_recurrences",
     "verify_scheme_axioms", "witness",

@@ -3,18 +3,14 @@
 A :class:`ColoredGraph` is a finite simple undirected graph whose edges
 carry colors 1..m.  The m-length of a walk is the vector counting edges
 of each color; the m-distance between two vertices is the minimum walk
-m-length under a chosen monomial order.  An optimal walk can always be
-taken to be a simple path, which is what the brute-force oracle in the
-test suite enumerates.
+m-length under a chosen monomial order, always reached on a simple path.
 
 Every built-in order compares W a lexicographically for an integer
 weight matrix W (:meth:`MonomialOrder.forms`).  :func:`m_distance_table`
-packs W a into one radix-R integer code, exact and order-faithful on
-simple paths, and finds all distances with one int64 min-plus
-Floyd-Warshall; when the codes could pass the int64 bound it falls back
-to :func:`m_distance_from`, a label-setting search (Dijkstra with
-multi-index labels keyed by ``order.key``, :func:`least_labels`), which
-also serves the tests as an oracle.
+packs W a into one radix-R integer code and relaxes all sources at once
+over the edge codes, in int64 under a written bound, else in exact
+Python ints.  :func:`least_labels`, a label-setting search keyed by
+``order.key``, serves labeling discovery on the classes of a scheme.
 """
 
 from __future__ import annotations
@@ -130,16 +126,6 @@ def least_labels(adjacency: Sequence[Sequence[tuple[int, int]]], m: int,
     return done
 
 
-def m_distance_from(g: ColoredGraph, order: MonomialOrder,
-                    source: str) -> list[MultiIndex]:
-    """Single-source m-distances aligned with ``g.vertices``, by
-    :func:`least_labels`; raises :class:`DisconnectedGraphError`."""
-    done = least_labels(g._adjacency, g.m, order.key, g.index(source))
-    if None in done:
-        raise DisconnectedGraphError(source, g.vertices[done.index(None)])
-    return done  # type: ignore[return-value]
-
-
 @dataclass(frozen=True)
 class DistanceTable:
     """All-pairs m-distances of a connected colored graph.
@@ -164,43 +150,46 @@ def m_distance_table(g: ColoredGraph, order: MonomialOrder) -> DistanceTable:
     """All-pairs m-distances; verifies symmetry and the o diagonal.
 
     With W = ``order.forms(m)`` (r rows), a walk of m-length a gets the
-    code sum_i (W a)_i R^(r-1-i), R = (n-1) * (largest row sum of W) + 1.
-    The code is additive along a walk, and for the minimal walks it is
-    order-faithful: a minimal walk can be taken to be a simple path, so
-    each (W a)_i is at most R-1 and the code spells W a in radix R; any
-    other walk has W a' above W a lexicographically, and with W >= 0 the
-    first larger digit outweighs every later one, so its code is larger.
-    The m-distances are thus one min-plus Floyd-Warshall over the edge
-    codes, in int64 while 2 R^r < 2^63: every finite entry is below R^r,
-    the unreachable value R^r, so no sum of two entries wraps.  When the
-    bound fails, the table comes from :func:`m_distance_from` per source.
-    Each distinct code is decoded once and checked against W a.
+    additive code sum_i (W a)_i R^(r-1-i), R = (n-1) * (largest row sum
+    of W) + 1.  Edge codes are positive, so the least code over walks is
+    reached on a simple path, where each (W a)_i is below R: the code
+    spells W a in radix R, and as W >= 0 a lexicographically larger W a'
+    has a larger first differing digit, which outweighs every later one.
+    So the least code is the code of the m-distance.  All sources are
+    relaxed at once: row y takes the min of itself and row z plus the
+    code of edge yz over its neighbours z (padded with the neutral
+    (y, 0)) until a round changes nothing; round t covers the walks of t
+    edges, so at most n rounds run.  Entries start at R^r (unreachable)
+    and edge codes are below R^r, so no candidate reaches 2 R^r: the
+    table is int64 while 2 R^r < 2^63, else exact Python ints.  Each
+    distinct code is decoded once and checked against W a.
     """
     forms = order.forms(g.m)
     r = len(forms)
     radix = (g.n - 1) * max(sum(row) for row in forms) + 1
     far = radix ** r
-    if 2 * far < 2 ** 63:
-        dist = np.full((g.n, g.n), far, dtype=np.int64)
-        np.fill_diagonal(dist, 0)
-        step = [sum(row[c] * radix ** (r - 1 - i) for i, row in enumerate(forms))
-                for c in range(g.m)]
-        if g.edges:
-            u, v, color = np.array(g.edges, dtype=np.int64).T
-            dist[u, v] = dist[v, u] = np.array(step, dtype=np.int64)[color - 1]
-        for k in range(g.n):
-            np.minimum(dist, dist[:, k, None] + dist[k], out=dist)
-        cut = np.flatnonzero(dist[0] == far)
-        if cut.size:
-            raise DisconnectedGraphError(g.vertices[0], g.vertices[cut[0]])
-        codes, index = np.unique(dist, return_inverse=True)
-        ordered = [_decode(order, forms, int(code), radix) for code in codes]
-    else:
-        rows = [m_distance_from(g, order, s) for s in g.vertices]
-        ordered = sorted(set(itertools.chain.from_iterable(rows)), key=order.key)
-        position = {lab: i for i, lab in enumerate(ordered)}
-        index = np.array([[position[lab] for lab in row] for row in rows],
-                         dtype=np.int64)
+    dtype = np.int64 if 2 * far < 2 ** 63 else object
+    step = [0] + [sum(w * radix ** (r - 1 - i) for i, w in enumerate(column))
+                  for column in zip(*forms)]
+    deg = max(map(len, g._adjacency))
+    nbr, color = np.array([nbrs + ((y, 0),) * (deg - len(nbrs))
+                           for y, nbrs in enumerate(g._adjacency)],
+                          dtype=np.int64).reshape(g.n, deg, 2).T
+    cost = np.array(step, dtype=dtype)[color]
+    dist = np.full((g.n, g.n), far, dtype=dtype)
+    np.fill_diagonal(dist, 0)
+    buf, last = np.empty_like(dist), None
+    while last is None or not np.array_equal(dist, last):
+        last = dist.copy()
+        for z, code in zip(nbr, cost):
+            np.add(dist[z], code[:, None], out=buf)
+            np.minimum(dist, buf, out=dist)
+    del buf, last  # np.unique reuses their memory
+    cut = np.flatnonzero(dist[0] == far)
+    if cut.size:
+        raise DisconnectedGraphError(g.vertices[0], g.vertices[cut[0]])
+    codes, index = np.unique(dist, return_inverse=True)
+    ordered = [_decode(order, forms, int(code), radix) for code in codes]
     index = index.reshape(g.n, g.n)
     zero_bad = (index.diagonal() != 0) | (ordered[0] != MultiIndex.zero(g.m))
     asymmetric = np.tril(index != index.T, -1)

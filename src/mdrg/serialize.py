@@ -60,6 +60,16 @@ def label_from_text(text: str) -> Label:
         return str(text)
 
 
+def _check_list(key: str, value: Any, names: str = "") -> None:
+    """An input error unless ``value`` is a list, of strings given ``names``."""
+    if not isinstance(value, list):
+        raise InputFormatError("%s must be a list, got %s"
+                               % (key, type(value).__name__))
+    for v in value if names else ():
+        if not isinstance(v, str):
+            raise InputFormatError("%s must be strings, got %r" % (names, v))
+
+
 # -- Graphs ----------------------------------------------------------------------
 
 def graph_to_dict(g: ColoredGraph) -> dict:
@@ -80,17 +90,12 @@ def graph_from_dict(data: Mapping[str, Any]) -> ColoredGraph:
                                "missing %s" % exc) from exc
     if not isinstance(m, int) or isinstance(m, bool):
         raise InputFormatError("m must be an integer")
-    for key, value in (("vertices", vertices), ("edges", edges)):
-        if not isinstance(value, list):
-            raise InputFormatError("%s must be a list, got %s"
-                                   % (key, type(value).__name__))
+    _check_list("vertices", vertices, "vertex names")
+    _check_list("edges", edges)
     # each color needs an edge, and a larger m costs O(m^2) in every key
     if m > max(1, len(edges)):
         raise InputFormatError("m=%d is more than the number of edges (%d); "
                                "every color needs an edge" % (m, len(edges)))
-    for v in vertices:
-        if not isinstance(v, str):
-            raise InputFormatError("vertex names must be strings, got %r" % (v,))
     for edge in edges:
         if not (isinstance(edge, (list, tuple)) and len(edge) == 3):
             raise InputFormatError("edges are [u, v, color] triples, got %r"
@@ -117,7 +122,7 @@ def scheme_to_dict(s: SchemeClasses) -> dict:
 
 def scheme_from_dict(data: Mapping[str, Any]) -> SchemeClasses:
     try:
-        labels = [label_from_text(str(lab)) for lab in data["labels"]]
+        labels = data["labels"]
         matrices = np.array(data["matrices"])
     except KeyError as exc:
         raise InputFormatError("scheme document needs keys labels, matrices; "
@@ -126,10 +131,11 @@ def scheme_from_dict(data: Mapping[str, Any]) -> SchemeClasses:
         raise InputFormatError("matrices must be n x n integer matrices") from exc
     if matrices.ndim != 3 or matrices.dtype.kind not in "iu":
         raise InputFormatError("matrices must be n x n integer matrices")
+    _check_list("labels", labels, "class labels")
     vertices = data.get("vertices")
     if vertices is not None:
-        vertices = [str(v) for v in vertices]
-    return SchemeClasses(labels=labels, matrices=matrices, vertices=vertices)
+        _check_list("vertices", vertices, "vertex names")
+    return SchemeClasses(list(map(label_from_text, labels)), matrices, vertices)
 
 
 # -- Intersection tensors ----------------------------------------------------------
@@ -147,23 +153,28 @@ def tensor_to_dict(t: IntersectionTensor) -> dict:
 
 def tensor_from_dict(data: Mapping[str, Any]) -> IntersectionTensor:
     try:
-        labels = tuple(label_from_text(str(lab)) for lab in data["labels"])
-        identity = label_from_text(str(data["identity"]))
+        labels = data["labels"]
+        identity = data["identity"]
         rows = data["p"]
     except KeyError as exc:
         raise InputFormatError("tensor document needs keys labels, identity, p; "
                                "missing %s" % exc) from exc
+    _check_list("labels", labels, "class labels")
+    _check_list("identity", [identity], "class labels")
     p: dict[tuple[Label, Label, Label], Fraction] = {}
     for row in rows:
         if not (isinstance(row, (list, tuple)) and len(row) == 4):
             raise InputFormatError("p entries are [a, b, c, value], got %r"
                                    % (row,))
-        a, b, c = (label_from_text(str(x)) for x in row[:3])
-        value = fraction_from_json(row[3])
-        if value != 0:
-            p[(a, b, c)] = value
+        _check_list("p entries", list(row[:3]), "class labels")
+        a, b, c = map(label_from_text, row[:3])
+        if (a, b, c) in p:
+            raise InputFormatError("p lists %r twice" % (row[:3],))
+        p[(a, b, c)] = fraction_from_json(row[3])
     try:
-        return IntersectionTensor(labels=labels, identity=identity, p=p)
+        return IntersectionTensor(labels=tuple(map(label_from_text, labels)),
+                                  identity=label_from_text(identity),
+                                  p={key: v for key, v in p.items() if v != 0})
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc
 

@@ -1,8 +1,8 @@
 """Shared oracles for the test suite.
 
 Everything here recomputes expected values by a route independent of the
-library internals: simple-path enumeration instead of the label-setting
-search, direct counting on cycles instead of tensor products, explicit
+library internals: simple-path enumeration and a single-source
+label-setting search instead of the all-sources relaxation, direct counting on cycles instead of tensor products, explicit
 closed-form coefficient tables for the generalized 24-cell polynomials,
 dense Fraction elimination (``mdrg.exactlinalg``) instead of the
 recurrence and the triangular boundary test, plain loops over the box
@@ -20,8 +20,9 @@ It also holds the checks that only the tests run: the structural
 consequences of m-distance-regularity (triangle bounds, additive
 nonvanishing, sum decomposition, walk-type invariance, edge-step
 precedence), the order-axiom validator with its four-way comparison,
-per-color adjacency matrices and lists, interval membership, and readers
-of documents the CLI only writes.
+per-color adjacency matrices and lists, interval membership, readers
+of documents the CLI only writes, and the graph renaming and order
+strategy that the property tests share.
 """
 
 from __future__ import annotations
@@ -34,14 +35,16 @@ from fractions import Fraction
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
+from hypothesis import strategies as st
 
-from mdrg import (ABRegion, Certificate, Check, ColoredGraph, Discovery,
-                  DistanceTable, IntersectionTensor, Interval, Labeling,
-                  MonomialOrder, MultiIndex, PartialOrder, Polynomial,
-                  SchemeClasses, ab_feasible_region, box, in_span, mat_vec,
-                  m_distance_table, mdrg_check, solve_columns,
-                  verify_scheme_axioms)
+from mdrg import (ABRegion, Certificate, Check, ColoredGraph,
+                  DisconnectedGraphError, Discovery, DistanceTable,
+                  IntersectionTensor, Interval, Labeling, MonomialOrder,
+                  MultiIndex, PartialOrder, Polynomial, SchemeClasses,
+                  ab_feasible_region, box, in_span, mat_vec, m_distance_table,
+                  mdrg_check, solve_columns, verify_scheme_axioms)
 from mdrg.certificates import witness
+from mdrg.graphs import least_labels
 from mdrg.schemes import BadPair, _pair_witness, pair_counts
 from mdrg.serialize import InputFormatError, fraction_from_json
 
@@ -100,6 +103,18 @@ def brute_force_distance(g: ColoredGraph, order: MonomialOrder,
     return best[0]
 
 
+def m_distance_from(g: ColoredGraph, order: MonomialOrder,
+                    source: str) -> list[MultiIndex]:
+    """Single-source m-distances aligned with ``g.vertices``, by the
+    label-setting search :func:`mdrg.graphs.least_labels` instead of the
+    all-sources relaxation over radix codes; raises
+    :class:`DisconnectedGraphError` naming the first unreachable vertex."""
+    done = least_labels(adjacency(g), g.m, order.key, g.index(source))
+    if None in done:
+        raise DisconnectedGraphError(source, g.vertices[done.index(None)])
+    return done  # type: ignore[return-value]
+
+
 def random_colored_graph(rng: random.Random, n: int, m: int,
                          extra_edges: int = 3) -> ColoredGraph:
     """Connected graph on n vertices: a random tree plus a few chords."""
@@ -113,6 +128,32 @@ def random_colored_graph(rng: random.Random, n: int, m: int,
             edges.add((min(u, v), max(u, v)))
     colored = [(names[u], names[v], rng.randint(1, m)) for u, v in sorted(edges)]
     return ColoredGraph(m, names, colored)
+
+
+def renamed(g: ColoredGraph, rng: random.Random) -> ColoredGraph:
+    """The same graph with fresh vertex names in a shuffled vertex list."""
+    names = dict(zip(g.vertices, ("v%d" % i for i in rng.sample(range(g.n), g.n))))
+    vertices = list(names.values())
+    rng.shuffle(vertices)
+    return ColoredGraph(g.m, vertices,
+                        [(names[u], names[v], c) for u, v, c in g.edge_names()])
+
+
+def weights(m: int):
+    return st.lists(st.fractions(min_value=Fraction(1, 4), max_value=4,
+                                 max_denominator=4),
+                    min_size=m, max_size=m)
+
+
+@st.composite
+def orders(draw, m: int) -> MonomialOrder:
+    """Any built-in order kind for m colors; wdeglex with weights in
+    [1/4, 4] of denominator at most 4."""
+    kinds = ["deglex-sum", "lex", "wdeglex"] + (["deglex-y2"] if m == 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "wdeglex":
+        return MonomialOrder("wdeglex", tuple(draw(weights(m))))
+    return MonomialOrder.parse(kind)
 
 
 # -- Graph and distance-table views ---------------------------------------------

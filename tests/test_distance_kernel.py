@@ -1,15 +1,16 @@
-"""The packed-code distance kernel against the per-source search.
+"""The all-sources relaxation kernel against the per-source search.
 
-``m_distance_table`` computes all m-distances with one int64 min-plus
-pass over integer codes of W a.  Here it is checked against
-``m_distance_from`` (the label-setting search it falls back to) and the
-simple-path oracle ``helpers.brute_force_distance`` on random connected
-graphs with n <= 12 and m <= 3, vertices renamed and reordered at
-random, under all four order kinds (wdeglex with non-integer weights);
+``m_distance_table`` relaxes integer codes of W a over the edges until
+nothing changes, in int64 while the codes fit under 2^62 and in exact
+Python ints past that.  Here its table is checked against
+``helpers.m_distance_from`` (a label-setting search keyed by the order)
+and the simple-path oracle ``helpers.brute_force_distance`` on random
+connected graphs with n <= 12 and m <= 3, vertices renamed and reordered
+at random: under all four order kinds (wdeglex with non-integer
+weights), on orders whose codes pass the int64 bound, on one vertex, and
 on disconnected graphs, which must raise with the same source and
-unreachable vertex; and on orders whose codes pass the int64 bound,
-which must take the fallback and give the same table.  The weight
-matrices themselves are checked against the defining comparisons.
+unreachable vertex.  The weight matrices themselves are checked against
+the defining comparisons.
 """
 
 from __future__ import annotations
@@ -17,40 +18,26 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import mdrg.graphs
 from mdrg import (ColoredGraph, DisconnectedGraphError, MonomialOrder,
-                  MultiIndex, box, m_distance_from, m_distance_table)
+                  MultiIndex, box, m_distance_table)
 
-from helpers import brute_force_distance, label_rows, random_colored_graph
+from helpers import (brute_force_distance, label_rows, m_distance_from,
+                     orders, random_colored_graph, renamed)
 
-
-def renamed(g: ColoredGraph, rng: random.Random) -> ColoredGraph:
-    """The same graph with fresh vertex names in a shuffled vertex list."""
-    names = dict(zip(g.vertices, ("v%d" % i for i in rng.sample(range(g.n), g.n))))
-    vertices = list(names.values())
-    rng.shuffle(vertices)
-    return ColoredGraph(g.m, vertices,
-                        [(names[u], names[v], c) for u, v, c in g.edge_names()])
-
-
-def weights(m: int):
-    return st.lists(st.fractions(min_value=Fraction(1, 4), max_value=4,
-                                 max_denominator=4),
-                    min_size=m, max_size=m)
+TINY = Fraction(1, 10 ** 15)
 
 
 @st.composite
-def orders(draw, m: int) -> MonomialOrder:
-    kinds = ["deglex-sum", "lex", "wdeglex"] + (["deglex-y2"] if m == 2 else [])
-    kind = draw(st.sampled_from(kinds))
-    if kind == "wdeglex":
-        return MonomialOrder("wdeglex", tuple(draw(weights(m))))
-    return MonomialOrder.parse(kind)
+def wide_orders(draw, m: int) -> MonomialOrder:
+    """wdeglex with weights 1 and 10^-15, both present: for m >= 2 and
+    n >= 2 the codes pass the int64 bound."""
+    tiny = draw(st.lists(st.booleans(), min_size=m, max_size=m)
+                .filter(lambda flags: len(set(flags)) == 2))
+    return MonomialOrder("wdeglex", tuple(TINY if t else Fraction(1) for t in tiny))
 
 
 def search_table(g: ColoredGraph, order: MonomialOrder):
@@ -63,18 +50,8 @@ def packed_code_fits(g: ColoredGraph, order: MonomialOrder) -> bool:
     return 2 * radix ** len(forms) < 2 ** 63
 
 
-@settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2 ** 32), n=st.integers(1, 12), m=st.integers(1, 3),
-       data=st.data())
-def test_kernel_matches_search_and_simple_paths(seed, n, m, data):
-    rng = random.Random(seed)
-    g = renamed(random_colored_graph(rng, n, m), rng)
-    order = data.draw(orders(m))
-    assert packed_code_fits(g, order)
-    with mock.patch.object(mdrg.graphs, "m_distance_from",
-                           wraps=m_distance_from) as search:
-        table = m_distance_table(g, order)
-    assert search.call_count == 0  # the int64 kernel ran
+def assert_matches_oracles(g: ColoredGraph, order: MonomialOrder) -> None:
+    table = m_distance_table(g, order)
     rows = label_rows(table)
     assert rows == search_table(g, order)
     for i, x in enumerate(g.vertices):
@@ -92,6 +69,39 @@ def assert_realized_in_order(table):
     assert sorted(set(table.index.ravel().tolist())) == list(range(len(table.labels)))
 
 
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(1, 12), m=st.integers(1, 3),
+       data=st.data())
+def test_kernel_matches_search_and_simple_paths(seed, n, m, data):
+    rng = random.Random(seed)
+    g = renamed(random_colored_graph(rng, n, m), rng)
+    order = data.draw(orders(m))
+    assert packed_code_fits(g, order)
+    assert_matches_oracles(g, order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(2, 12), m=st.integers(2, 3),
+       data=st.data())
+def test_codes_past_the_bound_match_the_search(seed, n, m, data):
+    rng = random.Random(seed)
+    g = renamed(random_colored_graph(rng, n, m), rng)
+    order = data.draw(wide_orders(m))
+    assert not packed_code_fits(g, order)
+    assert_matches_oracles(g, order)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_one_vertex(m):
+    g = ColoredGraph(m, ["x"], [])
+    kinds = ["deglex-sum", "lex", "wdeglex:" + ",".join(["1/3"] * m)]
+    for order in map(MonomialOrder.parse, kinds + ["deglex-y2"] * (m == 2)):
+        table = m_distance_table(g, order)
+        assert table.labels == (MultiIndex.zero(m),)
+        assert table.index.tolist() == [[0]]
+        assert search_table(g, order) == ((MultiIndex.zero(m),),)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32), sizes=st.lists(st.integers(1, 5),
                                                     min_size=2, max_size=3),
@@ -106,30 +116,14 @@ def test_disconnected_graph_raises_like_the_search(seed, sizes, m, data):
                   for u, v, c in piece.edge_names()]
     rng.shuffle(vertices)
     g = ColoredGraph(m, vertices, edges)
-    order = data.draw(orders(m))
+    order = data.draw(orders(m) if m == 1 else st.one_of(orders(m),
+                                                         wide_orders(m)))
     with pytest.raises(DisconnectedGraphError) as expected:
         search_table(g, order)
     with pytest.raises(DisconnectedGraphError) as got:
         m_distance_table(g, order)
     assert (got.value.source, got.value.unreachable) == (
         expected.value.source, expected.value.unreachable)
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2 ** 32), n=st.integers(2, 12), data=st.data())
-def test_codes_past_the_bound_fall_back_to_the_search(seed, n, data):
-    rng = random.Random(seed)
-    g = renamed(random_colored_graph(rng, n, 2), rng)
-    tiny = data.draw(st.sampled_from(["1/1000000000000000,1",
-                                      "1,1/1000000000000000"]))
-    order = MonomialOrder.parse("wdeglex:" + tiny)
-    assert not packed_code_fits(g, order)
-    with mock.patch.object(mdrg.graphs, "m_distance_from",
-                           wraps=m_distance_from) as search:
-        table = m_distance_table(g, order)
-    assert search.call_count == g.n
-    assert label_rows(table) == search_table(g, order)
-    assert_realized_in_order(table)
 
 
 def defining_key(order: MonomialOrder, a: MultiIndex):

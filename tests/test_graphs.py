@@ -2,7 +2,7 @@
 
 Claims covered here:
   * ColoredGraph rejects malformed input with specific errors.
-  * The label-setting search agrees with brute-force simple-path
+  * The m-distance table agrees with brute-force simple-path
     enumeration on random connected graphs under every built-in order.
   * Frozen distance facts: cycles, the 14x9 torus grid, the 24-cell.
   * The table is symmetric with a zero diagonal.
@@ -20,11 +20,12 @@ import pytest
 
 from mdrg import (ColoredGraph, DisconnectedGraphError, GraphStructureError,
                   MonomialOrder, MultiIndex, PartialOrder, cell24, complete,
-                  cycle, cartesian_product, m_distance_from, m_distance_table)
+                  cycle, cartesian_product, m_distance_table)
 
 from helpers import (brute_force_distance, check_precompat_graph, color_matrix,
                      count_walks_by_type, cycle_distance, distance_profile,
-                     is_connected, label_rows, random_colored_graph)
+                     is_connected, label_rows, m_distance_from,
+                     random_colored_graph)
 
 DEGLEX_SUM = MonomialOrder.parse("deglex-sum")
 DEGLEX_Y2 = MonomialOrder.parse("deglex-y2")

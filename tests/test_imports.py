@@ -10,7 +10,8 @@ outside its own definition and ``__init__.py``, or by the benchmark in
 ``tests/helpers.py``.  So must every public method or property of a
 class of the package: some attribute read in the package, other than
 inside the method itself, or in the benchmark must name it.  Checked
-with the standard ``ast`` module, so no linter is needed.
+with the standard ``ast`` module, so no linter is needed.  And the
+package stays within its line budget.
 """
 
 import ast
@@ -23,6 +24,8 @@ import mdrg
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "mdrg"
 BENCHMARK = ROOT / "perfbench"
+# the most lines src/mdrg/*.py may hold together (ROADMAP, Quality of design)
+LINE_BUDGET = 3357
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -118,3 +121,9 @@ def test_every_public_method_is_used_outside_the_tests():
                             names=False)
     assert [name for name in methods
             if name.rpartition(".")[2] not in used] == []
+
+
+def test_src_within_line_budget():
+    lines = sum(len(path.read_text().splitlines())
+                for path in PACKAGE.glob("*.py"))
+    assert lines <= LINE_BUDGET

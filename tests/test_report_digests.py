@@ -32,6 +32,23 @@ def _graph(graph) -> str:
     return dump_json(graph_to_dict(graph))
 
 
+def _k2(**fields) -> str:
+    """The scheme of K2 with some fields replaced."""
+    return dump_json(dict({"labels": ["A0", "A1"], "vertices": ["u", "v"],
+                           "matrices": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]},
+                          **fields))
+
+
+K3_P = [["0", "0", "0", 1], ["0", "1", "1", 1], ["1", "0", "1", 1],
+        ["1", "1", "0", 2], ["1", "1", "1", 1]]
+
+
+def _k3_tensor(**fields) -> str:
+    """The intersection numbers of K3 with some fields replaced."""
+    return dump_json(dict({"labels": ["0", "1"], "identity": "0", "p": K3_P},
+                          **fields))
+
+
 I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 ROTATE = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
 
@@ -54,6 +71,11 @@ INPUTS = {
                                      "edges": [["a", "b", 1], ["b", "c", 1]]}),
     "split.json": lambda: dump_json({"m": 1, "vertices": ["a", "b", "c"],
                                      "edges": [["a", "b", 1]]}),
+    # two colors, not m-distance-regular: the pair (a, d) is the witness
+    "irreg2g.json": lambda: dump_json({
+        "m": 2, "vertices": ["a", "b", "c", "d", "e", "f"],
+        "edges": [["a", "b", 1], ["b", "c", 2], ["c", "d", 1], ["d", "e", 2],
+                  ["e", "a", 1], ["b", "f", 2], ["f", "d", 1]]}),
     # malformed graph documents: each is an input error (exit 2)
     "textvertices.json": lambda: dump_json({"m": 1, "vertices": "abc",
                                             "edges": [["a", "b", 1], ["b", "c", 1]]}),
@@ -72,6 +94,18 @@ INPUTS = {
     "bigm.json": lambda: dump_json({"m": 2000, "vertices": ["a", "b", "c"],
                                     "edges": [["a", "b", 1], ["b", "c", 1],
                                               ["c", "a", 1]]}),
+    # scheme and tensor documents whose names are not lists of strings, and
+    # a tensor listing one (a, b, c) twice: each is an input error (exit 2)
+    "textvertscheme.json": lambda: _k2(vertices="uv"),
+    "nullvertscheme.json": lambda: _k2(vertices=[None, 7]),
+    "textlabelscheme.json": lambda: _k2(labels="AB"),
+    "numberlabelscheme.json": lambda: _k2(labels=[0, 1]),
+    "textlabeltensor.json": lambda: _k3_tensor(labels="01"),
+    "nullentrytensor.json": lambda: _k3_tensor(
+        labels=["0", "None"], p=[["0", "0", "0", 1], [None, "0", None, 1],
+                                 ["0", None, None, 1], [None, None, "0", 2],
+                                 [None, None, None, 1]]),
+    "duplicatetensor.json": lambda: _k3_tensor(p=K3_P + [["1", "1", "0", "5"]]),
 }
 
 GENERATED = [
@@ -104,19 +138,23 @@ WINDOWS = [
 ]
 
 # distance tables and m-distance-regularity of graph files; the wdeglex
-# weights push the radix codes past int64, so the label-setting search
-# builds that table
+# weights push the radix codes past int64, so those tables are relaxed in
+# exact Python ints
 GRAPHS = [
     ["distances", "c6g.json", "--order", "deglex-sum"],
     ["distances", "c4x3g.json", "--order", "deglex-sum"],
     ["distances", "c4x3g.json", "--order", "lex"],
     ["distances", "c4x3g.json", "--order", "wdeglex:1000000000000,1"],
     ["distances", "split.json", "--order", "lex"],
+    ["distances", "irreg2g.json", "--order", "lex"],
+    ["distances", "irreg2g.json", "--order", "wdeglex:1000000000000,1"],
     ["certify-mdrg", "c6g.json", "--order", "deglex-sum"],
     ["certify-mdrg", "c4x3g.json", "--order", "deglex-sum"],
     ["certify-mdrg", "c4x3g.json", "--order", "lex"],
     ["certify-mdrg", "c4x3g.json", "--order", "wdeglex:1000000000000,1"],
     ["certify-mdrg", "pathg.json", "--order", "lex"],
+    ["certify-mdrg", "irreg2g.json", "--order", "lex"],
+    ["certify-mdrg", "irreg2g.json", "--order", "wdeglex:1000000000000,1"],
     ["certify-ppoly", "c4x3g.json", "--order", "deglex-sum", "--boundary",
      "--recurrences"],
 ]
@@ -127,6 +165,10 @@ BAD_GRAPHS = [["distances", path, "--order", "lex"] for path in (
     "textvertices.json", "textedges.json", "nullvertex.json",
     "numbervertex.json", "listvertex.json", "nullend.json", "numberend.json")]
 BAD_GRAPHS.append(["certify-mdrg", "bigm.json", "--order", "deglex-sum"])
+BAD_DOCUMENTS = [["verify-scheme", path] for path in (
+    "textvertscheme.json", "nullvertscheme.json", "textlabelscheme.json",
+    "numberlabelscheme.json", "textlabeltensor.json", "nullentrytensor.json",
+    "duplicatetensor.json")]
 
 
 def _with_labeling(argv, labeling):
@@ -156,7 +198,7 @@ def _cases():
              ";".join("A%d=%d" % (i, i) for i in range(k))],
             ["discover", path, "--m", "1", "--order", "deglex-sum"],
         ]
-    cases += WINDOWS + GRAPHS + BAD_GRAPHS
+    cases += WINDOWS + GRAPHS + BAD_GRAPHS + BAD_DOCUMENTS
     return cases
 
 
@@ -173,6 +215,10 @@ DIGESTS = {
         '923fdd6f309b416ed34e9a05a79608dc7efb7dede261f8d29adb4b1708ae412c',
     'certify-mdrg c6g.json --order deglex-sum':
         '8418b42aaaf0a208ea8738480af1791f46da0fb2702d76fc05fcc6b4ed32d797',
+    'certify-mdrg irreg2g.json --order lex':
+        '382139ad12086e02a8689181f9b996db1062b4a19b4123f3abfe959d904d1d86',
+    'certify-mdrg irreg2g.json --order wdeglex:1000000000000,1':
+        '5049592fa0e1b8ec36d8444158ff00a55506139eb0b2c84c744b3c71c19e25ac',
     'certify-mdrg pathg.json --order lex':
         '9d38ac0201cb123db53c5d6ad977270fbdbd105b582462ecd102126f2396e86d',
     'certify-ppoly asym.json --order deglex-sum --labeling A0=0;A1=1;A2=2':
@@ -241,6 +287,10 @@ DIGESTS = {
         'ae827e07ddf7e801ed61f807bfc99730449f27eac2974cf12509ba380c507f0c',
     'distances c6g.json --order deglex-sum':
         '034d3671361bde035048bf69163c27b741d0f8e9f0ffbb6a516adceaea0d75cd',
+    'distances irreg2g.json --order lex':
+        'ce10dfcfa2241609f94bad8c19c369ace01a2da5f941936113f23cf18d0481d1',
+    'distances irreg2g.json --order wdeglex:1000000000000,1':
+        '512e284cc37b1e84ac09eb3affa6582aba7e68b499c43573dd12ac16862fef9c',
     'distances listvertex.json --order lex':
         '4625919667cb418f5802a3aa80d2ec34f9d58312e219c539ce3b178274741039',
     'distances nullend.json --order lex':
@@ -291,10 +341,18 @@ DIGESTS = {
         '059e1fc0f75fd8dfdcd272f0f9fee6056af284541f471e4d0dd88728b74b39ee',
     'verify-scheme c6.json':
         'ef01b8d219012568899aa24eb674cf1d898dcf455d7a790ea6aeccbed737972e',
+    'verify-scheme duplicatetensor.json':
+        '21d551892b5147159e7ce26aa7b90e17d589cf87f272804c42eb4b74b4c0cbd7',
     'verify-scheme gap.json':
         '6c9cf00fdfb5e18a2f60ff4159a44a8265d742bf25904ca0f9e3e27330c20709',
     'verify-scheme noident.json':
         '8e2edb1dd638bfad7b55bdb083ab51121d59d672afd78e32a7b1cbc2bdaadac3',
+    'verify-scheme nullentrytensor.json':
+        'a82fa5fe3c89e29ac2bfd320a3b93342ac4d7beda7a12e36fc89f003aa33f795',
+    'verify-scheme nullvertscheme.json':
+        'fb0ae973e567e14b1192b79299afe046ec848984daaec076be90fee9dba21055',
+    'verify-scheme numberlabelscheme.json':
+        '03226b16338f215c5114d0dad5a7d022a354d0f6685788eb95e89a79c2416944',
     'verify-scheme overlap.json':
         '994658b55053f32dae4e76b8252793c08e84abc56cd888601a46fa4446a5417a',
     'verify-scheme path.json':
@@ -305,6 +363,12 @@ DIGESTS = {
         'dd9d134029510d59aa90ee9f6a2e743fbce7ba11ccc74d4bc08731c67a59c952',
     'verify-scheme sym3.json':
         '71b49fdac8cc008bf91c4c61f698928e78dbb214be15300c381ec0131064de32',
+    'verify-scheme textlabelscheme.json':
+        'f755caecd374eaa590ca1dccfa77bb9d37cd0ce549a9dce06af7336c7266945c',
+    'verify-scheme textlabeltensor.json':
+        'f755caecd374eaa590ca1dccfa77bb9d37cd0ce549a9dce06af7336c7266945c',
+    'verify-scheme textvertscheme.json':
+        '8a22bbffbe01a8adb888a31c5f35f3699dbec104ba95514a2d08fd8ebe447986',
 }
 
 

@@ -153,6 +153,15 @@ def test_tensor_from_dict_errors():
     with pytest.raises(InputFormatError):
         tensor_from_dict({"labels": ["0"], "identity": "0",
                           "p": [["0", "0", "0", 1.5]]})
+    # an entry listed twice is an error, also when one of the values is zero
+    with pytest.raises(InputFormatError, match="twice"):
+        tensor_from_dict({"labels": ["0", "1"], "identity": "0",
+                          "p": [["1", "1", "0", 0], ["1", "1", "0", 2]]})
+    for bad in ({"labels": ["0", 1]}, {"identity": 0},
+                {"p": [["0", "0", None, 1]]}):
+        with pytest.raises(InputFormatError, match="must be"):
+            tensor_from_dict(dict({"labels": ["0"], "identity": "0",
+                                   "p": [["0", "0", "0", 1]]}, **bad))
     # zero entries are dropped on input
     t = tensor_from_dict({"labels": ["0", "1"], "identity": "0",
                           "p": [["0", "0", "0", 1], ["1", "1", "0", 0]]})
