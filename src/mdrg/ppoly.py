@@ -8,13 +8,13 @@ a + e_i stays in D.  Each class is then a polynomial in the generator
 classes A_{e_1}..A_{e_m}; those polynomials are read off the recurrence
 x_i v_a = sum_b p_{e_i,a}^b v_b, and the boundary span condition is a
 triangular elimination against the monomial vectors.  Every check reads
-the sparse view of the generator products, :func:`generator_rows`.  A
-refined variant replaces the order window by a compatible partial order;
-the two-parameter family ``ab:alpha,beta`` gives the type-(alpha, beta)
-notion, whose exact feasible parameter region, always a product of
-intervals, is computed in one pass.  Finally, labelings can be
-discovered from a bare scheme by trying every ordered generator tuple
-on its intersection numbers.
+the sparse view of the generator products that the tensor keeps,
+:func:`generator_rows`.  A refined variant replaces the order window by
+a compatible partial order; the two-parameter family ``ab:alpha,beta``
+gives the type-(alpha, beta) notion, whose exact feasible parameter
+region, always a product of intervals, is computed in one pass.
+Finally, labelings can be discovered from a bare scheme by trying every
+ordered generator tuple on its intersection numbers.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ from .graphs import least_labels
 from .orders import (ABRegion, MonomialOrder, MultiIndex,
                      PartialOrder, ab_feasible_region, box, check_domain,
                      validate_pair_compat)
-from .schemes import (IntersectionTensor, Label, MonomialBasis, SchemeClasses,
-                      generator_rows, intersection_tensor, label_text,
-                      verify_scheme_axioms)
+from .schemes import (IntersectionTensor, Label, SchemeClasses,
+                      intersection_tensor, label_text, verify_scheme_axioms)
 
 
 # The order a window check reads: ``leq``, ``key`` and ``as_text``.
@@ -181,12 +180,12 @@ def _structural_checks(t: IntersectionTensor) -> tuple[list[Check], Optional[int
     return checks, m
 
 
-def _steps(t: IntersectionTensor, rows: dict):
+def _steps(t: IntersectionTensor):
     """(e_i, a, a + e_i, {b: p_{e_i,a}^b}) for each generator e_i and each
-    a in D in sorted order, read from :func:`generator_rows`."""
+    a in D in sorted order, read from the generator rows ``t.rows``."""
     for unit in (MultiIndex.unit(t.m, c) for c in range(1, t.m + 1)):
         for a in sorted(t.domain()):
-            yield unit, a, a + unit, rows.get((unit, a), {})
+            yield unit, a, a + unit, t.rows.get((unit, a), {})
 
 
 def _outside_window(constraints, leq, window_text: str) -> Optional[dict]:
@@ -199,7 +198,7 @@ def _outside_window(constraints, leq, window_text: str) -> Optional[dict]:
 
 def _window_checks(t: IntersectionTensor, leq, window_text: str) -> list[Check]:
     dom = t.domain()
-    steps = list(_steps(t, generator_rows(t)))
+    steps = list(_steps(t))
     window_witness = _outside_window(
         ((unit, a, b, value) for unit, a, _, row in steps
          for b, value in row.items()), leq, window_text)
@@ -245,18 +244,19 @@ def certify_ppoly_refined(t: IntersectionTensor, order: MonomialOrder,
     return Certificate.of(checks)
 
 
-def _eliminate(vec: list, rows: dict[int, tuple]) -> Optional[int]:
+def _eliminate(vec: list, rows: dict[int, tuple]) -> Optional[tuple]:
     """Reduce ``vec`` in place against echelon rows, top position first.
 
     ``rows`` maps a pivot position r to (pivot, [(s, value), ...]) with
     every s below r.  Returns None when ``vec`` reduces to zero, else its
-    top nonzero position, on which no row pivots.
+    top nonzero position, on which no row pivots, and its row there.
     """
     for r in range(len(vec) - 1, -1, -1):
         if not vec[r]:
             continue
         if r not in rows:
-            return r
+            return r, (vec[r], [(s, value) for s, value
+                                in enumerate(vec[:r]) if value])
         pivot, entries = rows[r]
         factor = Fraction(vec[r]) / pivot
         vec[r] = 0
@@ -271,33 +271,39 @@ def boundary_check(t: IntersectionTensor, window: Window) -> Certificate:
     For every a in D with a + e_i outside D, the product A_{e_i} A^a must
     lie in the span of the monomials A^b with b in D and b below a + e_i
     under ``window``, a monomial or a partial order.  Tested exactly by
-    reducing the product against an echelon of the window's monomial
-    vectors, each pivoted on its largest class under ``window.key``.  On
-    a certified tensor A^b tops out at class b, so the vectors are their
-    own echelon and each case costs one pass over the product.
+    reducing the product against an echelon of those vectors, each
+    pivoted on its largest class under ``window.key``.  Each A^b is
+    reordered once, with its top and row; a case reuses that row unless an
+    earlier b of the case pivots there, and then reduces a copy.  On a
+    certified tensor A^b tops out at class b: nothing is reduced.  Vectors
+    are requested case by case, b in D order, which fixes the monomial
+    that a :class:`CommutationError` names.
     """
-    basis = MonomialBasis(t)
-    m = t.m
+    basis = t.basis
     dom = sorted(t.domain())
-    units = [MultiIndex.unit(m, c) for c in range(1, m + 1)]
+    units = [MultiIndex.unit(t.m, c) for c in range(1, t.m + 1)]
     # position r of a reordered vector holds the r-th class under the order
     positions = [basis.index[lab] for lab in sorted(dom, key=window.key)]
+    seen: dict = {}  # b -> (reordered A^b, its top position and row)
     cases = 0
     for a in dom:
         for unit in units:
-            up = a + unit  # type: ignore[operator]
+            up = a + unit
             if up in basis.index:
                 continue
             cases += 1
             below = [b for b in dom if window.leq(b, up)]
             rows: dict[int, tuple] = {}
             for b in below:
-                vector = basis.vector(b)
-                vec = [vector[i] for i in positions]
-                top = _eliminate(vec, rows)
-                if top is not None:
-                    rows[top] = (vec[top], [(s, value) for s, value
-                                            in enumerate(vec[:top]) if value])
+                if b not in seen:
+                    vector = basis.vector(b)
+                    vec = [vector[i] for i in positions]
+                    seen[b] = vec, _eliminate(vec, {})
+                vec, reduced = seen[b]
+                if reduced and reduced[0] in rows:  # taken: reduce a copy
+                    reduced = _eliminate(list(vec), rows)
+                if reduced:
+                    rows[reduced[0]] = reduced[1]
             target = basis.apply(unit, basis.vector(a))
             if _eliminate([target[i] for i in positions], rows) is not None:
                 return Certificate.single(
@@ -317,24 +323,23 @@ def extract_polynomials(t: IntersectionTensor, window: Window
         v_n = (x_i v_a - sum_{b != n} p_{e_i,a}^b v_b) / p_{e_i,a}^n,
 
     taking D in increasing ``window.key`` order (for a partial order, a
-    linear extension), so every v on the right is already known.  The returned
-    certificate records that every leading coefficient is nonzero.
-    Raises :class:`ExtractionError` when p_{e_i,a}^n is zero or some b on
-    the right is not below n under ``window`` (certification prerequisite
-    violated).  The
-    monomial vectors of D are built first, so generators that do not
-    commute raise :class:`CommutationError` as in :class:`MonomialBasis`.
+    linear extension), so every v on the right is already known.  The
+    returned certificate records that every leading coefficient is
+    nonzero.  Raises :class:`ExtractionError` when p_{e_i,a}^n is zero or
+    some b on the right is not below n under ``window`` (certification
+    prerequisite violated).  The monomial vectors of D (``t.basis``) are
+    built first, so generators that do not commute raise
+    :class:`CommutationError`.
     """
-    basis = MonomialBasis(t)
     dom = sorted(t.domain())
     for n in dom:
-        basis.vector(n)
+        t.basis.vector(n)
     origin = MultiIndex.zero(t.m)
     known = {origin: {origin: Fraction(1)}}  # n -> coefficients of v_n
     for n in sorted(dom, key=window.key)[1:]:  # o sorts first
         unit = MultiIndex.unit(t.m, next(i for i, e in enumerate(n) if e) + 1)
         a = n - unit
-        row = dict(basis.rows.get((unit, a), {}))
+        row = dict(t.rows.get((unit, a), {}))
         lead = row.pop(n, 0)
         if not lead:
             raise ExtractionError("p_{%s,%s}^%s is zero; certify the scheme first"
@@ -374,7 +379,7 @@ def verify_recurrences(polys: Mapping[MultiIndex, Polynomial],
     dom = t.domain()
     support_witness = None
     identity_witness = None
-    for unit, a, up, row in _steps(t, generator_rows(t)):
+    for unit, a, up, row in _steps(t):
         if up not in dom:
             continue
         if a not in polys:
@@ -416,14 +421,13 @@ def _type_ab_requirements(t: IntersectionTensor) -> tuple[Optional[dict], list]:
     :func:`certify_type_ab` and :func:`ab_region_for_scheme` both read
     them, so the certificate and the region cannot drift apart.
     """
-    rows = generator_rows(t)
     dom = t.domain()
     step_witness, window = None, []
-    for unit, a, up, row in _steps(t, rows):
+    for unit, a, up, row in _steps(t):
         if up not in dom:
             continue
         if step_witness is None and (up not in row
-                                     or a not in rows.get((unit, up), {})):
+                                     or a not in t.rows.get((unit, up), {})):
             step_witness = witness(generator=unit, a=a, successor=up,
                                    direction="up" if up not in row else "down")
         window.extend((unit, a, b, value) for b, value in row.items())

@@ -252,7 +252,8 @@ def _pair_witness(bad: BadPair, labels: Sequence[Label],
 
 def _tensor_from_counts(counts: np.ndarray, labels: Sequence[Label],
                         identity: Label) -> "IntersectionTensor":
-    p = {(labels[a], labels[b], labels[c]): Fraction(value)
+    values = {v: Fraction(v) for v in set(counts[:, 3].tolist())}  # one per value
+    p = {(labels[a], labels[b], labels[c]): values[value]
          for a, b, c, value in counts.tolist()}
     return IntersectionTensor(labels=tuple(labels), identity=identity, p=p)
 
@@ -295,7 +296,8 @@ class IntersectionTensor:
 
     ``p`` maps (a, b, c) to a nonzero rational; absent keys mean zero.
     ``identity`` names the class acting as A_o.  Labels may be opaque
-    tags (e.g. for parameterized families) or multi-indices.
+    tags (e.g. for parameterized families) or multi-indices.  The checks
+    share :attr:`rows` and :attr:`basis`, kept outside eq, hash and repr.
     """
 
     labels: tuple[Label, ...]
@@ -313,6 +315,10 @@ class IntersectionTensor:
         if bad is not None:
             raise ValueError("p entry %s names a label not among labels"
                              % [label_text(lab) for lab in bad])
+
+    # generator_rows(self) and MonomialBasis(self), built on first use; read-only
+    rows = functools.cached_property(lambda self: generator_rows(self))
+    basis = functools.cached_property(lambda self: MonomialBasis(self))
 
     def get(self, a: Label, b: Label, c: Label) -> Fraction:
         return self.p.get((a, b, c), Fraction(0))
@@ -433,7 +439,7 @@ def distance_matrices(table: DistanceTable) -> SchemeClasses:
 
 def generator_rows(t: IntersectionTensor) -> dict:
     """Sparse view (e_i, a) -> {b: p_{e_i,a}^b, ...} of the products
-    A_{e_i} A_a, built in one pass over ``t.p``.
+    A_{e_i} A_a, built in one pass over ``t.p``; ``t.rows`` keeps it.
 
     Zero entries are left out, each row is sorted by b, and integral
     values become ints, so products of them stay ints.  A generator that
@@ -462,7 +468,7 @@ class MonomialBasis:
 
     ``vector(a)`` returns the coordinates of A_{e_1}^{a_1} ... A_{e_m}^{a_m},
     as ints, or Fractions where the tensor has them.  Vectors are built
-    incrementally by applying generators through :func:`generator_rows`;
+    incrementally by applying generators through ``t.rows``;
     when a multi-index has two nonzero entries the vector is computed
     along two different generator paths and compared, which verifies
     that the order of application is irrelevant; a mismatch raises
@@ -472,13 +478,13 @@ class MonomialBasis:
     def __init__(self, t: IntersectionTensor):
         if not t.labels_are_multiindex:
             raise ValueError("monomial coordinates need multi-index labels")
-        self.tensor = t
+        self.labels = t.labels  # not t, which keeps its basis
         self.m = t.m
         units = [MultiIndex.unit(self.m, c) for c in range(1, self.m + 1)]
         missing = [unit for unit in units if unit not in t.domain()]
         if missing:
             raise ValueError("generator %s is not a class label" % missing[0].as_text())
-        self.rows = generator_rows(t)
+        self.rows = t.rows
         self.index = {lab: i for i, lab in enumerate(t.labels)}
         origin = MultiIndex.zero(self.m)
         if t.identity != origin:
@@ -490,7 +496,7 @@ class MonomialBasis:
     def apply(self, gen: MultiIndex, vec: list) -> list:
         """Coordinates of A_gen times the element with coordinates ``vec``."""
         out = [0] * len(vec)
-        for a, x in zip(self.tensor.labels, vec):
+        for a, x in zip(self.labels, vec):
             if x:
                 for b, value in self.rows.get((gen, a), {}).items():
                     out[self.index[b]] += value * x

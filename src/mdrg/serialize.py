@@ -1,10 +1,10 @@
 """JSON round-tripping for graphs, schemes, tensors, tables, polynomials.
 
-All rationals travel as strings "p" or "p/q", and class matrices hold
-integers; floats are rejected on the way in so no inexact value can
-enter a computation.  Class labels are written as their text form; on
-the way in, anything that parses as a comma-separated tuple of integers
-becomes a multi-index and everything else stays an opaque tag.
+Rationals travel as JSON integers or "p" or "p/q" text in ASCII digits,
+class matrices hold integers, and floats are rejected on the way in, so
+no inexact value can enter a computation.  Class labels are written as
+their text form; on the way in, anything that parses as a comma-separated
+tuple of integers becomes a multi-index, anything else an opaque tag.
 
 Output is canonical JSON: :func:`dump_json` writes the bytes of
 ``json.dumps(data, sort_keys=True, indent=2)`` without json's slow
@@ -14,6 +14,7 @@ pure-Python indent path.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping, Union
@@ -45,9 +46,11 @@ def fraction_from_json(value: Union[str, int]) -> Fraction:
                                "got %r" % (value,))
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
+    # not Fraction()'s syntax, which takes "1.5", "1_000" and "1e10000000"
+    if isinstance(value, str) and re.fullmatch(
+            r"\s*[+-]?[0-9]+(/[0-9]+)?\s*", value, re.ASCII):
         try:
-            return Fraction(value.strip())
+            return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputFormatError("bad rational %r" % value) from exc
     raise InputFormatError("bad rational %r" % (value,))
@@ -161,13 +164,16 @@ def tensor_from_dict(data: Mapping[str, Any]) -> IntersectionTensor:
                                "missing %s" % exc) from exc
     _check_list("labels", labels, "class labels")
     _check_list("identity", [identity], "class labels")
+    _check_list("p", rows)
     p: dict[tuple[Label, Label, Label], Fraction] = {}
+    texts = {}  # each distinct label text is parsed once
     for row in rows:
         if not (isinstance(row, (list, tuple)) and len(row) == 4):
             raise InputFormatError("p entries are [a, b, c, value], got %r"
                                    % (row,))
         _check_list("p entries", list(row[:3]), "class labels")
-        a, b, c = map(label_from_text, row[:3])
+        a, b, c = (texts[x] if x in texts else texts.setdefault(
+            x, label_from_text(x)) for x in row[:3])
         if (a, b, c) in p:
             raise InputFormatError("p lists %r twice" % (row[:3],))
         p[(a, b, c)] = fraction_from_json(row[3])

@@ -13,9 +13,10 @@ import hashlib
 
 import pytest
 
-from mdrg import MonomialOrder, cartesian_product, cycle, mdrg_check
+from mdrg import MonomialOrder, MultiIndex, cartesian_product, cycle, mdrg_check
 from mdrg.cli import main
-from mdrg.serialize import dump_json, graph_to_dict, scheme_to_dict
+from mdrg.serialize import (dump_json, graph_to_dict, scheme_to_dict,
+                            tensor_to_dict)
 
 DEGLEX_SUM = MonomialOrder.parse("deglex-sum")
 
@@ -47,6 +48,21 @@ def _k3_tensor(**fields) -> str:
     """The intersection numbers of K3 with some fields replaced."""
     return dump_json(dict({"labels": ["0", "1"], "identity": "0", "p": K3_P},
                           **fields))
+
+
+def _noncommuting() -> str:
+    """The C4 x C3 tensor with p_{a,b}^{1,0} moved around a 4-cycle of
+    (a, b) pairs: it passes ``validate``, but A_{1,0} and A_{0,1} do not
+    commute at (2,1)."""
+    t = mdrg_check(cartesian_product([cycle(4), cycle(3)]), DEGLEX_SUM).tensor
+    p, c = dict(t.p), MultiIndex((1, 0))
+    for a, b, step in (((1, 1), (2, 0), 1), ((1, 0), (0, 1), 1),
+                       ((1, 1), (0, 1), -1), ((1, 0), (2, 0), -1)):
+        a, b = MultiIndex(a), MultiIndex(b)
+        for key in {(a, b, c), (b, a, c)}:
+            p[key] = p.get(key, 0) + step
+    return dump_json(tensor_to_dict(type(t)(labels=t.labels,
+                                            identity=t.identity, p=p)))
 
 
 I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -106,6 +122,12 @@ INPUTS = {
                                  ["0", None, None, 1], [None, None, "0", 2],
                                  [None, None, None, 1]]),
     "duplicatetensor.json": lambda: _k3_tensor(p=K3_P + [["1", "1", "0", "5"]]),
+    # p that is not a list, and a value that is not "p" or "p/q" text
+    "numberp.json": lambda: _k3_tensor(p=5),
+    "nullp.json": lambda: _k3_tensor(p=None),
+    "exponenttensor.json": lambda: _k3_tensor(
+        p=K3_P[:-1] + [["1", "1", "1", "1e10000000"]]),
+    "noncommuting.json": _noncommuting,
 }
 
 GENERATED = [
@@ -159,6 +181,10 @@ GRAPHS = [
      "--recurrences"],
 ]
 
+# generators that do not commute: the boundary check raises CommutationError
+COMMUTATION = [["certify-ppoly", "noncommuting.json", "--order", "deglex-sum",
+                "--boundary", "--recurrences"]]
+
 # graph documents that are not lists of vertex names and [u, v, color]
 # edges, or whose m exceeds max(1, number of edges)
 BAD_GRAPHS = [["distances", path, "--order", "lex"] for path in (
@@ -168,7 +194,8 @@ BAD_GRAPHS.append(["certify-mdrg", "bigm.json", "--order", "deglex-sum"])
 BAD_DOCUMENTS = [["verify-scheme", path] for path in (
     "textvertscheme.json", "nullvertscheme.json", "textlabelscheme.json",
     "numberlabelscheme.json", "textlabeltensor.json", "nullentrytensor.json",
-    "duplicatetensor.json")]
+    "duplicatetensor.json", "numberp.json", "nullp.json",
+    "exponenttensor.json")]
 
 
 def _with_labeling(argv, labeling):
@@ -198,7 +225,7 @@ def _cases():
              ";".join("A%d=%d" % (i, i) for i in range(k))],
             ["discover", path, "--m", "1", "--order", "deglex-sum"],
         ]
-    cases += WINDOWS + GRAPHS + BAD_GRAPHS + BAD_DOCUMENTS
+    cases += WINDOWS + GRAPHS + COMMUTATION + BAD_GRAPHS + BAD_DOCUMENTS
     return cases
 
 
@@ -239,6 +266,8 @@ DIGESTS = {
         '4481877431899b1deef012591f4bdf699b47fdbff465bac200e4ed4eecb0610f',
     'certify-ppoly noident.json --order deglex-sum --labeling A0=0;A1=1':
         '9f1e77db512c852b6ecf0f13f4a0f0fee510e9a92e28cfb32c96cc89ed8eb085',
+    'certify-ppoly noncommuting.json --order deglex-sum --boundary --recurrences':
+        'f3f93ee985aea92cbfcd297a2be805724f156a1f77a07d9daf9906a83fc35370',
     'certify-ppoly overlap.json --order deglex-sum --labeling A0=0;A1=1':
         'f44308fdd1677d97adcc3d9422bf9313c20a3593da4ffa2135effc8edc4aa528',
     'certify-ppoly path.json --order deglex-sum --labeling A0=0;A1=1;A2=2':
@@ -343,16 +372,22 @@ DIGESTS = {
         'ef01b8d219012568899aa24eb674cf1d898dcf455d7a790ea6aeccbed737972e',
     'verify-scheme duplicatetensor.json':
         '21d551892b5147159e7ce26aa7b90e17d589cf87f272804c42eb4b74b4c0cbd7',
+    'verify-scheme exponenttensor.json':
+        'f8ffca053bb6f1736af1629d5ee0c4567032bd34400d2b0dc4b6104c75d90c56',
     'verify-scheme gap.json':
         '6c9cf00fdfb5e18a2f60ff4159a44a8265d742bf25904ca0f9e3e27330c20709',
     'verify-scheme noident.json':
         '8e2edb1dd638bfad7b55bdb083ab51121d59d672afd78e32a7b1cbc2bdaadac3',
     'verify-scheme nullentrytensor.json':
         'a82fa5fe3c89e29ac2bfd320a3b93342ac4d7beda7a12e36fc89f003aa33f795',
+    'verify-scheme nullp.json':
+        '037a51c870e04ac0c498c8c4700d45fda2674e9da44ba1327269cb99666deb31',
     'verify-scheme nullvertscheme.json':
         'fb0ae973e567e14b1192b79299afe046ec848984daaec076be90fee9dba21055',
     'verify-scheme numberlabelscheme.json':
         '03226b16338f215c5114d0dad5a7d022a354d0f6685788eb95e89a79c2416944',
+    'verify-scheme numberp.json':
+        '2d860e6e31ff7b0035a5f7678037058532d1319d19601bce154717c70d0351b3',
     'verify-scheme overlap.json':
         '994658b55053f32dae4e76b8252793c08e84abc56cd888601a46fa4446a5417a',
     'verify-scheme path.json':

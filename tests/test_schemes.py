@@ -14,10 +14,14 @@ from mdrg import (
     MonomialBasis,
     MonomialOrder,
     MultiIndex,
+    PartialOrder,
     SchemeClasses,
     boundary_check,
     cartesian_product,
     cell24,
+    certify_ppoly,
+    certify_ppoly_refined,
+    certify_type_ab,
     cycle,
     distance_matrices,
     extract_polynomials,
@@ -29,6 +33,7 @@ from mdrg import (
     mat_vec,
     mdrg_check,
     pauli_scheme4,
+    verify_recurrences,
     verify_scheme_axioms,
 )
 
@@ -331,6 +336,36 @@ def test_generator_rows_contract():
                         mi((3,)): "B3"})
     with pytest.raises(ValueError):
         generator_rows(opaque)
+
+
+def test_tensor_builds_its_rows_and_basis_once(monkeypatch):
+    """Every check of one certify-ppoly run shares the tensor's generator
+    rows and monomial basis; they stay out of eq, repr and relabel."""
+    builds = []
+    for name in ("generator_rows", "MonomialBasis"):
+        build = getattr(schemes, name)
+        monkeypatch.setattr(schemes, name, lambda t, name=name, build=build:
+                            builds.append(name) or build(t))
+    t = mdrg_check(cartesian_product([cycle(4), cycle(3)]), DEGLEX_SUM).tensor
+    before = repr(t)
+    twin = IntersectionTensor(labels=t.labels, identity=t.identity, p=dict(t.p))
+    partial = PartialOrder.parse("componentwise")
+    assert certify_ppoly(t, DEGLEX_SUM).passed
+    assert certify_ppoly_refined(t, DEGLEX_SUM, partial).passed
+    for window in (DEGLEX_SUM, partial):
+        assert boundary_check(t, window).passed
+        polys, cert = extract_polynomials(t, window)
+        assert cert.passed
+        assert verify_recurrences(polys, t, partial).passed
+    certify_type_ab(t, PartialOrder.parse("ab:1/2,0"))
+    assert builds == ["generator_rows", "MonomialBasis"]
+    assert t.basis.rows is t.rows == generator_rows(t)
+    assert t == twin and repr(t) == before == repr(twin)
+    assert "rows" not in vars(twin) and "basis" not in vars(twin)
+    swap = {lab: MultiIndex((lab[1], lab[0])) for lab in t.labels}
+    swapped = t.relabel(swap)
+    assert "rows" not in vars(swapped)
+    assert swapped.relabel({v: k for k, v in swap.items()}) == t
 
 
 def test_monomial_basis_rejects_non_commuting_generators():

@@ -21,6 +21,7 @@ from mdrg import (
     mdrg_check,
     pauli_scheme4,
 )
+from mdrg import serialize
 from mdrg.serialize import (
     InputFormatError,
     dump_json,
@@ -50,9 +51,28 @@ def test_fraction_text_round_trip():
     assert fraction_from_json("3/4") == F(3, 4)
     assert fraction_from_json(" -7/2 ") == F(-7, 2)
     assert fraction_from_json(5) == F(5)
-    for bad in (1.5, True, False, [1], "7/0", "abc", None):
+    assert fraction_from_json("+3") == F(3)
+    assert fraction_from_json("\t-0/5\n") == F(0)
+    # only "p" or "p/q" in ASCII digits: not the rest of Fraction()'s syntax
+    for bad in (1.5, True, False, [1], "7/0", "abc", None, "1.5", "1_000",
+                "1e10000000", "1E3", "\u0663", "7/\u0663", " 7/", "/7", "7/-2",
+                "+ 7", "--7", "inf", "nan", "0x10", "", " ", "\u00a07"):
         with pytest.raises(InputFormatError):
             fraction_from_json(bad)
+
+
+def test_tensor_from_dict_parses_each_label_text_once(monkeypatch):
+    texts = []
+    read = serialize.label_from_text
+    monkeypatch.setattr(serialize, "label_from_text",
+                        lambda x: texts.append(x) or read(x))
+    tensor = mdrg_check(cell24(), MonomialOrder.parse("deglex-sum")).tensor
+    t = tensor_from_dict(tensor_to_dict(tensor))
+    assert (t.p, t.identity, set(t.labels)) == (tensor.p, tensor.identity,
+                                                set(tensor.labels))
+    # each p text once, then the declared labels and the identity
+    assert len(texts) == 2 * len(tensor.labels) + 1
+    assert len(set(texts)) == len(tensor.labels)
 
 
 def test_label_and_multiindex_parsing():
@@ -162,6 +182,9 @@ def test_tensor_from_dict_errors():
         with pytest.raises(InputFormatError, match="must be"):
             tensor_from_dict(dict({"labels": ["0"], "identity": "0",
                                    "p": [["0", "0", "0", 1]]}, **bad))
+    for rows in (5, None, "p", {"0": 1}):
+        with pytest.raises(InputFormatError, match="p must be a list"):
+            tensor_from_dict({"labels": ["0"], "identity": "0", "p": rows})
     # zero entries are dropped on input
     t = tensor_from_dict({"labels": ["0", "1"], "identity": "0",
                           "p": [["0", "0", "0", 1], ["1", "1", "0", 0]]})
