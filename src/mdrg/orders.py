@@ -361,34 +361,41 @@ def validate_pair_compat(p: PartialOrder, order: MonomialOrder,
     Translation (a precedes b implies a+c precedes b+c) needs no test:
     both built-in partial orders are a <= b entrywise under integer forms
     W (:meth:`PartialOrder.forms`), and W(a+c) <= W(b+c) iff W a <= W b.
-    The partial order is evaluated once through those forms, the total
-    order through the ranks of its keys.  Each witness is the first in
-    row-major order of the points or pairs.
+    So a pair (a, b) is bad (a precedes b, yet b is not above a in the
+    total order, whose key is the invertible W' a) by its difference
+    x = b - a alone: W x >= 0 and W' x is lexicographically negative.
+    The differences in [-B, B]^m are classified once, (2B+1)^m points of
+    m entries.  A bad x fits at a exactly when a >= max(0, -x) and a + x
+    <= B, so the first bad pair in row-major order has the least a of
+    the form max(0, -x), and b = a + x for the least bad x that fits at
+    it.  Each witness is the first in row-major order of the points or
+    pairs, as a scan of all pairs would find.
     """
-    points = list(box((box_bound,) * m))
-    weights = p.forms(m)
-    # Form values are at most box_bound * (largest row sum); below 2**62
-    # int64 holds them exactly, above it Python ints do.
-    big = box_bound * max(sum(row) for row in weights) >= 2 ** 62
+    weights, keys = p.forms(m), order.forms(m)
+    # Form values are at most B * (largest row sum); below 2**62 int64
+    # holds them exactly, above it Python ints do.
+    big = box_bound * max(sum(row) for row in weights + keys) >= 2 ** 62
     dtype = object if big else np.int64
-    forms = np.array(points, dtype=dtype) @ np.array(weights, dtype=dtype).T
-    keys = [order.key(a) for a in points]
-    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
-    ranks = np.array([rank[key] for key in keys])
-    n = len(points)
-    precedes = (forms[:, None, :] <= forms[None, :, :]).all(axis=2)
+    diffs = np.indices((2 * box_bound + 1,) * m).reshape(m, -1).T - box_bound
+    x = diffs.astype(dtype)
+    up = (x @ np.array(weights, dtype=dtype).T >= 0).all(axis=1)
+    ranks = x @ np.array(keys, dtype=dtype).T
+    lead = ranks[np.arange(len(ranks)), (ranks != 0).argmax(axis=1)]
     checks: list[Check] = []
 
-    bad = precedes & ~np.eye(n, dtype=bool) & (ranks[:, None] >= ranks[None, :])
+    bad = diffs[up & (lead < 0)]
     refine_witness = None
-    if bad.any():
-        a, b = np.argwhere(bad)[0]
-        refine_witness = witness(a=points[a], b=points[b], order=order.as_text())
+    if len(bad):
+        starts = np.maximum(-bad, 0)
+        a = starts[np.lexsort(starts.T[::-1])[0]]
+        ends = a + bad
+        b = ends[((ends >= 0) & (ends <= box_bound)).all(axis=1).argmax()]
+        refine_witness = witness(a=MultiIndex(a.tolist()), b=MultiIndex(b.tolist()),
+                                 order=order.as_text())
     checks.append(Check("refines-order", refine_witness is None, refine_witness))
 
-    # points[0] is the origin
-    below = np.flatnonzero(~precedes[0])
-    below_witness = witness(a=points[below[0]]) if below.size else None
+    below = np.flatnonzero(~up & (diffs >= 0).all(axis=1))
+    below_witness = witness(a=MultiIndex(diffs[below[0]].tolist())) if below.size else None
     checks.append(Check("origin-below", below_witness is None, below_witness))
 
     return Certificate.of(checks)

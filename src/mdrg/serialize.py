@@ -8,7 +8,11 @@ tuple of integers becomes a multi-index, anything else an opaque tag.
 
 Output is canonical JSON: :func:`dump_json` writes the bytes of
 ``json.dumps(data, sort_keys=True, indent=2)`` without json's slow
-pure-Python indent path.
+pure-Python indent path.  A scheme document's ``matrices`` is one
+read-only (k, n, n) uint8 array, which :func:`dump_json` writes one
+matrix at a time from a buffer of digits; it costs k*n^2 bytes of stack,
+one n^2*(indent + 2)-byte buffer and about 11 bytes of text per entry at
+a document's depth (indent 9 with its newline).
 """
 
 from __future__ import annotations
@@ -116,10 +120,19 @@ def graph_from_dict(data: Mapping[str, Any]) -> ColoredGraph:
 # -- Scheme classes ---------------------------------------------------------------
 
 def scheme_to_dict(s: SchemeClasses) -> dict:
+    """The scheme document; ``matrices`` is one read-only (k, n, n) uint8
+    array of 0/1 entries, k*n^2 bytes, made from :attr:`SchemeClasses.index`
+    when the classes partition the pairs."""
+    if s.index is None:
+        stack = np.array(s.matrices, dtype=np.uint8)
+    else:
+        classes = np.arange(len(s.labels), dtype=s.index.dtype)
+        stack = (s.index == classes[:, None, None]).view(np.uint8)
+    stack.flags.writeable = False
     return {
         "labels": [label_text(lab) for lab in s.labels],
         "vertices": list(s.vertices),
-        "matrices": [mat.tolist() for mat in s.matrices],
+        "matrices": stack,
     }
 
 
@@ -241,17 +254,28 @@ def load_document(path: str) -> Union[ColoredGraph, SchemeClasses, IntersectionT
 
 def dump_json(data: Any) -> str:
     """Canonical report text: the bytes of ``json.dumps(data,
-    sort_keys=True, indent=2) + "\\n"``.  With an indent json's encoder is
-    pure Python, one step per matrix entry, so dicts, lists, strings and
-    ints are written here (a list of plain ints in one join); any other
-    value goes to ``json.dumps``, re-indented, which is exact because
-    JSON strings hold no raw newline."""
+    sort_keys=True, indent=2) + "\\n"``, an array written as its nested
+    lists.  With an indent json's encoder is pure Python, one step per
+    matrix entry, so dicts, lists, strings and ints are written here (a
+    list of plain ints in one join); any other value goes to
+    ``json.dumps``, re-indented, which is exact because JSON strings hold
+    no raw newline.  The only arrays are :func:`scheme_to_dict`'s uint8
+    stacks of digits: each n x n matrix is written from one buffer of n^2
+    entries, each its digit, "," and the indent, and any other array is a
+    ValueError."""
     return _encode(data, "\n") + "\n"
 
 
 def _encode(value: Any, nl: str) -> str:
     inner = nl + "  "
     kind = type(value)
+    if kind is np.ndarray:
+        if value.dtype != np.uint8 or value.ndim < 2 or not value.size:
+            raise ValueError("only nonempty uint8 digit arrays are written, "
+                             "got %s %s" % (value.dtype, value.shape))
+        if value.ndim == 2:
+            return _encode_digits(value, nl)
+        value, kind = list(value), list
     if kind is str:
         return encode_basestring_ascii(value)
     if kind is int:
@@ -265,3 +289,18 @@ def _encode(value: Any, nl: str) -> str:
                  else [_encode(item, inner) for item in value])
         return "[" + inner + ("," + inner).join(items) + nl + "]"
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", nl)
+
+
+def _encode_digits(rows: np.ndarray, nl: str) -> str:
+    """A 2-D uint8 array of digits 0..9, written as nested lists at ``nl``."""
+    if rows.max() > 9:
+        raise ValueError("array entries must be digits 0..9")
+    inner = nl + "  "
+    sep = np.frombuffer(("," + inner + "  ").encode("ascii"), np.uint8)
+    buf = np.empty(rows.shape + (1 + len(sep),), np.uint8)
+    buf[:, :, 1:] = sep
+    np.add(rows, 48, out=buf[:, :, 0])
+    head, tail = "[" + inner + "  ", inner + "]"
+    lines = [head + str(line, "ascii") + tail
+             for line in buf.reshape(len(rows), -1)[:, :-len(sep)]]
+    return "[" + inner + ("," + inner).join(lines) + nl + "]"

@@ -715,6 +715,35 @@ def brute_force_pair_compat(p: PartialOrder, order: MonomialOrder,
     return Certificate.of(checks)
 
 
+def pairwise_pair_compat(p: PartialOrder, order: MonomialOrder,
+                         box_bound: int, m: int) -> Certificate:
+    """``validate_pair_compat`` as one table over all pairs of the box:
+    (B+1)^(2m) * m bytes, so for small boxes only."""
+    points = list(box((box_bound,) * m))
+    weights = p.forms(m)
+    big = box_bound * max(sum(row) for row in weights) >= 2 ** 62
+    dtype = object if big else np.int64
+    forms = np.array(points, dtype=dtype) @ np.array(weights, dtype=dtype).T
+    keys = [order.key(a) for a in points]
+    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+    ranks = np.array([rank[key] for key in keys])
+    n = len(points)
+    precedes = (forms[:, None, :] <= forms[None, :, :]).all(axis=2)
+    checks = []
+
+    bad = precedes & ~np.eye(n, dtype=bool) & (ranks[:, None] >= ranks[None, :])
+    refine_witness = None
+    if bad.any():
+        a, b = np.argwhere(bad)[0]
+        refine_witness = witness(a=points[a], b=points[b], order=order.as_text())
+    checks.append(Check("refines-order", refine_witness is None, refine_witness))
+
+    below = np.flatnonzero(~precedes[0])
+    below_witness = witness(a=points[below[0]]) if below.size else None
+    checks.append(Check("origin-below", below_witness is None, below_witness))
+    return Certificate.of(checks)
+
+
 # -- Monomial-order axioms: one comparison table, and plain loops as its oracle --
 
 def brute_force_monomial_order(order, m: int, box_bound: int) -> Certificate:

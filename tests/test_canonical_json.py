@@ -2,12 +2,16 @@
 
 ``dump_json`` joins dicts, lists and strings itself and delegates every
 other value to ``json.dumps``; its bytes must not differ from json's on
-any value json accepts.
+any value json accepts, nor on the uint8 digit arrays of scheme
+documents, which json reads here through ``ndarray.tolist``.
 """
 
 import json
+import tracemalloc
 from collections import OrderedDict
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdrg import (MonomialOrder, hamming_graph, m_distance_table, pauli_scheme4,
@@ -17,7 +21,8 @@ from mdrg.serialize import dump_json, graph_to_dict, scheme_to_dict, table_to_di
 
 
 def reference(value):
-    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+    return json.dumps(value, sort_keys=True, indent=2,
+                      default=np.ndarray.tolist) + "\n"
 
 
 # Integers past 64 bits, but below the 4300-digit limit of int -> str.
@@ -64,9 +69,51 @@ def test_dump_json_fixed_cases():
         assert dump_json(value) == reference(value)
 
 
+@st.composite
+def class_stacks(draw):
+    """Read-only uint8 0/1 arrays of shape (k, n, n), k and n in 1..6."""
+    k, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    bits = draw(st.lists(st.integers(0, 1), min_size=k * n * n, max_size=k * n * n))
+    stack = np.array(bits, dtype=np.uint8).reshape(k, n, n)
+    stack.flags.writeable = False
+    return stack
+
+
+def nested(children):
+    return st.one_of(st.lists(children, min_size=1, max_size=3),
+                     st.dictionaries(TEXT, children, min_size=1, max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(class_stacks(), nested, max_leaves=6))
+def test_dump_json_writes_class_stacks_at_any_depth(value):
+    assert dump_json(value) == reference(value)
+
+
+def test_dump_json_refuses_other_arrays():
+    for bad in (np.zeros((2, 2), np.int64), np.full((1, 2, 2), 10, np.uint8),
+                np.zeros(3, np.uint8), np.zeros((1, 0, 0), np.uint8)):
+        with pytest.raises(ValueError):
+            dump_json({"matrices": bad})
+
+
 def test_dump_json_symmetrize_document():
     document = scheme_to_dict(symmetrize(pauli_scheme4(), 4))
+    assert document["matrices"].dtype == np.uint8
     assert dump_json(document) == reference(document)
+
+
+def test_dump_json_symmetrize_document_peak_memory():
+    """The writer holds the k*n^2-byte stack, one matrix's digit buffer
+    and the text being joined, not one Python object per entry."""
+    s = symmetrize(pauli_scheme4(), 4)
+    tracemalloc.start()
+    try:
+        text = dump_json(scheme_to_dict(s))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * len(text)
 
 
 def test_dump_json_distances_report(tmp_path, capsys):

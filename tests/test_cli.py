@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from mdrg import (
     __version__,
     cartesian_product,
     cell24,
+    complete,
     cycle,
     m_distance_table,
     mdrg_check,
@@ -540,6 +542,25 @@ def test_tensor_entry_must_name_declared_labels(tmp_path, capsys, argv):
     assert code == 2
     assert out == ""
     assert "error: p entry ['1', '1', '9'] names a label not among labels" in err
+
+
+def test_far_label_pair_check_is_cheap(tmp_path, capsys):
+    """One label "200,0" makes the covering box [0, 201]^2: 40 804 points,
+    whose table of all pairs would take 3.1 GiB.  The pair check reads
+    their 403^2 differences instead, and the verdict is the document's."""
+    tensor = mdrg_check(cartesian_product([complete(2), complete(2)]),
+                        MonomialOrder.parse("deglex-sum")).tensor
+    far = tensor.relabel({lab: mi((200, 0)) if lab == (1, 1) else lab
+                          for lab in tensor.labels})
+    path = _write(tmp_path, "far.json", tensor_to_dict(far))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "certify-ppoly", path, "--order", "deglex-sum",
+                         "--partial", "componentwise")
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    checks = json.loads(out)["certificates"]["ppoly"]["checks"]
+    assert [c["witness"] for c in checks if c["name"] == "box-closure"] == [
+        {"element": "200,0", "missing": "2,0"}]
 
 
 @pytest.mark.parametrize("command", ["distances", "certify-mdrg", "certify-ppoly"])

@@ -11,10 +11,11 @@ outside its own definition and ``__init__.py``, or by the benchmark in
 class of the package: some attribute read in the package, other than
 inside the method itself, or in the benchmark must name it.  Checked
 with the standard ``ast`` module, so no linter is needed.  And the
-package stays within its line budget.
+package stays within its line budget and names no floating dtype.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -127,3 +128,16 @@ def test_src_within_line_budget():
     lines = sum(len(path.read_text().splitlines())
                 for path in PACKAGE.glob("*.py"))
     assert lines <= LINE_BUDGET
+
+
+# float16 ... float128, np.float_, np.floating, dtype=float (ROADMAP north
+# star: integers and Fraction are the number types)
+FLOAT_DTYPE = re.compile(r"float(16|32|64|128)|np\.float|dtype\s*=\s*float\b")
+
+
+def test_src_names_no_floating_dtype():
+    hits = ["%s:%d %s" % (path.relative_to(ROOT), number, line.strip())
+            for path in sorted((ROOT / "src").rglob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if FLOAT_DTYPE.search(line)]
+    assert hits == []

@@ -22,7 +22,7 @@ from mdrg import (Certificate, ColoredGraph, CommutationError,
 
 from helpers import (AXIS_LABELING, DIAGONAL_LABELING,
                      brute_force_pair_compat, dense_monomial_vector,
-                     regular_representation, solve_polynomials,
+                     pairwise_pair_compat, regular_representation, solve_polynomials,
                      span_boundary_check)
 
 ORDERS = ("deglex-sum", "lex", "deglex-y2")
@@ -234,10 +234,45 @@ def test_pair_compat_table_matches_triple_loop(pair):
     partial, order, bound, m = pair
     fast = validate_pair_compat(partial, order, bound, m=m)
     slow = brute_force_pair_compat(partial, order, bound, m)
-    # translation holds for linear forms, so the table leaves it out
+    # translation holds for linear forms, so the check leaves it out
     assert slow.check("translation").passed
     assert fast.to_dict() == Certificate.of(
         c for c in slow.checks if c.name != "translation").to_dict()
+
+
+@st.composite
+def wide_order_pairs(draw):
+    """Order pairs on boxes up to bound 12 (m = 2) or 4 (m = 3)."""
+    if draw(st.booleans()):
+        alpha = draw(st.fractions(0, 1, max_denominator=9))
+        beta = Fraction(draw(st.integers(0, 8)), 9)
+        partial, m = PartialOrder.alpha_beta(alpha, beta), 2
+    else:
+        partial, m = PartialOrder.componentwise(), draw(st.integers(1, 3))
+    bound = draw(st.integers(0, 12 if m < 3 else 4))
+    kinds = ["deglex-sum", "lex", "wdeglex"] + (["deglex-y2"] if m == 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "wdeglex":
+        weights = draw(st.lists(st.fractions(min_value=Fraction(1, 9),
+                                             max_value=9, max_denominator=9),
+                                min_size=m, max_size=m))
+        kind += ":" + ",".join(str(w) for w in weights)
+    return partial, MonomialOrder.parse(kind), bound, m
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_order_pairs())
+@example((PartialOrder.parse("ab:1,0"), MonomialOrder.parse("lex"), 12, 2))
+@example((PartialOrder.parse("ab:1/3,8/9"), MonomialOrder.parse("deglex-y2"), 7, 2))
+# form values past 2**62: both sides switch to Python ints
+@example((PartialOrder.parse("ab:1/%d,0" % 2 ** 62), MonomialOrder.parse("lex"), 3, 2))
+@example((PartialOrder.componentwise(),
+          MonomialOrder.parse("wdeglex:1/%d,1,1" % 2 ** 62), 2, 3))
+def test_pair_compat_differences_match_pairwise_table(pair):
+    partial, order, bound, m = pair
+    cert = validate_pair_compat(partial, order, bound, m=m)
+    event(cert.verdict)
+    assert cert.to_dict() == pairwise_pair_compat(partial, order, bound, m).to_dict()
 
 
 def test_pair_compat_ab_one_zero_fails_against_lex():
