@@ -22,7 +22,7 @@ from .orders import (ABRegion, AlphaBeta, Interval, MonomialOrder, MultiIndex,
                      PartialOrder, ab_feasible_region, box, check_domain,
                      downset_enum, validate_pair_compat)
 from .ppoly import (Discovery, ExtractionError, IncompatibleOrderPairError,
-                    Labeling, Polynomial, ab_region_for_scheme, boundary_check,
+                    Labeling, ab_region_for_scheme, boundary_check,
                     certify_ppoly, certify_ppoly_refined, certify_type_ab,
                     discover_labelings, extract_polynomials, verify_recurrences)
 from .schemes import (CommutationError, IntersectionTensor, MdrgResult,
@@ -41,7 +41,7 @@ __all__ = [
     "ExtractionError", "GraphStructureError", "IncompatibleOrderPairError",
     "IntersectionTensor", "Interval", "Labeling", "MdrgResult",
     "MonomialBasis", "MonomialOrder", "MultiIndex", "PartialOrder",
-    "Polynomial", "SchemeClasses", "SingularSystemError",
+    "SchemeClasses", "SingularSystemError",
     "ab_feasible_region", "ab_region_for_scheme", "boundary_check", "box",
     "cartesian_product", "cell24", "certify_ppoly", "certify_ppoly_refined",
     "certify_type_ab", "check_domain", "complete", "cycle",

@@ -92,10 +92,7 @@ class Certificate:
     @property
     def witness(self) -> Optional[dict]:
         """Witness of the first failing check, if any."""
-        for c in self.checks:
-            if not c.passed:
-                return c.witness
-        return None
+        return next((c.witness for c in self.checks if not c.passed), None)
 
     def check(self, name: str) -> Check:
         for c in self.checks:

@@ -358,47 +358,47 @@ def validate_pair_compat(p: PartialOrder, order: MonomialOrder,
         refines-order   a precedes b implies a <= b under the total order
         origin-below    o precedes every point
 
-    Translation (a precedes b implies a+c precedes b+c) needs no test:
-    both built-in partial orders are a <= b entrywise under integer forms
-    W (:meth:`PartialOrder.forms`), and W(a+c) <= W(b+c) iff W a <= W b.
-    So a pair (a, b) is bad (a precedes b, yet b is not above a in the
-    total order, whose key is the invertible W' a) by its difference
-    x = b - a alone: W x >= 0 and W' x is lexicographically negative.
-    The differences in [-B, B]^m are classified once, (2B+1)^m points of
-    m entries.  A bad x fits at a exactly when a >= max(0, -x) and a + x
-    <= B, so the first bad pair in row-major order has the least a of
-    the form max(0, -x), and b = a + x for the least bad x that fits at
-    it.  Each witness is the first in row-major order of the points or
-    pairs, as a scan of all pairs would find.
+    A built-in partial order is a <= b entrywise under nonnegative integer
+    forms W (:meth:`PartialOrder.forms`), and a built-in monomial order
+    compares keys W' a, W' nonnegative and invertible.  So origin-below
+    holds, as W a >= 0 for a >= 0.  And componentwise (W = I) refines every
+    built-in monomial order: if a precedes b, a != b, then x = b - a >= 0
+    is nonzero, so W' x >= 0 is nonzero too, hence lexicographically
+    positive, and a sorts strictly below b.
+
+    Only ``ab`` (m = 2) is searched.  W(a+c) <= W(b+c) iff W a <= W b, so
+    a pair (a, b) is bad by its difference x = b - a alone: W x >= 0 and
+    W' x lexicographically negative.  The (2B+1)^2 differences in
+    [-B, B]^2 are classified once.  A bad x fits at a exactly when
+    a >= max(0, -x) and a + x <= B, so the first bad pair in row-major
+    order has the least a of the form max(0, -x), and b = a + x for the
+    least bad x that fits at it, as a scan of all pairs would find.
     """
-    weights, keys = p.forms(m), order.forms(m)
-    # Form values are at most B * (largest row sum); below 2**62 int64
-    # holds them exactly, above it Python ints do.
-    big = box_bound * max(sum(row) for row in weights + keys) >= 2 ** 62
-    dtype = object if big else np.int64
-    diffs = np.indices((2 * box_bound + 1,) * m).reshape(m, -1).T - box_bound
-    x = diffs.astype(dtype)
-    up = (x @ np.array(weights, dtype=dtype).T >= 0).all(axis=1)
-    ranks = x @ np.array(keys, dtype=dtype).T
-    lead = ranks[np.arange(len(ranks)), (ranks != 0).argmax(axis=1)]
-    checks: list[Check] = []
-
-    bad = diffs[up & (lead < 0)]
+    keys = order.forms(m)  # ValueError where the order does not apply at m
     refine_witness = None
-    if len(bad):
-        starts = np.maximum(-bad, 0)
-        a = starts[np.lexsort(starts.T[::-1])[0]]
-        ends = a + bad
-        b = ends[((ends >= 0) & (ends <= box_bound)).all(axis=1).argmax()]
-        refine_witness = witness(a=MultiIndex(a.tolist()), b=MultiIndex(b.tolist()),
-                                 order=order.as_text())
-    checks.append(Check("refines-order", refine_witness is None, refine_witness))
-
-    below = np.flatnonzero(~up & (diffs >= 0).all(axis=1))
-    below_witness = witness(a=MultiIndex(diffs[below[0]].tolist())) if below.size else None
-    checks.append(Check("origin-below", below_witness is None, below_witness))
-
-    return Certificate.of(checks)
+    if p.kind == AB:
+        weights = p.forms(m)
+        # Form values are at most B * (largest row sum); below 2**62 int64
+        # holds them exactly, above it Python ints do.
+        big = box_bound * max(sum(row) for row in weights + keys) >= 2 ** 62
+        dtype = object if big else np.int64
+        diffs = np.indices((2 * box_bound + 1,) * m).reshape(m, -1).T - box_bound
+        x = diffs.astype(dtype)
+        up = (x @ np.array(weights, dtype=dtype).T >= 0).all(axis=1)
+        ranks = x @ np.array(keys, dtype=dtype).T
+        lead = ranks[np.arange(len(ranks)), (ranks != 0).argmax(axis=1)]
+        bad = diffs[up & (lead < 0)]
+        if len(bad):
+            starts = np.maximum(-bad, 0)
+            a = starts[np.lexsort(starts.T[::-1])[0]]
+            ends = a + bad
+            b = ends[((ends >= 0) & (ends <= box_bound)).all(axis=1).argmax()]
+            refine_witness = witness(a=MultiIndex(a.tolist()),
+                                     b=MultiIndex(b.tolist()),
+                                     order=order.as_text())
+    return Certificate.of([
+        Check("refines-order", refine_witness is None, refine_witness),
+        Check("origin-below", True)])
 
 
 def check_domain(dom: Iterable[MultiIndex],
@@ -450,19 +450,11 @@ class Interval:
         return self.lo == self.hi and not (self.lo_closed and self.hi_closed)
 
     def intersect(self, other: "Interval") -> "Interval":
-        if self.lo > other.lo:
-            lo, lo_closed = self.lo, self.lo_closed
-        elif self.lo < other.lo:
-            lo, lo_closed = other.lo, other.lo_closed
-        else:
-            lo, lo_closed = self.lo, self.lo_closed and other.lo_closed
-        if self.hi < other.hi:
-            hi, hi_closed = self.hi, self.hi_closed
-        elif self.hi > other.hi:
-            hi, hi_closed = other.hi, other.hi_closed
-        else:
-            hi, hi_closed = self.hi, self.hi_closed and other.hi_closed
-        return Interval(lo, hi, lo_closed, hi_closed)
+        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
+        # an endpoint that both share is closed iff closed in both
+        return Interval(lo, hi,
+                        all(i.lo_closed for i in (self, other) if i.lo == lo),
+                        all(i.hi_closed for i in (self, other) if i.hi == hi))
 
     def clamp_leq(self, t: Fraction, closed: bool = True) -> "Interval":
         """Intersect with {x <= t} (closed) or {x < t}."""
@@ -510,27 +502,21 @@ def ab_feasible_region(constraints: Iterable[ABConstraint]) -> Optional[ABRegion
     beta alone, so the feasible set is a product of intervals intersected
     with alpha in [0,1], beta in [0,1).  Returns None when empty.
     """
-    alpha, beta = ALPHA_RANGE, BETA_RANGE
+    axes = [ALPHA_RANGE, BETA_RANGE]
     for b, c in constraints:
         if len(b) != 2 or len(c) != 2:
             raise ValueError("ab constraints take m=2 indices")
-        # b1 + alpha*b2 <= c1 + alpha*c2  <=>  alpha*(b2-c2) <= c1-b1
-        coef, rhs = b[1] - c[1], Fraction(c[0] - b[0])
-        if coef > 0:
-            alpha = alpha.clamp_leq(rhs / coef)
-        elif coef < 0:
-            alpha = alpha.clamp_geq(rhs / coef)
-        elif rhs < 0:
+        # alpha: b1 + alpha*b2 <= c1 + alpha*c2  <=>  alpha*(b2-c2) <= c1-b1
+        # beta:  beta*b1 + b2 <= beta*c1 + c2    <=>  beta*(b1-c1) <= c2-b2
+        for axis, (i, j) in enumerate(((0, 1), (1, 0))):
+            coef, rhs = b[j] - c[j], Fraction(c[i] - b[i])
+            if coef > 0:
+                axes[axis] = axes[axis].clamp_leq(rhs / coef)
+            elif coef < 0:
+                axes[axis] = axes[axis].clamp_geq(rhs / coef)
+            elif rhs < 0:
+                return None
+        if axes[0].empty or axes[1].empty:
             return None
-        # beta*b1 + b2 <= beta*c1 + c2  <=>  beta*(b1-c1) <= c2-b2
-        coef, rhs = b[0] - c[0], Fraction(c[1] - b[1])
-        if coef > 0:
-            beta = beta.clamp_leq(rhs / coef)
-        elif coef < 0:
-            beta = beta.clamp_geq(rhs / coef)
-        elif rhs < 0:
-            return None
-        if alpha.empty or beta.empty:
-            return None
-    region = ABRegion(alpha, beta)
+    region = ABRegion(*axes)
     return None if region.empty else region

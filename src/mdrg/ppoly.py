@@ -53,52 +53,6 @@ class ExtractionError(ValueError):
     prerequisite was skipped or an internal inconsistency."""
 
 
-# -- Polynomials -----------------------------------------------------------------
-
-class Polynomial:
-    """A polynomial over Q in m variables, stored as multidegree -> coefficient.
-
-    A canonical, zero-free coefficient map; the recurrences that build and
-    check polynomials do their arithmetic on plain dicts.
-    """
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Mapping[MultiIndex, Fraction]):
-        cleaned = {}
-        for a, value in coeffs.items():
-            value = Fraction(value)
-            if value != 0:
-                cleaned[MultiIndex(a)] = value
-        self._coeffs = cleaned
-
-    def coeff(self, a: MultiIndex) -> Fraction:
-        return self._coeffs.get(a, Fraction(0))
-
-    def terms(self) -> list[tuple[MultiIndex, Fraction]]:
-        return sorted(self._coeffs.items(), key=lambda kv: (kv[0].degree, tuple(kv[0])))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def as_text(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for a, v in self.terms():
-            parts.append("%s*x^(%s)" % (v, a.as_text()))
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return "Polynomial(%s)" % self.as_text()
-
-
 # -- Labelings -------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -313,9 +267,25 @@ def boundary_check(t: IntersectionTensor, window: Window) -> Certificate:
                               detail="%d boundary cases" % cases)
 
 
+def _residual(polys: Mapping[MultiIndex, Mapping], unit: MultiIndex,
+              a: MultiIndex, row: Mapping[MultiIndex, Fraction]) -> dict:
+    """x_i v_a - sum_b p_{e_i,a}^b v_b over ``row`` = {b: p_{e_i,a}^b}, a
+    coefficient map that may hold zeros.  ValueError names the first of
+    a, then the b in row order, that has no polynomial."""
+    for b in (a, *row):
+        if b not in polys:
+            raise ValueError("no polynomial for class %s" % b.as_text())
+    diff = {c + unit: value for c, value in polys[a].items()}
+    for b, p in row.items():
+        for c, value in polys[b].items():
+            diff[c] = diff.get(c, 0) - p * value
+    return diff
+
+
 def extract_polynomials(t: IntersectionTensor, window: Window
-                        ) -> tuple[dict[MultiIndex, Polynomial], Certificate]:
-    """Defining polynomials v_n with v_n(A_{e_1}..A_{e_m}) = A_n.
+                        ) -> tuple[dict[MultiIndex, dict], Certificate]:
+    """Defining polynomials v_n with v_n(A_{e_1}..A_{e_m}) = A_n, each a
+    zero-free map multidegree -> Fraction coefficient.
 
     Read off the recurrence x_i v_a = sum_b p_{e_i,a}^b v_b: for n in D
     other than o, with e_i its first color and a = n - e_i,
@@ -335,7 +305,7 @@ def extract_polynomials(t: IntersectionTensor, window: Window
     for n in dom:
         t.basis.vector(n)
     origin = MultiIndex.zero(t.m)
-    known = {origin: {origin: Fraction(1)}}  # n -> coefficients of v_n
+    polys = {origin: {origin: Fraction(1)}}
     for n in sorted(dom, key=window.key)[1:]:  # o sorts first
         unit = MultiIndex.unit(t.m, next(i for i, e in enumerate(n) if e) + 1)
         a = n - unit
@@ -350,14 +320,9 @@ def extract_polynomials(t: IntersectionTensor, window: Window
                 "A_%s A_%s reaches A_%s, which is not below %s; certify the "
                 "scheme first" % (unit.as_text(), a.as_text(),
                                   outside[0].as_text(), n.as_text()))
-        coeffs = {c + unit: value for c, value in known[a].items()}
-        for b, p in row.items():
-            for c, value in known[b].items():
-                coeffs[c] = coeffs.get(c, 0) - p * value
-        known[n] = {c: value / lead for c, value in coeffs.items() if value}
-    polys = {n: Polynomial(known[n]) for n in dom}
-    lead_witness = next((witness(n=n) for n in dom if polys[n].coeff(n) == 0),
-                        None)
+        polys[n] = {c: value / lead for c, value
+                    in _residual(polys, unit, a, row).items() if value}
+    lead_witness = next((witness(n=n) for n in dom if not polys[n].get(n)), None)
     certificate = Certificate.of([
         Check("unique-solution", True,
               detail="%d polynomials extracted" % len(polys)),
@@ -366,7 +331,7 @@ def extract_polynomials(t: IntersectionTensor, window: Window
     return polys, certificate
 
 
-def verify_recurrences(polys: Mapping[MultiIndex, Polynomial],
+def verify_recurrences(polys: Mapping[MultiIndex, Mapping[MultiIndex, Fraction]],
                        t: IntersectionTensor,
                        partial: Optional[PartialOrder] = None) -> Certificate:
     """Check x_i v_a = sum_b p_{e_i,a}^b v_b for every a + e_i in D.
@@ -382,22 +347,14 @@ def verify_recurrences(polys: Mapping[MultiIndex, Polynomial],
     for unit, a, up, row in _steps(t):
         if up not in dom:
             continue
-        if a not in polys:
-            raise ValueError("no polynomial for class %s" % a.as_text())
-        # diff = x_i v_a - sum_b p_{e_i,a}^b v_b
-        diff = {c + unit: value for c, value in polys[a].terms()}
-        for b, p in row.items():
-            if (partial is not None and support_witness is None
-                    and not partial.leq(b, up)):
-                support_witness = witness(generator=unit, a=a, b=b, bound=up)
-            if b not in polys:
-                raise ValueError("no polynomial for class %s" % b.as_text())
-            for c, value in polys[b].terms():
-                diff[c] = diff.get(c, 0) - p * value
+        diff = _residual(polys, unit, a, row)
+        if partial is not None and support_witness is None:
+            support_witness = next((witness(generator=unit, a=a, b=b, bound=up)
+                                    for b in row if not partial.leq(b, up)), None)
         if identity_witness is None and any(diff.values()):
             mono = min(c for c, value in diff.items() if value)
-            lhs = (polys[a].coeff(mono - unit) if mono[unit.index(1)]
-                   else Fraction(0))
+            lhs = Fraction(polys[a].get(mono - unit, 0) if mono[unit.index(1)]
+                           else 0)
             identity_witness = witness(
                 generator=unit, a=a, monomial=mono,
                 lhs=lhs, rhs=Fraction(lhs - diff[mono]))

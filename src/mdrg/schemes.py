@@ -361,7 +361,8 @@ class IntersectionTensor:
         p_{a,b}^c = p_{b,a}^c, and the row sums sum_b p_{a,b}^c = k_a.
         ``strict_integral`` adds an integrality check (finite schemes have
         integer intersection numbers; formal parameterized tensors need
-        not).
+        not).  O(nnz + k^2): each witness is the first failure in
+        ``itertools.product`` order over the labels.
         """
         # The scans run on the numbers times their common denominator, as
         # ints (absent = 0); witnesses still report the rationals.
@@ -373,29 +374,34 @@ class IntersectionTensor:
                             None if neg is None else
                             witness(a=neg[0], b=neg[1], c=neg[2], value=self.p[neg])))
 
-        delta_witness = None
-        for a, c in itertools.product(self.labels, repeat=2):
-            if p.get((self.identity, a, c), 0) != scale * (a == c):
-                delta_witness = witness(a=a, c=c,
-                                        value=self.get(self.identity, a, c))
-                break
+        delta_witness = next((witness(a=a, c=c, value=self.get(self.identity, a, c))
+                              for a, c in itertools.product(self.labels, repeat=2)
+                              if p.get((self.identity, a, c), 0) != scale * (a == c)),
+                             None)
         checks.append(Check("identity-rule", delta_witness is None, delta_witness))
 
+        # p_{a,b}^c != p_{b,a}^c fails at a stored key and at its swap, so
+        # the first failing triple in product order is the least of these.
+        pos = {lab: i for i, lab in enumerate(self.labels)}
+        first = min(((min(pos[a], pos[b]), max(pos[a], pos[b]), pos[c])
+                     for (a, b, c), v in p.items() if v != p.get((b, a, c), 0)),
+                    default=None)
         comm_witness = None
-        for a, b, c in itertools.product(self.labels, repeat=3):
-            if p.get((a, b, c), 0) != p.get((b, a, c), 0):
-                comm_witness = witness(a=a, b=b, c=c,
-                                       p_ab=self.get(a, b, c), p_ba=self.get(b, a, c))
-                break
+        if first is not None:
+            a, b, c = (self.labels[i] for i in first)
+            comm_witness = witness(a=a, b=b, c=c,
+                                   p_ab=self.get(a, b, c), p_ba=self.get(b, a, c))
         checks.append(Check("commutativity", comm_witness is None, comm_witness))
 
-        sum_witness = None
-        for a, c in itertools.product(self.labels, repeat=2):
-            total = sum(p.get((a, b, c), 0) for b in self.labels)
-            if total != p.get((a, a, self.identity), 0):
-                sum_witness = witness(a=a, c=c, row_sum=Fraction(total, scale),
-                                      valency=self.valency(a))
-                break
+        sums: dict = {}  # (a, c) -> sum_b p_{a,b}^c
+        for (a, b, c), v in p.items():
+            sums[a, c] = sums.get((a, c), 0) + v
+        sum_witness = next((witness(a=a, c=c,
+                                    row_sum=Fraction(sums.get((a, c), 0), scale),
+                                    valency=self.valency(a))
+                            for a, c in itertools.product(self.labels, repeat=2)
+                            if sums.get((a, c), 0) != p.get((a, a, self.identity), 0)),
+                           None)
         checks.append(Check("row-sums", sum_witness is None, sum_witness))
 
         if strict_integral:

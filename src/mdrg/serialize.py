@@ -27,7 +27,6 @@ import numpy as np
 
 from .graphs import ColoredGraph, DistanceTable
 from .orders import MultiIndex
-from .ppoly import Polynomial
 from .schemes import IntersectionTensor, Label, SchemeClasses, label_text
 
 
@@ -215,15 +214,18 @@ def table_to_dict(table: DistanceTable) -> dict:
     }
 
 
-# -- Polynomials -------------------------------------------------------------------
+# -- Defining polynomials ---------------------------------------------------------
 
-def polynomials_to_dict(polys: Mapping[MultiIndex, Polynomial]) -> dict:
+def polynomials_to_dict(polys: Mapping[MultiIndex, Mapping[MultiIndex, Fraction]]
+                        ) -> dict:
+    """Each v_n's terms by degree, ties by multidegree."""
     out = []
     for n in sorted(polys):
+        terms = sorted(polys[n].items(), key=lambda kv: (kv[0].degree, tuple(kv[0])))
         out.append({
             "n": n.as_text(),
             "terms": [{"a": a.as_text(), "coef": fraction_to_text(v)}
-                      for a, v in polys[n].terms()],
+                      for a, v in terms],
         })
     return {"polynomials": out}
 
@@ -262,11 +264,15 @@ def dump_json(data: Any) -> str:
     no raw newline.  The only arrays are :func:`scheme_to_dict`'s uint8
     stacks of digits: each n x n matrix is written from one buffer of n^2
     entries, each its digit, "," and the indent, and any other array is a
-    ValueError."""
-    return _encode(data, "\n") + "\n"
+    ValueError.  Every piece goes to one list, joined once, so the text is
+    copied once, not once per level."""
+    out: list[str] = []
+    _encode(data, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
-def _encode(value: Any, nl: str) -> str:
+def _encode(value: Any, nl: str, out: list) -> None:
     inner = nl + "  "
     kind = type(value)
     if kind is np.ndarray:
@@ -274,24 +280,35 @@ def _encode(value: Any, nl: str) -> str:
             raise ValueError("only nonempty uint8 digit arrays are written, "
                              "got %s %s" % (value.dtype, value.shape))
         if value.ndim == 2:
-            return _encode_digits(value, nl)
+            _encode_digits(value, nl, out)
+            return
         value, kind = list(value), list
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return str(value)
     if kind is dict and value and all(type(key) is str for key in value):
-        items = [encode_basestring_ascii(key) + ": " + _encode(value[key], inner)
-                 for key in sorted(value)]
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
-    if (kind is list or kind is tuple) and value:
-        items = (map(str, value) if set(map(type, value)) == {int}
-                 else [_encode(item, inner) for item in value])
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
-    return json.dumps(value, sort_keys=True, indent=2).replace("\n", nl)
+        brackets, keys = "{}", sorted(value)
+        heads = [encode_basestring_ascii(key) + ": " for key in keys]
+        items = [value[key] for key in keys]
+    elif (kind is list or kind is tuple) and value and set(map(type, value)) != {int}:
+        brackets, heads, items = "[]", [""] * len(value), value
+    else:  # a leaf, or a list of plain ints in one join
+        out.append(
+            encode_basestring_ascii(value) if kind is str
+            else str(value) if kind is int
+            else "[" + inner + ("," + inner).join(map(str, value)) + nl + "]"
+            if (kind is list or kind is tuple) and value
+            else json.dumps(value, sort_keys=True, indent=2).replace("\n", nl))
+        return
+    sep, comma, append = brackets[0] + inner, "," + inner, out.append
+    for head, item in zip(heads, items):
+        if type(item) is str:  # the commonest leaf, written without a call
+            append(sep + head + encode_basestring_ascii(item))
+        else:
+            append(sep + head)
+            _encode(item, inner, out)
+        sep = comma
+    append(nl + brackets[1])
 
 
-def _encode_digits(rows: np.ndarray, nl: str) -> str:
+def _encode_digits(rows: np.ndarray, nl: str, out: list) -> None:
     """A 2-D uint8 array of digits 0..9, written as nested lists at ``nl``."""
     if rows.max() > 9:
         raise ValueError("array entries must be digits 0..9")
@@ -303,4 +320,4 @@ def _encode_digits(rows: np.ndarray, nl: str) -> str:
     head, tail = "[" + inner + "  ", inner + "]"
     lines = [head + str(line, "ascii") + tail
              for line in buf.reshape(len(rows), -1)[:, :-len(sep)]]
-    return "[" + inner + ("," + inner).join(lines) + nl + "]"
+    out.append("[" + inner + ("," + inner).join(lines) + nl + "]")

@@ -21,8 +21,9 @@ consequences of m-distance-regularity (triangle bounds, additive
 nonvanishing, sum decomposition, walk-type invariance, edge-step
 precedence), the order-axiom validator with its four-way comparison,
 per-color adjacency matrices and lists, interval membership, readers
-of documents the CLI only writes, and the graph renaming and order
-strategy that the property tests share.
+of documents the CLI only writes, the graph renaming and order
+strategy that the property tests share, and the nonbinary Johnson
+graphs, the one family of oracle graphs that is not a product.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from hypothesis import strategies as st
 from mdrg import (ABRegion, Certificate, Check, ColoredGraph,
                   DisconnectedGraphError, Discovery, DistanceTable,
                   IntersectionTensor, Interval, Labeling, MonomialOrder,
-                  MultiIndex, PartialOrder, Polynomial, SchemeClasses,
+                  MultiIndex, PartialOrder, SchemeClasses,
                   ab_feasible_region, box, in_span, mat_vec, m_distance_table,
                   mdrg_check, solve_columns, verify_scheme_axioms)
 from mdrg.certificates import witness
@@ -137,6 +138,27 @@ def renamed(g: ColoredGraph, rng: random.Random) -> ColoredGraph:
     rng.shuffle(vertices)
     return ColoredGraph(g.m, vertices,
                         [(names[u], names[v], c) for u, v, c in g.edge_names()])
+
+
+def nonbinary_johnson(q: int, length: int, d: int) -> ColoredGraph:
+    """J_q(N, d) for N = ``length``: the words in {0..q-1}^N with d nonzero
+    entries, named by their digits.  Color 1 joins two words whose
+    supports share d - 1 positions and that agree there; color 2 joins two
+    words with the same support that differ in one value."""
+    words = [w for w in itertools.product(range(q), repeat=length)
+             if sum(map(bool, w)) == d]
+    supports = [frozenset(i for i, x in enumerate(w) if x) for w in words]
+    edges = []
+    for (u, su), (v, sv) in itertools.combinations(zip(words, supports), 2):
+        common = su & sv
+        if len(common) == d - 1 and all(u[i] == v[i] for i in common):
+            color = 1
+        elif su == sv and sum(x != y for x, y in zip(u, v)) == 1:
+            color = 2
+        else:
+            continue
+        edges.append(("".join(map(str, u)), "".join(map(str, v)), color))
+    return ColoredGraph(2, ["".join(map(str, w)) for w in words], edges)
 
 
 def weights(m: int):
@@ -352,13 +374,14 @@ def multiindex_from_json(value: Union[str, list]) -> MultiIndex:
     raise InputFormatError("bad multi-index %r" % (value,))
 
 
-def polynomials_from_dict(data: Mapping[str, Any]) -> dict[MultiIndex, Polynomial]:
-    polys: dict[MultiIndex, Polynomial] = {}
+def polynomials_from_dict(data: Mapping[str, Any]) -> dict[MultiIndex, dict]:
+    """The zero-free coefficient maps of a ``polynomials_to_dict`` document."""
+    polys: dict[MultiIndex, dict] = {}
     for entry in data["polynomials"]:
         n = MultiIndex.parse(str(entry["n"]))
         coeffs = {MultiIndex.parse(str(term["a"])): fraction_from_json(term["coef"])
                   for term in entry["terms"]}
-        polys[n] = Polynomial(coeffs)
+        polys[n] = {a: value for a, value in coeffs.items() if value}
     return polys
 
 
@@ -628,7 +651,7 @@ def solve_polynomials(t, leq) -> dict:
         target = [Fraction(int(lab == n)) for lab in t.labels]
         solution = solve_columns([vectors[a] for a in candidates], target)
         assert solution is not None, n
-        polys[n] = Polynomial(dict(zip(candidates, solution)))
+        polys[n] = {a: value for a, value in zip(candidates, solution) if value}
     return polys
 
 
@@ -960,7 +983,7 @@ def scan_recurrences(polys, t, partial=None) -> Certificate:
             up = a + unit
             if up not in t.domain():
                 continue
-            lhs = {c + unit: value for c, value in polys[a].terms()}
+            lhs = {c + unit: value for c, value in polys[a].items()}
             rhs: dict = {}
             for b in dom:
                 value = t.get(unit, a, b)
@@ -969,7 +992,7 @@ def scan_recurrences(polys, t, partial=None) -> Certificate:
                 if (partial is not None and support_witness is None
                         and not partial.leq(b, up)):
                     support_witness = witness(generator=unit, a=a, b=b, bound=up)
-                for c, coef in polys[b].terms():
+                for c, coef in polys[b].items():
                     rhs[c] = rhs.get(c, Fraction(0)) + value * coef
             rhs = {c: coef for c, coef in rhs.items() if coef}
             if identity_witness is None and lhs != rhs:

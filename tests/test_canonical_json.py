@@ -105,7 +105,7 @@ def test_dump_json_symmetrize_document():
 
 def test_dump_json_symmetrize_document_peak_memory():
     """The writer holds the k*n^2-byte stack, one matrix's digit buffer
-    and the text being joined, not one Python object per entry."""
+    and the pieces of text joined once, not one Python object per entry."""
     s = symmetrize(pauli_scheme4(), 4)
     tracemalloc.start()
     try:
@@ -113,7 +113,7 @@ def test_dump_json_symmetrize_document_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * len(text)
+    assert peak <= 2.5 * len(text)
 
 
 def test_dump_json_distances_report(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Association scheme core: axioms, tensors, bases, regularity."""
 
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -288,6 +289,36 @@ def test_tensor_validate_catches_tampering():
     strict = formal.validate(strict_integral=True)
     assert not strict.passed
     assert {c.name for c in strict.checks if not c.passed} == {"integrality"}
+
+
+def test_tensor_validate_on_c10_cubed_is_linear():
+    """C10^3 (k = 216, 140 608 entries) in closed form: p_{a,b}^c is the
+    product of the cycle's numbers over the three coordinates.  A scan of
+    all k^3 triples took seconds; the scans over the entries do not."""
+    cyc = cycle_intersection_numbers(10)
+    p = {(mi((a1, a2, a3)), mi((b1, b2, b3)), mi((c1, c2, c3))):
+         Fraction(v1 * v2 * v3)
+         for (a1, b1, c1), v1 in cyc.items()
+         for (a2, b2, c2), v2 in cyc.items()
+         for (a3, b3, c3), v3 in cyc.items()}
+    labels = tuple(sorted({key[0] for key in p}))
+    t = IntersectionTensor(labels=labels, identity=mi((0, 0, 0)), p=p)
+    assert len(labels) == 216 and len(p) == 140608
+    start = time.perf_counter()
+    assert t.validate(strict_integral=True).passed
+    assert time.perf_counter() - start < 4
+    # one entry off: the commutativity witness takes the swap with the
+    # smaller positions, and only that row sum breaks
+    x, y, z = mi((2, 1, 0)), mi((1, 1, 0)), mi((1, 0, 0))
+    p[(x, y, z)] += 1
+    cert = IntersectionTensor(labels=labels, identity=t.identity, p=p).validate()
+    by_name = {c.name: c for c in cert.checks}
+    assert [c.name for c in cert.checks if not c.passed] == [
+        "commutativity", "row-sums"]
+    assert by_name["commutativity"].witness == {
+        "a": "1,1,0", "b": "2,1,0", "c": "1,0,0", "p_ab": "2", "p_ba": "3"}
+    assert by_name["row-sums"].witness == {
+        "a": "2,1,0", "c": "1,0,0", "row_sum": "5", "valency": "4"}
 
 
 def test_tensor_relabel():

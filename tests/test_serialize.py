@@ -12,7 +12,6 @@ from mdrg import (
     IntersectionTensor,
     MonomialOrder,
     MultiIndex,
-    Polynomial,
     SchemeClasses,
     cell24,
     cycle,
@@ -204,12 +203,15 @@ def test_table_to_dict():
 
 def test_polynomials_round_trip():
     polys = {
-        mi((0, 0)): Polynomial({mi((0, 0)): F(1)}),
-        mi((0, 2)): Polynomial({mi((0, 0)): F(-8, 3), mi((0, 2)): F(1, 3)}),
+        mi((0, 0)): {mi((0, 0)): F(1)},
+        mi((0, 2)): {mi((0, 2)): F(1, 3), mi((1, 0)): F(2), mi((0, 0)): F(-8, 3)},
     }
     data = polynomials_to_dict(polys)
     assert data["polynomials"][0]["n"] == "0,0"
-    assert data["polynomials"][1]["terms"][0] == {"a": "0,0", "coef": "-8/3"}
+    # terms by degree, ties by multidegree, whatever the dict order
+    assert data["polynomials"][1]["terms"] == [
+        {"a": "0,0", "coef": "-8/3"}, {"a": "1,0", "coef": "2"},
+        {"a": "0,2", "coef": "1/3"}]
     assert polynomials_from_dict(data) == polys
 
 
