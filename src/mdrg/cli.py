@@ -286,9 +286,10 @@ def cmd_certify_ppoly(args: argparse.Namespace) -> tuple[dict, int]:
         if want_polys and ppoly.passed:
             polys, certificates["extraction"] = extract_polynomials(tensor,
                                                                     window)
-            results["polynomials"] = polynomials_to_dict(polys)["polynomials"]
+            polys_doc = polynomials_to_dict(polys)
+            results["polynomials"] = polys_doc["polynomials"]
             if args.polys:
-                _write(args.polys, dump_json(polynomials_to_dict(polys)))
+                _write(args.polys, dump_json(polys_doc))
             if args.recurrences:
                 certificates["recurrences"] = verify_recurrences(polys, tensor,
                                                                  partial)

@@ -33,9 +33,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
-
-import numpy as np
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .certificates import Certificate, Check, witness
 
@@ -110,8 +108,7 @@ class MultiIndex(tuple):
 
 def box(bounds: Sequence[int]) -> Iterator[MultiIndex]:
     """All multi-indices a with 0 <= a_i <= bounds[i], in row-major order."""
-    for values in itertools.product(*(range(b + 1) for b in bounds)):
-        yield MultiIndex(values)
+    return map(MultiIndex, itertools.product(*(range(b + 1) for b in bounds)))
 
 
 def _per_m(weight_rows):
@@ -335,17 +332,16 @@ class PartialOrder:
         raise ValueError("unknown partial order %r" % text)
 
 
-def downset_enum(a: MultiIndex, p: PartialOrder) -> frozenset[MultiIndex]:
-    """All b in N^m with b preceding a.  Finite by the order axioms.
+def downset_enum(a: MultiIndex, p: PartialOrder) -> Iterator[MultiIndex]:
+    """All b in N^m with b preceding a, lazily, in row-major order.
 
     The rows W of ``p.forms`` are nonnegative with a positive diagonal,
     so b below a gives W_jj b_j <= (W b)_j <= (W a)_j: the box
-    b_j <= (W a)_j // W_jj holds the downset, and is enumerated.
+    b_j <= (W a)_j // W_jj holds the downset, and is scanned.
     """
-    rows = p.forms(len(a))
     bounds = [sum(map(operator.mul, row, a)) // row[j]
-              for j, row in enumerate(rows)]
-    return frozenset(b for b in box(bounds) if p.leq(b, a))
+              for j, row in enumerate(p.forms(len(a)))]
+    return (b for b in box(bounds) if p.leq(b, a))
 
 
 # -- Validators ----------------------------------------------------------------
@@ -366,39 +362,44 @@ def validate_pair_compat(p: PartialOrder, order: MonomialOrder,
     is nonzero, so W' x >= 0 is nonzero too, hence lexicographically
     positive, and a sorts strictly below b.
 
-    Only ``ab`` (m = 2) is searched.  W(a+c) <= W(b+c) iff W a <= W b, so
-    a pair (a, b) is bad by its difference x = b - a alone: W x >= 0 and
-    W' x lexicographically negative.  The (2B+1)^2 differences in
-    [-B, B]^2 are classified once.  A bad x fits at a exactly when
-    a >= max(0, -x) and a + x <= B, so the first bad pair in row-major
-    order has the least a of the form max(0, -x), and b = a + x for the
-    least bad x that fits at it, as a scan of all pairs would find.
+    Only ``ab`` (m = 2) is searched, in O(B) integer steps and O(1)
+    memory, B = box_bound.  W(a+c) <= W(b+c) iff W a <= W b, so a pair
+    (a, b) is bad by x = b - a alone: W x >= 0 and W' x lexicographically
+    negative.  Such an x has one negative entry (x >= 0 makes W' x
+    positive, and x <= 0 gives (W x)_j <= W_jj x_j < 0 where x_j < 0), so
+    it is (u, -t) or (-t, u) with t >= 1.  It fits at a iff a >= max(0, -x)
+    and a + x <= B, so it first fits at a = (0, t), b = (u, 0), or at
+    a = (t, 0), b = (0, u); every (0, t) comes before every (t', 0) in
+    row-major order.  For a fixed shape and t, W x and W' x grow entrywise
+    with u, so W x >= 0 holds from a least u, a ceiling division per row,
+    and W' x is lexicographically least there: that u, if at most B, is
+    the only candidate.  A row with zero u-weight and positive t-weight
+    rules a shape out, and the least u never shrinks as t grows.  The
+    least bad t of the first shape that has one gives a, and its u gives
+    b: the row-major-first bad pair, as a scan of all pairs would find.
     """
     keys = order.forms(m)  # ValueError where the order does not apply at m
-    refine_witness = None
-    if p.kind == AB:
-        weights = p.forms(m)
-        # Form values are at most B * (largest row sum); below 2**62 int64
-        # holds them exactly, above it Python ints do.
-        big = box_bound * max(sum(row) for row in weights + keys) >= 2 ** 62
-        dtype = object if big else np.int64
-        diffs = np.indices((2 * box_bound + 1,) * m).reshape(m, -1).T - box_bound
-        x = diffs.astype(dtype)
-        up = (x @ np.array(weights, dtype=dtype).T >= 0).all(axis=1)
-        ranks = x @ np.array(keys, dtype=dtype).T
-        lead = ranks[np.arange(len(ranks)), (ranks != 0).argmax(axis=1)]
-        bad = diffs[up & (lead < 0)]
-        if len(bad):
-            starts = np.maximum(-bad, 0)
-            a = starts[np.lexsort(starts.T[::-1])[0]]
-            ends = a + bad
-            b = ends[((ends >= 0) & (ends <= box_bound)).all(axis=1).argmax()]
-            refine_witness = witness(a=MultiIndex(a.tolist()),
-                                     b=MultiIndex(b.tolist()),
-                                     order=order.as_text())
+    bad = _first_bad_pair(p.forms(m), keys, box_bound) if p.kind == AB else None
     return Certificate.of([
-        Check("refines-order", refine_witness is None, refine_witness),
+        Check("refines-order", bad is None,
+              bad and witness(a=bad[0], b=bad[1], order=order.as_text())),
         Check("origin-below", True)])
+
+
+def _first_bad_pair(weights, keys, box_bound: int):
+    """The first bad (a, b) of :func:`validate_pair_compat` for m = 2, or None."""
+    for pos, neg in ((0, 1), (1, 0)):  # x_pos = u >= 0, x_neg = -t < 0
+        if not all(row[pos] for row in weights):  # then row[neg] > 0: no t fits
+            continue
+        for t in range(1, box_bound + 1):
+            u = max(-(-row[neg] * t // row[pos]) for row in weights)
+            if u > box_bound:
+                break
+            x = (u, -t) if pos == 0 else (-t, u)
+            if tuple(sum(map(operator.mul, row, x)) for row in keys) < (0, 0):
+                return (MultiIndex(max(0, -e) for e in x),
+                        MultiIndex(max(0, e) for e in x))
+    return None
 
 
 def check_domain(dom: Iterable[MultiIndex],
@@ -407,8 +408,9 @@ def check_domain(dom: Iterable[MultiIndex],
 
     ``mode="box"`` asks for componentwise (box) closure: every a' <= a
     componentwise with a in D lies in D.  Passing a :class:`PartialOrder`
-    asks D to be a downset of that order.  The witness names an element of
-    D and the missing smaller index.
+    asks D to be a downset of that order.  The witness names the least
+    element of D with a gap below it and the first missing index in
+    row-major order; the scan stops there.
     """
     dset = frozenset(dom)
     if not dset:
@@ -417,19 +419,15 @@ def check_domain(dom: Iterable[MultiIndex],
     if len(ms) != 1:
         return Certificate.single("domain-uniform", False,
                                   witness(lengths=sorted(ms)))
-    if isinstance(mode, str):
-        if mode != "box":
-            raise ValueError("mode must be 'box' or a PartialOrder, got %r" % mode)
-        name = "box-closure"
-        below: Callable[[MultiIndex], Iterable[MultiIndex]] = lambda a: box(tuple(a))
+    if mode == "box":
+        name, below = "box-closure", lambda a: box(tuple(a))
+    elif isinstance(mode, PartialOrder):
+        name, below = "downset-closure", lambda a: downset_enum(a, mode)
     else:
-        name = "downset-closure"
-        below = lambda a: downset_enum(a, mode)
-    for a in sorted(dset):
-        for b in below(a):
-            if b not in dset:
-                return Certificate.single(name, False, witness(element=a, missing=b))
-    return Certificate.single(name, True)
+        raise ValueError("mode must be 'box' or a PartialOrder, got %r" % (mode,))
+    gap = next(((a, b) for a in sorted(dset) for b in below(a) if b not in dset), None)
+    return Certificate.single(name, gap is None, None if gap is None
+                              else witness(element=gap[0], missing=gap[1]))
 
 
 # -- Exact intervals and (alpha, beta) feasibility ------------------------------

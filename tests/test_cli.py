@@ -562,6 +562,31 @@ def test_far_label_pair_check_is_cheap(tmp_path, capsys):
         {"element": "200,0", "missing": "2,0"}]
 
 
+@pytest.mark.parametrize("argv, name, missing", [
+    (["type-ab", "--alpha", "1/2", "--beta", "1/3"], "downset-closure", "0,2"),
+    (["certify-ppoly", "--order", "deglex-sum", "--partial", "ab:1/2,1/3"],
+     "box-closure", "2,0")])
+def test_far_label_ab_checks_stop_at_the_first_gap(tmp_path, capsys, argv,
+                                                   name, missing):
+    """The Klein-group tensor with its class 1,1 relabelled 2000,0.  The
+    pair check scans B = 2001 differences per shape, where a table of all
+    (2B+1)^2 would take over a GB, and each domain check stops at the
+    first index missing below 2000,0 in row-major order."""
+    tensor = mdrg_check(cartesian_product([complete(2), complete(2)]),
+                        MonomialOrder.parse("deglex-sum")).tensor
+    far = tensor.relabel({lab: mi((2000, 0)) if lab == (1, 1) else lab
+                          for lab in tensor.labels})
+    path = _write(tmp_path, "far.json", tensor_to_dict(far))
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    checks = [c for cert in json.loads(out)["certificates"].values()
+              for c in cert["checks"]]
+    assert [c["witness"] for c in checks if c["name"] == name] == [
+        {"element": "2000,0", "missing": missing}]
+
+
 @pytest.mark.parametrize("m", [12, 70])
 def test_long_label_pair_check_is_cheap(tmp_path, capsys, m):
     """The Z_2 tensor on the labels o and e_1 of length m.  A table of the

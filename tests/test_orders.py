@@ -224,18 +224,18 @@ def test_componentwise_partial_order():
     p = PartialOrder.componentwise()
     assert p.leq(mi(1, 0, 2), mi(1, 1, 2))
     assert not p.leq(mi(1, 0), mi(0, 1)) and not p.leq(mi(0, 1), mi(1, 0))
-    assert downset_enum(mi(1, 1), p) == frozenset(
+    assert frozenset(downset_enum(mi(1, 1), p)) == frozenset(
         [mi(0, 0), mi(0, 1), mi(1, 0), mi(1, 1)])
 
 
 def test_ab_downsets_at_the_alpha_one_boundary():
     one = PartialOrder.parse("ab:1,0")
-    assert downset_enum(mi(1, 1), one) == frozenset(
+    assert frozenset(downset_enum(mi(1, 1), one)) == frozenset(
         [mi(0, 0), mi(1, 0), mi(0, 1), mi(2, 0), mi(1, 1)])
-    assert downset_enum(mi(0, 2), one) == frozenset(
+    assert frozenset(downset_enum(mi(0, 2), one)) == frozenset(
         [mi(0, 0), mi(1, 0), mi(0, 1), mi(2, 0), mi(1, 1), mi(0, 2)])
     half = PartialOrder.parse("ab:1/2,0")
-    assert downset_enum(mi(0, 2), half) == frozenset(
+    assert frozenset(downset_enum(mi(0, 2), half)) == frozenset(
         [mi(0, 0), mi(1, 0), mi(0, 1), mi(0, 2)])
 
 
@@ -262,7 +262,8 @@ def test_weight_rows_match_the_defining_inequalities(case):
     assert p.leq(a, b) == fraction_precedes(p, a, b)
     assert p.leq(b, a) == fraction_precedes(p, b, a)
     assert a == b or not (p.leq(a, b) and p.leq(b, a))  # antisymmetric
-    assert downset_enum(a, p) == fraction_downset(a, p)
+    # lazily, in row-major order
+    assert list(downset_enum(a, p)) == sorted(fraction_downset(a, p))
 
 
 def test_pair_compat_deglex_y2_refines_every_valid_ab():
@@ -317,6 +318,34 @@ def test_check_domain_downset_depends_on_alpha():
     diagonal_domain = [mi(0, 0), mi(1, 0), mi(0, 1), mi(2, 0), mi(1, 1)]
     for text in ("ab:0,0", "ab:1/2,1/2", "ab:1,0"):
         assert check_domain(diagonal_domain, PartialOrder.parse(text)).passed
+
+
+def first_gap(dom, p: PartialOrder):
+    """The downset check as loops: the first b below an element a of D,
+    a in sorted order and b in row-major order, that D lacks."""
+    for a in sorted(dom):
+        for b in sorted(fraction_downset(a, p)):
+            if b not in dom:
+                return {"element": a.as_text(), "missing": b.as_text()}
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(tops=st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1,
+                    max_size=6),
+       closed=st.booleans(), q=st.integers(1, 4), r=st.integers(1, 4),
+       data=st.data())
+def test_check_domain_names_the_first_gap_of_the_loops(tops, closed, q, r, data):
+    """D inside [0, 4]^2, either drawn points or the boxes below them."""
+    p = PartialOrder.alpha_beta(Fraction(data.draw(st.integers(0, q)), q),
+                                Fraction(data.draw(st.integers(0, r - 1)), r))
+    dom = {MultiIndex(a) for a in tops}
+    if closed:
+        dom = {b for a in dom for b in box(tuple(a))}
+    gap = first_gap(dom, p)
+    cert = check_domain(dom, p)
+    assert cert.passed == (gap is None)
+    assert cert.witness == gap
 
 
 # -- Intervals and feasible regions ---------------------------------------------------

@@ -264,7 +264,12 @@ def wide_order_pairs(draw):
 @given(wide_order_pairs())
 @example((PartialOrder.parse("ab:1,0"), MonomialOrder.parse("lex"), 12, 2))
 @example((PartialOrder.parse("ab:1/3,8/9"), MonomialOrder.parse("deglex-y2"), 7, 2))
-# form values past 2**62: both sides switch to Python ints
+# a first bad pair past t = 1 in each shape: a = (0,2), b = (3,0) and
+# a = (5,0), b = (0,6)
+@example((PartialOrder.parse("ab:0,2/3"), MonomialOrder.parse("wdeglex:1,2"), 9, 2))
+@example((PartialOrder.parse("ab:5/6,0"), MonomialOrder.parse("wdeglex:6,5"), 8, 2))
+# form values past 2**62: the table switches to Python ints, the scan
+# needs no switch
 @example((PartialOrder.parse("ab:1/%d,0" % 2 ** 62), MonomialOrder.parse("lex"), 3, 2))
 @example((PartialOrder.componentwise(),
           MonomialOrder.parse("wdeglex:1/%d,1,1" % 2 ** 62), 2, 3))

@@ -179,6 +179,8 @@ GRAPHS = [
     ["certify-mdrg", "irreg2g.json", "--order", "wdeglex:1000000000000,1"],
     ["certify-ppoly", "c4x3g.json", "--order", "deglex-sum", "--boundary",
      "--recurrences"],
+    # type-ab takes no graph file: an input error (exit 2)
+    ["type-ab", "c6g.json", "--region"],
 ]
 
 # generators that do not commute: the boundary check raises CommutationError
@@ -358,6 +360,8 @@ DIGESTS = {
         '202ffd2c6d6616c7662d1110291d7220d7755ebfe3f04ac8cc832658d401b997',
     'type-ab c6.json --region':
         '2fba55f84048fd43a0d197eb0cc8f9be6559cf040d4bb92892e807cdf355ef90',
+    'type-ab c6g.json --region':
+        'd6d67a7435e8e95b51a65ddf2c38d4b73ae3efdc7f30394d5491c5fdedb3ebed',
     'type-ab pauli4.json --region --labeling A0=0,0;A1=1,0;A2=0,1':
         '1e828cf838cc56724a75db139c630297f520e4b7958ae2f3cf8ad816e2822aad',
     'type-ab sym2.json --region':
