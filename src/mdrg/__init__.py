@@ -36,19 +36,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ABRegion", "AlphaBeta", "Certificate", "Check", "ColoredGraph",
-    "CommutationError", "DisconnectedGraphError", "Discovery",
-    "DistanceTable",
+    "CommutationError", "DisconnectedGraphError", "Discovery", "DistanceTable",
     "ExtractionError", "GraphStructureError", "IncompatibleOrderPairError",
     "IntersectionTensor", "Interval", "Labeling", "MdrgResult",
     "MonomialBasis", "MonomialOrder", "MultiIndex", "PartialOrder",
-    "SchemeClasses", "SingularSystemError",
-    "ab_feasible_region", "ab_region_for_scheme", "boundary_check", "box",
-    "cartesian_product", "cell24", "certify_ppoly", "certify_ppoly_refined",
-    "certify_type_ab", "check_domain", "complete", "cycle",
-    "discover_labelings", "distance_matrices", "downset_enum",
-    "extract_polynomials", "gen24cell", "generator_rows", "hamming_graph",
-    "in_span", "intersection_tensor", "m_distance_table",
-    "mat_vec", "mdrg_check", "pauli_scheme4", "rank", "solve_columns",
-    "symmetrize", "validate_pair_compat", "verify_recurrences",
-    "verify_scheme_axioms", "witness",
+    "SchemeClasses", "SingularSystemError", "ab_feasible_region",
+    "ab_region_for_scheme", "boundary_check", "box", "cartesian_product",
+    "cell24", "certify_ppoly", "certify_ppoly_refined", "certify_type_ab",
+    "check_domain", "complete", "cycle", "discover_labelings",
+    "distance_matrices", "downset_enum", "extract_polynomials", "gen24cell",
+    "generator_rows", "hamming_graph", "in_span", "intersection_tensor",
+    "m_distance_table", "mat_vec", "mdrg_check", "pauli_scheme4", "rank",
+    "solve_columns", "symmetrize", "validate_pair_compat",
+    "verify_recurrences", "verify_scheme_axioms", "witness",
 ]

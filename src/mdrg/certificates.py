@@ -101,7 +101,4 @@ class Certificate:
         raise KeyError(name)
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "checks": [c.to_dict() for c in self.checks],
-        }
+        return {"verdict": self.verdict, "checks": [c.to_dict() for c in self.checks]}

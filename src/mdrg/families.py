@@ -35,8 +35,7 @@ def complete(n: int) -> ColoredGraph:
     if n < 2:
         raise ValueError("complete graph needs n >= 2, got %d" % n)
     names = [str(i) for i in range(n)]
-    edges = [(names[i], names[j], 1)
-             for i in range(n) for j in range(i + 1, n)]
+    edges = [(names[i], names[j], 1) for i in range(n) for j in range(i + 1, n)]
     return ColoredGraph(1, names, edges)
 
 
@@ -73,8 +72,7 @@ def cartesian_product(factors: Sequence[ColoredGraph]) -> ColoredGraph:
     if not factors:
         raise ValueError("need at least one factor")
     m_total = sum(g.m for g in factors)
-    names = [",".join(parts)
-             for parts in itertools.product(*(g.vertices for g in factors))]
+    names = [",".join(parts) for parts in itertools.product(*(g.vertices for g in factors))]
     edges: list[tuple[str, str, int]] = []
     offset = 0
     for pos, g in enumerate(factors):
@@ -91,6 +89,9 @@ def cartesian_product(factors: Sequence[ColoredGraph]) -> ColoredGraph:
 
 
 # -- Symmetrization --------------------------------------------------------------
+
+SYMMETRIZE_MAX_ENTRIES = 2 ** 24  # of symmetrize's q^(2k) index entries, ~49 B each
+
 
 def symmetrize(base: SchemeClasses, k: int) -> SchemeClasses:
     """The k-fold symmetric tensor scheme of a base scheme.
@@ -117,6 +118,9 @@ def symmetrize(base: SchemeClasses, k: int) -> SchemeClasses:
         raise ValueError("base classes must partition the vertex pairs")
     others = [i for i in range(len(base.labels)) if i != ident]
     m, q, radix = len(others), base.n, k + 1
+    if q ** (2 * min(k, 64)) > SYMMETRIZE_MAX_ENTRIES:  # q > 1 passes it by k = 13
+        raise ValueError("%d^%d index entries, more than %d"
+                         % (q, 2 * k, SYMMETRIZE_MAX_ENTRIES))
     if radix ** (m + 1) >= 2 ** 63:
         raise ValueError("too many classes for int64 codes")
     weight = np.zeros(len(base.labels), dtype=np.int64)

@@ -150,8 +150,7 @@ class MonomialOrder:
 
     kind: str
     weights: Optional[tuple[Fraction, ...]] = None
-    _forms: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    _forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in _ORDER_KINDS:
@@ -255,8 +254,7 @@ class PartialOrder:
 
     kind: str
     ab: Optional[AlphaBeta] = None
-    _forms: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    _forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in (AB, COMPONENTWISE):
@@ -397,8 +395,7 @@ def _first_bad_pair(weights, keys, box_bound: int):
                 break
             x = (u, -t) if pos == 0 else (-t, u)
             if tuple(sum(map(operator.mul, row, x)) for row in keys) < (0, 0):
-                return (MultiIndex(max(0, -e) for e in x),
-                        MultiIndex(max(0, e) for e in x))
+                return (MultiIndex(max(0, -e) for e in x), MultiIndex(max(0, e) for e in x))
     return None
 
 
@@ -417,8 +414,7 @@ def check_domain(dom: Iterable[MultiIndex],
         return Certificate.single("domain-nonempty", False, witness(reason="empty domain"))
     ms = {len(a) for a in dset}
     if len(ms) != 1:
-        return Certificate.single("domain-uniform", False,
-                                  witness(lengths=sorted(ms)))
+        return Certificate.single("domain-uniform", False, witness(lengths=sorted(ms)))
     if mode == "box":
         name, below = "box-closure", lambda a: box(tuple(a))
     elif isinstance(mode, PartialOrder):

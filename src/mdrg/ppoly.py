@@ -125,8 +125,7 @@ def _structural_checks(t: IntersectionTensor) -> tuple[list[Check], Optional[int
     origin = MultiIndex.zero(m)
     checks = [Check("identity-at-origin", t.identity == origin,
                     None if t.identity == origin else witness(identity=t.identity))]
-    missing = [c for c in range(1, m + 1)
-               if MultiIndex.unit(m, c) not in t.domain()]
+    missing = [c for c in range(1, m + 1) if MultiIndex.unit(m, c) not in t.domain()]
     checks.append(Check("generators-realized", not missing,
                         None if not missing else
                         witness(color=missing[0],
@@ -209,8 +208,7 @@ def _eliminate(vec: list, rows: dict[int, tuple]) -> Optional[tuple]:
         if not vec[r]:
             continue
         if r not in rows:
-            return r, (vec[r], [(s, value) for s, value
-                                in enumerate(vec[:r]) if value])
+            return r, (vec[r], [(s, value) for s, value in enumerate(vec[:r]) if value])
         pivot, entries = rows[r]
         factor = Fraction(vec[r]) / pivot
         vec[r] = 0
@@ -263,8 +261,7 @@ def boundary_check(t: IntersectionTensor, window: Window) -> Certificate:
                 return Certificate.single(
                     "boundary-span", False,
                     witness(generator=unit, a=a, bound=up, window=below))
-    return Certificate.single("boundary-span", True,
-                              detail="%d boundary cases" % cases)
+    return Certificate.single("boundary-span", True, detail="%d boundary cases" % cases)
 
 
 def _residual(polys: Mapping[MultiIndex, Mapping], unit: MultiIndex,
@@ -353,16 +350,13 @@ def verify_recurrences(polys: Mapping[MultiIndex, Mapping[MultiIndex, Fraction]]
                                     for b in row if not partial.leq(b, up)), None)
         if identity_witness is None and any(diff.values()):
             mono = min(c for c, value in diff.items() if value)
-            lhs = Fraction(polys[a].get(mono - unit, 0) if mono[unit.index(1)]
-                           else 0)
+            lhs = Fraction(polys[a].get(mono - unit, 0) if mono[unit.index(1)] else 0)
             identity_witness = witness(
                 generator=unit, a=a, monomial=mono,
                 lhs=lhs, rhs=Fraction(lhs - diff[mono]))
-    checks = [Check("recurrence-identity", identity_witness is None,
-                    identity_witness)]
+    checks = [Check("recurrence-identity", identity_witness is None, identity_witness)]
     if partial is not None:
-        checks.append(Check("recurrence-support", support_witness is None,
-                            support_witness))
+        checks.append(Check("recurrence-support", support_witness is None, support_witness))
     return Certificate.of(checks)
 
 

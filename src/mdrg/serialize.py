@@ -9,10 +9,9 @@ tuple of integers becomes a multi-index, anything else an opaque tag.
 Output is canonical JSON: :func:`dump_json` writes the bytes of
 ``json.dumps(data, sort_keys=True, indent=2)`` without json's slow
 pure-Python indent path.  A scheme document's ``matrices`` is one
-read-only (k, n, n) uint8 array, which :func:`dump_json` writes one
-matrix at a time from a buffer of digits; it costs k*n^2 bytes of stack,
-one n^2*(indent + 2)-byte buffer and about 11 bytes of text per entry at
-a document's depth (indent 9 with its newline).
+read-only (k, n, n) uint8 stack of 0/1 entries, written one matrix at a
+time from a buffer of digits and read back so from text in that layout;
+any other text goes to ``json.loads`` and reads, or fails, as json's.
 """
 
 from __future__ import annotations
@@ -21,13 +20,13 @@ import json
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Any, Mapping, Union
+from typing import Any, Mapping, Optional, Union
 
 import numpy as np
 
 from .graphs import ColoredGraph, DistanceTable
 from .orders import MultiIndex
-from .schemes import IntersectionTensor, Label, SchemeClasses, label_text
+from .schemes import IntersectionTensor, Label, SchemeClasses, _read_only, label_text
 
 
 class InputFormatError(ValueError):
@@ -69,11 +68,19 @@ def label_from_text(text: str) -> Label:
 def _check_list(key: str, value: Any, names: str = "") -> None:
     """An input error unless ``value`` is a list, of strings given ``names``."""
     if not isinstance(value, list):
-        raise InputFormatError("%s must be a list, got %s"
-                               % (key, type(value).__name__))
+        raise InputFormatError("%s must be a list, got %s" % (key, type(value).__name__))
     for v in value if names else ():
         if not isinstance(v, str):
             raise InputFormatError("%s must be strings, got %r" % (names, v))
+
+
+def _required(data: Mapping[str, Any], document: str, *keys: str) -> list:
+    """The values of ``keys``; an input error names the first one missing."""
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise InputFormatError("%s document needs keys %s; missing %r"
+                               % (document, ", ".join(keys), missing[0]))
+    return [data[key] for key in keys]
 
 
 # -- Graphs ----------------------------------------------------------------------
@@ -87,13 +94,7 @@ def graph_to_dict(g: ColoredGraph) -> dict:
 
 
 def graph_from_dict(data: Mapping[str, Any]) -> ColoredGraph:
-    try:
-        m = data["m"]
-        vertices = data["vertices"]
-        edges = data["edges"]
-    except KeyError as exc:
-        raise InputFormatError("graph document needs keys m, vertices, edges; "
-                               "missing %s" % exc) from exc
+    m, vertices, edges = _required(data, "graph", "m", "vertices", "edges")
     if not isinstance(m, int) or isinstance(m, bool):
         raise InputFormatError("m must be an integer")
     _check_list("vertices", vertices, "vertex names")
@@ -104,15 +105,12 @@ def graph_from_dict(data: Mapping[str, Any]) -> ColoredGraph:
                                "every color needs an edge" % (m, len(edges)))
     for edge in edges:
         if not (isinstance(edge, (list, tuple)) and len(edge) == 3):
-            raise InputFormatError("edges are [u, v, color] triples, got %r"
-                                   % (edge,))
+            raise InputFormatError("edges are [u, v, color] triples, got %r" % (edge,))
         u, v, color = edge
         if not isinstance(u, str) or not isinstance(v, str):
-            raise InputFormatError("edge endpoints must be vertex names, got %r"
-                                   % (edge,))
+            raise InputFormatError("edge endpoints must be vertex names, got %r" % (edge,))
         if not isinstance(color, int) or isinstance(color, bool):
-            raise InputFormatError("edge color must be an integer, got %r"
-                                   % (color,))
+            raise InputFormatError("edge color must be an integer, got %r" % (color,))
     return ColoredGraph(m, vertices, edges)
 
 
@@ -127,21 +125,17 @@ def scheme_to_dict(s: SchemeClasses) -> dict:
     else:
         classes = np.arange(len(s.labels), dtype=s.index.dtype)
         stack = (s.index == classes[:, None, None]).view(np.uint8)
-    stack.flags.writeable = False
     return {
         "labels": [label_text(lab) for lab in s.labels],
         "vertices": list(s.vertices),
-        "matrices": stack,
+        "matrices": _read_only(stack),
     }
 
 
 def scheme_from_dict(data: Mapping[str, Any]) -> SchemeClasses:
+    labels, matrices = _required(data, "scheme", "labels", "matrices")
     try:
-        labels = data["labels"]
-        matrices = np.array(data["matrices"])
-    except KeyError as exc:
-        raise InputFormatError("scheme document needs keys labels, matrices; "
-                               "missing %s" % exc) from exc
+        matrices = np.asarray(matrices)  # a stack from the digit reader as it is
     except ValueError as exc:  # ragged nesting
         raise InputFormatError("matrices must be n x n integer matrices") from exc
     if matrices.ndim != 3 or matrices.dtype.kind not in "iu":
@@ -167,13 +161,7 @@ def tensor_to_dict(t: IntersectionTensor) -> dict:
 
 
 def tensor_from_dict(data: Mapping[str, Any]) -> IntersectionTensor:
-    try:
-        labels = data["labels"]
-        identity = data["identity"]
-        rows = data["p"]
-    except KeyError as exc:
-        raise InputFormatError("tensor document needs keys labels, identity, p; "
-                               "missing %s" % exc) from exc
+    labels, identity, rows = _required(data, "tensor", "labels", "identity", "p")
     _check_list("labels", labels, "class labels")
     _check_list("identity", [identity], "class labels")
     _check_list("p", rows)
@@ -181,8 +169,7 @@ def tensor_from_dict(data: Mapping[str, Any]) -> IntersectionTensor:
     texts = {}  # each distinct label text is parsed once
     for row in rows:
         if not (isinstance(row, (list, tuple)) and len(row) == 4):
-            raise InputFormatError("p entries are [a, b, c, value], got %r"
-                                   % (row,))
+            raise InputFormatError("p entries are [a, b, c, value], got %r" % (row,))
         _check_list("p entries", list(row[:3]), "class labels")
         a, b, c = (texts[x] if x in texts else texts.setdefault(
             x, label_from_text(x)) for x in row[:3])
@@ -239,10 +226,12 @@ def load_document(path: str) -> Union[ColoredGraph, SchemeClasses, IntersectionT
     matrices, "p" an abstract intersection tensor.
     """
     with open(path, "r", encoding="ascii") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError("%s: not valid JSON (%s)" % (path, exc)) from exc
+        text = handle.read()
+    try:
+        data = _read_scheme(text) or json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputFormatError("%s: not valid JSON (%s)" % (path, exc)) from exc
+    del text  # before the document is built, as json.load kept no text
     if not isinstance(data, dict):
         raise InputFormatError("%s: top level must be an object" % path)
     if "edges" in data:
@@ -252,6 +241,49 @@ def load_document(path: str) -> Union[ColoredGraph, SchemeClasses, IntersectionT
     if "p" in data:
         return tensor_from_dict(data)
     raise InputFormatError("%s: expected one of the keys edges/matrices/p" % path)
+
+
+def _read_scheme(text: str) -> Optional[dict]:
+    """The object of a scheme document in :func:`dump_json`'s layout, keys
+    labels, matrices and optionally vertices, values by json's C scanner
+    but a digit stack by :func:`_read_digits`; None for any other text."""
+    scan, data, pos = json.JSONDecoder().raw_decode, {}, 0
+    try:
+        for key in ("labels", "matrices", "vertices"):
+            head = '%s\n  "%s": ' % ("," if data else "{", key)
+            if not text.startswith(head, pos):
+                break
+            pos += len(head)
+            data[key], pos = (key == "matrices" and _read_digits(text, pos)
+                              or scan(text, pos))
+    except (ValueError, RecursionError):  # json.loads raises it again
+        return None
+    done = "matrices" in data and len(text) - pos == 3 and text.endswith("\n}\n")
+    return data if done else None
+
+
+def _read_digits(text: str, pos: int) -> Optional[tuple[np.ndarray, int]]:
+    """The read-only (k, n, n) uint8 stack at ``pos``, and its end, if each
+    matrix's text is that of a zero n x n matrix with some 0s made 1s."""
+    end = text.find("]", pos)  # of the first row, which has n entries
+    n = text.count(",", pos, end) + 1
+    if not 0 < n * (end - pos) <= 2 * (len(text) - pos):  # no row; template too big
+        return None
+    pieces: list[str] = []
+    _encode(np.zeros((1, n, n), np.uint8), "\n  ", pieces)
+    opening, template, closing = pieces
+    slots = np.frombuffer(template.encode("ascii"), np.uint8) == ord("0")
+    matrices, sep = [], opening
+    while text.startswith(sep, pos):
+        pos += len(sep)
+        matrix = text[pos:pos + len(template)]  # template has no 1
+        if matrix.replace("1", "0") != template:
+            return None
+        matrices.append(np.frombuffer(matrix.encode("ascii"), np.uint8)[slots] - 48)
+        pos, sep = pos + len(template), "," + opening[1:]
+    if matrices and text.startswith(closing, pos):
+        return _read_only(np.stack(matrices).reshape(-1, n, n)), pos + len(closing)
+    return None
 
 
 def dump_json(data: Any) -> str:

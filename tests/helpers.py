@@ -13,8 +13,9 @@ instead of the generator rows, with the retry loop for the (alpha, beta)
 region, a colored graph certified per generator tuple instead of the
 label-setting search over the intersection numbers, loops over dense
 0/1 class matrices and sums of Kronecker products instead of the class
-index matrix, and the defining Fraction inequalities of each partial
-order instead of its integer weight rows.
+index matrix, the defining Fraction inequalities of each partial
+order instead of its integer weight rows, and ``json.loads`` of the
+whole text instead of the document reader's layout match and digit stack.
 
 It also holds the checks that only the tests run: the structural
 consequences of m-distance-regularity (triangle bounds, additive
@@ -29,6 +30,7 @@ graphs, the one family of oracle graphs that is not a product.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from collections import Counter
 from enum import Enum
@@ -47,7 +49,9 @@ from mdrg import (ABRegion, Certificate, Check, ColoredGraph,
 from mdrg.certificates import witness
 from mdrg.graphs import least_labels
 from mdrg.schemes import BadPair, _pair_witness, pair_counts
-from mdrg.serialize import InputFormatError, fraction_from_json
+from mdrg.serialize import (InputFormatError, fraction_from_json,
+                            graph_from_dict, scheme_from_dict,
+                            tensor_from_dict)
 
 # The two label maps of the 24-cell family.  Diagonal sends the valency-8
 # class A1 to (1,1); axis sends it to (0,2).
@@ -62,6 +66,27 @@ class Comparison(Enum):
     EQUAL = "equal"
     GREATER = "greater"
     INCOMPARABLE = "incomparable"
+
+
+def json_load_document(path: str):
+    """``load_document`` as json alone reads it: the whole text through
+    ``json.loads``, class matrices as nested lists, with the same dispatch
+    and messages."""
+    with open(path, "r", encoding="ascii") as handle:
+        text = handle.read()
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputFormatError("%s: not valid JSON (%s)" % (path, exc)) from exc
+    if not isinstance(data, dict):
+        raise InputFormatError("%s: top level must be an object" % path)
+    if "edges" in data:
+        return graph_from_dict(data)
+    if "matrices" in data:
+        return scheme_from_dict(data)
+    if "p" in data:
+        return tensor_from_dict(data)
+    raise InputFormatError("%s: expected one of the keys edges/matrices/p" % path)
 
 
 # -- Brute-force m-distance ---------------------------------------------------

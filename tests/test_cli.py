@@ -18,8 +18,10 @@ from mdrg import (
     cycle,
     m_distance_table,
     mdrg_check,
+    pauli_scheme4,
 )
 import mdrg.cli
+import mdrg.families
 from mdrg.cli import main
 from mdrg.schemes import distance_matrices
 from mdrg.serialize import (
@@ -587,6 +589,27 @@ def test_far_label_ab_checks_stop_at_the_first_gap(tmp_path, capsys, argv,
         {"element": "2000,0", "missing": missing}]
 
 
+def test_boundary_is_skipped_when_certification_fails(tmp_path, capsys):
+    """The Klein-group tensor with 1,1 relabelled 2000,0 is not box-closed.
+    Building the monomial A^(2000,0) for the boundary check would recurse
+    once per unit of the label; --boundary waits for a passing ppoly."""
+    tensor = mdrg_check(cartesian_product([complete(2), complete(2)]),
+                        MonomialOrder.parse("deglex-sum")).tensor
+    far = tensor.relabel({lab: mi((2000, 0)) if lab == (1, 1) else lab
+                          for lab in tensor.labels})
+    path = _write(tmp_path, "far.json", tensor_to_dict(far))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "certify-ppoly", path, "--order",
+                         "wdeglex:1,3000", "--boundary")
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert "Traceback" not in err
+    assert "skipping boundary: certification failed" in err
+    report = json.loads(out)
+    assert sorted(report["certificates"]) == ["ppoly"]
+    assert report["certificates"]["ppoly"]["verdict"] == "fail"
+
+
 @pytest.mark.parametrize("m", [12, 70])
 def test_long_label_pair_check_is_cheap(tmp_path, capsys, m):
     """The Z_2 tensor on the labels o and e_1 of length m.  A table of the
@@ -814,3 +837,44 @@ def test_symmetrize_rejects_a_base_that_does_not_partition(tmp_path, capsys, sec
         assert out == ""
         assert ("error: family 'symmetrize:%s': base classes must partition "
                 "the vertex pairs\n" % k) in err
+
+
+def test_symmetrize_states_its_size_before_it_allocates(tmp_path, capsys,
+                                                        monkeypatch):
+    """symmetrize:3 of the 4-point Pauli scheme has 4^6 = 4096 index
+    entries; under a bound of 4095 it is refused before numpy is asked for
+    anything, as symmetrize:14 (4^28 entries, 32 GiB) is under the real one."""
+    base = _write(tmp_path, "pauli4.json", scheme_to_dict(pauli_scheme4()))
+    monkeypatch.setattr(mdrg.families, "SYMMETRIZE_MAX_ENTRIES", 4095)
+    code, out, err = run(capsys, "generate", "symmetrize:3", "--scheme", base)
+    assert (code, out) == (2, "")
+    assert ("error: family 'symmetrize:3': 4^6 index entries, more than 4095\n"
+            in err)
+    monkeypatch.setattr(mdrg.families, "SYMMETRIZE_MAX_ENTRIES", 4096)
+    assert run(capsys, "generate", "symmetrize:3", "--scheme", base)[0] == 0
+
+
+@pytest.mark.parametrize("kind, argv, message", [
+    ("scheme", ["distances", "{}", "--order", "lex"], "{} is not a graph file"),
+    ("tensor", ["certify-mdrg", "{}", "--order", "lex"], "{} is not a graph file"),
+    ("scheme", ["generate", "cartesian:{g},{}"], "{} is not a graph file"),
+    ("graph", ["generate", "symmetrize:2", "--scheme", "{}"],
+     "{} is not a scheme file"),
+    ("graph", ["verify-scheme", "{}"], "{} is a graph file; verify-scheme takes "
+     "class matrices or an intersection tensor"),
+    ("graph", ["type-ab", "{}", "--region"], "type-ab takes a scheme or tensor file"),
+    ("tensor", ["discover", "{}", "--m", "1", "--order", "lex"],
+     "discover takes a scheme file with class matrices")])
+def test_document_of_the_wrong_kind_is_a_usage_error(tmp_path, capsys, kind, argv,
+                                                     message):
+    """Each command names the document kinds it takes; any other is exit 2
+    with nothing on stdout."""
+    documents = {"graph": graph_to_dict(cycle(6)),
+                 "scheme": scheme_to_dict(pauli_scheme4()),
+                 "tensor": _c6_document()}
+    graph = _write(tmp_path, "g.json", documents["graph"])
+    path = _write(tmp_path, "{%s}.json" % kind, documents[kind])
+    code, out, err = run(capsys, *(a.replace("{g}", graph).replace("{}", path)
+                                   for a in argv))
+    assert (code, out) == (2, "")
+    assert err == "error: %s\n" % message.replace("{}", path)

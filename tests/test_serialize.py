@@ -1,11 +1,15 @@
 """JSON document round trips and input validation."""
 
 import json
+import os
 import re
+import tempfile
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdrg import (
     ColoredGraph,
@@ -19,6 +23,7 @@ from mdrg import (
     m_distance_table,
     mdrg_check,
     pauli_scheme4,
+    symmetrize,
 )
 from mdrg import serialize
 from mdrg.serialize import (
@@ -38,7 +43,8 @@ from mdrg.serialize import (
     tensor_to_dict,
 )
 
-from helpers import multiindex_from_json, polynomials_from_dict
+from helpers import (json_load_document, multiindex_from_json,
+                     polynomials_from_dict)
 
 F = Fraction
 mi = MultiIndex
@@ -248,3 +254,138 @@ def test_dump_json_is_deterministic():
     assert text == dump_json({"a": {"x": "1/2", "y": 1}, "b": [3, 2]})
     assert text.endswith("\n")
     assert json.loads(text) == data
+
+
+# -- The digit reader against json ----------------------------------------------
+
+MUTANTS = ("none", "whitespace", "entry", "nudge", "drop-row", "drop-matrix",
+           "trailing", "second-key", "quoted-key", "escaped-key", "top-level-list")
+
+
+@st.composite
+def scheme_texts(draw, mutant):
+    """The dump_json text of a scheme document with k, n in 1..6 and 0/1
+    class matrices (half of them a partition), changed by ``mutant``."""
+    k, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        cells = draw(st.lists(st.integers(0, k - 1), min_size=n * n, max_size=n * n))
+        stack = np.arange(k)[:, None] == np.array(cells)
+    else:
+        stack = draw(st.lists(st.integers(0, 1), min_size=k * n * n,
+                              max_size=k * n * n))
+    stack = np.array(stack, dtype=np.uint8).reshape(k, n, n)
+    document = {"labels": ["A%d" % i for i in range(k)],
+                "vertices": ["v%d" % i for i in range(n)], "matrices": stack}
+    if mutant in ("drop-row", "drop-matrix"):
+        lists = stack.tolist()  # dump_json writes them as it writes the stack
+        i = draw(st.integers(0, k - 1))
+        if mutant == "drop-row":
+            del lists[i][draw(st.integers(0, n - 1))]
+        else:
+            del lists[i]
+        document["matrices"] = lists
+    text = dump_json(document)
+    start = text.index('"matrices"')
+    if mutant == "whitespace":
+        at = draw(st.sampled_from([i for i, c in enumerate(text) if c in " \n"]))
+        space = draw(st.sampled_from([" ", "\t", "\n", "\r\n"]))
+        text = text[:at] + space + text[at:]
+    elif mutant == "entry":
+        at = draw(st.sampled_from([i for i, c in enumerate(text)
+                                   if c in "01" and i > start]))
+        entry = draw(st.sampled_from(["10", "-1", "1.0", "true", "2"]))
+        text = text[:at] + entry + text[at + 1:]
+    elif mutant == "nudge":  # one byte of the layout, not a digit, raised by one
+        at = draw(st.sampled_from([i for i, c in enumerate(text)
+                                   if c in "[], \n" and i > start + 11]))
+        text = text[:at] + chr(ord(text[at]) + 1) + text[at + 1:]
+    elif mutant == "trailing":
+        text += draw(st.sampled_from(["x", "{}", "0", "\n\t "]))
+    elif mutant == "second-key":
+        value = draw(st.sampled_from(["[[[1]]]", "0"]))
+        text = (text.replace("{\n", '{\n  "matrices": %s,\n' % value, 1)
+                if draw(st.booleans()) else
+                text[:-3] + ',\n  "matrices": %s\n}\n' % value)
+    elif mutant == "quoted-key":
+        text = text.replace("{\n", '{\n  "x\\"matrices": 0,\n', 1)
+    elif mutant == "escaped-key":
+        text = text.replace('"matrices"', '"matri\\u0063es"')
+    elif mutant == "top-level-list":
+        text = "[" + text + "]"
+    return text
+
+
+def _outcome(load, path):
+    """What ``load(path)`` gives: the classes, or the exception's type and text."""
+    try:
+        s = load(path)
+    except Exception as exc:  # compared with the oracle's, not handled
+        return type(exc), str(exc)
+    return (s.labels, s.vertices, None if s.index is None else s.index.tolist(),
+            [mat.tolist() for mat in s.matrices])
+
+
+@pytest.mark.parametrize("mutant", MUTANTS)
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_load_document_reads_scheme_texts_as_json_does(mutant, data):
+    text = data.draw(scheme_texts(mutant))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.json")
+        with open(path, "w", encoding="ascii", newline="") as handle:
+            handle.write(text)
+        assert _outcome(load_document, path) == _outcome(json_load_document, path)
+    if mutant == "none":  # the digit reader, not json, read it
+        assert isinstance(serialize._read_scheme(text)["matrices"], np.ndarray)
+
+
+def test_load_document_reads_every_one_byte_change_as_json_does(tmp_path):
+    """Each byte of a two-matrix stack's text, its brackets and the
+    indents around it raised or lowered by one, reads as json reads it."""
+    stack = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]]], dtype=np.uint8)
+    text = dump_json({"labels": ["A0", "A1"], "matrices": stack})
+    path = str(tmp_path / "s.json")
+    start = text.index('"matrices"')
+    for at in range(start, len(text)):
+        for step in (-1, 1):
+            with open(path, "w", encoding="ascii", newline="") as handle:
+                handle.write(text[:at] + chr(ord(text[at]) + step) + text[at + 1:])
+            assert _outcome(load_document, path) == _outcome(json_load_document, path)
+
+
+def test_load_document_sizes_no_template_past_the_text(tmp_path):
+    """A first row of 20 000 entries and nothing after it: a 20 000 x
+    20 000 zero matrix's text would be about 4.4 GB, so the reader builds
+    no template and json reads the row."""
+    text = ('{\n  "labels": ["A0"],\n  "matrices": [\n    [\n      [\n'
+            + "        0,\n" * 19999 + "        0\n      ]\n    ]\n  ]\n}\n")
+    path = str(tmp_path / "row.json")
+    with open(path, "w", encoding="ascii") as handle:
+        handle.write(text)
+    tracemalloc.start()
+    try:
+        outcome = _outcome(load_document, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome == _outcome(json_load_document, path)
+    assert peak <= 10 * len(text)
+
+
+def test_load_document_holds_the_text_and_one_matrix(tmp_path):
+    """symmetrize:4 of the Pauli scheme (n = 256, k = 15, 10.9 MB) is read
+    with at most 2.5 times its text in memory; json's nested lists took
+    3.0 times."""
+    sym4 = symmetrize(pauli_scheme4(), 4)
+    text = dump_json(scheme_to_dict(sym4))
+    path = tmp_path / "sym4.json"
+    path.write_text(text)
+    tracemalloc.start()
+    try:
+        loaded = load_document(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text)
+    assert (loaded.labels, loaded.vertices) == (sym4.labels, sym4.vertices)
+    assert np.array_equal(loaded.index, sym4.index)
