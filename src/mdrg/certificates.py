@@ -94,11 +94,5 @@ class Certificate:
         """Witness of the first failing check, if any."""
         return next((c.witness for c in self.checks if not c.passed), None)
 
-    def check(self, name: str) -> Check:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
     def to_dict(self) -> dict:
         return {"verdict": self.verdict, "checks": [c.to_dict() for c in self.checks]}

@@ -431,15 +431,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     start = time.perf_counter()
     try:
         report, code = args.handler(args)
-    except (UsageError, DisconnectedGraphError, GraphStructureError,
-            InputFormatError) as exc:
+        elapsed = time.perf_counter() - start
+        text = dump_json(report) if report and not args.quiet else ""
+    except Exception as exc:  # 2 for a usage or input error, 3 for any other fault
+        usage = isinstance(exc, (UsageError, DisconnectedGraphError, GraphStructureError,
+                                 InputFormatError))
         if not args.quiet:
-            print("error: %s" % exc, file=sys.stderr)
-        return 2
-    elapsed = time.perf_counter() - start
+            print(("error: %s" if usage else "internal error: %r") % exc, file=sys.stderr)
+        return 2 if usage else 3
     if not args.quiet:
-        if report:
-            sys.stdout.write(dump_json(report))
+        sys.stdout.write(text)
         print("elapsed: %.3fs" % elapsed, file=sys.stderr)
     return code
 

@@ -79,7 +79,6 @@ class ColoredGraph:
         normalized.sort()
         self.m = m
         self.vertices = names
-        self._index = index
         self.edges = tuple(normalized)
         adjacency: list[list[tuple[int, int]]] = [[] for _ in names]
         for iu, iv, color in self.edges:
@@ -90,12 +89,6 @@ class ColoredGraph:
     @property
     def n(self) -> int:
         return len(self.vertices)
-
-    def index(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise KeyError("unknown vertex %r" % name) from None
 
     def edge_names(self) -> list[tuple[str, str, int]]:
         return [(self.vertices[u], self.vertices[v], c) for u, v, c in self.edges]

@@ -74,10 +74,6 @@ class MultiIndex(tuple):
             raise ValueError("bad multi-index text %r" % text) from exc
 
     @property
-    def m(self) -> int:
-        return len(self)
-
-    @property
     def degree(self) -> int:
         return sum(self)
 

@@ -70,10 +70,11 @@ class SchemeClasses:
                 raise ValueError("class matrices must not be all zero")
         if len(labels) != len(mats):
             raise ValueError("%d labels for %d matrices" % (len(labels), len(mats)))
-        partition = (np.sum(mats, axis=0) == 1).all()
+        stack = matrices if isinstance(matrices, np.ndarray) else mats  # not stacked again
+        partition = (np.sum(stack, axis=0) == 1).all()
         self._matrices = None if partition else tuple(
             _read_only(mat.astype(np.int64)) for mat in mats)
-        self._store(labels, np.argmax(mats, axis=0) if partition else None, vertices, n)
+        self._store(labels, np.argmax(stack, axis=0) if partition else None, vertices, n)
 
     @classmethod
     def from_index(cls, labels: Sequence[Label], index: np.ndarray,
@@ -210,6 +211,12 @@ def pair_counts(idx: np.ndarray, k: int) -> Union[np.ndarray, BadPair]:
     sorted rows are equal.  Each row is compared with the row of the
     first pair, in row-major order, of its class idx[x,y].
 
+    When ``idx`` is symmetric and each reference row is unchanged by the
+    swap a*k + b -> b*k + a, only targets y >= x are scanned: row (y, x)
+    is the swap of row (x, y), of the same class, so it passes exactly
+    when (x, y) does, and a failing pair below the diagonal has a failing
+    mirror earlier in row-major order.  Other indices are scanned whole.
+
     Returns the nonzero counts as rows (a, b, c, p_{a,b}^c), sorted by
     (c, a, b), or the first pair in row-major order that disagrees with
     its reference, at the first differing (a, b).  Codes are below k*k,
@@ -222,14 +229,17 @@ def pair_counts(idx: np.ndarray, k: int) -> Union[np.ndarray, BadPair]:
     classes, first = np.unique(idx, return_index=True)
     ref = np.zeros((k, n), dtype=idx.dtype)
     ref[classes] = np.sort(idx[first // n] * k + idx_t[first % n], axis=1)
+    half = (np.array_equal(idx, idx_t)
+            and np.array_equal(np.sort(ref % k * k + ref // k, axis=1), ref))
     for x in range(n):
-        rows = np.sort(idx[x] * k + idx_t, axis=1)
-        bad = np.flatnonzero((rows != ref[idx[x]]).any(axis=1))
+        lo = x if half else 0
+        rows = np.sort(idx[x] * k + idx_t[lo:], axis=1)
+        bad = np.flatnonzero((rows != ref[idx[x, lo:]]).any(axis=1))
         if bad.size:
-            y = int(bad[0])
+            y = lo + int(bad[0])
             c = int(idx[x, y])
             x_ref, y_ref = np.argwhere(idx == c)[0]
-            counts = np.bincount(rows[y], minlength=k * k)
+            counts = np.bincount(rows[y - lo], minlength=k * k)
             counts_ref = np.bincount(ref[c], minlength=k * k)
             flat = int(np.flatnonzero(counts != counts_ref)[0])
             a, b = divmod(flat, k)

@@ -9,9 +9,9 @@ tuple of integers becomes a multi-index, anything else an opaque tag.
 Output is canonical JSON: :func:`dump_json` writes the bytes of
 ``json.dumps(data, sort_keys=True, indent=2)`` without json's slow
 pure-Python indent path.  A scheme document's ``matrices`` is one
-read-only (k, n, n) uint8 stack of 0/1 entries, written one matrix at a
-time from a buffer of digits and read back so from text in that layout;
-any other text goes to ``json.loads`` and reads, or fails, as json's.
+read-only (k, n, n) uint8 stack of 0/1 entries, each matrix written into
+and read from a zero matrix's text at its digit offsets; any other text
+goes to ``json.loads`` and reads, or fails, as json's.
 """
 
 from __future__ import annotations
@@ -135,16 +135,17 @@ def scheme_to_dict(s: SchemeClasses) -> dict:
 def scheme_from_dict(data: Mapping[str, Any]) -> SchemeClasses:
     labels, matrices = _required(data, "scheme", "labels", "matrices")
     try:
-        matrices = np.asarray(matrices)  # a stack from the digit reader as it is
+        stack = np.asarray(matrices)  # the reader's stack as it is; JSON true becomes 1
     except ValueError as exc:  # ragged nesting
         raise InputFormatError("matrices must be n x n integer matrices") from exc
-    if matrices.ndim != 3 or matrices.dtype.kind not in "iu":
+    if (stack.ndim != 3 or stack.dtype.kind not in "iu" or stack is not matrices
+            and any(bool in set(map(type, row)) for mat in matrices for row in mat)):
         raise InputFormatError("matrices must be n x n integer matrices")
     _check_list("labels", labels, "class labels")
     vertices = data.get("vertices")
     if vertices is not None:
         _check_list("vertices", vertices, "vertex names")
-    return SchemeClasses(list(map(label_from_text, labels)), matrices, vertices)
+    return SchemeClasses(list(map(label_from_text, labels)), stack, vertices)
 
 
 # -- Intersection tensors ----------------------------------------------------------
@@ -269,20 +270,17 @@ def _read_digits(text: str, pos: int) -> Optional[tuple[np.ndarray, int]]:
     n = text.count(",", pos, end) + 1
     if not 0 < n * (end - pos) <= 2 * (len(text) - pos):  # no row; template too big
         return None
-    pieces: list[str] = []
-    _encode(np.zeros((1, n, n), np.uint8), "\n  ", pieces)
-    opening, template, closing = pieces
-    slots = np.frombuffer(template.encode("ascii"), np.uint8) == ord("0")
-    matrices, sep = [], opening
+    zeros, offsets = _layout((n, n), "\n    ")
+    template, matrices, sep = str(zeros, "ascii"), [], "[\n    "
     while text.startswith(sep, pos):
         pos += len(sep)
         matrix = text[pos:pos + len(template)]  # template has no 1
         if matrix.replace("1", "0") != template:
             return None
-        matrices.append(np.frombuffer(matrix.encode("ascii"), np.uint8)[slots] - 48)
-        pos, sep = pos + len(template), "," + opening[1:]
-    if matrices and text.startswith(closing, pos):
-        return _read_only(np.stack(matrices).reshape(-1, n, n)), pos + len(closing)
+        matrices.append(np.frombuffer(matrix.encode("ascii"), np.uint8).take(offsets) - 48)
+        pos, sep = pos + len(template), ",\n    "
+    if matrices and text.startswith("\n  ]", pos):
+        return _read_only(np.stack(matrices).reshape(-1, n, n)), pos + 4
     return None
 
 
@@ -293,11 +291,11 @@ def dump_json(data: Any) -> str:
     matrix entry, so dicts, lists, strings and ints are written here (a
     list of plain ints in one join); any other value goes to
     ``json.dumps``, re-indented, which is exact because JSON strings hold
-    no raw newline.  The only arrays are :func:`scheme_to_dict`'s uint8
-    stacks of digits: each n x n matrix is written from one buffer of n^2
-    entries, each its digit, "," and the indent, and any other array is a
-    ValueError.  Every piece goes to one list, joined once, so the text is
-    copied once, not once per level."""
+    no raw newline.  The only arrays are uint8 arrays of digits, such as
+    :func:`scheme_to_dict`'s stacks: each matrix is a copy of the text of
+    one zero matrix, built once per array, with its digits put at their
+    offsets; any other array is a ValueError.  Every piece goes to one
+    list, joined once, so the text is copied once, not once per level."""
     out: list[str] = []
     _encode(data, "\n", out)
     out.append("\n")
@@ -308,13 +306,11 @@ def _encode(value: Any, nl: str, out: list) -> None:
     inner = nl + "  "
     kind = type(value)
     if kind is np.ndarray:
-        if value.dtype != np.uint8 or value.ndim < 2 or not value.size:
-            raise ValueError("only nonempty uint8 digit arrays are written, "
+        if value.dtype != np.uint8 or value.ndim < 2 or not value.size or value.max() > 9:
+            raise ValueError("only nonempty uint8 arrays of digits 0..9 are written, "
                              "got %s %s" % (value.dtype, value.shape))
-        if value.ndim == 2:
-            _encode_digits(value, nl, out)
-            return
-        value, kind = list(value), list
+        _encode_digits(value, nl, out)
+        return
     if kind is dict and value and all(type(key) is str for key in value):
         brackets, keys = "{}", sorted(value)
         heads = [encode_basestring_ascii(key) + ": " for key in keys]
@@ -340,16 +336,26 @@ def _encode(value: Any, nl: str, out: list) -> None:
     append(nl + brackets[1])
 
 
-def _encode_digits(rows: np.ndarray, nl: str, out: list) -> None:
-    """A 2-D uint8 array of digits 0..9, written as nested lists at ``nl``."""
-    if rows.max() > 9:
-        raise ValueError("array entries must be digits 0..9")
+def _layout(shape: tuple[int, int], nl: str) -> tuple[np.ndarray, np.ndarray]:
+    """The text of a zero matrix of ``shape`` written at ``nl``, as uint8
+    codes, and the offsets of its digits in row-major order."""
     inner = nl + "  "
-    sep = np.frombuffer(("," + inner + "  ").encode("ascii"), np.uint8)
-    buf = np.empty(rows.shape + (1 + len(sep),), np.uint8)
-    buf[:, :, 1:] = sep
-    np.add(rows, 48, out=buf[:, :, 0])
-    head, tail = "[" + inner + "  ", inner + "]"
-    lines = [head + str(line, "ascii") + tail
-             for line in buf.reshape(len(rows), -1)[:, :-len(sep)]]
-    out.append("[" + inner + ("," + inner).join(lines) + nl + "]")
+    row = "[" + inner + "  " + ("0," + inner + "  ") * (shape[1] - 1) + "0" + inner + "]"
+    text = np.frombuffer(("[" + inner + ("," + inner).join([row] * shape[0]) + nl + "]")
+                         .encode("ascii"), np.uint8)
+    return text, np.flatnonzero(text == ord("0"))
+
+
+def _encode_digits(value: np.ndarray, nl: str, out: list, layout: tuple = ()) -> None:
+    """An array of digits written as nested lists at ``nl``, each matrix
+    by scattering its digits into a copy of one zero matrix's text."""
+    layout = layout or _layout(value.shape[-2:], nl + "  " * (value.ndim - 2))
+    if value.ndim == 2:
+        text = layout[0].copy()
+        text[layout[1]] = value.ravel() + 48
+        out.append(str(text, "ascii"))
+        return
+    for i, matrix in enumerate(value):
+        out.append(("," if i else "[") + nl + "  ")
+        _encode_digits(matrix, nl + "  ", out, layout)
+    out.append(nl + "]")

@@ -59,6 +59,14 @@ DIAGONAL_LABELING = Labeling.parse("A0=0,0;A1=1,1;A2=1,0;A3=0,1;A4=2,0")
 AXIS_LABELING = Labeling.parse("A0=0,0;A1=0,2;A2=1,0;A3=0,1;A4=2,0")
 
 
+def named_check(cert: Certificate, name: str) -> Check:
+    """The check of ``cert`` called ``name``; KeyError if it has none."""
+    for check in cert.checks:
+        if check.name == name:
+            return check
+    raise KeyError(name)
+
+
 class Comparison(Enum):
     """The four-way answer of a comparator, as the order validators read it."""
 
@@ -99,7 +107,7 @@ def brute_force_distance(g: ColoredGraph, order: MonomialOrder,
     vector componentwise, so the optimum over walks is attained on a
     simple path and plain DFS enumeration is a sound oracle.
     """
-    start, goal = g.index(x), g.index(y)
+    start, goal = g.vertices.index(x), g.vertices.index(y)
     if start == goal:
         return MultiIndex.zero(g.m)
     best: list[MultiIndex] = []
@@ -135,7 +143,7 @@ def m_distance_from(g: ColoredGraph, order: MonomialOrder,
     label-setting search :func:`mdrg.graphs.least_labels` instead of the
     all-sources relaxation over radix codes; raises
     :class:`DisconnectedGraphError` naming the first unreachable vertex."""
-    done = least_labels(adjacency(g), g.m, order.key, g.index(source))
+    done = least_labels(adjacency(g), g.m, order.key, g.vertices.index(source))
     if None in done:
         raise DisconnectedGraphError(source, g.vertices[done.index(None)])
     return done  # type: ignore[return-value]
@@ -253,10 +261,10 @@ def count_walks_by_type(g: ColoredGraph, x: str, y: str,
     adjacency matrices, on Python ints so that counts never overflow.
     """
     vec = np.zeros(g.n, dtype=object)
-    vec[g.index(x)] = 1
+    vec[g.vertices.index(x)] = 1
     for color in colors:
         vec = color_matrix(g, color).astype(object) @ vec
-    return int(vec[g.index(y)])
+    return int(vec[g.vertices.index(y)])
 
 
 def distance_profile(table: DistanceTable) -> dict[MultiIndex, int]:

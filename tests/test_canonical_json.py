@@ -71,10 +71,17 @@ def test_dump_json_fixed_cases():
 
 @st.composite
 def class_stacks(draw):
-    """Read-only uint8 0/1 arrays of shape (k, n, n), k and n in 1..6."""
-    k, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    bits = draw(st.lists(st.integers(0, 1), min_size=k * n * n, max_size=k * n * n))
-    stack = np.array(bits, dtype=np.uint8).reshape(k, n, n)
+    """Read-only uint8 arrays of digits: 0/1 stacks of shape (k, n, n), k
+    in 1..6 and n in 1..12, or r x c matrices, r and c in 1..12."""
+    if draw(st.booleans()):
+        k, n = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+        shape, digits = (k, n, n), st.integers(0, 1)
+    else:
+        shape = (draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+        digits = st.integers(0, 9)
+    size = int(np.prod(shape))
+    stack = np.array(draw(st.lists(digits, min_size=size, max_size=size)),
+                     dtype=np.uint8).reshape(shape)
     stack.flags.writeable = False
     return stack
 

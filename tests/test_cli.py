@@ -22,6 +22,7 @@ from mdrg import (
 )
 import mdrg.cli
 import mdrg.families
+import mdrg.schemes
 from mdrg.cli import main
 from mdrg.schemes import distance_matrices
 from mdrg.serialize import (
@@ -210,7 +211,8 @@ def test_empty_class_is_input_error(tmp_path, capsys):
         assert "error: class matrices must not be all zero" in err
 
 
-@pytest.mark.parametrize("entry", [1.0, 1.9, "1"])
+# True among integers: np.asarray reads the mixed list as int64, true as 1
+@pytest.mark.parametrize("entry", [1.0, 1.9, "1", True])
 def test_non_integer_class_entry_is_input_error(tmp_path, capsys, entry):
     scheme = tmp_path / "float-entry.json"
     scheme.write_text(json.dumps({
@@ -223,6 +225,32 @@ def test_non_integer_class_entry_is_input_error(tmp_path, capsys, entry):
         assert code == 2
         assert out == ""
         assert "error: matrices must be n x n integer matrices" in err
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("owner, name, exc", [
+    (mdrg.cli, "load_document", MemoryError()),
+    (mdrg.schemes, "pair_counts", RuntimeError("kernel fault")),
+], ids=["MemoryError", "RuntimeError"])
+def test_internal_fault_exits_3_with_one_line(tmp_path, capsys, monkeypatch,
+                                              owner, name, exc):
+    """A fault that is neither a verdict nor an input error: exit 3, one
+    stderr line naming the exception, nothing on stdout."""
+    scheme = tmp_path / "k2.json"
+    scheme.write_text(dump_json({"labels": ["A0", "A1"],
+                                 "matrices": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]}))
+    assert run(capsys, "verify-scheme", str(scheme))[0] == 0
+    monkeypatch.setattr(owner, name, _raise(exc))
+    code, out, err = run(capsys, "verify-scheme", str(scheme))
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: %r\n" % exc
+    assert type(exc).__name__ in err
 
 
 def test_verify_scheme_rejects_graph(cell24_graph, capsys):

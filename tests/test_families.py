@@ -62,7 +62,7 @@ def test_cartesian_product_structure():
     g = cartesian_product([cycle(4), complete(3)])
     assert g.m == 2 and g.n == 12
     assert "0,0" in g.vertices and "3,2" in g.vertices
-    x = g.index("1,2")
+    x = g.vertices.index("1,2")
     by_color = {}
     for nbr, color in adjacency(g)[x]:
         by_color.setdefault(color, []).append(nbr)

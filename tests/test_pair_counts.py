@@ -1,10 +1,15 @@
 """The pair-count kernel against the triple-loop oracle.
 
-Inputs are symmetric partitions of the pairs of n <= 9 points into at
-most four classes, class 0 being the identity: vertex-permuted schemes
-(cycles, complete graphs, Hamming graphs), fusions of their classes,
-which may or may not be schemes, and random colorings, which mostly are
-not.
+Inputs are partitions of the pairs of n <= 9 points into at most four
+classes (n for the cyclic ones), class 0 being the identity.  Symmetric:
+vertex-permuted schemes (cycles, complete graphs, Hamming graphs),
+fusions of their classes, which may or may not be schemes, random
+colorings, which mostly are not, and colorings whose first pair of class
+1 counts some (a, b) and (b, a) differently, which never are.  Not
+symmetric: random directed colorings and the vertex-permuted difference
+schemes x - y mod n of the cyclic groups, which are closed.  Symmetric
+indices whose reference rows are swap-invariant take the kernel's half
+scan; all others its full scan.
 """
 
 from fractions import Fraction
@@ -13,6 +18,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from mdrg import SchemeClasses, intersection_tensor, verify_scheme_axioms
+from mdrg import schemes
 from mdrg.schemes import BadPair, pair_counts
 
 from helpers import brute_force_pair_counts
@@ -34,22 +40,45 @@ BASES = ([_cycle(n) for n in range(1, 8)]
          + [_hamming(2), _hamming(3)])
 
 
+def _symmetric_coloring(draw, n, colors):
+    idx = np.zeros((n, n), dtype=np.int64)
+    for x in range(n):
+        for y in range(x + 1, n):
+            idx[x, y] = idx[y, x] = draw(st.integers(1, colors))
+    return idx
+
+
 @st.composite
 def partitions(draw):
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["fusion", "symmetric", "unswapped", "directed",
+                                 "cyclic"]))
+    if kind == "fusion":
         base = draw(st.sampled_from(BASES))
         n = len(base)
         perm = draw(st.permutations(range(n)))
         fusion = [0] + draw(st.lists(st.integers(1, 3), min_size=int(base.max()),
                                      max_size=int(base.max())))
         idx = np.array(fusion)[base[np.ix_(perm, perm)]]
-    else:
+    elif kind == "symmetric":
+        idx = _symmetric_coloring(draw, draw(st.integers(1, 9)), draw(st.integers(1, 3)))
+    elif kind == "unswapped":
+        # (0, 1) is the first pair of class 1; z = 2 adds the code (2, 3)
+        # to its row, and every z > 2 a code (a, a), so (3, 2) is missing
+        n = draw(st.integers(3, 9))
+        idx = _symmetric_coloring(draw, n, 3)
+        idx[0, 1] = idx[1, 0] = 1
+        idx[0, 2] = idx[2, 0] = 2
+        idx[1, 2] = idx[2, 1] = 3
+        idx[1, 3:] = idx[3:, 1] = idx[0, 3:]
+    elif kind == "directed":
         n = draw(st.integers(1, 9))
         colors = draw(st.integers(1, 3))
-        idx = np.zeros((n, n), dtype=np.int64)
-        for x in range(n):
-            for y in range(x + 1, n):
-                idx[x, y] = idx[y, x] = draw(st.integers(1, colors))
+        idx = np.array([[0 if x == y else draw(st.integers(1, colors))
+                         for y in range(n)] for x in range(n)])
+    else:
+        n = draw(st.integers(1, 9))
+        perm = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+        idx = np.subtract.outer(perm, perm) % n
     # renumber so that the classes in use are 0..k-1, identity first
     return np.unique(idx, return_inverse=True)[1].reshape(idx.shape)
 
@@ -68,12 +97,16 @@ def test_pair_counts_matches_oracle(idx):
     assert (wide == result if isinstance(result, BadPair)
             else np.array_equal(wide, result))
     expected = brute_force_pair_counts(idx)
+    symmetric = np.array_equal(idx, idx.T)
     scheme = SchemeClasses(labels=[str(c) for c in range(k)],
                            matrices=[(idx == c).astype(np.int64) for c in range(k)])
-    assert verify_scheme_axioms(scheme).passed == isinstance(expected, dict)
+    assert verify_scheme_axioms(scheme).passed == (isinstance(expected, dict)
+                                                   and symmetric)
     if isinstance(expected, dict):
         assert not isinstance(result, BadPair)
         assert {(a, b, c): v for a, b, c, v in result.tolist()} == expected
+        if not symmetric:
+            return
         assert intersection_tensor(scheme).p == {
             (str(a), str(b), str(c)): Fraction(v)
             for (a, b, c), v in expected.items()}
@@ -88,3 +121,33 @@ def test_pair_counts_matches_oracle(idx):
     assert (a, b) == next(
         (a, b) for a in range(k) for b in range(k)
         if _recount(idx, x, y, a, b) != _recount(idx, x_ref, y_ref, a, b))
+
+
+def _sorted_rows(monkeypatch, idx):
+    """The number of rows of each np.sort call of ``pair_counts(idx)``."""
+    calls = []
+    sort = np.sort
+
+    def counting(a, *args, **kwargs):
+        calls.append(len(a))
+        return sort(a, *args, **kwargs)
+
+    monkeypatch.setattr(schemes.np, "sort", counting)
+    try:
+        result = pair_counts(idx, int(idx.max()) + 1)
+    finally:
+        monkeypatch.undo()
+    return result, calls
+
+
+def test_symmetric_scheme_sorts_only_the_upper_triangle(monkeypatch):
+    for idx in (_hamming(3), _cycle(7), 1 - np.eye(9, dtype=np.int64)):
+        n = len(idx)
+        result, calls = _sorted_rows(monkeypatch, idx)
+        assert not isinstance(result, BadPair)
+        assert sum(calls[-n:]) == n * (n + 1) // 2
+    # closed but not symmetric: every row of every source is sorted
+    n = 7
+    result, calls = _sorted_rows(monkeypatch, np.subtract.outer(range(n), range(n)) % n)
+    assert not isinstance(result, BadPair)
+    assert sum(calls[-n:]) == n * n

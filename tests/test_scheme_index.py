@@ -40,6 +40,11 @@ def _assert_matches_oracle(labels, matrices, vertices):
             np.asarray(mat).tolist() for mat in matrices]
         again = SchemeClasses.from_index(labels, expected, vertices)
         assert verify_scheme_axioms(again).to_dict() == verify_scheme_axioms(s).to_dict()
+    # one (k, n, n) array, as the digit reader gives, is read as the list is
+    stacked = SchemeClasses(labels=labels, matrices=np.array(matrices), vertices=vertices)
+    assert verify_scheme_axioms(stacked).to_dict() == verify_scheme_axioms(s).to_dict()
+    assert (stacked.index is None if s.index is None
+            else np.array_equal(stacked.index, s.index))
     return s
 
 
@@ -152,6 +157,20 @@ def test_non_integer_class_arrays_are_rejected():
     s = SchemeClasses(labels=["o", "a"],
                       matrices=[np.eye(2, dtype=bool), ~np.eye(2, dtype=bool)])
     assert s.index.tolist() == [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("labels, stack", [
+    (["o", "a"], np.array([[[1, 0], [0, 1]], [[0, 2], [2, 0]]], np.uint8)),
+    (["o", "a"], np.array([[[1, 0], [0, 1]], [[0, 0], [0, 0]]], np.uint8)),
+    (["o"], np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]]], np.uint8)),
+    (["o", "a"], np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]]], np.float64)),
+], ids=["entry-2", "zero-class", "labels", "float"])
+def test_stack_and_list_of_matrices_fail_alike(labels, stack):
+    with pytest.raises(ValueError) as as_list:
+        SchemeClasses(labels=labels, matrices=list(stack))
+    with pytest.raises(ValueError) as as_stack:
+        SchemeClasses(labels=labels, matrices=stack)
+    assert str(as_stack.value) == str(as_list.value)
 
 
 def test_from_index_validation():
