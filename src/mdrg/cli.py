@@ -180,11 +180,12 @@ def cmd_certify_mdrg(args: argparse.Namespace) -> tuple[dict, int]:
     result = mdrg_check(doc, order)
     certificates = {"mdrg": result.certificate}
     results = {}
-    if result.tensor is not None:
-        results["classes"] = sorted(lab.as_text() for lab in result.tensor.labels)
-        results["valencies"] = {
-            lab.as_text(): str(result.tensor.valency(lab))
-            for lab in result.tensor.labels}
+    if result.counts is not None:  # valencies p_{a,a}^o; o is class 0
+        labels = [lab.as_text() for lab in result.table.labels]
+        results["classes"] = sorted(labels)
+        a, b, c, _ = result.counts.T
+        results["valencies"] = {labels[i]: str(value) for i, _, _, value
+                                in result.counts[(a == b) & (c == 0)].tolist()}
     return _report("certify-mdrg", {"input": args.input, "order": order.as_text()},
                    certificates, results), _verdict_code(certificates)
 
@@ -218,20 +219,17 @@ def _tensor_from_document(doc, labeling: Optional[Labeling],
     if isinstance(doc, ColoredGraph):
         result = mdrg_check(doc, order)
         certificates["mdrg"] = result.certificate
-        if result.tensor is None:
-            return None
         tensor = result.tensor
     elif isinstance(doc, SchemeClasses):
         certificates["axioms"] = verify_scheme_axioms(doc)
-        if not certificates["axioms"].passed:
-            return None
-        tensor = intersection_tensor(doc)
+        tensor = intersection_tensor(doc) if certificates["axioms"].passed else None
     else:
         numbers = doc.validate()
         if not numbers.passed:
             certificates["numbers"] = numbers
-            return None
-        tensor = doc
+        tensor = doc if numbers.passed else None
+    if tensor is None:
+        return None
     if labeling is not None:
         tensor = _parse(labeling.apply, "--labeling", tensor)
     return tensor

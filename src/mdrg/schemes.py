@@ -45,14 +45,12 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 class SchemeClasses:
     """Classes of vertex pairs with distinct labels on named vertices.
 
-    When the classes partition the pairs, as the classes of a scheme do,
-    the one stored form is :attr:`index`, the read-only n x n matrix of
-    class indices (uint16 while k <= 65 535), and :attr:`matrices`
-    derives each 0/1 class matrix on access.  0/1 input that does not
-    partition keeps its matrices as read-only int64 copies and has
-    ``index`` None, so that :func:`verify_scheme_axioms` can say where it
-    fails.  :attr:`counts`, the pair counts of the index, is computed once
-    and shared by :func:`verify_scheme_axioms` and :func:`intersection_tensor`.
+    When the classes partition the pairs, as a scheme's do, the one stored
+    form is :attr:`index`, the read-only n x n class-index matrix (uint16
+    while k <= 65 535), and :attr:`matrices` derives each 0/1 matrix on
+    access.  Input that does not partition keeps read-only int64 matrices
+    and ``index`` None, so :func:`verify_scheme_axioms` can say where.
+    :attr:`counts` is shared by the axioms and :func:`intersection_tensor`.
     """
 
     def __init__(self, labels: Sequence[Label], matrices: Sequence[np.ndarray],
@@ -135,17 +133,14 @@ class SchemeClasses:
         hits = np.flatnonzero((np.bincount(classes) == self.n) & (diagonal == self.n))
         return int(hits[0]) if hits.size else None
 
-    def class_index_matrix(self) -> np.ndarray:
-        """:attr:`index`; ValueError if the classes do not partition the pairs."""
+    @functools.cached_property
+    def counts(self) -> Union[np.ndarray, "BadPair"]:
+        """:func:`pair_counts` of :attr:`index`, read-only; ValueError if
+        the classes do not partition the pairs."""
         if self.index is None:
             raise ValueError("classes do not partition the pairs: %s"
                              % _cover_witness(self))
-        return self.index
-
-    @functools.cached_property
-    def counts(self) -> Union[np.ndarray, "BadPair"]:
-        """:func:`pair_counts` of :meth:`class_index_matrix`, read-only."""
-        counts = pair_counts(self.class_index_matrix(), len(self.labels))
+        counts = pair_counts(self.index, len(self.labels))
         return _read_only(counts) if isinstance(counts, np.ndarray) else counts
 
 
@@ -202,49 +197,64 @@ class BadPair(NamedTuple):
     count_ref: int
 
 
-def pair_counts(idx: np.ndarray, k: int) -> Union[np.ndarray, BadPair]:
+def pair_counts(idx: np.ndarray, k: int, gens: Optional[Sequence[int]] = None
+                ) -> Union[np.ndarray, BadPair, None]:
     """Counts #{z : idx[x,z] = a, idx[z,y] = b}, checked to depend only on c.
 
-    ``idx`` is an n x n matrix of class indices in 0..k-1.  For each
-    source x the codes idx[x,z]*k + idx[z,y] are sorted over z, one sorted
-    row per target y; two pairs have the same counts exactly when their
-    sorted rows are equal.  Each row is compared with the row of the
-    first pair, in row-major order, of its class idx[x,y].
+    ``idx`` holds n x n class indices in 0..k-1.  Row (x, y), the codes
+    idx[x,z]*k + idx[z,y] sorted over z, is compared with its reference,
+    the row of the first pair in row-major order of class idx[x,y].
+    Returns the nonzero counts of the reference rows as rows
+    (a, b, c, p_{a,b}^c) sorted by (c, a, b), or the first pair in
+    row-major order that disagrees, at the first differing (a, b).  When
+    ``idx`` is symmetric and the reference rows are unchanged by the swap
+    a*k + b -> b*k + a, only targets y >= x are scanned: row (y, x) is the
+    swap of row (x, y), so a failing pair below the diagonal has a failing
+    mirror earlier in row-major order.
 
-    When ``idx`` is symmetric and each reference row is unchanged by the
-    swap a*k + b -> b*k + a, only targets y >= x are scanned: row (y, x)
-    is the swap of row (x, y), of the same class, so it passes exactly
-    when (x, y) does, and a failing pair below the diagonal has a failing
-    mirror earlier in row-major order.  Other indices are scanned whole.
-
-    Returns the nonzero counts as rows (a, b, c, p_{a,b}^c), sorted by
-    (c, a, b), or the first pair in row-major order that disagrees with
-    its reference, at the first differing (a, b).  Codes are below k*k,
-    so 16 bits hold them exactly up to k = 256; numpy 2 sorts 16-bit
-    integers several times faster than 8- or 64-bit ones on x86.
+    With ``gens``, classes holding no pair (y, y), a row keeps only the z
+    with idx[z,y] in ``gens``, padded to one length with z = y, whose code
+    no kept z gives; sources go in blocks of about 2^20 codes, and a
+    disagreement returns None.  Codes are below k*k: uint16 up to k = 256,
+    which numpy 2 sorts several times faster than 8- or 64-bit integers,
+    uint32 up to k = 65 535 (2.4x faster than int64), else int64.
     """
     n = idx.shape[0]
-    idx = idx.astype(np.uint16 if k <= 256 else np.int64)
+    idx = idx.astype(np.uint16 if k <= 256 else np.uint32 if k <= 65535 else np.int64)
     idx_t = np.ascontiguousarray(idx.T)
     classes, first = np.unique(idx, return_index=True)
     ref = np.zeros((k, n), dtype=idx.dtype)
     ref[classes] = np.sort(idx[first // n] * k + idx_t[first % n], axis=1)
-    half = (np.array_equal(idx, idx_t)
-            and np.array_equal(np.sort(ref % k * k + ref // k, axis=1), ref))
-    for x in range(n):
-        lo = x if half else 0
-        rows = np.sort(idx[x] * k + idx_t[lo:], axis=1)
-        bad = np.flatnonzero((rows != ref[idx[x, lo:]]).any(axis=1))
-        if bad.size:
-            y = lo + int(bad[0])
-            c = int(idx[x, y])
-            x_ref, y_ref = np.argwhere(idx == c)[0]
-            counts = np.bincount(rows[y - lo], minlength=k * k)
-            counts_ref = np.bincount(ref[c], minlength=k * k)
-            flat = int(np.flatnonzero(counts != counts_ref)[0])
-            a, b = divmod(flat, k)
-            return BadPair(x, y, a, b, c, int(counts[flat]), int(x_ref),
-                           int(y_ref), int(counts_ref[flat]))
+    if gens is not None:
+        kept = np.bincount(gens, minlength=k)[idx_t] > 0  # kept[y, z]: idx[z,y] in gens
+        near = np.argsort(~kept, axis=1, kind="stable")[:, :kept.sum(axis=1).max()]
+        near = np.where(np.take_along_axis(kept, near, 1), near, np.arange(n)[:, None])
+        tail = np.take_along_axis(idx_t, near, 1)  # idx[z,y] over the near z of y
+        near_ref = np.zeros((k, near.shape[1]), dtype=idx.dtype)
+        near_ref[classes] = np.sort(idx[(first // n)[:, None], near[first % n]] * k
+                                    + tail[first % n], axis=1)
+        step = max(1, 2 ** 20 // near.size)
+        for lo in range(0, n, step):
+            rows = np.sort(idx[lo:lo + step, near] * k + tail, axis=2)
+            if (rows != near_ref[idx[lo:lo + step]]).any():
+                return None
+    else:
+        half = (np.array_equal(idx, idx_t)
+                and np.array_equal(np.sort(ref % k * k + ref // k, axis=1), ref))
+        for x in range(n):
+            lo = x if half else 0
+            rows = np.sort(idx[x] * k + idx_t[lo:], axis=1)
+            bad = np.flatnonzero((rows != ref[idx[x, lo:]]).any(axis=1))
+            if bad.size:
+                y = lo + int(bad[0])
+                c = int(idx[x, y])
+                x_ref, y_ref = np.argwhere(idx == c)[0]
+                counts = np.bincount(rows[y - lo], minlength=k * k)
+                counts_ref = np.bincount(ref[c], minlength=k * k)
+                flat = int(np.flatnonzero(counts != counts_ref)[0])
+                a, b = divmod(flat, k)
+                return BadPair(x, y, a, b, c, int(counts[flat]), int(x_ref),
+                               int(y_ref), int(counts_ref[flat]))
     keys, counts = np.unique(
         np.repeat(classes.astype(np.int64) * (k * k), n) + ref[classes].ravel(),
         return_counts=True)
@@ -275,10 +285,8 @@ def verify_scheme_axioms(s: SchemeClasses) -> Certificate:
     symmetry         every class matrix is symmetric
     partition        the classes sum to the all-ones matrix
     closure          each product A_a A_b is constant on every class
-                     support (the constants are the intersection numbers);
-                     counted once into ``s.counts`` by :func:`pair_counts`,
-                     whose witness is the first bad pair (x, y) in
-                     row-major order
+                     support: ``s.counts`` by :func:`pair_counts`, whose
+                     witness is the first bad pair (x, y) in row-major order
     """
     checks: list[Check] = []
 
@@ -424,24 +432,16 @@ class IntersectionTensor:
 
 
 def intersection_tensor(s: SchemeClasses) -> IntersectionTensor:
-    """Read off intersection numbers, cross-checking every pair class.
-
-    Reads the counts that :func:`verify_scheme_axioms` already took
-    (``s.counts``).  Requires the axioms to hold; raises ``ValueError``
-    with the first constancy violation otherwise.
-    """
+    """Read off intersection numbers from ``s.counts``, which
+    :func:`verify_scheme_axioms` already took; ``ValueError`` with the
+    first constancy violation unless the axioms hold."""
     ident = s.identity_index()
     if ident is None:
         raise ValueError("scheme has no identity class")
-    counts = s.counts
-    if isinstance(counts, BadPair):
-        raise ValueError(
-            "not an association scheme: product %s*%s is not constant "
-            "on class %s (pair %s,%s)"
-            % (label_text(s.labels[counts.a]), label_text(s.labels[counts.b]),
-               label_text(s.labels[counts.c]),
-               s.vertices[counts.x], s.vertices[counts.y]))
-    return _tensor_from_counts(counts, s.labels, s.labels[ident])
+    if isinstance(s.counts, BadPair):
+        raise ValueError("not an association scheme: closure fails at %s"
+                         % _pair_witness(s.counts, s.labels, s.vertices))
+    return _tensor_from_counts(s.counts, s.labels, s.labels[ident])
 
 
 def distance_matrices(table: DistanceTable) -> SchemeClasses:
@@ -456,10 +456,8 @@ def distance_matrices(table: DistanceTable) -> SchemeClasses:
 def generator_rows(t: IntersectionTensor) -> dict:
     """Sparse view (e_i, a) -> {b: p_{e_i,a}^b, ...} of the products
     A_{e_i} A_a, built in one pass over ``t.p``; ``t.rows`` keeps it.
-
     Zero entries are left out, each row is sorted by b, and integral
-    values become ints, so products of them stay ints.  A generator that
-    is not a class has no rows.
+    values become ints.  A generator that is not a class has no rows.
     """
     units = [MultiIndex.unit(t.m, c) for c in range(1, t.m + 1)]
     rows: dict = {}
@@ -483,12 +481,11 @@ class MonomialBasis:
     """Coordinates of products of generator classes in the class basis.
 
     ``vector(a)`` returns the coordinates of A_{e_1}^{a_1} ... A_{e_m}^{a_m},
-    as ints, or Fractions where the tensor has them.  Vectors are built
-    incrementally by applying generators through ``t.rows``;
-    when a multi-index has two nonzero entries the vector is computed
-    along two different generator paths and compared, which verifies
-    that the order of application is irrelevant; a mismatch raises
-    :class:`CommutationError`.  Every e_i must be a class.
+    as ints, or Fractions where the tensor has them, applying generators
+    through ``t.rows``.  When a has two nonzero entries, two generator
+    paths are compared, which verifies that the order of application is
+    irrelevant; a mismatch raises :class:`CommutationError`.  Every e_i
+    must be a class.
     """
 
     def __init__(self, t: IntersectionTensor):
@@ -539,50 +536,55 @@ class MonomialBasis:
 
 @dataclass
 class MdrgResult:
-    """Outcome of :func:`mdrg_check`: certificate plus artifacts on pass."""
+    """Outcome of :func:`mdrg_check`; on pass, the counts :attr:`tensor` reads."""
 
     certificate: Certificate
     table: DistanceTable
-    tensor: Optional[IntersectionTensor]
+    counts: Optional[np.ndarray] = field(repr=False, compare=False)
 
     @functools.cached_property
-    def scheme(self) -> Optional[SchemeClasses]:
-        """The distance classes, on pass, as the table's index matrix."""
-        return None if self.tensor is None else distance_matrices(self.table)
+    def tensor(self) -> Optional[IntersectionTensor]:
+        return None if self.counts is None else _tensor_from_counts(
+            self.counts, self.table.labels, MultiIndex.zero(self.table.graph.m))
 
 
 def mdrg_check(g: ColoredGraph, order: MonomialOrder) -> MdrgResult:
     """Certify that a connected colored graph is m-distance-regular.
 
-    Checks that every unit e_i is a realized distance and that, for each
-    ordered vertex pair, the vector of counts #{z : d(x,z)=a, d(z,y)=b}
-    depends only on d(x,y).  The counts come from :func:`pair_counts`,
-    the kernel that also checks scheme closure; its witness is the first
-    bad pair in row-major order.  On success the distance matrices form
-    an association scheme whose intersection numbers are those counts.
+    Checks that every unit e_i is a realized distance and that the counts
+    #{z : d(x,z)=a, d(z,y)=b} depend only on d(x,y); they are then the
+    intersection numbers of the scheme of the distance matrices A_a.  The
+    counts with b = e_i suffice (the b_i, a_i, c_i argument of Brouwer,
+    Cohen, Neumaier, Distance-Regular Graphs, 1989, ch. 4): let each
+    A_a A_{e_i} lie in V = span{A_a}.  A walk of m-length c = d(x,y) != o
+    with last edge zy of color i has d(x,z) = c - e_i and d(z,y) = e_i, or
+    a shorter walk exists, as the order is strictly monotone under sums.
+    So p_{c-e_i,e_i}^c > 0, and by the triangle bound every other class of
+    A_{c-e_i} A_{e_i} comes before c: by induction each A_c is a polynomial
+    in the A_{e_i}, and V is closed under products.  The full scan runs
+    only when the generator counts differ, to name the first bad pair.
     """
     table = m_distance_table(g, order)
     labels = table.labels
 
     checks: list[Check] = []
-    missing = [c for c in range(1, g.m + 1)
-               if MultiIndex.unit(g.m, c) not in labels]
+    units = [MultiIndex.unit(g.m, c) for c in range(1, g.m + 1)]
+    missing = [c for c, unit in enumerate(units, 1) if unit not in labels]
     checks.append(Check(
         "colors-realized", not missing,
         None if not missing else witness(
-            color=missing[0], unit=MultiIndex.unit(g.m, missing[0]),
+            color=missing[0], unit=units[missing[0] - 1],
             realized=sorted(lab.as_text() for lab in labels))))
     if missing:
         return MdrgResult(Certificate.of(checks), table, None)
 
-    counts = pair_counts(table.index, len(labels))
+    counts = pair_counts(table.index, len(labels), [labels.index(u) for u in units])
+    if counts is None:
+        counts = pair_counts(table.index, len(labels))
     count_witness = (_pair_witness(counts, labels, g.vertices)
                      if isinstance(counts, BadPair) else None)
     checks.append(Check("regular-counts", count_witness is None, count_witness,
                         detail=None if count_witness else
                         "all %d vertex pairs consistent" % (g.n * g.n)))
-    certificate = Certificate.of(checks)
-    if count_witness is not None:
-        return MdrgResult(certificate, table, None)
-    tensor = _tensor_from_counts(counts, labels, MultiIndex.zero(g.m))
-    return MdrgResult(certificate, table, tensor)
+    return MdrgResult(Certificate.of(checks), table,
+                      None if count_witness else _read_only(counts))

@@ -44,8 +44,9 @@ from mdrg import (ABRegion, Certificate, Check, ColoredGraph,
                   DisconnectedGraphError, Discovery, DistanceTable,
                   IntersectionTensor, Interval, Labeling, MonomialOrder,
                   MultiIndex, PartialOrder, SchemeClasses,
-                  ab_feasible_region, box, in_span, mat_vec, m_distance_table,
-                  mdrg_check, solve_columns, verify_scheme_axioms)
+                  ab_feasible_region, box, distance_matrices, in_span, mat_vec,
+                  m_distance_table, mdrg_check, solve_columns,
+                  verify_scheme_axioms)
 from mdrg.certificates import witness
 from mdrg.graphs import least_labels
 from mdrg.schemes import BadPair, _pair_witness, pair_counts
@@ -1144,13 +1145,14 @@ def graph_discover_labelings(s: SchemeClasses, m: int,
         result = mdrg_check(graph, order)
         if not result.certificate.passed:
             continue
-        if len(result.scheme.matrices) != len(s.matrices):
+        dist = distance_matrices(result.table)
+        if len(dist.matrices) != len(s.matrices):
             continue
-        indices = [by_bytes.get(mat.tobytes()) for mat in result.scheme.matrices]
+        indices = [by_bytes.get(mat.tobytes()) for mat in dist.matrices]
         if None in indices:
             continue
         found.append(Discovery(
             generators=tuple(s.labels[i] for i in tup),
             labeling=Labeling.from_dict({s.labels[i]: lab for i, lab
-                                         in zip(indices, result.scheme.labels)})))
+                                         in zip(indices, dist.labels)})))
     return found

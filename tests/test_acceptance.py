@@ -26,6 +26,7 @@ from mdrg import (
     complete,
     cycle,
     discover_labelings,
+    distance_matrices,
     extract_polynomials,
     gen24cell,
     hamming_graph,
@@ -100,7 +101,7 @@ def test_criterion_2_cycle_product():
     for order in (DEGLEX_SUM, DEGLEX_Y2, LEX):
         result = mdrg_check(g, order)
         assert result.certificate.passed, order.as_text()
-        assert len(result.scheme.labels) == 40
+        assert len(distance_matrices(result.table).labels) == 40
         tensor = result.tensor
 
     p14 = cycle_intersection_numbers(14)
@@ -137,7 +138,8 @@ def test_criterion_3_symmetrization():
         result = mdrg_check(ColoredGraph(2, list(s.vertices), edges),
                             DEGLEX_SUM)
         assert result.certificate.passed, k
-        assert (sorted(m.tobytes() for m in result.scheme.matrices)
+        assert (sorted(m.tobytes()
+                       for m in distance_matrices(result.table).matrices)
                 == sorted(m.tobytes() for m in s.matrices))
 
     elapsed = time.monotonic() - started
@@ -197,7 +199,7 @@ def test_criterion_5_univariate_regression():
             assert polys[index] == poly, (name, index)
         assert verify_recurrences(polys, result.tensor).passed, name
 
-    scheme = mdrg_check(cell24(), DEGLEX_SUM).scheme
+    scheme = distance_matrices(mdrg_check(cell24(), DEGLEX_SUM).table)
     assert discover_labelings(scheme, 1, DEGLEX_SUM) == []
     verdict(5, "C6/K5/H(3,2) distance-regular with exact polynomials and "
                "recurrences; no univariate structure on the 24-cell")

@@ -9,7 +9,8 @@ outside its own definition and ``__init__.py``, or by the benchmark in
 ``perfbench/``: code that only the tests call belongs in
 ``tests/helpers.py``.  So must every public method or property of a
 class of the package: some attribute read in the package, other than
-inside the method itself, or in the benchmark must name it.  Checked
+inside the method itself or an option read off the argparse namespace
+``args``, or in the benchmark must name it.  Checked
 with the standard ``ast`` module, so no linter is needed.  And the
 package stays within its line budget and names no floating dtype.
 """
@@ -63,12 +64,19 @@ def test_every_import_is_used(path):
     assert _unused_imports(path) == []
 
 
+def _reads_args(node: ast.Attribute) -> bool:
+    """Whether ``node`` reads an option off the argparse namespace
+    ``args`` (``args.scheme`` names a flag, not a method)."""
+    return isinstance(node.value, ast.Name) and node.value.id == "args"
+
+
 def _references(tree: ast.AST, strings: bool = False,
                 names: bool = True) -> set[str]:
-    """Names read in ``tree``, as a bare name or an attribute, outside
-    the body of the function or class that defines them; with
-    ``strings``, also every string constant (the benchmark's tracer names
-    the functions it wraps); without ``names``, attributes only."""
+    """Names read in ``tree``, as a bare name or an attribute other than
+    an option of ``args``, outside the body of the function or class
+    that defines them; with ``strings``, also every string constant (the
+    benchmark's tracer names the functions it wraps); without ``names``,
+    attributes only."""
     found: set[str] = set()
 
     def visit(node: ast.AST, inside: frozenset) -> None:
@@ -76,7 +84,7 @@ def _references(tree: ast.AST, strings: bool = False,
             inside = inside | {node.name}
         if names and isinstance(node, ast.Name):
             name = node.id
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and not _reads_args(node):
             name = node.attr
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             name = node.value

@@ -9,7 +9,9 @@ colorings, which mostly are not, and colorings whose first pair of class
 symmetric: random directed colorings and the vertex-permuted difference
 schemes x - y mod n of the cyclic groups, which are closed.  Symmetric
 indices whose reference rows are swap-invariant take the kernel's half
-scan; all others its full scan.
+scan; all others its full scan.  The generator route, with ``gens`` a
+set of classes off the diagonal, is checked on the same partitions
+against counts restricted to those classes.
 """
 
 from fractions import Fraction
@@ -151,3 +153,34 @@ def test_symmetric_scheme_sorts_only_the_upper_triangle(monkeypatch):
     result, calls = _sorted_rows(monkeypatch, np.subtract.outer(range(n), range(n)) % n)
     assert not isinstance(result, BadPair)
     assert sum(calls[-n:]) == n * n
+
+
+@settings(max_examples=300, deadline=None)
+@given(partitions().filter(lambda idx: idx.max() > 0), st.data())
+def test_generator_route_matches_oracle(idx, data):
+    """With ``gens`` (classes off the diagonal, as class 0 is the
+    identity), None exactly when some count #{z : idx[x,z] = a,
+    idx[z,y] = g}, g in gens, depends on more than c = idx[x,y]; else the
+    full counts of each class's first pair, as without ``gens``.  Past
+    k = 256 the uint32 codes give the same answer."""
+    k = int(idx.max()) + 1
+    gens = data.draw(st.lists(st.integers(1, k - 1), min_size=1, unique=True))
+    n = len(idx)
+    rows, first = {}, {}
+    agree = True
+    for x in range(n):
+        for y in range(n):
+            row = sorted((idx[x, z], idx[z, y]) for z in range(n) if idx[z, y] in gens)
+            first.setdefault(idx[x, y], (x, y))
+            agree &= rows.setdefault(idx[x, y], row) == row
+    result = pair_counts(idx, k, gens)
+    wide = pair_counts(idx, 300, gens)
+    assert (result is not None) == (wide is not None) == agree
+    if agree:
+        expected: dict = {}
+        for c, (x, y) in first.items():
+            for z in range(n):
+                key = (idx[x, z], idx[z, y], c)
+                expected[key] = expected.get(key, 0) + 1
+        assert {(a, b, c): v for a, b, c, v in result.tolist()} == expected
+        assert np.array_equal(wide, result)

@@ -81,7 +81,7 @@ def cycle6_tensor():
 
 def test_polynomial_evaluate_on_class_matrices():
     result = mdrg_check(cell24(), DEGLEX_SUM)
-    scheme = result.scheme
+    scheme = distance_matrices(result.table)
     matrix = dict(zip(scheme.labels, scheme.matrices))
     x = fraction_matrix(matrix[mi((1, 0))])
     y = fraction_matrix(matrix[mi((0, 1))])
@@ -380,7 +380,7 @@ def test_torus_region_boundary_witness():
 # -- Discovery --------------------------------------------------------------------
 
 def retagged_24cell_scheme():
-    scheme = mdrg_check(cell24(), DEGLEX_SUM).scheme
+    scheme = distance_matrices(mdrg_check(cell24(), DEGLEX_SUM).table)
     return SchemeClasses(labels=["A%d" % i for i in range(len(scheme.labels))],
                          matrices=scheme.matrices, vertices=scheme.vertices)
 
@@ -417,13 +417,14 @@ def test_discover_rejects_non_scheme():
 
 
 FAMILY_SCHEMES = {
-    "C6": lambda: mdrg_check(cycle(6), DEGLEX_SUM).scheme,
-    "C7": lambda: mdrg_check(cycle(7), DEGLEX_SUM).scheme,
-    "K5": lambda: mdrg_check(complete(5), DEGLEX_SUM).scheme,
-    "H(3,2)": lambda: mdrg_check(hamming_graph(3, 2), DEGLEX_SUM).scheme,
-    "C4xC3": lambda: mdrg_check(cartesian_product([cycle(4), cycle(3)]),
-                                DEGLEX_SUM).scheme,
-    "cell24": lambda: mdrg_check(cell24(), DEGLEX_Y2).scheme,
+    "C6": lambda: distance_matrices(mdrg_check(cycle(6), DEGLEX_SUM).table),
+    "C7": lambda: distance_matrices(mdrg_check(cycle(7), DEGLEX_SUM).table),
+    "K5": lambda: distance_matrices(mdrg_check(complete(5), DEGLEX_SUM).table),
+    "H(3,2)": lambda: distance_matrices(mdrg_check(hamming_graph(3, 2),
+                                                   DEGLEX_SUM).table),
+    "C4xC3": lambda: distance_matrices(mdrg_check(
+        cartesian_product([cycle(4), cycle(3)]), DEGLEX_SUM).table),
+    "cell24": lambda: distance_matrices(mdrg_check(cell24(), DEGLEX_Y2).table),
     "pauli4": pauli_scheme4,
     "symmetrize:2": lambda: symmetrize(pauli_scheme4(), 2),
 }

@@ -10,10 +10,13 @@ error message shows here.
 """
 
 import hashlib
+import time
 
 import pytest
 
-from mdrg import MonomialOrder, MultiIndex, cartesian_product, cycle, mdrg_check
+from mdrg import (ColoredGraph, MonomialOrder, MultiIndex, cartesian_product,
+                  cycle, distance_matrices, mdrg_check)
+from mdrg import schemes
 from mdrg.cli import main
 from mdrg.serialize import (dump_json, graph_to_dict, scheme_to_dict,
                             tensor_to_dict)
@@ -22,7 +25,8 @@ DEGLEX_SUM = MonomialOrder.parse("deglex-sum")
 
 
 def _distance_scheme(graph) -> str:
-    return dump_json(scheme_to_dict(mdrg_check(graph, DEGLEX_SUM).scheme))
+    return dump_json(scheme_to_dict(
+        distance_matrices(mdrg_check(graph, DEGLEX_SUM).table)))
 
 
 def _scheme(labels, matrices) -> str:
@@ -411,8 +415,8 @@ DIGESTS = {
 }
 
 
-def _digest(tmp_path, capsys, argv) -> str:
-    for name, text in INPUTS.items():
+def _digest(tmp_path, capsys, argv, inputs=INPUTS) -> str:
+    for name, text in inputs.items():
         (tmp_path / name).write_text(text())
     for setup in GENERATED:
         if setup == argv:
@@ -438,3 +442,45 @@ def _digest(tmp_path, capsys, argv) -> str:
 def test_report_digest(name, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert _digest(tmp_path, capsys, CASES[name]) == DIGESTS[name]
+
+
+def _c32_recolored() -> str:
+    """C32 x C32 with its first edge in the other color."""
+    g = cartesian_product([cycle(32), cycle(32)])
+    edges = g.edge_names()
+    u, v, color = edges[0]
+    edges[0] = (u, v, 3 - color)
+    return _graph(ColoredGraph(2, g.vertices, edges))
+
+
+# certify-mdrg past k = 256 (289 classes), where the full scan sorts
+# uint32 codes: file -> (document, full scans run, digest); exit 0 and 1
+LARGE = {
+    "c32xc32.json": (lambda: _graph(cartesian_product([cycle(32), cycle(32)])), 0,
+                     '8a4ccc152a4aabeede507dfd2ad2e1c9a1cc6fa593b3d0e027930a6a7b161a34'),
+    "c32xc32r.json": (_c32_recolored, 1,
+                      '3004946bb505ecfce28a99fba68d18892c070d1fc5f4a79b6aa310f7c87e0c60'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE))
+def test_certify_mdrg_past_k_256(name, tmp_path, capsys, monkeypatch):
+    """C32 x C32 certifies from its generator counts alone, in under 3 s;
+    with one edge recolored the full scan names the same first bad pair."""
+    build, scans, expected = LARGE[name]
+    monkeypatch.chdir(tmp_path)
+    kernel, full = schemes.pair_counts, []
+
+    def counting(idx, k, gens=None):
+        if gens is None:
+            full.append(k)
+        return kernel(idx, k, gens)
+
+    monkeypatch.setattr(schemes, "pair_counts", counting)
+    started = time.perf_counter()
+    digest = _digest(tmp_path, capsys, ["certify-mdrg", name, "--order", "deglex-sum"],
+                     {name: build})
+    elapsed = time.perf_counter() - started
+    assert digest == expected
+    assert full == [289] * scans
+    assert scans or elapsed < 3.0

@@ -72,7 +72,7 @@ def test_scheme_classes_validation():
     assert s.n == 4
     assert s.identity_index() == 0
     assert s.matrices[s.labels.index("A2")][0, 3] == 1
-    idx = s.class_index_matrix()
+    idx = s.index
     assert idx[0, 0] == 0 and idx[0, 1] == 1 and idx[0, 3] == 2
 
 
@@ -112,10 +112,10 @@ def test_class_index_matrix_rejects_bad_partitions():
     ones = np.ones((2, 2), dtype=np.int64)
     overlapping = SchemeClasses(labels=["a", "b"], matrices=[eye, ones])
     with pytest.raises(ValueError):
-        overlapping.class_index_matrix()
+        overlapping.counts
     gappy = SchemeClasses(labels=["a"], matrices=[eye])
     with pytest.raises(ValueError):
-        gappy.class_index_matrix()
+        gappy.counts
 
 
 def test_axioms_pass():
@@ -418,7 +418,7 @@ def test_monomial_basis_rejects_non_commuting_generators():
 def test_monomial_basis_against_matrix_products():
     result = mdrg_check(cell24(), DEGLEX_SUM)
     assert result.certificate.passed
-    t, scheme = result.tensor, result.scheme
+    t, scheme = result.tensor, distance_matrices(result.table)
     basis = MonomialBasis(t)
     index = {lab: i for i, lab in enumerate(scheme.labels)}
     rep_pair = [tuple(np.argwhere(mat == 1)[0]) for mat in scheme.matrices]
@@ -454,7 +454,7 @@ def test_mdrg_check_fails_on_unused_color():
     check = result.certificate.checks[0]
     assert check.name == "colors-realized"
     assert check.witness["color"] == 2
-    assert result.tensor is None and result.scheme is None
+    assert result.tensor is None and result.counts is None
 
 
 def test_mdrg_check_fails_on_irregular_coloring():

@@ -19,6 +19,7 @@ from mdrg import (
     SchemeClasses,
     cell24,
     cycle,
+    distance_matrices,
     gen24cell,
     m_distance_table,
     mdrg_check,
@@ -142,7 +143,8 @@ def test_scheme_round_trip():
     for a, b in zip(back.matrices, s.matrices):
         assert np.array_equal(a, b)
     # multi-index labels survive the text form
-    dist = mdrg_check(cell24(), MonomialOrder.parse("deglex-sum")).scheme
+    dist = distance_matrices(
+        mdrg_check(cell24(), MonomialOrder.parse("deglex-sum")).table)
     again = scheme_from_dict(scheme_to_dict(dist))
     assert again.labels == dist.labels
     with pytest.raises(InputFormatError):
