@@ -25,10 +25,9 @@ from .ppoly import (Discovery, ExtractionError, IncompatibleOrderPairError,
                     Labeling, ab_region_for_scheme, boundary_check,
                     certify_ppoly, certify_ppoly_refined, certify_type_ab,
                     discover_labelings, extract_polynomials, verify_recurrences)
-from .schemes import (CommutationError, IntersectionTensor, MdrgResult,
-                      MonomialBasis, SchemeClasses, distance_matrices,
-                      generator_rows, intersection_tensor, mdrg_check,
-                      verify_scheme_axioms)
+from .schemes import (IntersectionTensor, MdrgResult, SchemeClasses,
+                      associativity, distance_matrices, generator_rows,
+                      intersection_tensor, mdrg_check, verify_scheme_axioms)
 from .families import (cartesian_product, cell24, complete, cycle, gen24cell,
                        hamming_graph, pauli_scheme4, symmetrize)
 
@@ -36,17 +35,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ABRegion", "AlphaBeta", "Certificate", "Check", "ColoredGraph",
-    "CommutationError", "DisconnectedGraphError", "Discovery", "DistanceTable",
-    "ExtractionError", "GraphStructureError", "IncompatibleOrderPairError",
-    "IntersectionTensor", "Interval", "Labeling", "MdrgResult",
-    "MonomialBasis", "MonomialOrder", "MultiIndex", "PartialOrder",
-    "SchemeClasses", "SingularSystemError", "ab_feasible_region",
-    "ab_region_for_scheme", "boundary_check", "box", "cartesian_product",
-    "cell24", "certify_ppoly", "certify_ppoly_refined", "certify_type_ab",
-    "check_domain", "complete", "cycle", "discover_labelings",
-    "distance_matrices", "downset_enum", "extract_polynomials", "gen24cell",
-    "generator_rows", "hamming_graph", "in_span", "intersection_tensor",
-    "m_distance_table", "mat_vec", "mdrg_check", "pauli_scheme4", "rank",
-    "solve_columns", "symmetrize", "validate_pair_compat",
-    "verify_recurrences", "verify_scheme_axioms", "witness",
+    "DisconnectedGraphError", "Discovery", "DistanceTable", "ExtractionError",
+    "GraphStructureError", "IncompatibleOrderPairError", "IntersectionTensor",
+    "Interval", "Labeling", "MdrgResult", "MonomialOrder", "MultiIndex",
+    "PartialOrder", "SchemeClasses", "SingularSystemError",
+    "ab_feasible_region", "ab_region_for_scheme", "associativity",
+    "boundary_check", "box", "cartesian_product", "cell24", "certify_ppoly",
+    "certify_ppoly_refined", "certify_type_ab", "check_domain", "complete",
+    "cycle", "discover_labelings", "distance_matrices", "downset_enum",
+    "extract_polynomials", "gen24cell", "generator_rows", "hamming_graph",
+    "in_span", "intersection_tensor", "m_distance_table", "mat_vec",
+    "mdrg_check", "pauli_scheme4", "rank", "solve_columns", "symmetrize",
+    "validate_pair_compat", "verify_recurrences", "verify_scheme_axioms",
+    "witness",
 ]

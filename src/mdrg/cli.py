@@ -16,18 +16,18 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .certificates import Certificate, witness
+from .certificates import Certificate
 from .families import (cartesian_product, cell24, complete, cycle, gen24cell,
                        hamming_graph, pauli_scheme4, symmetrize)
 from .graphs import (ColoredGraph, DisconnectedGraphError, GraphStructureError,
                      m_distance_table)
 from .orders import AlphaBeta, MonomialOrder, MultiIndex, PartialOrder
-from .ppoly import (ExtractionError, IncompatibleOrderPairError, Labeling,
+from .ppoly import (IncompatibleOrderPairError, Labeling,
                     ab_region_for_scheme, boundary_check, certify_ppoly,
                     certify_ppoly_refined, certify_type_ab,
                     discover_labelings, extract_polynomials,
                     verify_recurrences)
-from .schemes import (CommutationError, IntersectionTensor, SchemeClasses,
+from .schemes import (IntersectionTensor, SchemeClasses, associativity,
                       intersection_tensor, label_text, mdrg_check,
                       verify_scheme_axioms)
 from .serialize import (InputFormatError, dump_json, graph_to_dict,
@@ -215,7 +215,7 @@ def _tensor_from_document(doc, labeling: Optional[Labeling],
                           certificates: dict) -> Optional[IntersectionTensor]:
     """Reduce an input document checked by :func:`_input_m` to a tensor;
     None means a certificate already failed (exit 1).  A tensor's
-    ``numbers`` certificate is reported only when it fails."""
+    ``numbers`` certificate, with :func:`associativity`, shows if it fails."""
     if isinstance(doc, ColoredGraph):
         result = mdrg_check(doc, order)
         certificates["mdrg"] = result.certificate
@@ -225,13 +225,15 @@ def _tensor_from_document(doc, labeling: Optional[Labeling],
         tensor = intersection_tensor(doc) if certificates["axioms"].passed else None
     else:
         numbers = doc.validate()
+        tensor = doc if numbers.passed else None
+    if tensor is not None and labeling is not None:
+        tensor = _parse(labeling.apply, "--labeling", tensor)
+    if isinstance(doc, IntersectionTensor):
+        if tensor is not None:
+            numbers = Certificate.of([*numbers.checks, associativity(tensor)])
         if not numbers.passed:
             certificates["numbers"] = numbers
-        tensor = doc if numbers.passed else None
-    if tensor is None:
-        return None
-    if labeling is not None:
-        tensor = _parse(labeling.apply, "--labeling", tensor)
+            return None
     return tensor
 
 
@@ -255,30 +257,25 @@ def cmd_certify_ppoly(args: argparse.Namespace) -> tuple[dict, int]:
     results: dict = {"domain": sorted(lab.as_text() for lab in tensor.labels)}
     want_polys = args.polys is not None or args.recurrences
     try:
-        if partial is not None:
-            ppoly = certify_ppoly_refined(tensor, order, partial)
-        else:
-            ppoly = certify_ppoly(tensor, order)
-        certificates["ppoly"] = ppoly
-        if args.boundary and ppoly.passed:
-            certificates["boundary"] = boundary_check(tensor, window)
-        elif args.boundary and not args.quiet:
-            print("skipping boundary: certification failed", file=sys.stderr)
-        if want_polys and ppoly.passed:
-            polys, certificates["extraction"] = extract_polynomials(tensor, window)
-            polys_doc = polynomials_to_dict(polys)
-            results["polynomials"] = polys_doc["polynomials"]
-            if args.polys:
-                _write(args.polys, dump_json(polys_doc))
-            if args.recurrences:
-                certificates["recurrences"] = verify_recurrences(polys, tensor, partial)
-        elif want_polys and not args.quiet:
-            print("skipping extraction: certification failed", file=sys.stderr)
-    except (IncompatibleOrderPairError, ExtractionError) as exc:
+        ppoly = (certify_ppoly(tensor, order) if partial is None
+                 else certify_ppoly_refined(tensor, order, partial))
+    except IncompatibleOrderPairError as exc:
         raise UsageError(str(exc))
-    except CommutationError as exc:
-        certificates["commutation"] = Certificate.single(
-            "commutation", False, witness(a=exc.index))
+    certificates["ppoly"] = ppoly
+    if args.boundary and ppoly.passed:
+        certificates["boundary"] = boundary_check(tensor, window)
+    elif args.boundary and not args.quiet:
+        print("skipping boundary: certification failed", file=sys.stderr)
+    if want_polys and ppoly.passed:
+        polys, certificates["extraction"] = extract_polynomials(tensor, window)
+        polys_doc = polynomials_to_dict(polys)
+        results["polynomials"] = polys_doc["polynomials"]
+        if args.polys:
+            _write(args.polys, dump_json(polys_doc))
+        if args.recurrences:
+            certificates["recurrences"] = verify_recurrences(polys, tensor, partial)
+    elif want_polys and not args.quiet:
+        print("skipping extraction: certification failed", file=sys.stderr)
     return _report("certify-ppoly", inputs, certificates,
                    results), _verdict_code(certificates)
 

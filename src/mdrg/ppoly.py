@@ -6,8 +6,8 @@ box-closed, every product A_{e_i} A_a expands over labels at most
 a + e_i, and the coefficient at exactly a + e_i never vanishes while
 a + e_i stays in D.  Each class is then a polynomial in the generator
 classes A_{e_1}..A_{e_m}; those polynomials are read off the recurrence
-x_i v_a = sum_b p_{e_i,a}^b v_b, and the boundary span condition is a
-triangular elimination against the monomial vectors.  Every check reads
+x_i v_a = sum_b p_{e_i,a}^b v_b, and the boundary span condition follows
+from a certified window by a triangularity proof.  Every check reads
 the sparse view of the generator products that the tensor keeps,
 :func:`generator_rows`.  A refined variant replaces the order window by
 a compatible partial order; the two-parameter family ``ab:alpha,beta``
@@ -149,21 +149,8 @@ def _outside_window(constraints, leq, window_text: str) -> Optional[dict]:
                 None)
 
 
-def _window_checks(t: IntersectionTensor, leq, window_text: str) -> list[Check]:
-    dom = t.domain()
-    steps = list(_steps(t))
-    window_witness = _outside_window(
-        ((unit, a, b, value) for unit, a, _, row in steps
-         for b, value in row.items()), leq, window_text)
-    succ_witness = next((witness(generator=unit, a=a, successor=up)
-                         for unit, a, up, row in steps
-                         if up in dom and up not in row), None)
-    return [Check("products-within-window", window_witness is None, window_witness),
-            Check("successor-nonzero", succ_witness is None, succ_witness)]
-
-
-def certify_ppoly(t: IntersectionTensor, order: MonomialOrder) -> Certificate:
-    """Certify the m-variate P-polynomial property w.r.t. a monomial order.
+def certify_ppoly(t: IntersectionTensor, window: Window) -> Certificate:
+    """Certify the m-variate P-polynomial property w.r.t. a window order.
 
     Checks: the identity is labeled o and every unit e_i is a class
     (structure), D is box-closed, every nonzero p_{e_i,a}^b has
@@ -171,8 +158,17 @@ def certify_ppoly(t: IntersectionTensor, order: MonomialOrder) -> Certificate:
     a + e_i stays in D.
     """
     checks, _ = _structural_checks(t)
-    checks.extend(check_domain(t.domain(), "box").checks)
-    checks.extend(_window_checks(t, order.leq, order.as_text()))
+    dom = t.domain()
+    checks.extend(check_domain(dom, "box").checks)
+    steps = list(_steps(t))
+    window_witness = _outside_window(
+        ((unit, a, b, value) for unit, a, _, row in steps
+         for b, value in row.items()), window.leq, window.as_text())
+    succ_witness = next((witness(generator=unit, a=a, successor=up)
+                         for unit, a, up, row in steps
+                         if up in dom and up not in row), None)
+    checks.append(Check("products-within-window", window_witness is None, window_witness))
+    checks.append(Check("successor-nonzero", succ_witness is None, succ_witness))
     return Certificate.of(checks)
 
 
@@ -185,82 +181,35 @@ def certify_ppoly_refined(t: IntersectionTensor, order: MonomialOrder,
     :class:`IncompatibleOrderPairError` (a usage error, not a property
     failure of the scheme).
     """
-    checks, m = _structural_checks(t)
+    _, m = _structural_checks(t)
     bound = max((max(a) for a in t.domain()), default=0) + 1  # type: ignore[arg-type]
     compat = validate_pair_compat(partial, order, bound, m=m)
     if not compat.passed:
         raise IncompatibleOrderPairError(
             "partial order %s does not refine %s on the covering box: %s"
             % (partial.as_text(), order.as_text(), compat.witness))
-    checks.extend(check_domain(t.domain(), "box").checks)
-    checks.extend(_window_checks(t, partial.leq, partial.as_text()))
-    return Certificate.of(checks)
-
-
-def _eliminate(vec: list, rows: dict[int, tuple]) -> Optional[tuple]:
-    """Reduce ``vec`` in place against echelon rows, top position first.
-
-    ``rows`` maps a pivot position r to (pivot, [(s, value), ...]) with
-    every s below r.  Returns None when ``vec`` reduces to zero, else its
-    top nonzero position, on which no row pivots, and its row there.
-    """
-    for r in range(len(vec) - 1, -1, -1):
-        if not vec[r]:
-            continue
-        if r not in rows:
-            return r, (vec[r], [(s, value) for s, value in enumerate(vec[:r]) if value])
-        pivot, entries = rows[r]
-        factor = Fraction(vec[r]) / pivot
-        vec[r] = 0
-        for s, value in entries:
-            vec[s] -= factor * value
-    return None
+    return certify_ppoly(t, partial)
 
 
 def boundary_check(t: IntersectionTensor, window: Window) -> Certificate:
-    """Span condition at the boundary of D.
+    """Span condition at the boundary of D, certified by proof.
 
-    For every a in D with a + e_i outside D, the product A_{e_i} A^a must
-    lie in the span of the monomials A^b with b in D and b below a + e_i
-    under ``window``, a monomial or a partial order.  Tested exactly by
-    reducing the product against an echelon of those vectors, each
-    pivoted on its largest class under ``window.key``.  Each A^b is
-    reordered once, with its top and row; a case reuses that row unless an
-    earlier b of the case pivots there, and then reduces a copy.  On a
-    certified tensor A^b tops out at class b: nothing is reduced.  Vectors
-    are requested case by case, b in D order, which fixes the monomial
-    that a :class:`CommutationError` names.
+    For a in D with a + e_i outside D, A_{e_i} A^a lies in the span of the
+    monomials A^b, b in D below a + e_i under ``window``, wherever
+    :func:`certify_ppoly` passes under ``window``; it is re-run, and
+    ValueError names its first failing check.  Proof: the window compares
+    linear forms, so b <= a implies b + e <= a + e.  By induction A^a =
+    lambda_a A_a + sum_{c < a} mu_c A_c, lambda_a != 0: for a = n + e_i,
+    A^a = lambda_n A_{e_i} A_n + sum_{c < n} mu_c A_{e_i} A_c, and the
+    window check gives p_{e_i,n}^a != 0 and every other class <= a, or
+    <= c + e_i < a, boundary steps included.  So span{A^b : b <= u} =
+    span{A_c : c <= u}, which holds A_{e_i} A^a for u = a + e_i likewise.
     """
-    basis = t.basis
-    dom = sorted(t.domain())
-    units = [MultiIndex.unit(t.m, c) for c in range(1, t.m + 1)]
-    # position r of a reordered vector holds the r-th class under the order
-    positions = [basis.index[lab] for lab in sorted(dom, key=window.key)]
-    seen: dict = {}  # b -> (reordered A^b, its top position and row)
-    cases = 0
-    for a in dom:
-        for unit in units:
-            up = a + unit
-            if up in basis.index:
-                continue
-            cases += 1
-            below = [b for b in dom if window.leq(b, up)]
-            rows: dict[int, tuple] = {}
-            for b in below:
-                if b not in seen:
-                    vector = basis.vector(b)
-                    vec = [vector[i] for i in positions]
-                    seen[b] = vec, _eliminate(vec, {})
-                vec, reduced = seen[b]
-                if reduced and reduced[0] in rows:  # taken: reduce a copy
-                    reduced = _eliminate(list(vec), rows)
-                if reduced:
-                    rows[reduced[0]] = reduced[1]
-            target = basis.apply(unit, basis.vector(a))
-            if _eliminate([target[i] for i in positions], rows) is not None:
-                return Certificate.single(
-                    "boundary-span", False,
-                    witness(generator=unit, a=a, bound=up, window=below))
+    hypotheses = certify_ppoly(t, window)
+    if not hypotheses.passed:
+        raise ValueError("boundary span needs a certified window: %s" % hypotheses.witness)
+    dom = t.domain()
+    cases = sum(up not in dom for _, _, up, _ in _steps(t))
     return Certificate.single("boundary-span", True, detail="%d boundary cases" % cases)
 
 
@@ -294,13 +243,9 @@ def extract_polynomials(t: IntersectionTensor, window: Window
     returned certificate records that every leading coefficient is
     nonzero.  Raises :class:`ExtractionError` when p_{e_i,a}^n is zero or
     some b on the right is not below n under ``window`` (certification
-    prerequisite violated).  The monomial vectors of D (``t.basis``) are
-    built first, so generators that do not commute raise
-    :class:`CommutationError`.
+    prerequisite violated).
     """
     dom = sorted(t.domain())
-    for n in dom:
-        t.basis.vector(n)
     origin = MultiIndex.zero(t.m)
     polys = {origin: {origin: Fraction(1)}}
     for n in sorted(dom, key=window.key)[1:]:  # o sorts first

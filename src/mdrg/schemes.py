@@ -315,7 +315,7 @@ class IntersectionTensor:
     ``p`` maps (a, b, c) to a nonzero rational; absent keys mean zero.
     ``identity`` names the class acting as A_o.  Labels may be opaque
     tags (e.g. for parameterized families) or multi-indices.  The checks
-    share :attr:`rows` and :attr:`basis`, kept outside eq, hash and repr.
+    share :attr:`rows`, kept outside eq, hash and repr.
     """
 
     labels: tuple[Label, ...]
@@ -334,9 +334,8 @@ class IntersectionTensor:
             raise ValueError("p entry %s names a label not among labels"
                              % [label_text(lab) for lab in bad])
 
-    # generator_rows(self) and MonomialBasis(self), built on first use; read-only
+    # generator_rows(self), built on first use; read-only
     rows = functools.cached_property(lambda self: generator_rows(self))
-    basis = functools.cached_property(lambda self: MonomialBasis(self))
 
     def get(self, a: Label, b: Label, c: Label) -> Fraction:
         return self.p.get((a, b, c), Fraction(0))
@@ -451,7 +450,7 @@ def distance_matrices(table: DistanceTable) -> SchemeClasses:
                                     table.graph.vertices)
 
 
-# -- Generator products and monomial coordinates -------------------------------
+# -- Generator products and associativity ---------------------------------------
 
 def generator_rows(t: IntersectionTensor) -> dict:
     """Sparse view (e_i, a) -> {b: p_{e_i,a}^b, ...} of the products
@@ -469,67 +468,65 @@ def generator_rows(t: IntersectionTensor) -> dict:
     return {key: dict(sorted(row)) for key, row in rows.items()}
 
 
-class CommutationError(ValueError):
-    """The two generator paths to the monomial ``index`` disagree."""
+def associativity(t: IntersectionTensor) -> Check:
+    """Generator associativity (A_{e_i} A_a) A_b = A_{e_i} (A_a A_b), that is
+    sum_d p_{e_i,a}^d p_{d,b}^c = sum_d p_{a,b}^d p_{e_i,d}^c, for every
+    generator e_i that is a class and all classes a, b, c.
 
-    def __init__(self, index: MultiIndex):
-        super().__init__("generator matrices do not commute at %s" % index.as_text())
-        self.index = index
+    Every scheme passes.  On a commutative tensor with the identity rule
+    that :func:`mdrg.ppoly.certify_ppoly` certifies, the product is then
+    associative and the generator rows fix every p_{a,b}^c: along the
+    window A_{a+e_i} = (A_{e_i} A_a - sum_{d < a+e_i} p_{e_i,a}^d A_d) /
+    p_{e_i,a}^{a+e_i}, and ((A_{e_i} A_a) Y) Z = A_{e_i} ((A_a Y) Z) =
+    A_{e_i} (A_a (Y Z)) = (A_{e_i} A_a) (Y Z) by the check and induction.
+    So the generators commute: A_{e_i} (A_{e_j} X) = A_{e_j} (A_{e_i} X).
 
-
-class MonomialBasis:
-    """Coordinates of products of generator classes in the class basis.
-
-    ``vector(a)`` returns the coordinates of A_{e_1}^{a_1} ... A_{e_m}^{a_m},
-    as ints, or Fractions where the tensor has them, applying generators
-    through ``t.rows``.  When a has two nonzero entries, two generator
-    paths are compared, which verifies that the order of application is
-    irrelevant; a mismatch raises :class:`CommutationError`.  Every e_i
-    must be a class.
+    Both sides are one join of the N entries (class positions, values times
+    their common denominator s) with the generator rows: (d, b, c) with
+    (g, a, d) and (a, b, d) with (g, d, c), summed by key ((g k + a) k + b)
+    k + c, that is (b k + c) + (g k + a) k^2 and (a k + b) k + (g k^3 + c).
+    A sum has at most 2k terms of at most (max |s p|)^2, so int64 is exact
+    while 2 k (max |s p|)^2 < 2^63 and k^4 < 2^63; past that the same code
+    runs on Python ints (dtype=object).  The witness is the least failing
+    (generator, a, b, c) in class positions, with both sides.
     """
-
-    def __init__(self, t: IntersectionTensor):
-        if not t.labels_are_multiindex:
-            raise ValueError("monomial coordinates need multi-index labels")
-        self.labels = t.labels  # not t, which keeps its basis
-        self.m = t.m
-        units = [MultiIndex.unit(self.m, c) for c in range(1, self.m + 1)]
-        missing = [unit for unit in units if unit not in t.domain()]
-        if missing:
-            raise ValueError("generator %s is not a class label" % missing[0].as_text())
-        self.rows = t.rows
-        self.index = {lab: i for i, lab in enumerate(t.labels)}
-        origin = MultiIndex.zero(self.m)
-        if t.identity != origin:
-            raise ValueError("identity class must be labeled o")
-        unit_vec = [0] * len(t.labels)
-        unit_vec[self.index[origin]] = 1
-        self._cache: dict[MultiIndex, list] = {origin: unit_vec}
-
-    def apply(self, gen: MultiIndex, vec: list) -> list:
-        """Coordinates of A_gen times the element with coordinates ``vec``."""
-        out = [0] * len(vec)
-        for a, x in zip(self.labels, vec):
-            if x:
-                for b, value in self.rows.get((gen, a), {}).items():
-                    out[self.index[b]] += value * x
-        return out
-
-    def vector(self, a: MultiIndex) -> list:
-        if len(a) != self.m:
-            raise ValueError("index has m=%d, tensor has m=%d" % (len(a), self.m))
-        cached = self._cache.get(a)
-        if cached is not None:
-            return cached
-        nonzero = [i for i, e in enumerate(a) if e > 0]
-        paths = []
-        for i in dict.fromkeys((nonzero[0], nonzero[-1])):
-            gen = MultiIndex.unit(self.m, i + 1)
-            paths.append(self.apply(gen, self.vector(a - gen)))
-        if paths[0] != paths[-1]:
-            raise CommutationError(a)
-        self._cache[a] = paths[0]
-        return paths[0]
+    pos = {lab: i for i, lab in enumerate(t.labels)}
+    k = len(t.labels)
+    ratios = [v.as_integer_ratio() for v in t.p.values()]
+    scale = math.lcm(*(d for _, d in ratios))
+    values = [n * (scale // d) for n, d in ratios]
+    top = max(map(abs, values), default=0)
+    dtype = np.int64 if max(k ** 4, 2 * k * top * top) < 2 ** 63 else object
+    entries = np.fromiter(map(pos.__getitem__, itertools.chain.from_iterable(t.p)),
+                          dtype, 3 * len(values)).reshape(-1, 3)
+    v = np.array(values, dtype)
+    units = [i for i, lab in enumerate(t.labels)
+             if isinstance(lab, MultiIndex) and sum(lab) == 1]
+    on = (entries[:, :1] == units).any(axis=1)
+    gen, gv = entries[on], v[on]
+    column = np.concatenate([gen[:, 2], gen[:, 1] + k])  # right side shifted by k
+    by_column = np.argsort(column)
+    found = np.concatenate([entries[:, 0], entries[:, 2] + k])
+    lo = np.searchsorted(column[by_column], found, "left")
+    count = np.searchsorted(column[by_column], found, "right") - lo
+    i = np.repeat(np.arange(len(found)), count)  # entry i % N meets gen row j
+    j = by_column[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(len(i))]
+    parts = entries @ np.array([[0, k * k], [k, k], [1, 0]], dtype)
+    gparts = gen @ np.array([[k ** 3, k ** 3], [k * k, 0], [0, 1]], dtype)
+    keys = parts.T.ravel()[i] + gparts.T.ravel()[j]
+    terms = np.concatenate([v, -v])[i] * np.concatenate([gv, gv])[j]
+    del i, j  # the largest arrays: keep at most five of their size alive
+    order = np.argsort(keys)
+    keys, terms = keys[order], terms[order]
+    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]])[:len(keys)])
+    failing = keys[starts[np.add.reduceat(terms, starts) != 0]]
+    if not failing.size:
+        return Check("associativity", True)
+    g, x, y, z = (t.labels[int(failing[0]) // k ** e % k] for e in (3, 2, 1, 0))
+    lhs = sum((t.get(g, x, d) * t.get(d, y, z) for d in t.labels), Fraction(0))
+    rhs = sum((t.get(x, y, d) * t.get(g, d, z) for d in t.labels), Fraction(0))
+    return Check("associativity", False,
+                 witness(generator=g, a=x, b=y, c=z, lhs=lhs, rhs=rhs))
 
 
 # -- m-distance-regularity ------------------------------------------------------

@@ -167,7 +167,8 @@ def tensor_from_dict(data: Mapping[str, Any]) -> IntersectionTensor:
     _check_list("identity", [identity], "class labels")
     _check_list("p", rows)
     p: dict[tuple[Label, Label, Label], Fraction] = {}
-    texts = {}  # each distinct label text is parsed once
+    texts, values = {}, {}  # each distinct label or value text is parsed once;
+    # a value is parsed before it becomes a key, so a list or a bool raises
     for row in rows:
         if not (isinstance(row, (list, tuple)) and len(row) == 4):
             raise InputFormatError("p entries are [a, b, c, value], got %r" % (row,))
@@ -176,7 +177,8 @@ def tensor_from_dict(data: Mapping[str, Any]) -> IntersectionTensor:
             x, label_from_text(x)) for x in row[:3])
         if (a, b, c) in p:
             raise InputFormatError("p lists %r twice" % (row[:3],))
-        p[(a, b, c)] = fraction_from_json(row[3])
+        p[(a, b, c)] = (values[row[3]] if isinstance(row[3], str) and row[3] in values
+                        else values.setdefault(row[3], fraction_from_json(row[3])))
     try:
         return IntersectionTensor(labels=tuple(map(label_from_text, labels)),
                                   identity=label_from_text(identity),

@@ -5,7 +5,9 @@ library internals: simple-path enumeration and a single-source
 label-setting search instead of the all-sources relaxation, direct counting on cycles instead of tensor products, explicit
 closed-form coefficient tables for the generalized 24-cell polynomials,
 dense Fraction elimination (``mdrg.exactlinalg``) instead of the
-recurrence and the triangular boundary test, plain loops over the box
+recurrence and the proved boundary certificate, dense products of every
+intersection matrix instead of the sorted integer sums of the
+associativity check, plain loops over the box
 instead of the order-compatibility table and the order-axiom table,
 Fraction loops over every label triple instead of the integer scans of
 ``IntersectionTensor.validate``, and dom x dom scans through ``t.get``
@@ -663,6 +665,46 @@ def regular_representation(t) -> dict:
                 mat[index[c]][index[b]] = value
         out[g] = mat
     return out
+
+
+def associativity_oracle(t) -> Optional[dict]:
+    """The witness of ``schemes.associativity`` from dense Fraction
+    matrices of every class: (B_x)[c][b] = p_{x,b}^c, as in
+    :func:`regular_representation`.  For each generator g, in class
+    position order, and each class a, (B_g B_a)[c][b] is
+    sum_d p_{a,b}^d p_{g,d}^c and sum_d p_{g,a}^d (B_d)[c][b] is
+    sum_d p_{g,a}^d p_{d,b}^c; the first (g, a, b, c) in class positions
+    where they differ is returned with both sides, else None."""
+    index = {lab: i for i, lab in enumerate(t.labels)}
+    reps = {x: [[Fraction(0)] * len(t.labels) for _ in t.labels] for x in t.labels}
+    for (x, b, c), value in t.p.items():
+        reps[x][index[c]][index[b]] = Fraction(value)
+    units = [MultiIndex.unit(t.m, i) for i in range(1, t.m + 1)]
+    for g in sorted((u for u in units if u in index), key=index.__getitem__):
+        for a in t.labels:
+            right = [[sum(x * y for x, y in zip(row, col)) for col in zip(*reps[a])]
+                     for row in reps[g]]
+            left = [[sum(t.get(g, a, d) * reps[d][c][b] for d in t.labels)
+                     for b in range(len(t.labels))] for c in range(len(t.labels))]
+            for b, c in itertools.product(range(len(t.labels)), repeat=2):
+                if left[c][b] != right[c][b]:
+                    return witness(generator=g, a=a, b=t.labels[b], c=t.labels[c],
+                                   lhs=left[c][b], rhs=right[c][b])
+    return None
+
+
+def four_cycle_move(t, c, x1, x2, y1, y2):
+    """``t`` with p_{x1,y2}^c and p_{x2,y1}^c raised by 1 and p_{x1,y1}^c
+    and p_{x2,y2}^c lowered by 1, each with its transpose.  With x1, x2,
+    y1, y2 distinct and other than the identity, the identity rule, the
+    row sums and commutativity still hold; with none of them a generator,
+    no generator row p_{e_i,a}^b changes either."""
+    p = dict(t.p)
+    for a, b, step in ((x1, y2, 1), (x2, y1, 1), (x1, y1, -1), (x2, y2, -1)):
+        for key in (a, b, c), (b, a, c):
+            p[key] = p.get(key, 0) + step
+    return IntersectionTensor(labels=t.labels, identity=t.identity,
+                              p={key: value for key, value in p.items() if value})
 
 
 def dense_monomial_vector(t, a: MultiIndex) -> list:

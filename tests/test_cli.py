@@ -22,6 +22,7 @@ from mdrg import (
 )
 import mdrg.cli
 import mdrg.families
+import mdrg.ppoly
 import mdrg.schemes
 from mdrg.cli import main
 from mdrg.schemes import distance_matrices
@@ -32,7 +33,7 @@ from mdrg.serialize import (
     tensor_to_dict,
 )
 
-from helpers import polynomials_from_dict
+from helpers import four_cycle_move, polynomials_from_dict
 
 mi = MultiIndex
 AXIS_TEXT = "A0=0,0;A1=0,2;A2=1,0;A3=0,1;A4=2,0"
@@ -756,34 +757,48 @@ def test_discover_validates_m_and_reports_non_schemes(tmp_path, capsys):
     assert "results" not in report
 
 
-def test_non_commuting_generators_fail_commutation(tmp_path, capsys):
+def test_non_commuting_generators_fail_associativity(tmp_path, capsys):
     # the C4 x C3 tensor with p_{a,b}^{1,0} moved around a 4-cycle of
     # (a, b) pairs: still commutative, with valid identity rule and row
-    # sums, but A_{1,0} and A_{0,1} no longer commute at (2,1)
+    # sums, but (A_{0,1} A_{0,1}) A_{1,0} != A_{0,1} (A_{0,1} A_{1,0}) at
+    # class (1,0), so A_{1,0} and A_{0,1} no longer commute either
     tensor = mdrg_check(cartesian_product([cycle(4), cycle(3)]),
                         MonomialOrder.parse("deglex-sum")).tensor
-    p = dict(tensor.p)
-    c = mi((1, 0))
-    for (a, b), step in (((mi((1, 1)), mi((2, 0))), 1), ((mi((1, 0)), mi((0, 1))), 1),
-                         ((mi((1, 1)), mi((0, 1))), -1), ((mi((1, 0)), mi((2, 0))), -1)):
-        for key in {(a, b, c), (b, a, c)}:
-            p[key] = p.get(key, 0) + step
-    document = tensor_to_dict(type(tensor)(labels=tensor.labels,
-                                           identity=tensor.identity, p=p))
-    path = _write(tmp_path, "noncommuting.json", document)
+    moved = four_cycle_move(tensor, mi((1, 0)), mi((1, 1)), mi((1, 0)),
+                            mi((0, 1)), mi((2, 0)))
+    path = _write(tmp_path, "noncommuting.json", tensor_to_dict(moved))
+    # verify-scheme does not run the associativity check yet (ROADMAP)
     assert run(capsys, "verify-scheme", path)[0] == 0
-    for flags in (["--boundary"], ["--recurrences"]):
-        code, out, _ = run(capsys, "certify-ppoly", path, "--order",
-                           "deglex-sum", *flags)
+    for argv in (["certify-ppoly", "--order", "deglex-sum"],
+                 ["certify-ppoly", "--order", "deglex-sum", "--boundary"],
+                 ["certify-ppoly", "--order", "deglex-sum", "--recurrences"],
+                 ["type-ab", "--region"], ["type-ab", "--alpha", "1/2", "--beta", "0"]):
+        code, out, _ = run(capsys, argv[0], path, *argv[1:])
         assert code == 1
         report = json.loads(out)
-        assert report["certificates"]["ppoly"]["verdict"] == "pass"
-        assert report["certificates"]["commutation"] == {
-            "verdict": "fail",
-            "checks": [{"name": "commutation", "passed": False,
-                        "witness": {"a": "2,1"}}]}
-        assert "boundary" not in report["certificates"]
-        assert "extraction" not in report["certificates"]
+        assert list(report["certificates"]) == ["numbers"]
+        checks = report["certificates"]["numbers"]["checks"]
+        assert [check["name"] for check in checks if check["passed"]] == [
+            "nonnegative", "identity-rule", "commutativity", "row-sums"]
+        assert checks[-1] == {
+            "name": "associativity", "passed": False,
+            "witness": {"generator": "0,1", "a": "0,1", "b": "1,0", "c": "1,0",
+                        "lhs": "3", "rhs": "2"}}
+        assert "results" not in report
+
+
+def test_extraction_error_is_an_internal_fault(tmp_path, capsys, monkeypatch):
+    """ExtractionError after a passing ppoly certificate is a bug: exit 3,
+    one stderr line, nothing on stdout."""
+    path = _write(tmp_path, "c6.json", _c6_document())
+    argv = ["certify-ppoly", path, "--order", "deglex-sum", "--recurrences"]
+    assert run(capsys, *argv)[0] == 0
+    exc = mdrg.ppoly.ExtractionError("p_{1,2}^3 is zero; certify the scheme first")
+    monkeypatch.setattr(mdrg.cli, "extract_polynomials", _raise(exc))
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: %r\n" % exc
 
 
 @pytest.mark.parametrize("relabel, failing", [

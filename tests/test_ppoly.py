@@ -50,6 +50,7 @@ from helpers import (
     fraction_matrix,
     graph_discover_labelings,
     region_contains,
+    span_boundary_check,
 )
 
 F = Fraction
@@ -202,13 +203,19 @@ def test_boundary_check():
     assert boundary_check(diag, PartialOrder.parse("ab:1,0")).passed
     assert boundary_check(axis, DEGLEX_SUM).passed
 
-    cert = boundary_check(axis, DEGLEX_Y2)
+    # the axis labeling under deglex-y2 is not certified, so the proof does
+    # not apply: boundary_check refuses, and the rank oracle finds the case
+    with pytest.raises(ValueError, match="certified window"):
+        boundary_check(axis, DEGLEX_Y2)
+    cert = span_boundary_check(axis, DEGLEX_Y2.leq)
     assert not cert.passed
     assert cert.witness == {"generator": "1,0", "a": "0,1", "bound": "1,1",
                             "window": ["0,0", "0,1", "1,0", "2,0"]}
     # under ab:1,0 even (0,2) leaves the window, so the axis boundary
     # fails although the plain deglex-sum one passes
-    cert = boundary_check(axis, PartialOrder.parse("ab:1,0"))
+    with pytest.raises(ValueError, match="certified window"):
+        boundary_check(axis, PartialOrder.parse("ab:1,0"))
+    cert = span_boundary_check(axis, PartialOrder.parse("ab:1,0").leq)
     assert not cert.passed
     assert cert.witness["window"] == ["0,0", "0,1", "1,0", "2,0"]
 

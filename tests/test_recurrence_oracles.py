@@ -1,10 +1,10 @@
-"""Recurrence polynomials, the triangular boundary test and the
+"""Recurrence polynomials, the proved boundary certificate and the
 order-compatibility table against dense exact-algebra and loop oracles.
 
 Inputs: tori C_a x C_b with renamed, reordered vertices under every
 built-in order (plain, refined by ``componentwise``, and ``ab:1,0``
 under deglex-y2); the same tori with their classes relabeled at random,
-which are not certified and whose monomial vectors are not triangular;
+which are mostly not certified, so ``boundary_check`` must refuse them;
 the same tori with one generator product changed; and the generalized
 24-cell grid under both label maps.
 """
@@ -14,16 +14,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from mdrg import (Certificate, ColoredGraph, CommutationError,
-                  IntersectionTensor, MonomialOrder, MultiIndex, PartialOrder,
+from mdrg import (Certificate, ColoredGraph, IntersectionTensor, MonomialOrder, MultiIndex, PartialOrder,
                   boundary_check, cartesian_product, certify_ppoly,
                   certify_ppoly_refined, cycle, extract_polynomials,
                   gen24cell, mdrg_check, validate_pair_compat)
 
 from helpers import (AXIS_LABELING, DIAGONAL_LABELING,
-                     brute_force_pair_compat, dense_monomial_vector, named_check,
-                     pairwise_pair_compat, regular_representation, solve_polynomials,
-                     span_boundary_check)
+                     brute_force_pair_compat, named_check, pairwise_pair_compat,
+                     solve_polynomials, span_boundary_check)
 
 ORDERS = ("deglex-sum", "lex", "deglex-y2")
 # (order, partial) pairs that pass validate_pair_compat
@@ -56,15 +54,20 @@ def _certified(t, order, partial):
 
 
 def _check_against_oracles(t, order, partial, leq):
+    """On a certified window the proved boundary certificate is the rank
+    oracle's and extraction solves the dense system; elsewhere
+    ``boundary_check`` refuses."""
     window = partial if partial else order
+    if not _certified(t, order, partial).passed:
+        with pytest.raises(ValueError, match="certified window"):
+            boundary_check(t, window)
+        return False
     assert (boundary_check(t, window).to_dict()
             == span_boundary_check(t, leq).to_dict())
-    if _certified(t, order, partial).passed:
-        polys, cert = extract_polynomials(t, window)
-        assert cert.passed
-        assert polys == solve_polynomials(t, leq)
-        return True
-    return False
+    polys, cert = extract_polynomials(t, window)
+    assert cert.passed
+    assert polys == solve_polynomials(t, leq)
+    return True
 
 
 @settings(max_examples=30, deadline=None)
@@ -95,42 +98,19 @@ def test_recurrence_and_boundary_on_the_gen24cell_grid(ell, s):
     certified = [_check_against_oracles(labeled, *_window(*window))
                  for labeled in (axis, diag) for window in WINDOWS]
     assert any(certified)
-    # the axis labeling under deglex-y2 fails the window and the boundary
+    # the axis labeling under deglex-y2 fails the window, so the boundary
+    # is not proved; the rank oracle finds a failing case
     assert not certify_ppoly(axis, MonomialOrder.parse("deglex-y2")).passed
-    assert not boundary_check(axis, MonomialOrder.parse("deglex-y2")).passed
+    with pytest.raises(ValueError, match="certified window"):
+        boundary_check(axis, MonomialOrder.parse("deglex-y2"))
+    assert not span_boundary_check(axis, MonomialOrder.parse("deglex-y2").leq).passed
 
 
-# -- The boundary echelon: shared rows and per-case reduction ---------------------
+# -- The proved boundary certificate on perturbed tensors -------------------------
 
 BOUNDARY_WINDOWS = ([MonomialOrder.parse(text) for text in ORDERS]
                     + [PartialOrder.parse(text) for text in
                        ("componentwise", "ab:1,0", "ab:1/2,0")])
-
-
-def _echelon_paths(t, window, stop=None) -> set:
-    """How ``boundary_check`` builds the echelon of each case up to the
-    case ``stop`` = (generator, a), read from the dense monomial vectors:
-    "shared" when the tops of the vectors below the bound are distinct, so
-    each row is reused as it is, "reduced" when a top repeats, so a copy
-    is reduced against the earlier rows of the case."""
-    dom = sorted(t.domain())
-    rank = {lab: r for r, lab in enumerate(sorted(dom, key=window.key))}
-    tops = {}
-    for b in dom:
-        vec = dict(zip(t.labels, dense_monomial_vector(t, b)))
-        tops[b] = max((rank[lab] for lab in dom if vec[lab]), default=None)
-    paths = set()
-    for a in dom:
-        for color in range(1, t.m + 1):
-            unit = MultiIndex.unit(t.m, color)
-            if a + unit in rank:
-                continue
-            taken = [tops[b] for b in dom
-                     if window.leq(b, a + unit) and tops[b] is not None]
-            paths.add("shared" if len(set(taken)) == len(taken) else "reduced")
-            if (unit.as_text(), a.as_text()) == stop:
-                return paths
-    return paths
 
 
 @st.composite
@@ -155,54 +135,40 @@ def boundary_inputs(draw):
     return t
 
 
-def _product(x, y):
-    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)]
-            for row in x]
-
-
-def _check_boundary_against_rank_oracle(t, window) -> set:
-    """The paths taken, after checking the verdict and witness against
-    the rank oracle; a CommutationError must come from generators whose
-    matrices do not commute."""
-    try:
-        cert = boundary_check(t, window)
-    except CommutationError:
-        reps = regular_representation(t)
-        x, y = reps[MultiIndex((1, 0))], reps[MultiIndex((0, 1))]
-        assert _product(x, y) != _product(y, x)
-        return {"commutation"}
-    oracle = span_boundary_check(t, window.leq)
-    assert cert.to_dict() == oracle.to_dict()
-    stop = None if oracle.passed else (oracle.witness["generator"],
-                                       oracle.witness["a"])
-    return _echelon_paths(t, window, stop)
-
-
 @settings(max_examples=60, deadline=None)
 @given(boundary_inputs(), st.sampled_from(BOUNDARY_WINDOWS))
-def test_boundary_echelon_matches_rank_oracle(t, window):
-    for path in _check_boundary_against_rank_oracle(t, window):
-        event(path)
+def test_proved_boundary_matches_rank_oracle(t, window):
+    """Where ``certify_ppoly`` passes under the window, the proof's
+    certificate equals the rank oracle's, perturbed generator rows
+    included; elsewhere ``boundary_check`` refuses."""
+    if certify_ppoly(t, window).passed:
+        event("certified")
+        assert (boundary_check(t, window).to_dict()
+                == span_boundary_check(t, window.leq).to_dict())
+    else:
+        event("refused")
+        with pytest.raises(ValueError, match="certified window"):
+            boundary_check(t, window)
 
 
-def test_boundary_echelon_takes_both_paths():
-    """The certified C4 x C3 tensor only reuses rows; with its classes
-    permuted, some cases reduce a copy, and under deglex-y2 all of them."""
+def test_proved_boundary_on_a_permuted_torus():
+    """The certified C4 x C3 tensor passes under every window with the
+    oracle's case count.  With its classes permuted it is certified under
+    none of them, so it is refused, although the rank oracle still finds
+    its boundary span under deglex-sum."""
     t = mdrg_check(cartesian_product([cycle(4), cycle(3)]),
                    MonomialOrder.parse("deglex-sum")).tensor
     moved = [lab for lab in t.labels if lab != t.identity]
     targets = [MultiIndex(lab) for lab in
                ((1, 0), (2, 0), (1, 1), (0, 1), (2, 1))]
     permuted = t.relabel({t.identity: t.identity, **dict(zip(moved, targets))})
-    seen = {}
     for window in BOUNDARY_WINDOWS:
-        seen[window.as_text()] = (
-            _check_boundary_against_rank_oracle(t, window),
-            _check_boundary_against_rank_oracle(permuted, window))
-    assert all(own == {"shared"} for own, _ in seen.values())
-    assert seen["deglex-sum"][1] == {"shared", "reduced"}
-    assert seen["deglex-y2"][1] == {"reduced"}
-    assert boundary_check(permuted, MonomialOrder.parse("deglex-sum")).passed
+        cert = boundary_check(t, window)
+        assert cert.passed
+        assert cert.to_dict() == span_boundary_check(t, window.leq).to_dict()
+        with pytest.raises(ValueError, match="certified window"):
+            boundary_check(permuted, window)
+    assert span_boundary_check(permuted, MonomialOrder.parse("deglex-sum").leq).passed
 
 
 @st.composite

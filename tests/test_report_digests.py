@@ -21,6 +21,8 @@ from mdrg.cli import main
 from mdrg.serialize import (dump_json, graph_to_dict, scheme_to_dict,
                             tensor_to_dict)
 
+from helpers import four_cycle_move
+
 DEGLEX_SUM = MonomialOrder.parse("deglex-sum")
 
 
@@ -56,17 +58,21 @@ def _k3_tensor(**fields) -> str:
 
 def _noncommuting() -> str:
     """The C4 x C3 tensor with p_{a,b}^{1,0} moved around a 4-cycle of
-    (a, b) pairs: it passes ``validate``, but A_{1,0} and A_{0,1} do not
-    commute at (2,1)."""
+    (a, b) pairs: it passes ``validate``, but not ``associativity``."""
     t = mdrg_check(cartesian_product([cycle(4), cycle(3)]), DEGLEX_SUM).tensor
-    p, c = dict(t.p), MultiIndex((1, 0))
-    for a, b, step in (((1, 1), (2, 0), 1), ((1, 0), (0, 1), 1),
-                       ((1, 1), (0, 1), -1), ((1, 0), (2, 0), -1)):
-        a, b = MultiIndex(a), MultiIndex(b)
-        for key in {(a, b, c), (b, a, c)}:
-            p[key] = p.get(key, 0) + step
-    return dump_json(tensor_to_dict(type(t)(labels=t.labels,
-                                            identity=t.identity, p=p)))
+    c, x1, x2, y1, y2 = (MultiIndex(lab) for lab in
+                         ((1, 0), (1, 1), (1, 0), (0, 1), (2, 0)))
+    return dump_json(tensor_to_dict(four_cycle_move(t, c, x1, x2, y1, y2)))
+
+
+def _corrupted6x6() -> str:
+    """The C6 x C6 tensor with the 4-cycle move at class (0,1) on classes
+    that are not generators: every generator row, and so every window,
+    boundary and recurrence check, reads the numbers of the scheme."""
+    t = mdrg_check(cartesian_product([cycle(6), cycle(6)]), DEGLEX_SUM).tensor
+    c, x1, x2, y1, y2 = (MultiIndex(lab) for lab in
+                         ((0, 1), (0, 2), (1, 1), (0, 3), (1, 2)))
+    return dump_json(tensor_to_dict(four_cycle_move(t, c, x1, x2, y1, y2)))
 
 
 I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -132,6 +138,7 @@ INPUTS = {
     "exponenttensor.json": lambda: _k3_tensor(
         p=K3_P[:-1] + [["1", "1", "1", "1e10000000"]]),
     "noncommuting.json": _noncommuting,
+    "corrupted6x6.json": _corrupted6x6,
 }
 
 GENERATED = [
@@ -187,9 +194,15 @@ GRAPHS = [
     ["type-ab", "c6g.json", "--region"],
 ]
 
-# generators that do not commute: the boundary check raises CommutationError
-COMMUTATION = [["certify-ppoly", "noncommuting.json", "--order", "deglex-sum",
-                "--boundary", "--recurrences"]]
+# tensors that pass validate but belong to no scheme: numbers fails at
+# associativity before any certification
+ASSOCIATIVITY = [
+    ["certify-ppoly", "noncommuting.json", "--order", "deglex-sum",
+     "--boundary", "--recurrences"],
+    ["certify-ppoly", "corrupted6x6.json", "--order", "deglex-sum",
+     "--boundary", "--recurrences"],
+    ["type-ab", "corrupted6x6.json", "--region"],
+]
 
 # graph documents that are not lists of vertex names and [u, v, color]
 # edges, or whose m exceeds max(1, number of edges)
@@ -231,7 +244,7 @@ def _cases():
              ";".join("A%d=%d" % (i, i) for i in range(k))],
             ["discover", path, "--m", "1", "--order", "deglex-sum"],
         ]
-    cases += WINDOWS + GRAPHS + COMMUTATION + BAD_GRAPHS + BAD_DOCUMENTS
+    cases += WINDOWS + GRAPHS + ASSOCIATIVITY + BAD_GRAPHS + BAD_DOCUMENTS
     return cases
 
 
@@ -268,12 +281,14 @@ DIGESTS = {
         '1a5715008ec768e7d9bf1ecda2086acea071e383f6215d36418fbcb775a747c4',
     'certify-ppoly c6.json --order deglex-sum --boundary --recurrences --polys polys.json':
         '34f0dd4ff5427cb2d8895843fecf1bb82c30f4ac6ba49e2a36870c503b976bf3',
+    'certify-ppoly corrupted6x6.json --order deglex-sum --boundary --recurrences':
+        '55076917a34a518ca4803f1cb0b1a1a3ded13c8d8b1ec44f3a3a95f9066ca962',
     'certify-ppoly gap.json --order deglex-sum --labeling A0=0;A1=1':
         '4481877431899b1deef012591f4bdf699b47fdbff465bac200e4ed4eecb0610f',
     'certify-ppoly noident.json --order deglex-sum --labeling A0=0;A1=1':
         '9f1e77db512c852b6ecf0f13f4a0f0fee510e9a92e28cfb32c96cc89ed8eb085',
     'certify-ppoly noncommuting.json --order deglex-sum --boundary --recurrences':
-        'f3f93ee985aea92cbfcd297a2be805724f156a1f77a07d9daf9906a83fc35370',
+        '9eea70541c7ec59b37e15681343cdf09da1fb7da90b5ddf2a0f1922bb887c64e',
     'certify-ppoly overlap.json --order deglex-sum --labeling A0=0;A1=1':
         'f44308fdd1677d97adcc3d9422bf9313c20a3593da4ffa2135effc8edc4aa528',
     'certify-ppoly path.json --order deglex-sum --labeling A0=0;A1=1;A2=2':
@@ -366,6 +381,8 @@ DIGESTS = {
         '2fba55f84048fd43a0d197eb0cc8f9be6559cf040d4bb92892e807cdf355ef90',
     'type-ab c6g.json --region':
         'd6d67a7435e8e95b51a65ddf2c38d4b73ae3efdc7f30394d5491c5fdedb3ebed',
+    'type-ab corrupted6x6.json --region':
+        'e16050ae92652cb583b77e0cafd5d47105635b702d4ddcba10803de32a05e263',
     'type-ab pauli4.json --region --labeling A0=0,0;A1=1,0;A2=0,1':
         '1e828cf838cc56724a75db139c630297f520e4b7958ae2f3cf8ad816e2822aad',
     'type-ab sym2.json --region':

@@ -1,4 +1,4 @@
-"""Association scheme core: axioms, tensors, bases, regularity."""
+"""Association scheme core: axioms, tensors, generator rows, regularity."""
 
 import random
 import time
@@ -12,7 +12,6 @@ from mdrg import schemes
 from mdrg import (
     ColoredGraph,
     IntersectionTensor,
-    MonomialBasis,
     MonomialOrder,
     MultiIndex,
     PartialOrder,
@@ -31,7 +30,6 @@ from mdrg import (
     hamming_graph,
     intersection_tensor,
     m_distance_table,
-    mat_vec,
     mdrg_check,
     pauli_scheme4,
     verify_recurrences,
@@ -345,38 +343,31 @@ def test_generator_rows_contract():
     for b in t.labels:
         assert dict(rows.get((g, b), [])) == {
             c: t.get(g, b, c) for c in t.labels if t.get(g, b, c) != 0}
-    # applying A_1 to a class vector agrees with the dense matrix
-    basis = MonomialBasis(t)
+    # the row of A_1 A_1 is the column of A_1 in the dense matrix of A_1
     index = {lab: i for i, lab in enumerate(t.labels)}
-    unit = [0] * len(t.labels)
-    unit[index[mi((1,))]] = 1
-    image = basis.apply(g, unit)
-    assert image == mat_vec(regular_representation(t)[g], unit)
-    assert image[index[mi((0,))]] == 2
-    assert image[index[mi((2,))]] == 1
-    assert image[index[mi((1,))]] == 0
+    dense = regular_representation(t)[g]
+    assert rows[g, g] == {mi((0,)): 2, mi((2,)): 1}
+    assert rows[g, g] == {c: dense[index[c]][index[g]] for c in t.labels
+                          if dense[index[c]][index[g]]}
 
     assert all(list(row) == sorted(row) for row in rows.values())
-    # a missing generator has no rows; the monomial basis needs it
+    # a missing generator has no rows
     lone = IntersectionTensor(labels=(mi((0,)),), identity=mi((0,)),
                               p={(mi((0,)), mi((0,)), mi((0,))): 1})
     assert generator_rows(lone) == {}
-    with pytest.raises(ValueError, match="generator 1 is not a class label"):
-        MonomialBasis(lone)
     opaque = t.relabel({mi((0,)): "B0", mi((1,)): "B1", mi((2,)): "B2",
                         mi((3,)): "B3"})
     with pytest.raises(ValueError):
         generator_rows(opaque)
 
 
-def test_tensor_builds_its_rows_and_basis_once(monkeypatch):
+def test_tensor_builds_its_rows_once(monkeypatch):
     """Every check of one certify-ppoly run shares the tensor's generator
-    rows and monomial basis; they stay out of eq, repr and relabel."""
+    rows; they stay out of eq, repr and relabel."""
     builds = []
-    for name in ("generator_rows", "MonomialBasis"):
-        build = getattr(schemes, name)
-        monkeypatch.setattr(schemes, name, lambda t, name=name, build=build:
-                            builds.append(name) or build(t))
+    build = schemes.generator_rows
+    monkeypatch.setattr(schemes, "generator_rows",
+                        lambda t: builds.append("generator_rows") or build(t))
     t = mdrg_check(cartesian_product([cycle(4), cycle(3)]), DEGLEX_SUM).tensor
     before = repr(t)
     twin = IntersectionTensor(labels=t.labels, identity=t.identity, p=dict(t.p))
@@ -389,51 +380,14 @@ def test_tensor_builds_its_rows_and_basis_once(monkeypatch):
         assert cert.passed
         assert verify_recurrences(polys, t, partial).passed
     certify_type_ab(t, PartialOrder.parse("ab:1/2,0"))
-    assert builds == ["generator_rows", "MonomialBasis"]
-    assert t.basis.rows is t.rows == generator_rows(t)
+    assert builds == ["generator_rows"]
+    assert t.rows == generator_rows(t)
     assert t == twin and repr(t) == before == repr(twin)
-    assert "rows" not in vars(twin) and "basis" not in vars(twin)
+    assert "rows" not in vars(twin)
     swap = {lab: MultiIndex((lab[1], lab[0])) for lab in t.labels}
     swapped = t.relabel(swap)
     assert "rows" not in vars(swapped)
     assert swapped.relabel({v: k for k, v in swap.items()}) == t
-
-
-def test_monomial_basis_rejects_non_commuting_generators():
-    # Two generators on a formal tensor whose left-multiplication
-    # matrices do not commute.
-    o, x, y, z = mi((0, 0)), mi((1, 0)), mi((0, 1)), mi((1, 1))
-    p = {(o, c, c): 1 for c in (o, x, y, z)}
-    p.update({(x, o, x): 1, (x, x, o): 1, (x, y, z): 1, (x, z, y): 1,
-              (y, o, y): 1, (y, y, o): 1, (y, x, x): 1, (y, z, z): 1})
-    t = IntersectionTensor(labels=(o, x, y, z), identity=o, p=p)
-    with pytest.raises(ValueError, match="do not commute at 1,1"):
-        MonomialBasis(t).vector(z)
-    with pytest.raises(ValueError, match="do not commute"):
-        boundary_check(t, DEGLEX_SUM)
-    with pytest.raises(ValueError, match="do not commute"):
-        extract_polynomials(t, DEGLEX_SUM)
-
-
-def test_monomial_basis_against_matrix_products():
-    result = mdrg_check(cell24(), DEGLEX_SUM)
-    assert result.certificate.passed
-    t, scheme = result.tensor, distance_matrices(result.table)
-    basis = MonomialBasis(t)
-    index = {lab: i for i, lab in enumerate(scheme.labels)}
-    rep_pair = [tuple(np.argwhere(mat == 1)[0]) for mat in scheme.matrices]
-    a1 = scheme.matrices[index[mi((1, 0))]].astype(np.int64)
-    a2 = scheme.matrices[index[mi((0, 1))]].astype(np.int64)
-    for a in (mi((0, 0)), mi((1, 0)), mi((0, 1)), mi((2, 0)), mi((0, 2)),
-              mi((1, 1)), mi((2, 1)), mi((2, 2))):
-        product = np.linalg.matrix_power(a1, a[0]) @ np.linalg.matrix_power(a2, a[1])
-        vec = basis.vector(a)
-        for lab in scheme.labels:
-            x, y = rep_pair[index[lab]]
-            assert vec[index[lab]] == int(product[x, y]), (a, lab)
-    assert MonomialBasis(t).vector(mi((0, 2))) == basis.vector(mi((0, 2)))
-    with pytest.raises(ValueError):
-        basis.vector(mi((1, 2, 0)))
 
 
 def test_mdrg_check_torus_valencies():

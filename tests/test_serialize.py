@@ -68,10 +68,12 @@ def test_fraction_text_round_trip():
 
 
 def test_tensor_from_dict_parses_each_label_text_once(monkeypatch):
-    texts = []
-    read = serialize.label_from_text
+    texts, values = [], []
+    read, parse = serialize.label_from_text, serialize.fraction_from_json
     monkeypatch.setattr(serialize, "label_from_text",
                         lambda x: texts.append(x) or read(x))
+    monkeypatch.setattr(serialize, "fraction_from_json",
+                        lambda x: values.append(x) or parse(x))
     tensor = mdrg_check(cell24(), MonomialOrder.parse("deglex-sum")).tensor
     t = tensor_from_dict(tensor_to_dict(tensor))
     assert (t.p, t.identity, set(t.labels)) == (tensor.p, tensor.identity,
@@ -79,6 +81,8 @@ def test_tensor_from_dict_parses_each_label_text_once(monkeypatch):
     # each p text once, then the declared labels and the identity
     assert len(texts) == 2 * len(tensor.labels) + 1
     assert len(set(texts)) == len(tensor.labels)
+    # each value text once
+    assert sorted(values) == sorted({row[3] for row in tensor_to_dict(tensor)["p"]})
 
 
 def test_label_and_multiindex_parsing():
@@ -180,6 +184,12 @@ def test_tensor_from_dict_errors():
     with pytest.raises(InputFormatError):
         tensor_from_dict({"labels": ["0"], "identity": "0",
                           "p": [["0", "0", "0", 1.5]]})
+    # a value that is not text is parsed every time, so a bool, a list or
+    # a float after the same value as text is still an input error
+    for value in (True, [1], 1.0):
+        with pytest.raises(InputFormatError, match="rational"):
+            tensor_from_dict({"labels": ["0", "1"], "identity": "0",
+                              "p": [["0", "0", "0", "1"], ["0", "1", "1", value]]})
     # an entry listed twice is an error, also when one of the values is zero
     with pytest.raises(InputFormatError, match="twice"):
         tensor_from_dict({"labels": ["0", "1"], "identity": "0",
