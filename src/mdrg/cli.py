@@ -164,11 +164,8 @@ def cmd_distances(args: argparse.Namespace) -> tuple[dict, int]:
     order = _parse(MonomialOrder.parse, "--order", args.order)
     doc = _load(args.input, ColoredGraph, "{} is not a graph file")
     _check_arity(doc.m, order)
-    table = m_distance_table(doc, order)
-    results = table_to_dict(table)
-    results["size"] = len(table.labels)
     return _report("distances", {"input": args.input, "order": order.as_text()},
-                   results=results), 0
+                   results=table_to_dict(m_distance_table(doc, order))), 0
 
 
 # -- certify-mdrg ------------------------------------------------------------------

@@ -134,10 +134,6 @@ class DistanceTable:
     labels: tuple[MultiIndex, ...]
     index: np.ndarray = field(repr=False, compare=False)
 
-    @property
-    def realized(self) -> frozenset[MultiIndex]:
-        return frozenset(self.labels)
-
 
 def m_distance_table(g: ColoredGraph, order: MonomialOrder) -> DistanceTable:
     """All-pairs m-distances; verifies symmetry and the o diagonal.

@@ -11,7 +11,11 @@ Output is canonical JSON: :func:`dump_json` writes the bytes of
 pure-Python indent path.  A scheme document's ``matrices`` is one
 read-only (k, n, n) uint8 stack of 0/1 entries, each matrix written into
 and read from a zero matrix's text at its digit offsets; any other text
-goes to ``json.loads`` and reads, or fails, as json's.
+goes to ``json.loads`` and reads, or fails, as json's.  The distances
+report's ``distances`` is the :class:`DistanceTable`, written from its
+class-index matrix as {"x|y": label}: keys in (x + "|", y) order, their
+string order unless one x + "|" starts another, which needs a name with
+"|"; then the keys are sorted whole, as json does.
 """
 
 from __future__ import annotations
@@ -190,17 +194,14 @@ def tensor_from_dict(data: Mapping[str, Any]) -> IntersectionTensor:
 # -- Distance tables ---------------------------------------------------------------
 
 def table_to_dict(table: DistanceTable) -> dict:
-    g = table.graph
-    texts = [lab.as_text() for lab in table.labels]
-    distances = {}
-    for i, (x, row) in enumerate(zip(g.vertices, table.index.tolist())):
-        for y, c in zip(g.vertices[i + 1:], row[i + 1:]):
-            distances["%s|%s" % (x, y)] = texts[c]
+    """The distances report; ``distances`` is the table itself, which
+    :func:`dump_json` writes as the object {"x|y": label} over x before y."""
     return {
         "order": table.order.as_text(),
-        "vertices": list(g.vertices),
-        "realized": sorted(lab.as_text() for lab in table.realized),
-        "distances": distances,
+        "vertices": list(table.graph.vertices),
+        "realized": sorted(lab.as_text() for lab in table.labels),
+        "size": len(table.labels),
+        "distances": table,
     }
 
 
@@ -289,15 +290,15 @@ def _read_digits(text: str, pos: int) -> Optional[tuple[np.ndarray, int]]:
 def dump_json(data: Any) -> str:
     """Canonical report text: the bytes of ``json.dumps(data,
     sort_keys=True, indent=2) + "\\n"``, an array written as its nested
-    lists.  With an indent json's encoder is pure Python, one step per
-    matrix entry, so dicts, lists, strings and ints are written here (a
-    list of plain ints in one join); any other value goes to
-    ``json.dumps``, re-indented, which is exact because JSON strings hold
-    no raw newline.  The only arrays are uint8 arrays of digits, such as
-    :func:`scheme_to_dict`'s stacks: each matrix is a copy of the text of
-    one zero matrix, built once per array, with its digits put at their
-    offsets; any other array is a ValueError.  Every piece goes to one
-    list, joined once, so the text is copied once, not once per level."""
+    lists, a :class:`DistanceTable` as its {"x|y": label} object (see
+    :func:`_encode_pairs`).  With an indent json's encoder is pure Python,
+    one step per entry, so dicts, lists, strings and ints are written
+    here; any other value goes to ``json.dumps``, re-indented, which is
+    exact because JSON strings hold no raw newline.  The only arrays are
+    uint8 arrays of digits, such as :func:`scheme_to_dict`'s stacks: each
+    matrix is a copy of the text of one zero matrix, built once per array,
+    with its digits put at their offsets; any other array is a ValueError.
+    Every piece goes to one list, joined once: the text is copied once."""
     out: list[str] = []
     _encode(data, "\n", out)
     out.append("\n")
@@ -305,7 +306,6 @@ def dump_json(data: Any) -> str:
 
 
 def _encode(value: Any, nl: str, out: list) -> None:
-    inner = nl + "  "
     kind = type(value)
     if kind is np.ndarray:
         if value.dtype != np.uint8 or value.ndim < 2 or not value.size or value.max() > 9:
@@ -313,29 +313,58 @@ def _encode(value: Any, nl: str, out: list) -> None:
                              "got %s %s" % (value.dtype, value.shape))
         _encode_digits(value, nl, out)
         return
+    if kind is DistanceTable:
+        _encode_pairs(value, nl, out)
+        return
     if kind is dict and value and all(type(key) is str for key in value):
         brackets, keys = "{}", sorted(value)
         heads = [encode_basestring_ascii(key) + ": " for key in keys]
         items = [value[key] for key in keys]
-    elif (kind is list or kind is tuple) and value and set(map(type, value)) != {int}:
+    elif (kind is list or kind is tuple) and value:
         brackets, heads, items = "[]", [""] * len(value), value
-    else:  # a leaf, or a list of plain ints in one join
-        out.append(
-            encode_basestring_ascii(value) if kind is str
-            else str(value) if kind is int
-            else "[" + inner + ("," + inner).join(map(str, value)) + nl + "]"
-            if (kind is list or kind is tuple) and value
-            else json.dumps(value, sort_keys=True, indent=2).replace("\n", nl))
+    else:
+        out.append(encode_basestring_ascii(value) if kind is str else str(value)
+                   if kind is int else json.dumps(value, sort_keys=True, indent=2)
+                   .replace("\n", nl))
         return
+    inner = nl + "  "
     sep, comma, append = brackets[0] + inner, "," + inner, out.append
     for head, item in zip(heads, items):
-        if type(item) is str:  # the commonest leaf, written without a call
-            append(sep + head + encode_basestring_ascii(item))
-        else:
-            append(sep + head)
-            _encode(item, inner, out)
+        append(sep + head)
+        _encode(item, inner, out)
         sep = comma
     append(nl + brackets[1])
+
+
+def _encode_pairs(table: DistanceTable, nl: str, out: list) -> None:
+    """The object {"x|y": label} over x before y in vertex order, at ``nl``,
+    with no dict, sort or encode per pair.  With h_x = x + "|", if no h_x
+    starts another, keys h_x + y and h_x' + y' (x != x') first differ
+    inside h_x and h_x', so string order is (h_x, y) order: rows by head,
+    y by name, each row one join of pieces ``y": "label`` made once per
+    (y, label).  If some head starts the next one in sorted order, which
+    needs a "|" in a name, the per-pair dict is written, keys sorted whole."""
+    names, k, index = table.graph.vertices, len(table.labels), table.index
+    texts = [lab.as_text() for lab in table.labels]
+    heads = sorted(range(len(names)), key=lambda i: names[i] + "|")
+    if any(names[b].startswith(names[a] + "|") for a, b in zip(heads, heads[1:])):
+        return _encode({names[i] + "|" + names[j]: texts[index[i, j]]
+                        for i, j in zip(*np.triu_indices(len(names), 1))}, nl, out)
+    ys = [encode_basestring_ascii(y)[1:] + ": " for y in names]
+    class Pieces(dict):  # ys[j] + label c by code j k + c, made when first read
+        def __missing__(self, code: int) -> str:
+            self[code] = text = ys[code // k] + encode_basestring_ascii(texts[code % k])
+            return text
+    by_name = np.array(sorted(range(len(names)), key=names.__getitem__))
+    piece, sep = Pieces().__getitem__, "{"
+    for i in heads:
+        cols = by_name[by_name > i]
+        if cols.size:
+            head = nl + "  " + encode_basestring_ascii(names[i])[:-1] + "|"
+            out.append(sep + head + ("," + head).join(
+                map(piece, (cols * k + index[i, cols]).tolist())))
+            sep = ","
+    out.append(nl + "}" if sep == "," else "{}")
 
 
 def _layout(shape: tuple[int, int], nl: str) -> tuple[np.ndarray, np.ndarray]:

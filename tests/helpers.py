@@ -222,6 +222,19 @@ def label_rows(table: DistanceTable) -> tuple:
     return tuple(tuple(table.labels[c] for c in row) for row in table.index.tolist())
 
 
+def distances_oracle(table: DistanceTable) -> dict[str, str]:
+    """The distances object as one dict {"x|y": label} over x before y
+    in vertex order, built pair by pair; a key written twice (names with
+    "|") keeps the later pair's label."""
+    g = table.graph
+    texts = [lab.as_text() for lab in table.labels]
+    distances = {}
+    for i, (x, row) in enumerate(zip(g.vertices, table.index.tolist())):
+        for y, c in zip(g.vertices[i + 1:], row[i + 1:]):
+            distances["%s|%s" % (x, y)] = texts[c]
+    return distances
+
+
 def adjacency(g: ColoredGraph) -> list[list[tuple[int, int]]]:
     """(neighbour, color) lists of each vertex, read from ``g.edges``."""
     nbrs: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]

@@ -3,7 +3,9 @@
 ``dump_json`` joins dicts, lists and strings itself and delegates every
 other value to ``json.dumps``; its bytes must not differ from json's on
 any value json accepts, nor on the uint8 digit arrays of scheme
-documents, which json reads here through ``ndarray.tolist``.
+documents, which json reads here through ``ndarray.tolist``, nor on
+distance tables, which json reads as the per-pair dict of
+``helpers.distances_oracle``.
 """
 
 import json
@@ -14,10 +16,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdrg import (MonomialOrder, hamming_graph, m_distance_table, pauli_scheme4,
-                  symmetrize)
+from mdrg import (ColoredGraph, MonomialOrder, cartesian_product, cycle,
+                  hamming_graph, m_distance_table, pauli_scheme4, symmetrize)
 from mdrg.cli import main
 from mdrg.serialize import dump_json, graph_to_dict, scheme_to_dict, table_to_dict
+
+from helpers import distances_oracle
 
 
 def reference(value):
@@ -123,12 +127,71 @@ def test_dump_json_symmetrize_document_peak_memory():
     assert peak <= 2.5 * len(text)
 
 
+def test_dump_json_distances_report_peak_memory():
+    """The distances object is written from the class-index matrix: one
+    piece per (vertex, label) and one string per row, joined once, not a
+    formatted key and a dict entry per pair."""
+    table = m_distance_table(hamming_graph(4, 4), MonomialOrder.parse("deglex-sum"))
+    tracemalloc.start()
+    try:
+        text = dump_json(table_to_dict(table))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * len(text)
+
+
 def test_dump_json_distances_report(tmp_path, capsys):
     graph = hamming_graph(4, 4)
-    table = table_to_dict(m_distance_table(graph, MonomialOrder.parse("deglex-sum")))
-    assert dump_json(table) == reference(table)
+    table = m_distance_table(graph, MonomialOrder.parse("deglex-sum"))
+    text = dump_json(table_to_dict(table))
+    assert text == reference(json.loads(text))
+    assert json.loads(text)["distances"] == distances_oracle(table)
     path = tmp_path / "h44.json"
     path.write_text(dump_json(graph_to_dict(graph)))
     assert main(["distances", str(path), "--order", "deglex-sum"]) == 0
     out = capsys.readouterr().out
     assert out == reference(json.loads(out))
+
+
+def assert_distances_report_is_the_dict(graph):
+    """The report's bytes are json's for the per-pair dict of the oracle."""
+    table = m_distance_table(graph, MonomialOrder.parse("deglex-sum"))
+    report = table_to_dict(table)
+    assert dump_json(report) == reference(dict(report, distances=distances_oracle(table)))
+
+
+# Vertex names with "|", quotes, backslashes, control and non-ASCII
+# characters, the empty name, and prefix chains such as "a", "a|b".
+NAMES = st.one_of(TEXT, st.text(st.sampled_from('ab|"\\\x00\n\x7f\xe9\u2603\U0001d11e'),
+                                max_size=4),
+                  st.lists(st.sampled_from(["a", "b", ""]), max_size=3).map("|".join))
+SMALL_GRAPHS = st.sampled_from([
+    ColoredGraph(1, ["x"], []), cycle(3), cycle(4), cycle(7), hamming_graph(2, 3),
+    hamming_graph(3, 2), cartesian_product([cycle(3), cycle(4)]),
+    cartesian_product([cycle(4), cycle(4)])])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_distances_report_matches_the_per_pair_dict(data):
+    graph = data.draw(SMALL_GRAPHS)
+    names = data.draw(st.lists(NAMES, min_size=graph.n, max_size=graph.n, unique=True))
+    new = dict(zip(graph.vertices, names))
+    assert_distances_report_is_the_dict(ColoredGraph(
+        graph.m, names, [(new[u], new[v], c) for u, v, c in graph.edge_names()]))
+
+
+def test_distances_report_sorts_whole_keys_when_a_head_starts_another():
+    """The head "a|" starts "a|b|", so rows by head would put "a|b|c" of
+    the pair (a|b, c) after "a|c"; the keys are sorted whole instead.  The
+    pairs (a, b|c) and (a|b, c) share the key "a|b|c", which keeps the
+    label of (a|b, c), the later pair."""
+    names = ["a", "b|c", "a|b", "x", "c", "y"]
+    graph = ColoredGraph(1, names, [(names[i - 1], names[i], 1) for i in range(6)])
+    pairs = [(x, y) for i, x in enumerate(names) for y in names[i + 1:]]
+    by_head = [x + "|" + y for x, y in sorted(pairs, key=lambda p: (p[0] + "|", p[1]))]
+    assert sorted(by_head) != by_head
+    oracle = distances_oracle(m_distance_table(graph, MonomialOrder.parse("deglex-sum")))
+    assert len(oracle) == len(pairs) - 1 and oracle["a|b|c"] == "2"
+    assert_distances_report_is_the_dict(graph)

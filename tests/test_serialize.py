@@ -210,7 +210,7 @@ def test_tensor_from_dict_errors():
 
 def test_table_to_dict():
     table = m_distance_table(cycle(4), MonomialOrder.parse("deglex-sum"))
-    data = table_to_dict(table)
+    data = json.loads(dump_json(table_to_dict(table)))
     assert data["order"] == "deglex-sum"
     assert data["realized"] == ["0", "1", "2"]
     assert data["distances"]["0|1"] == "1"
