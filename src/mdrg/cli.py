@@ -4,7 +4,7 @@ One command per process.  Reports are JSON on stdout with sorted keys,
 so identical inputs produce byte-identical output; timing and
 diagnostics go to stderr.  Exit codes: 0 the property is certified,
 1 the property fails (a witness is in the report), 2 input or usage
-error.
+error, 3 an internal or resource fault (one ``internal error:`` line).
 """
 
 from __future__ import annotations

@@ -117,6 +117,8 @@ def symmetrize(base: SchemeClasses, k: int) -> SchemeClasses:
     if base.index is None:
         raise ValueError("base classes must partition the vertex pairs")
     others = [i for i in range(len(base.labels)) if i != ident]
+    if not others:  # m = 0: one empty label, and q^(2k) = 1 bounds no k
+        raise ValueError("base scheme has no class besides the identity")
     m, q, radix = len(others), base.n, k + 1
     if q ** (2 * min(k, 64)) > SYMMETRIZE_MAX_ENTRIES:  # q > 1 passes it by k = 13
         raise ValueError("%d^%d index entries, more than %d"

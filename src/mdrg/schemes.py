@@ -45,11 +45,11 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 class SchemeClasses:
     """Classes of vertex pairs with distinct labels on named vertices.
 
-    When the classes partition the pairs, as a scheme's do, the one stored
-    form is :attr:`index`, the read-only n x n class-index matrix (uint16
-    while k <= 65 535), and :attr:`matrices` derives each 0/1 matrix on
-    access.  Input that does not partition keeps read-only int64 matrices
-    and ``index`` None, so :func:`verify_scheme_axioms` can say where.
+    The one stored form is :attr:`index`, the read-only n x n class-index
+    matrix (uint16 while k <= 65 535); :attr:`matrices` derives each 0/1
+    matrix on access.  0/1 input that does not partition has ``index``
+    None and keeps only its structural axioms, read off the input stack;
+    its ``matrices`` and ``counts`` raise a ValueError naming where.
     :attr:`counts` is shared by the axioms and :func:`intersection_tensor`.
     """
 
@@ -68,11 +68,20 @@ class SchemeClasses:
                 raise ValueError("class matrices must not be all zero")
         if len(labels) != len(mats):
             raise ValueError("%d labels for %d matrices" % (len(labels), len(mats)))
-        stack = matrices if isinstance(matrices, np.ndarray) else mats  # not stacked again
-        partition = (np.sum(stack, axis=0) == 1).all()
-        self._matrices = None if partition else tuple(
-            _read_only(mat.astype(np.int64)) for mat in mats)
-        self._store(labels, np.argmax(stack, axis=0) if partition else None, vertices, n)
+        cover, index = np.zeros((2, n, n), dtype=np.intp)  # no (k, n, n) copy of a list
+        for c, one in enumerate(mat == 1 for mat in mats):
+            cover += one
+            index[one] = c
+        partition = (cover == 1).all()
+        self._store(labels, index if partition else None, vertices, n)
+        if not partition:  # no index can exist: the dense definitions, then drop the stack
+            asym = next((c for c, mat in enumerate(mats) if (mat != mat.T).any()), None)
+            x, y = divmod(int(np.argmax(cover != 1)), n)
+            self._structure = (
+                next((c for c, a in enumerate(mats) if a.trace() == a.sum() == n), None),
+                None if asym is None else self._symmetry_witness(
+                    asym, np.argmax(mats[asym] != mats[asym].T)),
+                witness(x=self.vertices[x], y=self.vertices[y], coverage=int(cover[x, y])))
 
     @classmethod
     def from_index(cls, labels: Sequence[Label], index: np.ndarray,
@@ -87,7 +96,6 @@ class SchemeClasses:
             raise ValueError("class indices must be an n x n integer matrix "
                              "using each of 0..%d" % (k - 1))
         self = cls.__new__(cls)
-        self._matrices = None
         self._store(labels, index, vertices, len(index))
         return self
 
@@ -109,38 +117,45 @@ class SchemeClasses:
     @property
     def matrices(self) -> Sequence[np.ndarray]:
         """The read-only 0/1 int64 class matrices in label order, made
-        from :attr:`index` one at a time on access when it is set."""
-        return self._matrices or _ClassMatrices(self.index, len(self.labels))
+        from :attr:`index` one at a time on access."""
+        return _ClassMatrices(self._partition(), len(self.labels))
 
-    def _memberships(self) -> tuple[np.ndarray, np.ndarray]:
-        """Arrays (pairs, classes): pair x*n + y lies in class c."""
-        if self.index is not None:
-            return np.arange(self.n ** 2), self.index.ravel()
-        classes, x, y = np.nonzero(np.stack(self._matrices))
-        return x * self.n + y, classes
+    def _partition(self) -> np.ndarray:
+        if self.index is None:
+            raise ValueError("classes do not partition the pairs: %s"
+                             % self._structure[2])
+        return self.index
 
-    def _holds(self, pairs: np.ndarray, classes: np.ndarray) -> np.ndarray:
-        """Whether pair x*n + y lies in class c, entry by entry."""
-        if self.index is not None:
-            return self.index.ravel()[pairs] == classes
-        return np.stack(self._matrices).reshape(len(self.labels), -1)[classes, pairs] == 1
+    def _symmetry_witness(self, c: int, flat: int) -> dict:
+        x, y = divmod(int(flat), self.n)
+        return witness(label=self.labels[c], x=self.vertices[x], y=self.vertices[y])
+
+    @functools.cached_property
+    def _structure(self) -> tuple[Optional[int], Optional[dict], Optional[dict]]:
+        """(identity class, symmetry witness, partition witness) read off
+        :attr:`index` once; the constructor sets them where there is none.
+        The identity is the class of (0, 0) if it is the diagonal.  A_c !=
+        A_c^T where c meets a pair whose mirror is in another class, so
+        the dense witness is the least such c at its first such pair."""
+        idx, n = self.index, self.n
+        c = idx[0, 0]
+        ident = int(c) if np.array_equal(idx == c, np.eye(n, dtype=bool)) else None
+        bad = idx != idx.T
+        if not bad.any():
+            return ident, None, None
+        c = idx[bad].min()
+        mine = bad & ((idx == c) | (idx.T == c))
+        return ident, self._symmetry_witness(c, np.argmax(mine)), None
 
     def identity_index(self) -> Optional[int]:
-        """The first class that holds exactly the n pairs (x, x)."""
-        pairs, classes = self._memberships()  # every class holds a pair
-        diagonal = np.bincount(classes[pairs % (self.n + 1) == 0],
-                               minlength=len(self.labels))
-        hits = np.flatnonzero((np.bincount(classes) == self.n) & (diagonal == self.n))
-        return int(hits[0]) if hits.size else None
+        """The class that holds exactly the n pairs (x, x), or None."""
+        return self._structure[0]
 
     @functools.cached_property
     def counts(self) -> Union[np.ndarray, "BadPair"]:
         """:func:`pair_counts` of :attr:`index`, read-only; ValueError if
         the classes do not partition the pairs."""
-        if self.index is None:
-            raise ValueError("classes do not partition the pairs: %s"
-                             % _cover_witness(self))
-        counts = pair_counts(self.index, len(self.labels))
+        counts = pair_counts(self._partition(), len(self.labels))
         return _read_only(counts) if isinstance(counts, np.ndarray) else counts
 
 
@@ -155,31 +170,6 @@ class _ClassMatrices(abc.Sequence):
 
     def __getitem__(self, c: int) -> np.ndarray:
         return _read_only((self._index == range(self._k)[c]).astype(np.int64))
-
-
-def _cover_witness(s: SchemeClasses) -> Optional[dict]:
-    """The first pair, in row-major order, not in exactly one class, with
-    the number of classes it lies in; None when the classes partition."""
-    if s.index is not None:
-        return None
-    cover = np.sum(s.matrices, axis=0)
-    x, y = np.argwhere(cover != 1)[0]
-    return witness(x=s.vertices[x], y=s.vertices[y], coverage=int(cover[x, y]))
-
-
-def _asymmetry(s: SchemeClasses) -> Optional[dict]:
-    """The first class A with A != A^T, at the first pair in row-major
-    order where they differ; None when every class is symmetric."""
-    n = s.n
-    pairs, classes = s._memberships()
-    mirrored = pairs % n * n + pairs // n
-    lonely = ~s._holds(mirrored, classes)
-    if not lonely.any():
-        return None
-    c = int(classes[lonely].min())
-    mine = lonely & (classes == c)
-    x, y = divmod(int(min(pairs[mine].min(), mirrored[mine].min())), n)
-    return witness(label=s.labels[c], x=s.vertices[x], y=s.vertices[y])
 
 
 class BadPair(NamedTuple):
@@ -288,15 +278,11 @@ def verify_scheme_axioms(s: SchemeClasses) -> Certificate:
                      support: ``s.counts`` by :func:`pair_counts`, whose
                      witness is the first bad pair (x, y) in row-major order
     """
-    checks: list[Check] = []
-
-    ident = s.identity_index()
-    checks.append(Check("identity-class", ident is not None,
-                        None if ident is not None else witness(reason="no identity class")))
-    sym_witness = _asymmetry(s)
-    checks.append(Check("symmetry", sym_witness is None, sym_witness))
-    part_witness = _cover_witness(s)
-    checks.append(Check("partition", part_witness is None, part_witness))
+    ident, sym_witness, part_witness = s._structure
+    checks = [Check("identity-class", ident is not None,
+                    None if ident is not None else witness(reason="no identity class")),
+              Check("symmetry", sym_witness is None, sym_witness),
+              Check("partition", part_witness is None, part_witness)]
 
     if part_witness is None and sym_witness is None and ident is not None:
         closure_witness = (_pair_witness(s.counts, s.labels, s.vertices)

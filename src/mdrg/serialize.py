@@ -122,13 +122,10 @@ def graph_from_dict(data: Mapping[str, Any]) -> ColoredGraph:
 
 def scheme_to_dict(s: SchemeClasses) -> dict:
     """The scheme document; ``matrices`` is one read-only (k, n, n) uint8
-    array of 0/1 entries, k*n^2 bytes, made from :attr:`SchemeClasses.index`
-    when the classes partition the pairs."""
-    if s.index is None:
-        stack = np.array(s.matrices, dtype=np.uint8)
-    else:
-        classes = np.arange(len(s.labels), dtype=s.index.dtype)
-        stack = (s.index == classes[:, None, None]).view(np.uint8)
+    array of 0/1 entries, k*n^2 bytes, made from :attr:`SchemeClasses.index`."""
+    # len(s.matrices) raises the partition witness when there is no index
+    classes = np.arange(len(s.matrices), dtype=s.index.dtype)
+    stack = (s.index == classes[:, None, None]).view(np.uint8)
     return {
         "labels": [label_text(lab) for lab in s.labels],
         "vertices": list(s.vertices),

@@ -897,6 +897,19 @@ def test_symmetrize_states_its_size_before_it_allocates(tmp_path, capsys,
     assert run(capsys, "generate", "symmetrize:3", "--scheme", base)[0] == 0
 
 
+def test_symmetrize_refuses_a_base_with_only_the_identity(tmp_path, capsys):
+    """A one-point base has m = 0 classes besides the identity, so its
+    q^(2k) = 1 index entries bound no k: symmetrize:100000 once ran 10^5
+    rounds and named a vertex with 100 000 characters."""
+    base = _write(tmp_path, "one.json", {"labels": ["o"], "matrices": [[[1]]],
+                                         "vertices": ["x"]})
+    for k in ("1", "100000"):
+        code, out, err = run(capsys, "generate", "symmetrize:" + k, "--scheme", base)
+        assert (code, out) == (2, "")
+        assert ("error: family 'symmetrize:%s': base scheme has no class "
+                "besides the identity\n" % k) in err
+
+
 @pytest.mark.parametrize("kind, argv, message", [
     ("scheme", ["distances", "{}", "--order", "lex"], "{} is not a graph file"),
     ("tensor", ["certify-mdrg", "{}", "--order", "lex"], "{} is not a graph file"),

@@ -1,10 +1,11 @@
 """The class index form of SchemeClasses against the class-matrix loops.
 
-A partitioned scheme stores one n x n class index matrix and derives
-its 0/1 matrices on access; 0/1 input that does not partition keeps its
-matrices.  Either way the axioms, the identity class and the index
-matrix must equal those of the dense matrix loops in ``helpers``, and
-``symmetrize`` must equal the sum of Kronecker products.
+A scheme stores one n x n class index matrix and derives its 0/1
+matrices on access; 0/1 input that does not partition has no index and
+keeps only its structural axioms, read off the input once, so its
+``matrices`` raise.  Either way the axioms, the identity class and the
+index matrix must equal those of the dense matrix loops in ``helpers``,
+and ``symmetrize`` must equal the sum of Kronecker products.
 """
 
 import tracemalloc
@@ -33,6 +34,8 @@ def _assert_matches_oracle(labels, matrices, vertices):
     except ValueError:
         with pytest.raises(ValueError, match="do not partition"):
             s.counts
+        with pytest.raises(ValueError, match="do not partition"):
+            s.matrices
         assert s.index is None
     else:
         assert np.array_equal(s.index, expected)
@@ -157,6 +160,9 @@ def test_non_integer_class_arrays_are_rejected():
     s = SchemeClasses(labels=["o", "a"],
                       matrices=[np.eye(2, dtype=bool), ~np.eye(2, dtype=bool)])
     assert s.index.tolist() == [[0, 1], [1, 0]]
+    s = SchemeClasses(labels=["o", "a"], matrices=np.array(
+        [np.eye(2), 1 - np.eye(2)], dtype=np.uint64))
+    assert s.index.tolist() == [[0, 1], [1, 0]]
 
 
 @pytest.mark.parametrize("labels, stack", [
@@ -209,3 +215,26 @@ def test_distance_scheme_holds_only_its_index():
     assert held < 1_000_000
     assert scheme.index.nbytes == 2 * 256 * 256
     assert verify_scheme_axioms(scheme).passed
+
+
+def test_stack_that_does_not_partition_holds_no_class_matrices():
+    """A (4, 512, 512) uint8 stack with one overlap and one asymmetric
+    entry keeps only its three structural results, not the stack."""
+    n = 512
+    index = np.arange(n * n).reshape(n, n) % 3 + 1
+    index = np.triu(index, 1) + np.triu(index, 1).T
+    stack = np.array([index == c for c in range(4)], dtype=np.uint8)
+    extra = 1 if index[5, 9] != 1 else 2
+    stack[extra, 5, 9] = 1  # (5, 9) in two classes; class `extra` not symmetric
+    labels, vertices = ["A%d" % c for c in range(4)], ["v%d" % x for x in range(n)]
+    tracemalloc.start()
+    try:
+        s = SchemeClasses(labels=labels, matrices=stack, vertices=vertices)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s.index is None and held < stack.nbytes
+    assert (verify_scheme_axioms(s).to_dict()
+            == matrix_verify_scheme_axioms(labels, stack, vertices).to_dict())
+    with pytest.raises(ValueError, match="'x': 'v5', 'y': 'v9', 'coverage': 2"):
+        s.matrices
