@@ -432,15 +432,13 @@ def discover_labelings(s: SchemeClasses, m: int,
     if not axioms.passed:
         raise ValueError("input is not an association scheme: %s" % axioms.witness)
     t = intersection_tensor(s)
-    k = len(s.labels)
-    ident = s.labels.index(t.identity)
+    k, ident = len(s.labels), s.labels.index(t.identity)
     candidates = [i for i in range(k) if i != ident]
     if not 1 <= m <= len(candidates):
         raise ValueError("m must lie in 1..%d" % len(candidates))
-    position = {lab: i for i, lab in enumerate(s.labels)}
     support: list[list[list[int]]] = [[[] for _ in range(k)] for _ in range(k)]
-    for b, g, c in t.p:  # support[b][g]: the c with p_{b,g}^c != 0
-        support[position[b]][position[g]].append(position[c])
+    for b, g, c in zip(t.a.tolist(), t.b.tolist(), t.c.tolist()):
+        support[b][g].append(c)  # support[b][g]: the c with p_{b,g}^c != 0
     units = [MultiIndex.unit(m, i) for i in range(1, m + 1)]
     found: list[Discovery] = []
     for tup in itertools.permutations(candidates, m):

@@ -15,8 +15,8 @@ multiplying class matrices.  No floating-point value is used.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+import types
 from collections import abc
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -260,14 +260,6 @@ def _pair_witness(bad: BadPair, labels: Sequence[Label],
                    count_ref=bad.count_ref)
 
 
-def _tensor_from_counts(counts: np.ndarray, labels: Sequence[Label],
-                        identity: Label) -> "IntersectionTensor":
-    values = {v: Fraction(v) for v in set(counts[:, 3].tolist())}  # one per value
-    p = {(labels[a], labels[b], labels[c]): values[value]
-         for a, b, c, value in counts.tolist()}
-    return IntersectionTensor(labels=tuple(labels), identity=identity, p=p)
-
-
 def verify_scheme_axioms(s: SchemeClasses) -> Certificate:
     """Certify the defining axioms of a symmetric association scheme.
 
@@ -294,31 +286,62 @@ def verify_scheme_axioms(s: SchemeClasses) -> Certificate:
     return Certificate.of(checks)
 
 
-@dataclass(frozen=True, eq=True)
 class IntersectionTensor:
     """Sparse intersection numbers p_{a,b}^c of an association scheme.
 
-    ``p`` maps (a, b, c) to a nonzero rational; absent keys mean zero.
-    ``identity`` names the class acting as A_o.  Labels may be opaque
-    tags (e.g. for parameterized families) or multi-indices.  The checks
-    share :attr:`rows`, kept outside eq, hash and repr.
+    The nonzero entries, on class positions (indices into ``labels``), are
+    the read-only int64 arrays :attr:`a`, :attr:`b`, :attr:`c`, sorted by
+    (a, b, c) without repeats, and :attr:`num`, the values times the least
+    common denominator :attr:`den`: int64 while k max(|num|, den) < 2^63,
+    so sums of k entries are exact, else Python ints (dtype=object).
+    Labels are opaque tags or multi-indices; ``identity`` names A_o.  The
+    checks read the arrays; :attr:`p`, the read-only map (a, b, c) ->
+    Fraction on labels, and the generator rows :attr:`rows` are built on
+    first read.  Equality compares labels, identity and ``p``.
     """
 
-    labels: tuple[Label, ...]
-    identity: Label
-    p: Mapping[tuple[Label, Label, Label], Fraction] = field(compare=True)
+    def __init__(self, labels: Sequence[Label], identity: Label,
+                 p: Mapping[tuple[Label, Label, Label], Fraction]):
+        where = {lab: i for i, lab in enumerate(labels)}  # other labels from k up
+        values = [Fraction(v) for v in p.values()]
+        den = math.lcm(*(v.denominator for v in values))
+        vars(self).update(vars(IntersectionTensor.from_arrays(
+            labels, identity, [[where.setdefault(lab, len(where)) for lab in key] for key in p],
+            np.array([v.numerator * (den // v.denominator) for v in values], object),
+            den, list(where))))
 
-    def __post_init__(self) -> None:
-        if self.identity not in self.labels:
-            raise ValueError("identity label %r not among labels" % (self.identity,))
-        texts = [label_text(lab) for lab in self.labels]
-        if len(set(texts)) != len(texts):
+    @classmethod
+    def from_arrays(cls, labels: Sequence[Label], identity: Label, entries, num: np.ndarray,
+                    den: int = 1, names=()) -> "IntersectionTensor":
+        """p = num / den at the distinct rows of class positions ``entries``, zeros
+        dropped, ``den`` least; ValueError if ``identity`` is not a label, two labels
+        share a text, or a nonzero entry is past the labels (``names[i]`` names i)."""
+        if identity not in labels:
+            raise ValueError("identity label %s not among labels" % label_text(identity))
+        if len({label_text(lab) for lab in labels}) != len(labels):
             raise ValueError("duplicate labels")
-        declared = set(self.labels)
-        bad = next((key for key in self.p if not declared.issuperset(key)), None)
-        if bad is not None:
-            raise ValueError("p entry %s names a label not among labels"
-                             % [label_text(lab) for lab in bad])
+        entries, num = np.asarray(entries, np.int64).reshape(-1, 3)[num != 0], num[num != 0]
+        if (entries >= len(labels)).any():
+            raise ValueError("p entry %s names a label not among labels" % [label_text(
+                names[i]) for i in entries[(entries >= len(labels)).any(axis=1)][0].tolist()])
+        order, top = np.lexsort(entries.T[::-1]), max(int(np.abs(num).max(initial=0)), den)
+        self = cls.__new__(cls)
+        self.labels, self.identity, self.den = tuple(labels), identity, den
+        self.a, self.b, self.c = map(_read_only, entries[order].T.copy())
+        self.num = _read_only(num[order].astype(
+            np.int64 if len(labels) * top < 2 ** 63 else object))
+        return self
+
+    def __eq__(self, other: object) -> bool:  # on the label-keyed views
+        return isinstance(other, IntersectionTensor) and (
+            self.labels, self.identity, self.p) == (other.labels, other.identity, other.p)
+
+    @functools.cached_property
+    def p(self) -> Mapping[tuple[Label, Label, Label], Fraction]:
+        """Read-only {(a, b, c): p_{a,b}^c} on labels, built on first read."""
+        labels, den, arrays = self.labels, self.den, (self.a, self.b, self.c, self.num)
+        return types.MappingProxyType({(labels[a], labels[b], labels[c]): Fraction(v, den)
+                                       for a, b, c, v in zip(*map(np.ndarray.tolist, arrays))})
 
     # generator_rows(self), built on first use; read-only
     rows = functools.cached_property(lambda self: generator_rows(self))
@@ -332,11 +355,11 @@ class IntersectionTensor:
     def valency(self, a: Label) -> Fraction:
         return self.get(a, a, self.identity)
 
-    @property
+    @functools.cached_property
     def labels_are_multiindex(self) -> bool:
         return all(isinstance(lab, MultiIndex) for lab in self.labels)
 
-    @property
+    @functools.cached_property
     def m(self) -> int:
         if not self.labels_are_multiindex:
             raise ValueError("labels are opaque tags; no m defined")
@@ -346,16 +369,12 @@ class IntersectionTensor:
         return lengths.pop()
 
     def relabel(self, mapping: Mapping[Label, Label]) -> "IntersectionTensor":
-        """Apply a bijective label substitution."""
+        """Apply a bijective label substitution: the arrays stay as they are."""
         if set(mapping.keys()) != set(self.labels):
             raise ValueError("relabeling keys must equal the label set")
-        if len(set(mapping.values())) != len(self.labels):
-            raise ValueError("relabeling must be injective")
-        return IntersectionTensor(
-            labels=tuple(mapping[lab] for lab in self.labels),
-            identity=mapping[self.identity],
-            p={(mapping[a], mapping[b], mapping[c]): v
-               for (a, b, c), v in self.p.items()})
+        return IntersectionTensor.from_arrays(  # duplicate labels raise
+            [mapping[lab] for lab in self.labels], mapping[self.identity],
+            np.column_stack([self.a, self.b, self.c]), self.num, self.den)
 
     def validate(self, strict_integral: bool = False) -> Certificate:
         """Necessary conditions on the numbers themselves.
@@ -364,55 +383,42 @@ class IntersectionTensor:
         p_{a,b}^c = p_{b,a}^c, and the row sums sum_b p_{a,b}^c = k_a.
         ``strict_integral`` adds an integrality check (finite schemes have
         integer intersection numbers; formal parameterized tensors need
-        not).  O(nnz + k^2): each witness is the first failure in
-        ``itertools.product`` order over the labels.
+        not).  Each witness is the first failure in ``itertools.product``
+        order: the least failing key (a k + b) k + c or a k + c, exact while
+        k^3 < 2^63.  O(N log N + k^2) in ``num``'s dtype.
         """
-        # The scans run on the numbers times their common denominator, as
-        # ints (absent = 0); witnesses still report the rationals.
-        checks: list[Check] = []
-        scale = math.lcm(*(v.denominator for v in self.p.values()))
-        p = {key: v.numerator * (scale // v.denominator) for key, v in self.p.items()}
-        neg = next((key for key, v in p.items() if v < 0), None)
-        checks.append(Check("nonnegative", neg is None,
-                            None if neg is None else
-                            witness(a=neg[0], b=neg[1], c=neg[2], value=self.p[neg])))
+        labels, k, den, num = self.labels, len(self.labels), self.den, self.num
+        a, b, c, o = self.a, self.b, self.c, labels.index(self.identity)
 
-        delta_witness = next((witness(a=a, c=c, value=self.get(self.identity, a, c))
-                              for a, c in itertools.product(self.labels, repeat=2)
-                              if p.get((self.identity, a, c), 0) != scale * (a == c)),
-                             None)
-        checks.append(Check("identity-rule", delta_witness is None, delta_witness))
+        def least(keys: np.ndarray, names: str) -> Optional[dict]:  # its labels by name
+            return {name: labels[int(keys.min()) // k ** e % k] for e, name
+                    in zip(range(len(names) - 1, -1, -1), names)} if keys.size else None
 
-        # p_{a,b}^c != p_{b,a}^c fails at a stored key and at its swap, so
-        # the first failing triple in product order is the least of these.
-        pos = {lab: i for i, lab in enumerate(self.labels)}
-        first = min(((min(pos[a], pos[b]), max(pos[a], pos[b]), pos[c])
-                     for (a, b, c), v in p.items() if v != p.get((b, a, c), 0)),
-                    default=None)
-        comm_witness = None
-        if first is not None:
-            a, b, c = (self.labels[i] for i in first)
-            comm_witness = witness(a=a, b=b, c=c,
-                                   p_ab=self.get(a, b, c), p_ba=self.get(b, a, c))
-        checks.append(Check("commutativity", comm_witness is None, comm_witness))
-
-        sums: dict = {}  # (a, c) -> sum_b p_{a,b}^c
-        for (a, b, c), v in p.items():
-            sums[a, c] = sums.get((a, c), 0) + v
-        sum_witness = next((witness(a=a, c=c,
-                                    row_sum=Fraction(sums.get((a, c), 0), scale),
-                                    valency=self.valency(a))
-                            for a, c in itertools.product(self.labels, repeat=2)
-                            if sums.get((a, c), 0) != p.get((a, a, self.identity), 0)),
-                           None)
-        checks.append(Check("row-sums", sum_witness is None, sum_witness))
-
+        key, swap = (a * k + b) * k + c, (b * k + a) * k + c
+        bad = least(key[num < 0], "abc")
+        checks = [Check("nonnegative", not bad,
+                        bad and witness(**bad, value=self.get(*bad.values())))]
+        tables = np.zeros((3, k, k), num.dtype)  # p_{o,x}^y, sum_b p_{x,b}^y, p_{x,y}^o
+        tables[0, b[a == o], c[a == o]] = num[a == o]
+        np.add.at(tables[1], (a, c), num)
+        tables[2, a[c == o], b[c == o]] = num[c == o]
+        bad = least(np.flatnonzero(tables[0] != den * np.eye(k, dtype=num.dtype)), "ac")
+        checks.append(Check("identity-rule", not bad, bad and witness(
+            **bad, value=self.get(self.identity, *bad.values()))))
+        # p_{a,b}^c != p_{b,a}^c fails at (a, b, c) and (b, a, c): the least is first
+        at = np.minimum(np.searchsorted(key, swap), len(key) - 1)
+        failing = num != np.where(key[at] == swap, num[at], 0)
+        bad = least(((np.minimum(a, b) * k + np.maximum(a, b)) * k + c)[failing], "abc")
+        checks.append(Check("commutativity", not bad, bad and witness(
+            **bad, p_ab=self.get(*bad.values()), p_ba=self.get(bad["b"], bad["a"], bad["c"]))))
+        bad = least(np.flatnonzero(tables[1] != tables[2].diagonal()[:, None]), "ac")
+        checks.append(Check("row-sums", not bad, bad and witness(
+            **bad, valency=self.valency(bad["a"]), row_sum=sum(
+                (self.get(bad["a"], x, bad["c"]) for x in labels), Fraction(0)))))
         if strict_integral:
-            frac = next((key for key, v in self.p.items() if v.denominator != 1), None)
-            checks.append(Check("integrality", frac is None,
-                                None if frac is None else
-                                witness(a=frac[0], b=frac[1], c=frac[2],
-                                        value=self.p[frac])))
+            bad = least(key[num % den != 0], "abc")
+            checks.append(Check("integrality", not bad,
+                                bad and witness(**bad, value=self.get(*bad.values()))))
         return Certificate.of(checks)
 
 
@@ -426,7 +432,8 @@ def intersection_tensor(s: SchemeClasses) -> IntersectionTensor:
     if isinstance(s.counts, BadPair):
         raise ValueError("not an association scheme: closure fails at %s"
                          % _pair_witness(s.counts, s.labels, s.vertices))
-    return _tensor_from_counts(s.counts, s.labels, s.labels[ident])
+    return IntersectionTensor.from_arrays(s.labels, s.labels[ident], s.counts[:, :3],
+                                          s.counts[:, 3])
 
 
 def distance_matrices(table: DistanceTable) -> SchemeClasses:
@@ -440,17 +447,14 @@ def distance_matrices(table: DistanceTable) -> SchemeClasses:
 
 def generator_rows(t: IntersectionTensor) -> dict:
     """Sparse view (e_i, a) -> {b: p_{e_i,a}^b, ...} of the products
-    A_{e_i} A_a, built in one pass over ``t.p``; ``t.rows`` keeps it.
-    Zero entries are left out, each row is sorted by b, and integral
-    values become ints.  A generator that is not a class has no rows.
-    """
-    units = [MultiIndex.unit(t.m, c) for c in range(1, t.m + 1)]
-    rows: dict = {}
-    for (g, a, b), value in t.p.items():
-        if g in units and value != 0:
-            value = Fraction(value)
-            rows.setdefault((g, a), []).append(
-                (b, value.numerator if value.denominator == 1 else value))
+    A_{e_i} A_a, kept as ``t.rows``: each row sorted by b, integral values
+    as ints.  A generator that is not a class has no rows."""
+    units = {MultiIndex.unit(t.m, c) for c in range(1, t.m + 1)}
+    labels, den, rows = t.labels, t.den, {}
+    on = np.array([lab in units for lab in labels], bool)[t.a]  # entries at a generator
+    for g, a, b, v in zip(*(col[on].tolist() for col in (t.a, t.b, t.c, t.num))):
+        rows.setdefault((labels[g], labels[a]), []).append(
+            (labels[b], v // den if v % den == 0 else Fraction(v, den)))
     return {key: dict(sorted(row)) for key, row in rows.items()}
 
 
@@ -467,25 +471,18 @@ def associativity(t: IntersectionTensor) -> Check:
     A_{e_i} (A_a (Y Z)) = (A_{e_i} A_a) (Y Z) by the check and induction.
     So the generators commute: A_{e_i} (A_{e_j} X) = A_{e_j} (A_{e_i} X).
 
-    Both sides are one join of the N entries (class positions, values times
-    their common denominator s) with the generator rows: (d, b, c) with
-    (g, a, d) and (a, b, d) with (g, d, c), summed by key ((g k + a) k + b)
-    k + c, that is (b k + c) + (g k + a) k^2 and (a k + b) k + (g k^3 + c).
-    A sum has at most 2k terms of at most (max |s p|)^2, so int64 is exact
-    while 2 k (max |s p|)^2 < 2^63 and k^4 < 2^63; past that the same code
-    runs on Python ints (dtype=object).  The witness is the least failing
+    Both sides are one join of the N entries (class positions, ``num``)
+    with the generator rows: (d, b, c) with (g, a, d) and (a, b, d) with
+    (g, d, c), summed by key ((g k + a) k + b) k + c, that is
+    (b k + c) + (g k + a) k^2 and (a k + b) k + (g k^3 + c).  A sum has
+    at most 2k terms of at most (max |num|)^2, so int64 is exact while
+    2 k (max |num|)^2 < 2^63 and k^4 < 2^63; past that the same code runs
+    on Python ints (dtype=object).  The witness is the least failing
     (generator, a, b, c) in class positions, with both sides.
     """
-    pos = {lab: i for i, lab in enumerate(t.labels)}
-    k = len(t.labels)
-    ratios = [v.as_integer_ratio() for v in t.p.values()]
-    scale = math.lcm(*(d for _, d in ratios))
-    values = [n * (scale // d) for n, d in ratios]
-    top = max(map(abs, values), default=0)
+    k, top = len(t.labels), int(np.abs(t.num).max(initial=0))
     dtype = np.int64 if max(k ** 4, 2 * k * top * top) < 2 ** 63 else object
-    entries = np.fromiter(map(pos.__getitem__, itertools.chain.from_iterable(t.p)),
-                          dtype, 3 * len(values)).reshape(-1, 3)
-    v = np.array(values, dtype)
+    entries, v = np.column_stack([t.a, t.b, t.c]).astype(dtype), t.num.astype(dtype)
     units = [i for i, lab in enumerate(t.labels)
              if isinstance(lab, MultiIndex) and sum(lab) == 1]
     on = (entries[:, :1] == units).any(axis=1)
@@ -527,8 +524,8 @@ class MdrgResult:
 
     @functools.cached_property
     def tensor(self) -> Optional[IntersectionTensor]:
-        return None if self.counts is None else _tensor_from_counts(
-            self.counts, self.table.labels, MultiIndex.zero(self.table.graph.m))
+        return None if self.counts is None else IntersectionTensor.from_arrays(  # o first
+            self.table.labels, self.table.labels[0], self.counts[:, :3], self.counts[:, 3])
 
 
 def mdrg_check(g: ColoredGraph, order: MonomialOrder) -> MdrgResult:

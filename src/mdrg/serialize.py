@@ -20,7 +20,9 @@ string order unless one x + "|" starts another, which needs a name with
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -152,38 +154,41 @@ def scheme_from_dict(data: Mapping[str, Any]) -> SchemeClasses:
 # -- Intersection tensors ----------------------------------------------------------
 
 def tensor_to_dict(t: IntersectionTensor) -> dict:
-    entries = sorted(
-        ([label_text(a), label_text(b), label_text(c), fraction_to_text(v)]
-         for (a, b, c), v in t.p.items() if v != 0))
-    return {
-        "labels": sorted(label_text(lab) for lab in t.labels),
-        "identity": label_text(t.identity),
-        "p": entries,
-    }
+    return {"labels": sorted(map(label_text, t.labels)), "identity": label_text(t.identity),
+            "p": sorted([*map(label_text, key), fraction_to_text(v)] for key, v in t.p.items())}
 
 
 def tensor_from_dict(data: Mapping[str, Any]) -> IntersectionTensor:
+    """A tensor document read into class positions, each distinct label or value
+    text parsed once; an input error names the first row with a fault of each
+    kind in turn: shape, label type, value type, value, repeated (a, b, c)."""
     labels, identity, rows = _required(data, "tensor", "labels", "identity", "p")
     _check_list("labels", labels, "class labels")
     _check_list("identity", [identity], "class labels")
     _check_list("p", rows)
-    p: dict[tuple[Label, Label, Label], Fraction] = {}
-    texts, values = {}, {}  # each distinct label or value text is parsed once;
-    # a value is parsed before it becomes a key, so a list or a bool raises
-    for row in rows:
-        if not (isinstance(row, (list, tuple)) and len(row) == 4):
-            raise InputFormatError("p entries are [a, b, c, value], got %r" % (row,))
-        _check_list("p entries", list(row[:3]), "class labels")
-        a, b, c = (texts[x] if x in texts else texts.setdefault(
-            x, label_from_text(x)) for x in row[:3])
-        if (a, b, c) in p:
-            raise InputFormatError("p lists %r twice" % (row[:3],))
-        p[(a, b, c)] = (values[row[3]] if isinstance(row[3], str) and row[3] in values
-                        else values.setdefault(row[3], fraction_from_json(row[3])))
+    if not (set(map(type, rows)) <= {list, tuple} and set(map(len, rows)) <= {4}):
+        raise InputFormatError("p entries are [a, b, c, value], got %r" % (next(
+            row for row in rows if type(row) not in (list, tuple) or len(row) != 4),))
+    texts = list(itertools.chain.from_iterable(row[:3] for row in rows))
+    values = [row[3] for row in rows]
+    _check_list("p entries", texts, "class labels")
+    odd = [v for v in values if type(v) is not str and type(v) is not int]  # parse raises
+    fractions = {v: fraction_from_json(v) for v in odd[:1] or dict.fromkeys(values)}
+    den = math.lcm(*(v.denominator for v in fractions.values()))
+    nums = {v: f.numerator * (den // f.denominator) for v, f in fractions.items()}
+    declared, k = list(map(label_from_text, labels)), len(labels)
+    where = {lab: i for i, lab in enumerate(declared)}  # other labels from k up
+    position = {x: where.setdefault(label_from_text(x), k + len(where))
+                for x in dict.fromkeys(texts)}
+    entries = np.fromiter(map(position.__getitem__, texts), np.int64).reshape(-1, 3)
+    order = np.lexsort(entries.T[::-1])  # stable: a repeat sorts after its first
+    repeat = order[1:][(entries[order[1:]] == entries[order[:-1]]).all(axis=1)]
+    if repeat.size:
+        raise InputFormatError("p lists %r twice" % (rows[int(repeat.min())][:3],))
+    num = np.array(list(map(nums.__getitem__, values)), object)
     try:
-        return IntersectionTensor(labels=tuple(map(label_from_text, labels)),
-                                  identity=label_from_text(identity),
-                                  p={key: v for key, v in p.items() if v != 0})
+        return IntersectionTensor.from_arrays(declared, label_from_text(identity), entries,
+                                              num, den, {i: lab for lab, i in where.items()})
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc
 

@@ -9,8 +9,10 @@ recurrence and the proved boundary certificate, dense products of every
 intersection matrix instead of the sorted integer sums of the
 associativity check, plain loops over the box
 instead of the order-compatibility table and the order-axiom table,
-Fraction loops over every label triple instead of the integer scans of
-``IntersectionTensor.validate``, and dom x dom scans through ``t.get``
+Fraction loops over every label triple and the label-keyed dict scans
+over ``t.p`` instead of the class-position arrays of
+``IntersectionTensor`` (``validate``, ``associativity``, the generator
+rows, ``relabel`` and the document reader), and dom x dom scans through ``t.get``
 instead of the generator rows, with the retry loop for the (alpha, beta)
 region, a colored graph certified per generator tuple instead of the
 label-setting search over the intersection numbers, loops over dense
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from collections import Counter
 from enum import Enum
@@ -51,9 +54,10 @@ from mdrg import (ABRegion, Certificate, Check, ColoredGraph,
                   verify_scheme_axioms)
 from mdrg.certificates import witness
 from mdrg.graphs import least_labels
-from mdrg.schemes import BadPair, _pair_witness, pair_counts
-from mdrg.serialize import (InputFormatError, fraction_from_json,
-                            graph_from_dict, scheme_from_dict,
+from mdrg.schemes import BadPair, _pair_witness, label_text, pair_counts
+from mdrg.serialize import (InputFormatError, _check_list, _required,
+                            fraction_from_json, graph_from_dict,
+                            label_from_text, scheme_from_dict,
                             tensor_from_dict)
 
 # The two label maps of the 24-cell family.  Diagonal sends the valency-8
@@ -658,6 +662,132 @@ def brute_force_validate(t, strict_integral: bool = False) -> Certificate:
         checks.append(Check("integrality", frac is None, None if frac is None else
                             witness(a=frac[0], b=frac[1], c=frac[2], value=t.p[frac])))
     return Certificate.of(checks)
+
+
+# -- The label-keyed dict scans (oracles for the class-position arrays) -------------
+
+def dict_validate(t, strict_integral: bool = False) -> Certificate:
+    """``IntersectionTensor.validate`` as dict scans over ``t.p``: the
+    values times their common denominator as ints, absent keys 0."""
+    checks: list[Check] = []
+    scale = math.lcm(*(v.denominator for v in t.p.values()))
+    p = {key: v.numerator * (scale // v.denominator) for key, v in t.p.items()}
+    neg = next((key for key, v in p.items() if v < 0), None)
+    checks.append(Check("nonnegative", neg is None, None if neg is None else
+                        witness(a=neg[0], b=neg[1], c=neg[2], value=t.p[neg])))
+    delta_witness = next((witness(a=a, c=c, value=t.get(t.identity, a, c))
+                          for a, c in itertools.product(t.labels, repeat=2)
+                          if p.get((t.identity, a, c), 0) != scale * (a == c)), None)
+    checks.append(Check("identity-rule", delta_witness is None, delta_witness))
+    pos = {lab: i for i, lab in enumerate(t.labels)}
+    first = min(((min(pos[a], pos[b]), max(pos[a], pos[b]), pos[c])
+                 for (a, b, c), v in p.items() if v != p.get((b, a, c), 0)), default=None)
+    comm_witness = None
+    if first is not None:
+        a, b, c = (t.labels[i] for i in first)
+        comm_witness = witness(a=a, b=b, c=c, p_ab=t.get(a, b, c), p_ba=t.get(b, a, c))
+    checks.append(Check("commutativity", comm_witness is None, comm_witness))
+    sums: dict = {}  # (a, c) -> sum_b p_{a,b}^c
+    for (a, b, c), v in p.items():
+        sums[a, c] = sums.get((a, c), 0) + v
+    sum_witness = next((witness(a=a, c=c, row_sum=Fraction(sums.get((a, c), 0), scale),
+                                valency=t.valency(a))
+                        for a, c in itertools.product(t.labels, repeat=2)
+                        if sums.get((a, c), 0) != p.get((a, a, t.identity), 0)), None)
+    checks.append(Check("row-sums", sum_witness is None, sum_witness))
+    if strict_integral:
+        frac = next((key for key, v in t.p.items() if v.denominator != 1), None)
+        checks.append(Check("integrality", frac is None, None if frac is None else
+                            witness(a=frac[0], b=frac[1], c=frac[2], value=t.p[frac])))
+    return Certificate.of(checks)
+
+
+def dict_associativity(t) -> Check:
+    """``schemes.associativity`` on entries converted from ``t.p``: class
+    positions from a label dict, values over their lcm, the same join."""
+    pos = {lab: i for i, lab in enumerate(t.labels)}
+    k = len(t.labels)
+    ratios = [v.as_integer_ratio() for v in t.p.values()]
+    scale = math.lcm(*(d for _, d in ratios))
+    values = [n * (scale // d) for n, d in ratios]
+    top = max(map(abs, values), default=0)
+    dtype = np.int64 if max(k ** 4, 2 * k * top * top) < 2 ** 63 else object
+    entries = np.fromiter(map(pos.__getitem__, itertools.chain.from_iterable(t.p)),
+                          dtype, 3 * len(values)).reshape(-1, 3)
+    v = np.array(values, dtype)
+    units = [i for i, lab in enumerate(t.labels)
+             if isinstance(lab, MultiIndex) and sum(lab) == 1]
+    on = (entries[:, :1] == units).any(axis=1)
+    gen, gv = entries[on], v[on]
+    column = np.concatenate([gen[:, 2], gen[:, 1] + k])
+    by_column = np.argsort(column)
+    found = np.concatenate([entries[:, 0], entries[:, 2] + k])
+    lo = np.searchsorted(column[by_column], found, "left")
+    count = np.searchsorted(column[by_column], found, "right") - lo
+    i = np.repeat(np.arange(len(found)), count)
+    j = by_column[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(len(i))]
+    parts = entries @ np.array([[0, k * k], [k, k], [1, 0]], dtype)
+    gparts = gen @ np.array([[k ** 3, k ** 3], [k * k, 0], [0, 1]], dtype)
+    keys = parts.T.ravel()[i] + gparts.T.ravel()[j]
+    terms = np.concatenate([v, -v])[i] * np.concatenate([gv, gv])[j]
+    order = np.argsort(keys)
+    keys, terms = keys[order], terms[order]
+    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]])[:len(keys)])
+    failing = keys[starts[np.add.reduceat(terms, starts) != 0]]
+    if not failing.size:
+        return Check("associativity", True)
+    g, x, y, z = (t.labels[int(failing[0]) // k ** e % k] for e in (3, 2, 1, 0))
+    lhs = sum((t.get(g, x, d) * t.get(d, y, z) for d in t.labels), Fraction(0))
+    rhs = sum((t.get(x, y, d) * t.get(g, d, z) for d in t.labels), Fraction(0))
+    return Check("associativity", False,
+                 witness(generator=g, a=x, b=y, c=z, lhs=lhs, rhs=rhs))
+
+
+def dict_generator_rows(t) -> dict:
+    """``schemes.generator_rows`` in one pass over ``t.p``."""
+    units = [MultiIndex.unit(t.m, c) for c in range(1, t.m + 1)]
+    rows: dict = {}
+    for (g, a, b), value in t.p.items():
+        if g in units and value != 0:
+            value = Fraction(value)
+            rows.setdefault((g, a), []).append(
+                (b, value.numerator if value.denominator == 1 else value))
+    return {key: dict(sorted(row)) for key, row in rows.items()}
+
+
+def dict_relabel(t, mapping) -> dict:
+    """The label-keyed p of ``t.relabel(mapping)``."""
+    return {(mapping[a], mapping[b], mapping[c]): v for (a, b, c), v in t.p.items()}
+
+
+def dict_tensor_from_dict(data: Mapping[str, Any]) -> tuple:
+    """(labels, identity, p) of a tensor document, read row by row into a
+    label-keyed dict; an input error at the first row at fault, then the
+    label checks, then the first nonzero entry naming an undeclared label."""
+    labels, identity, rows = _required(data, "tensor", "labels", "identity", "p")
+    _check_list("labels", labels, "class labels")
+    _check_list("identity", [identity], "class labels")
+    _check_list("p", rows)
+    p: dict = {}
+    for row in rows:
+        if not (isinstance(row, (list, tuple)) and len(row) == 4):
+            raise InputFormatError("p entries are [a, b, c, value], got %r" % (row,))
+        _check_list("p entries", list(row[:3]), "class labels")
+        key = tuple(map(label_from_text, row[:3]))
+        if key in p:
+            raise InputFormatError("p lists %r twice" % (row[:3],))
+        p[key] = fraction_from_json(row[3])
+    labels, identity = tuple(map(label_from_text, labels)), label_from_text(identity)
+    if identity not in labels:
+        raise InputFormatError("identity label %s not among labels" % label_text(identity))
+    if len({label_text(lab) for lab in labels}) != len(labels):
+        raise InputFormatError("duplicate labels")
+    p = {key: v for key, v in p.items() if v}
+    bad = next((key for key in p if not set(labels).issuperset(key)), None)
+    if bad is not None:
+        raise InputFormatError("p entry %s names a label not among labels"
+                               % [label_text(lab) for lab in bad])
+    return labels, identity, p
 
 
 # -- Dense exact-algebra oracles for polynomials and the boundary ----------------

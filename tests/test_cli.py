@@ -574,6 +574,35 @@ def test_tensor_entry_must_name_declared_labels(tmp_path, capsys, argv):
     assert "error: p entry ['1', '1', '9'] names a label not among labels" in err
 
 
+def test_identity_not_among_labels_names_its_text(tmp_path, capsys):
+    path = _write(tmp_path, "bad-identity.json",
+                  {"labels": ["0", "1"], "identity": "5", "p": [["0", "0", "0", "1"]]})
+    code, out, err = run(capsys, "verify-scheme", path)
+    assert (code, out) == (2, "")
+    assert err == "error: identity label 5 not among labels\n"
+
+
+def test_graph_certification_never_builds_the_label_keyed_view(tmp_path, capsys,
+                                                               monkeypatch):
+    """On a graph, every check of certify-ppoly reads the tensor's arrays
+    and generator rows: the label-keyed ``p`` is never built."""
+    graph = _write(tmp_path, "torus.json",
+                   graph_to_dict(cartesian_product([cycle(5), cycle(4)])))
+    argv = ["certify-ppoly", graph, "--order", "deglex-sum", "--boundary",
+            "--recurrences", "--polys", str(tmp_path / "polys.json")]
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0
+
+    def refuse(self):
+        raise AssertionError("the label-keyed p was built")
+    monkeypatch.setattr(mdrg.schemes.IntersectionTensor, "p", property(refuse))
+    assert run(capsys, *argv)[:2] == (0, expected)
+    tensor = mdrg_check(cartesian_product([cycle(5), cycle(4)]),
+                        MonomialOrder.parse("deglex-sum")).tensor
+    with pytest.raises(AssertionError, match="label-keyed"):
+        tensor_to_dict(tensor)
+
+
 def test_far_label_pair_check_is_cheap(tmp_path, capsys):
     """One label "200,0" makes the covering box [0, 201]^2: 40 804 points,
     whose table of all pairs would take 3.1 GiB.  The pair check reads
