@@ -8,14 +8,14 @@ tuple of integers becomes a multi-index, anything else an opaque tag.
 
 Output is canonical JSON: :func:`dump_json` writes the bytes of
 ``json.dumps(data, sort_keys=True, indent=2)`` without json's slow
-pure-Python indent path.  A scheme document's ``matrices`` is one
-read-only (k, n, n) uint8 stack of 0/1 entries, each matrix written into
-and read from a zero matrix's text at its digit offsets; any other text
-goes to ``json.loads`` and reads, or fails, as json's.  The distances
-report's ``distances`` is the :class:`DistanceTable`, written from its
-class-index matrix as {"x|y": label}: keys in (x + "|", y) order, their
-string order unless one x + "|" starts another, which needs a name with
-"|"; then the keys are sorted whole, as json does.
+pure-Python indent path.  Documents are read as bytes.  A scheme's
+``matrices`` is one read-only (k, n, n) uint8 stack of 0/1 entries, each
+matrix written into a zero matrix's text at its digit offsets, and read
+by checking its bytes against that text in place; any other text is
+decoded once and reads, or fails, as json's.  The distances report's
+``distances`` is the :class:`DistanceTable`, written from its class-index
+matrix as {"x|y": label}: keys in (x + "|", y) order, their string order
+unless an x + "|" starts another (a name with "|"); then sorted whole.
 """
 
 from __future__ import annotations
@@ -42,10 +42,7 @@ class InputFormatError(ValueError):
 # -- Scalars and labels ----------------------------------------------------------
 
 def fraction_to_text(value: Fraction) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return "%d/%d" % (value.numerator, value.denominator)
+    return str(Fraction(value))  # "p", or "p/q" in lowest terms with q > 1
 
 
 def fraction_from_json(value: Union[str, int]) -> Fraction:
@@ -185,7 +182,8 @@ def tensor_from_dict(data: Mapping[str, Any]) -> IntersectionTensor:
     repeat = order[1:][(entries[order[1:]] == entries[order[:-1]]).all(axis=1)]
     if repeat.size:
         raise InputFormatError("p lists %r twice" % (rows[int(repeat.min())][:3],))
-    num = np.array(list(map(nums.__getitem__, values)), object)
+    dtype = np.int64 if k * max([den, *map(abs, nums.values())]) < 2 ** 63 else object
+    num = np.fromiter(map(nums.__getitem__, values), dtype, len(values))  # from_arrays's bound
     try:
         return IntersectionTensor.from_arrays(declared, label_from_text(identity), entries,
                                               num, den, {i: lab for lab, i in where.items()})
@@ -226,15 +224,17 @@ def polynomials_to_dict(polys: Mapping[MultiIndex, Mapping[MultiIndex, Fraction]
 # -- Documents ---------------------------------------------------------------------
 
 def load_document(path: str) -> Union[ColoredGraph, SchemeClasses, IntersectionTensor]:
-    """Read a JSON file and dispatch on its keys.
-
-    "edges" means a colored graph, "matrices" a scheme given by class
-    matrices, "p" an abstract intersection tensor.
-    """
-    with open(path, "r", encoding="ascii") as handle:
+    """Read a JSON file once, as bytes, and dispatch on its keys: "edges"
+    means a colored graph, "matrices" a scheme given by class matrices, "p" an
+    abstract intersection tensor.  A scheme's digit stack is checked in place
+    (:func:`_read_scheme`); any other text is decoded once, for ``json.loads``."""
+    with open(path, "rb") as handle:
         text = handle.read()
     try:
-        data = _read_scheme(text) or json.loads(text)
+        data = _read_scheme(text)
+        if data is None:
+            text = text.decode("ascii").replace("\r\n", "\n").replace("\r", "\n")
+            data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputFormatError("%s: not valid JSON (%s)" % (path, exc)) from exc
     del text  # before the document is built, as json.load kept no text
@@ -249,44 +249,44 @@ def load_document(path: str) -> Union[ColoredGraph, SchemeClasses, IntersectionT
     raise InputFormatError("%s: expected one of the keys edges/matrices/p" % path)
 
 
-def _read_scheme(text: str) -> Optional[dict]:
-    """The object of a scheme document in :func:`dump_json`'s layout, keys
-    labels, matrices and optionally vertices, values by json's C scanner
-    but a digit stack by :func:`_read_digits`; None for any other text."""
-    scan, data, pos = json.JSONDecoder().raw_decode, {}, 0
+def _read_scheme(raw: bytes) -> Optional[dict]:
+    """The object of a scheme document in :func:`dump_json`'s layout (keys labels,
+    matrices, maybe vertices), values but the digit stack decoded alone; else None."""
+    data, pos = {}, 0
     try:
-        for key in ("labels", "matrices", "vertices"):
-            head = '%s\n  "%s": ' % ("," if data else "{", key)
-            if not text.startswith(head, pos):
+        for key, tail in (("labels", b',\n  "matrices": '), ("matrices", b""),
+                          ("vertices", b"\n}\n")):
+            head = b'%s\n  "%s": ' % (b"," if data else b"{", key.encode())
+            if not raw.startswith(head, pos):
                 break
             pos += len(head)
-            data[key], pos = (key == "matrices" and _read_digits(text, pos)
-                              or scan(text, pos))
+            end = raw.find(tail, pos)  # of the value, if not the digit stack
+            data[key], pos = (_read_digits(raw, pos) if not tail else
+                              (json.loads(raw[pos:end].decode("ascii")), end))
     except (ValueError, RecursionError):  # json.loads raises it again
         return None
-    done = "matrices" in data and len(text) - pos == 3 and text.endswith("\n}\n")
+    done = "matrices" in data and len(raw) - pos == 3 and raw.endswith(b"\n}\n")
     return data if done else None
 
 
-def _read_digits(text: str, pos: int) -> Optional[tuple[np.ndarray, int]]:
-    """The read-only (k, n, n) uint8 stack at ``pos``, and its end, if each
-    matrix's text is that of a zero n x n matrix with some 0s made 1s."""
-    end = text.find("]", pos)  # of the first row, which has n entries
-    n = text.count(",", pos, end) + 1
-    if not 0 < n * (end - pos) <= 2 * (len(text) - pos):  # no row; template too big
-        return None
-    zeros, offsets = _layout((n, n), "\n    ")
-    template, matrices, sep = str(zeros, "ascii"), [], "[\n    "
-    while text.startswith(sep, pos):
-        pos += len(sep)
-        matrix = text[pos:pos + len(template)]  # template has no 1
-        if matrix.replace("1", "0") != template:
-            return None
-        matrices.append(np.frombuffer(matrix.encode("ascii"), np.uint8).take(offsets) - 48)
-        pos, sep = pos + len(template), ",\n    "
-    if matrices and text.startswith("\n  ]", pos):
-        return _read_only(np.stack(matrices).reshape(-1, n, n)), pos + 4
-    return None
+def _read_digits(raw: bytes, pos: int) -> tuple[np.ndarray, int]:
+    """The read-only (k, n, n) uint8 stack at ``pos`` and its end, if each matrix's
+    bytes less a zero n x n matrix's text are 0 or 1 at its digits, else 0."""
+    end = raw.find(b"]", pos)  # of the first row, which has n entries
+    n = raw.count(b",", pos, end) + 1
+    if not 0 < n * (end - pos) <= 2 * (len(raw) - pos):  # no row; template too big
+        raise ValueError("no digit stack")
+    template, offsets = _layout((n, n), "\n    ")
+    allowed, matrices, sep = template == ord("0"), [], b"[\n    "
+    while raw.startswith(sep, pos):
+        excess = np.frombuffer(raw, np.uint8, template.size, pos + len(sep)) - template
+        if (excess > allowed).any():
+            raise ValueError("not a zero matrix with some 0s made 1s")
+        matrices.append(excess.take(offsets))
+        pos, sep = pos + len(sep) + template.size, b",\n    "
+    if not (matrices and raw.startswith(b"\n  ]", pos)):
+        raise ValueError("no digit stack")
+    return _read_only(np.stack(matrices).reshape(-1, n, n)), pos + 4
 
 
 def dump_json(data: Any) -> str:
@@ -294,8 +294,8 @@ def dump_json(data: Any) -> str:
     sort_keys=True, indent=2) + "\\n"``, an array written as its nested
     lists, a :class:`DistanceTable` as its {"x|y": label} object (see
     :func:`_encode_pairs`).  With an indent json's encoder is pure Python,
-    one step per entry, so dicts, lists, strings and ints are written
-    here; any other value goes to ``json.dumps``, re-indented, which is
+    one step per entry, so dicts, lists, strings, ints, bools and None are
+    written here; any other value goes to ``json.dumps``, re-indented, which is
     exact because JSON strings hold no raw newline.  The only arrays are
     uint8 arrays of digits, such as :func:`scheme_to_dict`'s stacks: each
     matrix is a copy of the text of one zero matrix, built once per array,
@@ -325,9 +325,9 @@ def _encode(value: Any, nl: str, out: list) -> None:
     elif (kind is list or kind is tuple) and value:
         brackets, heads, items = "[]", [""] * len(value), value
     else:
-        out.append(encode_basestring_ascii(value) if kind is str else str(value)
-                   if kind is int else json.dumps(value, sort_keys=True, indent=2)
-                   .replace("\n", nl))
+        out.append(encode_basestring_ascii(value) if kind is str else str(value) if kind is int
+                   else "null" if value is None else str(value).lower() if kind is bool
+                   else json.dumps(value, sort_keys=True, indent=2).replace("\n", nl))
         return
     inner = nl + "  "
     sep, comma, append = brackets[0] + inner, "," + inner, out.append

@@ -19,7 +19,9 @@ label-setting search over the intersection numbers, loops over dense
 0/1 class matrices and sums of Kronecker products instead of the class
 index matrix, the defining Fraction inequalities of each partial
 order instead of its integer weight rows, and ``json.loads`` of the
-whole text instead of the document reader's layout match and digit stack.
+whole text, or a text-mode reader that decodes the whole file and
+matches the layout in that ``str``, instead of the document reader's
+byte-level layout match and digit stack.
 
 It also holds the checks that only the tests run: the structural
 consequences of m-distance-regularity (triangle bounds, additive
@@ -54,8 +56,8 @@ from mdrg import (ABRegion, Certificate, Check, ColoredGraph,
                   verify_scheme_axioms)
 from mdrg.certificates import witness
 from mdrg.graphs import least_labels
-from mdrg.schemes import BadPair, _pair_witness, label_text, pair_counts
-from mdrg.serialize import (InputFormatError, _check_list, _required,
+from mdrg.schemes import BadPair, _pair_witness, _read_only, label_text, pair_counts
+from mdrg.serialize import (InputFormatError, _check_list, _layout, _required,
                             fraction_from_json, graph_from_dict,
                             label_from_text, scheme_from_dict,
                             tensor_from_dict)
@@ -93,6 +95,25 @@ def json_load_document(path: str):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputFormatError("%s: not valid JSON (%s)" % (path, exc)) from exc
+    return _dispatch(path, data)
+
+
+def text_load_document(path: str):
+    """``load_document`` as a text-mode reader: the whole file decoded to
+    one ``str`` (universal newlines), a scheme in ``dump_json``'s layout
+    matched in that text with its values by json's scanner and each class
+    matrix compared, 1s read as 0s, with a zero matrix's text, any other
+    text through ``json.loads``; the same dispatch and messages."""
+    with open(path, "r", encoding="ascii") as handle:
+        text = handle.read()
+    try:
+        data = _text_read_scheme(text) or json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputFormatError("%s: not valid JSON (%s)" % (path, exc)) from exc
+    return _dispatch(path, data)
+
+
+def _dispatch(path: str, data: Any):
     if not isinstance(data, dict):
         raise InputFormatError("%s: top level must be an object" % path)
     if "edges" in data:
@@ -102,6 +123,46 @@ def json_load_document(path: str):
     if "p" in data:
         return tensor_from_dict(data)
     raise InputFormatError("%s: expected one of the keys edges/matrices/p" % path)
+
+
+def _text_read_scheme(text: str) -> Optional[dict]:
+    """The object of a scheme document in ``dump_json``'s layout, keys
+    labels, matrices and optionally vertices, values by json's C scanner
+    but a digit stack by :func:`_text_read_digits`; None for any other text."""
+    scan, data, pos = json.JSONDecoder().raw_decode, {}, 0
+    try:
+        for key in ("labels", "matrices", "vertices"):
+            head = '%s\n  "%s": ' % ("," if data else "{", key)
+            if not text.startswith(head, pos):
+                break
+            pos += len(head)
+            data[key], pos = (key == "matrices" and _text_read_digits(text, pos)
+                              or scan(text, pos))
+    except (ValueError, RecursionError):  # json.loads raises it again
+        return None
+    done = "matrices" in data and len(text) - pos == 3 and text.endswith("\n}\n")
+    return data if done else None
+
+
+def _text_read_digits(text: str, pos: int) -> Optional[tuple[np.ndarray, int]]:
+    """The read-only (k, n, n) uint8 stack at ``pos``, and its end, if each
+    matrix's text is that of a zero n x n matrix with some 0s made 1s."""
+    end = text.find("]", pos)  # of the first row, which has n entries
+    n = text.count(",", pos, end) + 1
+    if not 0 < n * (end - pos) <= 2 * (len(text) - pos):  # no row; template too big
+        return None
+    zeros, offsets = _layout((n, n), "\n    ")
+    template, matrices, sep = str(zeros, "ascii"), [], "[\n    "
+    while text.startswith(sep, pos):
+        pos += len(sep)
+        matrix = text[pos:pos + len(template)]  # template has no 1
+        if matrix.replace("1", "0") != template:
+            return None
+        matrices.append(np.frombuffer(matrix.encode("ascii"), np.uint8).take(offsets) - 48)
+        pos, sep = pos + len(template), ",\n    "
+    if matrices and text.startswith("\n  ]", pos):
+        return _read_only(np.stack(matrices).reshape(-1, n, n)), pos + 4
+    return None
 
 
 # -- Brute-force m-distance ---------------------------------------------------

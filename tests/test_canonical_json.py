@@ -1,7 +1,8 @@
 """The canonical writer against ``json.dumps(..., sort_keys=True, indent=2)``.
 
-``dump_json`` joins dicts, lists and strings itself and delegates every
-other value to ``json.dumps``; its bytes must not differ from json's on
+``dump_json`` joins dicts, lists and strings and writes ints, true,
+false and null itself, and delegates every other value to
+``json.dumps``; its bytes must not differ from json's on
 any value json accepts, nor on the uint8 digit arrays of scheme
 documents, which json reads here through ``ndarray.tolist``, nor on
 distance tables, which json reads as the per-pair dict of
@@ -71,6 +72,15 @@ def test_dump_json_fixed_cases():
                   [1, [2, [3, []]], {"x": (4,)}], {2: "b", 10: "a"},
                   [2 ** 70, -2 ** 70, 0]):
         assert dump_json(value) == reference(value)
+
+
+def test_dump_json_writes_bools_and_null_itself(monkeypatch):
+    """A document of strings, ints, bools and None never reaches json's
+    pure-Python indent encoder, which took about 7.6 us per leaf."""
+    value = {"a": [True, False, None], "b": {"c": True, "d": None}, "e": [1, "x"]}
+    expected = reference(value)
+    monkeypatch.setattr(json, "dumps", None)
+    assert dump_json(value) == expected
 
 
 @st.composite

@@ -46,7 +46,7 @@ from mdrg.serialize import (
 )
 
 from helpers import (json_load_document, multiindex_from_json,
-                     polynomials_from_dict)
+                     polynomials_from_dict, text_load_document)
 
 F = Fraction
 mi = MultiIndex
@@ -209,6 +209,22 @@ def test_tensor_from_dict_errors():
     assert (mi((1,)), mi((1,)), mi((0,))) not in t.p
 
 
+def test_tensor_from_dict_reads_num_as_int64_within_the_bound(monkeypatch):
+    """The reader hands from_arrays an int64 ``num`` while k * max(|num|,
+    den) < 2^63, the bound from_arrays states, and Python ints past it."""
+    seen, build = [], IntersectionTensor.from_arrays
+    monkeypatch.setattr(IntersectionTensor, "from_arrays", lambda *args: seen.append(
+        args[3].dtype) or build(*args))
+    for top, dtype in ((2 ** 62 - 1, np.int64), (2 ** 62, object)):
+        t = tensor_from_dict({"labels": ["0", "1"], "identity": "0",
+                              "p": [["0", "0", "0", 1], ["1", "1", "0", str(top)]]})
+        assert seen.pop() == t.num.dtype == dtype
+        assert t.p[mi((1,)), mi((1,)), mi((0,))] == top
+    half = tensor_from_dict({"labels": ["0", "1"], "identity": "0",
+                             "p": [["0", "0", "0", 1], ["1", "1", "0", "3/2"]]})
+    assert (seen.pop(), half.den, half.num.tolist()) == (np.int64, 2, [2, 3])
+
+
 def test_table_to_dict():
     table = m_distance_table(cycle(4), MonomialOrder.parse("deglex-sum"))
     data = json.loads(dump_json(table_to_dict(table)))
@@ -336,6 +352,8 @@ def _outcome(load, path):
         s = load(path)
     except Exception as exc:  # compared with the oracle's, not handled
         return type(exc), str(exc)
+    if not isinstance(s, SchemeClasses):
+        return graph_to_dict(s) if isinstance(s, ColoredGraph) else tensor_to_dict(s)
     if s.index is None:
         return s.labels, s.vertices, verify_scheme_axioms(s).to_dict()
     return s.labels, s.vertices, s.index.tolist(), [mat.tolist() for mat in s.matrices]
@@ -352,7 +370,7 @@ def test_load_document_reads_scheme_texts_as_json_does(mutant, data):
             handle.write(text)
         assert _outcome(load_document, path) == _outcome(json_load_document, path)
     if mutant == "none":  # the digit reader, not json, read it
-        assert isinstance(serialize._read_scheme(text)["matrices"], np.ndarray)
+        assert isinstance(serialize._read_scheme(text.encode())["matrices"], np.ndarray)
 
 
 def test_load_document_reads_every_one_byte_change_as_json_does(tmp_path):
@@ -390,8 +408,9 @@ def test_load_document_sizes_no_template_past_the_text(tmp_path):
 
 def test_load_document_holds_the_text_and_one_matrix(tmp_path):
     """symmetrize:4 of the Pauli scheme (n = 256, k = 15, 10.9 MB) is read
-    with at most 2.5 times its text in memory; json's nested lists took
-    3.0 times."""
+    with at most 1.6 times its bytes in memory: the bytes and the stack,
+    not a decoded copy of the text as well (2.0 times), nor json's nested
+    lists (3.0 times)."""
     sym4 = symmetrize(pauli_scheme4(), 4)
     text = dump_json(scheme_to_dict(sym4))
     path = tmp_path / "sym4.json"
@@ -402,6 +421,103 @@ def test_load_document_holds_the_text_and_one_matrix(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * len(text)
+    assert peak <= 1.6 * len(text)
     assert (loaded.labels, loaded.vertices) == (sym4.labels, sym4.vertices)
     assert np.array_equal(loaded.index, sym4.index)
+
+
+# -- The byte reader against the text-mode reader ----------------------------
+
+def _writer_texts() -> list[bytes]:
+    """dump_json texts of scheme documents: pauli4, symmetrize:2 of it, and
+    schemes on one vertex and on two, the last without vertices."""
+    one = SchemeClasses(["A0"], np.ones((1, 1, 1), np.uint8), ["x"])
+    two = SchemeClasses(["A0", "A1"], np.array([np.eye(2), 1 - np.eye(2)], np.uint8),
+                        ["x", "y"])
+    documents = [scheme_to_dict(s) for s in (pauli_scheme4(),
+                                             symmetrize(pauli_scheme4(), 2), one, two)]
+    del documents[-1]["vertices"]
+    return [dump_json(document).encode("ascii") for document in documents]
+
+
+WRITER_TEXTS = _writer_texts()
+BYTE_MUTANTS = ("none", "template-byte", "digit", "non-ascii", "truncate", "crlf",
+                "cr", "indent")
+
+
+def _mutate(draw, raw: bytes, mutant: str) -> bytes:
+    """``raw`` changed by ``mutant``: one byte of the stack that is not a
+    digit set to another ASCII byte, a digit made 2 or /, a byte of
+    128..255 put anywhere, the text cut anywhere, each \\n made \\r\\n or
+    \\r, or the labels or vertices list written at 2-space indents."""
+    start = raw.index(b'"matrices": ') + 12
+    stack = range(start, raw.index(b"\n  ]", start) + 4)
+    if mutant == "template-byte":
+        at = draw(st.sampled_from([i for i in stack if raw[i] not in b"01"]))
+        byte = draw(st.integers(0, 127).filter(lambda b: b != raw[at]))
+        return raw[:at] + bytes([byte]) + raw[at + 1:]
+    if mutant == "digit":
+        at = draw(st.sampled_from([i for i in stack if raw[i] in b"01"]))
+        return raw[:at] + draw(st.sampled_from([b"2", b"/"])) + raw[at + 1:]
+    if mutant == "non-ascii":
+        at = draw(st.integers(0, len(raw)))
+        return raw[:at] + bytes([draw(st.integers(128, 255))]) + raw[at:]
+    if mutant == "truncate":
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    if mutant in ("crlf", "cr"):
+        return raw.replace(b"\n", b"\r\n" if mutant == "crlf" else b"\r")
+    if mutant == "indent":
+        key = draw(st.sampled_from([b"labels", b"vertices"] if b'"vertices"' in raw
+                                   else [b"labels"]))
+        head = b'"%s": ' % key
+        at = raw.index(head) + len(head)
+        end = raw.index(b"]", at) + 1
+        value = json.loads(raw[at:end])
+        return raw[:at] + json.dumps(value, indent=2).encode("ascii") + raw[end:]
+    return raw
+
+
+def _outcomes(raw: bytes) -> tuple:
+    """What load_document and the text-mode reader make of the file ``raw``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.json")
+        with open(path, "wb") as handle:
+            handle.write(raw)
+        return _outcome(load_document, path), _outcome(text_load_document, path)
+
+
+@pytest.mark.parametrize("mutant", BYTE_MUTANTS)
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_load_document_reads_bytes_as_the_text_reader_does(mutant, data):
+    """The same scheme, or the same error type and message, as a reader
+    that decodes the whole file in text mode and matches the layout there."""
+    raw = _mutate(data.draw, data.draw(st.sampled_from(WRITER_TEXTS)), mutant)
+    outcome, oracle = _outcomes(raw)
+    assert outcome == oracle
+    if mutant in ("none", "indent"):  # the digit stack, read in place
+        assert isinstance(serialize._read_scheme(raw)["matrices"], np.ndarray)
+
+
+@pytest.mark.parametrize("mutant", ("crlf", "cr", "non-ascii", "truncate"))
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_graph_and_tensor_documents_keep_their_messages(mutant, data):
+    """Graph and tensor documents, with \\r\\n or \\r line ends, a non-ASCII
+    byte, or cut short (after \\r\\n ends, so json's error positions count
+    one \\n per line end), read as the text reader reads them."""
+    document = data.draw(st.sampled_from([graph_to_dict(cycle(5)),
+                                          tensor_to_dict(gen24cell(2, F(1, 2)))]))
+    raw = dump_json(document).encode("ascii")
+    if mutant == "truncate":
+        raw = raw.replace(b"\n", b"\r\n")[:data.draw(st.integers(0, 2 * len(raw)))]
+    elif mutant == "non-ascii":
+        at = data.draw(st.integers(0, len(raw)))
+        raw = raw[:at] + bytes([data.draw(st.integers(128, 255))]) + raw[at:]
+    else:
+        raw = raw.replace(b"\n", b"\r\n" if mutant == "crlf" else b"\r")
+    outcome, oracle = _outcomes(raw)
+    assert outcome == oracle
+    if mutant in ("crlf", "cr"):
+        assert outcome == (graph_to_dict(graph_from_dict(document)) if "edges" in document
+                           else document)
