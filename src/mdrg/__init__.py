@@ -26,8 +26,8 @@ from .ppoly import (Discovery, ExtractionError, IncompatibleOrderPairError,
                     certify_ppoly, certify_ppoly_refined, certify_type_ab,
                     discover_labelings, extract_polynomials, verify_recurrences)
 from .schemes import (IntersectionTensor, MdrgResult, SchemeClasses,
-                      associativity, distance_matrices, generator_rows,
-                      intersection_tensor, mdrg_check, verify_scheme_axioms)
+                      associativity, distance_matrices, intersection_tensor,
+                      mdrg_check, verify_scheme_axioms)
 from .families import (cartesian_product, cell24, complete, cycle, gen24cell,
                        hamming_graph, pauli_scheme4, symmetrize)
 
@@ -43,7 +43,7 @@ __all__ = [
     "boundary_check", "box", "cartesian_product", "cell24", "certify_ppoly",
     "certify_ppoly_refined", "certify_type_ab", "check_domain", "complete",
     "cycle", "discover_labelings", "distance_matrices", "downset_enum",
-    "extract_polynomials", "gen24cell", "generator_rows", "hamming_graph",
+    "extract_polynomials", "gen24cell", "hamming_graph",
     "in_span", "intersection_tensor", "m_distance_table", "mat_vec",
     "mdrg_check", "pauli_scheme4", "rank", "solve_columns", "symmetrize",
     "validate_pair_compat", "verify_recurrences", "verify_scheme_axioms",

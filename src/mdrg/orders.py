@@ -39,10 +39,10 @@ from .certificates import Certificate, Check, witness
 
 
 class MultiIndex(tuple):
-    """An element of N^m; supports vector ``+`` and ``-``.
+    """An element of N^m; supports vector ``+``.
 
-    Entries are nonnegative ints.  Subtraction is only defined when the
-    result stays in N^m.  Instances are hashable and usable as dict keys.
+    Entries are nonnegative ints.  Instances are hashable and usable as
+    dict keys, and equal to the plain tuple of their entries.
     """
 
     def __new__(cls, entries: Iterable[int]) -> "MultiIndex":
@@ -89,14 +89,6 @@ class MultiIndex(tuple):
         # Returning NotImplemented would fall back to tuple concatenation,
         # silently producing a longer index; refuse outright.
         raise TypeError("cannot add %r to a multi-index" % (other,))
-
-    def __sub__(self, other: "MultiIndex") -> "MultiIndex":
-        if len(self) != len(other):
-            raise ValueError("mixed lengths: %d vs %d" % (len(self), len(other)))
-        diff = tuple(a - b for a, b in zip(self, other))
-        if any(d < 0 for d in diff):
-            raise ValueError("difference %s - %s leaves N^m" % (self, other))
-        return MultiIndex(diff)
 
     def __repr__(self) -> str:
         return "MultiIndex(%s)" % (tuple(self),)

@@ -7,14 +7,14 @@ a + e_i, and the coefficient at exactly a + e_i never vanishes while
 a + e_i stays in D.  Each class is then a polynomial in the generator
 classes A_{e_1}..A_{e_m}; those polynomials are read off the recurrence
 x_i v_a = sum_b p_{e_i,a}^b v_b, and the boundary span condition follows
-from a certified window by a triangularity proof.  Every check reads
-the sparse view of the generator products that the tensor keeps,
-:func:`generator_rows`.  A refined variant replaces the order window by
-a compatible partial order; the two-parameter family ``ab:alpha,beta``
-gives the type-(alpha, beta) notion, whose exact feasible parameter
-region, always a product of intervals, is computed in one pass.
-Finally, labelings can be discovered from a bare scheme by trying every
-ordered generator tuple on its intersection numbers.
+from a certified window by a triangularity proof.  Every step check reads
+the successor table ``t.steps`` and the generator rows, slices of the
+tensor's sorted arrays, on class positions.  A refined variant replaces
+the order window by a compatible partial order; the two-parameter family
+``ab:alpha,beta`` gives the type-(alpha, beta) notion, whose exact
+feasible parameter region, always a product of intervals, is computed in
+one pass.  Finally, labelings can be discovered from a bare scheme by
+trying every ordered generator tuple on its intersection numbers.
 """
 
 from __future__ import annotations
@@ -121,32 +121,39 @@ class Labeling:
 def _structural_checks(t: IntersectionTensor) -> tuple[list[Check], Optional[int]]:
     if not t.labels_are_multiindex:
         raise ValueError("certification needs multi-index labels; apply a labeling")
-    m = t.m
-    origin = MultiIndex.zero(m)
-    checks = [Check("identity-at-origin", t.identity == origin,
-                    None if t.identity == origin else witness(identity=t.identity))]
-    missing = [c for c in range(1, m + 1) if MultiIndex.unit(m, c) not in t.domain()]
-    checks.append(Check("generators-realized", not missing,
-                        None if not missing else
-                        witness(color=missing[0],
-                                unit=MultiIndex.unit(m, missing[0]))))
+    m, origin = t.m, not any(t.identity)
+    checks = [Check("identity-at-origin", origin,
+                    None if origin else witness(identity=t.identity))]
+    missing = next((i + 1 for i, g in enumerate(t.steps.gens.tolist()) if g < 0), None)
+    checks.append(Check("generators-realized", missing is None, None if missing is None
+                        else witness(color=missing, unit=MultiIndex.unit(m, missing))))
     return checks, m
 
 
-def _steps(t: IntersectionTensor):
-    """(e_i, a, a + e_i, {b: p_{e_i,a}^b}) for each generator e_i and each
-    a in D in sorted order, read from the generator rows ``t.rows``."""
-    for unit in (MultiIndex.unit(t.m, c) for c in range(1, t.m + 1)):
-        for a in sorted(t.domain()):
-            yield unit, a, a + unit, t.rows.get((unit, a), {})
+def _steps(t: IntersectionTensor) -> tuple[dict, list]:
+    """Rows {(g, a): {b: p_{g,a}^b}} for each generator g that is a class,
+    each the slice of the sorted arrays at (g, a) with b in label order, and
+    steps (i, g, a, up, rows[g, a] or {}) for each color i and class a in
+    label order, with g and up the positions of e_i and a + e_i (``t.steps``)."""
+    gens, up, order, at = t.steps
+    rows: dict = {}
+    for g, a, b, v in zip(*(col[at].tolist() for col in (t.a, t.b, t.c, t.num))):
+        rows.setdefault((g, a), {})[b] = v // t.den if v % t.den == 0 else Fraction(v, t.den)
+    order = order.tolist()
+    return rows, [(i, g, a, u, rows.get((g, a), {})) for i, (g, ups)
+                  in enumerate(zip(gens.tolist(), up[:, order].tolist()))
+                  for a, u in zip(order, ups)]
 
 
-def _outside_window(constraints, leq, window_text: str) -> Optional[dict]:
-    """Witness of the first (e_i, a, b, p_{e_i,a}^b) with b not below a + e_i."""
-    return next((witness(generator=unit, a=a, b=b, bound=a + unit,
+def _outside_window(t: IntersectionTensor, steps, leq, window_text: str) -> Optional[dict]:
+    """Witness of the first p_{e_i,a}^b in the rows of ``steps`` with b not
+    below a + e_i, made as a multi-index only where it is no class."""
+    labels = t.labels
+    return next((witness(generator=labels[g], a=labels[a], b=labels[b], bound=bound,
                          value=Fraction(value), window=window_text)
-                 for unit, a, b, value in constraints if not leq(b, a + unit)),
-                None)
+                 for _, g, a, up, row in steps if row
+                 for bound in (labels[up] if up >= 0 else labels[a] + labels[g],)
+                 for b, value in row.items() if not leq(labels[b], bound)), None)
 
 
 def certify_ppoly(t: IntersectionTensor, window: Window) -> Certificate:
@@ -158,15 +165,12 @@ def certify_ppoly(t: IntersectionTensor, window: Window) -> Certificate:
     a + e_i stays in D.
     """
     checks, _ = _structural_checks(t)
-    dom = t.domain()
-    checks.extend(check_domain(dom, "box").checks)
-    steps = list(_steps(t))
-    window_witness = _outside_window(
-        ((unit, a, b, value) for unit, a, _, row in steps
-         for b, value in row.items()), window.leq, window.as_text())
-    succ_witness = next((witness(generator=unit, a=a, successor=up)
-                         for unit, a, up, row in steps
-                         if up in dom and up not in row), None)
+    checks.extend(check_domain(t.labels, "box").checks)
+    (_, steps), labels = _steps(t), t.labels
+    window_witness = _outside_window(t, steps, window.leq, window.as_text())
+    succ_witness = next((witness(generator=MultiIndex.unit(t.m, i + 1), a=labels[a],
+                                 successor=labels[up])
+                         for i, g, a, up, row in steps if up >= 0 and up not in row), None)
     checks.append(Check("products-within-window", window_witness is None, window_witness))
     checks.append(Check("successor-nonzero", succ_witness is None, succ_witness))
     return Certificate.of(checks)
@@ -182,7 +186,7 @@ def certify_ppoly_refined(t: IntersectionTensor, order: MonomialOrder,
     failure of the scheme).
     """
     _, m = _structural_checks(t)
-    bound = max((max(a) for a in t.domain()), default=0) + 1  # type: ignore[arg-type]
+    bound = max((max(a) for a in t.labels), default=0) + 1  # type: ignore[arg-type]
     compat = validate_pair_compat(partial, order, bound, m=m)
     if not compat.passed:
         raise IncompatibleOrderPairError(
@@ -208,22 +212,21 @@ def boundary_check(t: IntersectionTensor, window: Window) -> Certificate:
     hypotheses = certify_ppoly(t, window)
     if not hypotheses.passed:
         raise ValueError("boundary span needs a certified window: %s" % hypotheses.witness)
-    dom = t.domain()
-    cases = sum(up not in dom for _, _, up, _ in _steps(t))
+    cases = int((t.steps.up < 0).sum())
     return Certificate.single("boundary-span", True, detail="%d boundary cases" % cases)
 
 
 def _residual(polys: Mapping[MultiIndex, Mapping], unit: MultiIndex,
-              a: MultiIndex, row: Mapping[MultiIndex, Fraction]) -> dict:
-    """x_i v_a - sum_b p_{e_i,a}^b v_b over ``row`` = {b: p_{e_i,a}^b}, a
-    coefficient map that may hold zeros.  ValueError names the first of
-    a, then the b in row order, that has no polynomial."""
-    for b in (a, *row):
+              a: MultiIndex, row: Mapping[int, Fraction], labels: Sequence) -> dict:
+    """x_i v_a - sum_b p_{e_i,a}^b v_b over ``row`` = {b: p_{e_i,a}^b}, b a
+    position in ``labels``: a coefficient map that may hold zeros.  ValueError
+    names the first of a, then the b in row order, that has no polynomial."""
+    for b in (a, *(labels[b] for b in row)):
         if b not in polys:
             raise ValueError("no polynomial for class %s" % b.as_text())
     diff = {c + unit: value for c, value in polys[a].items()}
     for b, p in row.items():
-        for c, value in polys[b].items():
+        for c, value in polys[labels[b]].items():
             diff[c] = diff.get(c, 0) - p * value
     return diff
 
@@ -245,26 +248,29 @@ def extract_polynomials(t: IntersectionTensor, window: Window
     some b on the right is not below n under ``window`` (certification
     prerequisite violated).
     """
-    dom = sorted(t.domain())
+    labels, (gens, _, order, _), (rows, _) = t.labels, t.steps, _steps(t)
+    where = {lab: n for n, lab in enumerate(labels)}
     origin = MultiIndex.zero(t.m)
     polys = {origin: {origin: Fraction(1)}}
-    for n in sorted(dom, key=window.key)[1:]:  # o sorts first
-        unit = MultiIndex.unit(t.m, next(i for i, e in enumerate(n) if e) + 1)
-        a = n - unit
-        row = dict(t.rows.get((unit, a), {}))
+    for n in sorted(order.tolist(), key=lambda n: window.key(labels[n]))[1:]:  # o first
+        top = labels[n]
+        i = next(i for i, e in enumerate(top) if e)
+        below = top[:i] + (top[i] - 1,) + top[i + 1:]
+        g, a = int(gens[i]), where.get(below, -1)
+        row = dict(rows.get((g, a), {}))
         lead = row.pop(n, 0)
         if not lead:
-            raise ExtractionError("p_{%s,%s}^%s is zero; certify the scheme first"
-                                  % (unit.as_text(), a.as_text(), n.as_text()))
-        outside = [b for b in row if not window.leq(b, n)]
+            raise ExtractionError("p_{%s,%s}^%s is zero; certify the scheme first" % tuple(
+                x.as_text() for x in (MultiIndex.unit(t.m, i + 1), MultiIndex(below), top)))
+        outside = [b for b in row if not window.leq(labels[b], top)]
         if outside:
             raise ExtractionError(
                 "A_%s A_%s reaches A_%s, which is not below %s; certify the "
-                "scheme first" % (unit.as_text(), a.as_text(),
-                                  outside[0].as_text(), n.as_text()))
-        polys[n] = {c: value / lead for c, value
-                    in _residual(polys, unit, a, row).items() if value}
-    lead_witness = next((witness(n=n) for n in dom if not polys[n].get(n)), None)
+                "scheme first" % (labels[g].as_text(), labels[a].as_text(),
+                                  labels[outside[0]].as_text(), top.as_text()))
+        polys[top] = {c: value / lead for c, value
+                      in _residual(polys, labels[g], labels[a], row, labels).items() if value}
+    lead_witness = next((witness(n=n) for n in sorted(polys) if not polys[n].get(n)), None)
     certificate = Certificate.of([
         Check("unique-solution", True,
               detail="%d polynomials extracted" % len(polys)),
@@ -283,19 +289,20 @@ def verify_recurrences(polys: Mapping[MultiIndex, Mapping[MultiIndex, Fraction]]
     witness names the least monomial, as a tuple, where the sides differ,
     with the coefficient of each side.
     """
-    dom = t.domain()
-    support_witness = None
-    identity_witness = None
-    for unit, a, up, row in _steps(t):
-        if up not in dom:
+    labels, support_witness, identity_witness = t.labels, None, None
+    for i, g, a, up, row in _steps(t)[1]:
+        if up < 0:
             continue
-        diff = _residual(polys, unit, a, row)
+        unit = labels[g] if g >= 0 else MultiIndex.unit(t.m, i + 1)
+        a, up = labels[a], labels[up]
+        diff = _residual(polys, unit, a, row, labels)
         if partial is not None and support_witness is None:
-            support_witness = next((witness(generator=unit, a=a, b=b, bound=up)
-                                    for b in row if not partial.leq(b, up)), None)
+            support_witness = next((witness(generator=unit, a=a, b=labels[b], bound=up)
+                                    for b in row if not partial.leq(labels[b], up)), None)
         if identity_witness is None and any(diff.values()):
             mono = min(c for c, value in diff.items() if value)
-            lhs = Fraction(polys[a].get(mono - unit, 0) if mono[unit.index(1)] else 0)
+            lhs = Fraction(polys[a].get(mono[:i] + (mono[i] - 1,) + mono[i + 1:], 0)
+                           if mono[i] else 0)
             identity_witness = witness(
                 generator=unit, a=a, monomial=mono,
                 lhs=lhs, rhs=Fraction(lhs - diff[mono]))
@@ -311,23 +318,20 @@ def _type_ab_requirements(t: IntersectionTensor) -> tuple[Optional[dict], list]:
     """The requirements of the type-(alpha, beta) property on the steps
     a -> a + e_i inside D, in one pass over the generator rows: the
     witness of the first step whose coefficient p_{e_i,a}^{a+e_i} (up) or
-    p_{e_i,a+e_i}^a (down) is zero, and the window constraints
-    (e_i, a, b, p_{e_i,a}^b), each asking b below a + e_i.
+    p_{e_i,a+e_i}^a (down) is zero, and those steps, whose rows each ask
+    every b below a + e_i.
 
     :func:`certify_type_ab` and :func:`ab_region_for_scheme` both read
     them, so the certificate and the region cannot drift apart.
     """
-    dom = t.domain()
-    step_witness, window = None, []
-    for unit, a, up, row in _steps(t):
-        if up not in dom:
-            continue
-        if step_witness is None and (up not in row
-                                     or a not in t.rows.get((unit, up), {})):
-            step_witness = witness(generator=unit, a=a, successor=up,
-                                   direction="up" if up not in row else "down")
-        window.extend((unit, a, b, value) for b, value in row.items())
-    return step_witness, window
+    (rows, steps), labels = _steps(t), t.labels
+    inside = [step for step in steps if step[3] >= 0]
+    step_witness = next((witness(generator=MultiIndex.unit(t.m, i + 1), a=labels[a],
+                                 successor=labels[up],
+                                 direction="up" if up not in row else "down")
+                         for i, g, a, up, row in inside
+                         if up not in row or a not in rows.get((g, up), {})), None)
+    return step_witness, inside
 
 
 def certify_type_ab(t: IntersectionTensor, partial: PartialOrder) -> Certificate:
@@ -344,10 +348,10 @@ def certify_type_ab(t: IntersectionTensor, partial: PartialOrder) -> Certificate
     checks, m = _structural_checks(t)
     if m != 2:
         raise ValueError("type-(alpha,beta) certification needs m=2, got m=%d" % m)
-    checks.extend(check_domain(t.domain(), partial).checks)
-    step_witness, window = _type_ab_requirements(t)
+    checks.extend(check_domain(t.labels, partial).checks)
+    step_witness, inside = _type_ab_requirements(t)
     checks.append(Check("unit-step-nonzero", step_witness is None, step_witness))
-    window_witness = _outside_window(window, partial.leq, partial.as_text())
+    window_witness = _outside_window(t, inside, partial.leq, partial.as_text())
     checks.append(Check("products-within-window", window_witness is None, window_witness))
     return Certificate.of(checks)
 
@@ -376,15 +380,16 @@ def ab_region_for_scheme(t: IntersectionTensor) -> Optional[ABRegion]:
     checks, m = _structural_checks(t)
     if m != 2:
         raise ValueError("parameter regions need m=2, got m=%d" % m)
-    step_witness, window = _type_ab_requirements(t)
+    step_witness, inside = _type_ab_requirements(t)
     if not all(c.passed for c in checks) or step_witness is not None:
         return None
-    region = ab_feasible_region((b, a + unit) for unit, a, b, _ in window)
+    region = ab_feasible_region((t.labels[b], t.labels[up])
+                                for *_, up, row in inside for b in row)
     if region is None:
         return None
     alpha, beta = region.alpha, region.beta
-    dom = t.domain()
-    for a in dom:
+    dom = set(t.labels)
+    for a in t.labels:
         for b in box((a[0] + a[1],) * 2):
             d1, d2 = b[0] - a[0], b[1] - a[1]
             if b in dom:

@@ -31,6 +31,8 @@ from .graphs import ColoredGraph, DistanceTable, m_distance_table
 from .orders import MonomialOrder, MultiIndex
 
 Label = Union[MultiIndex, str]
+Steps = NamedTuple("Steps", [("gens", np.ndarray), ("up", np.ndarray), ("order", np.ndarray),
+                             ("rows", np.ndarray)])
 
 
 def label_text(label: Label) -> str:
@@ -296,7 +298,7 @@ class IntersectionTensor:
     so sums of k entries are exact, else Python ints (dtype=object).
     Labels are opaque tags or multi-indices; ``identity`` names A_o.  The
     checks read the arrays; :attr:`p`, the read-only map (a, b, c) ->
-    Fraction on labels, and the generator rows :attr:`rows` are built on
+    Fraction on labels, and the successor table :attr:`steps` are built on
     first read.  Equality compares labels, identity and ``p``.
     """
 
@@ -343,8 +345,20 @@ class IntersectionTensor:
         return types.MappingProxyType({(labels[a], labels[b], labels[c]): Fraction(v, den)
                                        for a, b, c, v in zip(*map(np.ndarray.tolist, arrays))})
 
-    # generator_rows(self), built on first use; read-only
-    rows = functools.cached_property(lambda self: generator_rows(self))
+    @functools.cached_property
+    def steps(self) -> Steps:
+        """The read-only int64 :class:`Steps` a -> a + e_i on class positions:
+        ``gens[i]``, ``up[i, a]`` those of e_{i+1}, labels[a] + e_{i+1} (-1 if no
+        class), ``order`` the positions in label order, and ``rows`` the entries
+        p_{g,a}^b at a generator g by (g, a), then b in label order; no MultiIndex."""
+        labels, k, m = self.labels, len(self.labels), self.m
+        where = {lab: i for i, lab in enumerate(labels)}  # o + e_i in the last column
+        up = np.array([where.get(lab[:i] + (lab[i] + 1,) + lab[i + 1:], -1) for i in range(m)
+                       for lab in (*labels, (0,) * m)], np.int64).reshape(m, k + 1)
+        order = np.array(sorted(range(k), key=labels.__getitem__), np.int64)
+        rows = np.flatnonzero(np.isin(self.a, up[:, k]))
+        rows = rows[np.lexsort((np.argsort(order)[self.c[rows]], self.b[rows], self.a[rows]))]
+        return Steps(*map(_read_only, (up[:, k], up[:, :k], order, rows)))
 
     def get(self, a: Label, b: Label, c: Label) -> Fraction:
         return self.p.get((a, b, c), Fraction(0))
@@ -443,20 +457,7 @@ def distance_matrices(table: DistanceTable) -> SchemeClasses:
                                     table.graph.vertices)
 
 
-# -- Generator products and associativity ---------------------------------------
-
-def generator_rows(t: IntersectionTensor) -> dict:
-    """Sparse view (e_i, a) -> {b: p_{e_i,a}^b, ...} of the products
-    A_{e_i} A_a, kept as ``t.rows``: each row sorted by b, integral values
-    as ints.  A generator that is not a class has no rows."""
-    units = {MultiIndex.unit(t.m, c) for c in range(1, t.m + 1)}
-    labels, den, rows = t.labels, t.den, {}
-    on = np.array([lab in units for lab in labels], bool)[t.a]  # entries at a generator
-    for g, a, b, v in zip(*(col[on].tolist() for col in (t.a, t.b, t.c, t.num))):
-        rows.setdefault((labels[g], labels[a]), []).append(
-            (labels[b], v // den if v % den == 0 else Fraction(v, den)))
-    return {key: dict(sorted(row)) for key, row in rows.items()}
-
+# -- Generator associativity ----------------------------------------------------
 
 def associativity(t: IntersectionTensor) -> Check:
     """Generator associativity (A_{e_i} A_a) A_b = A_{e_i} (A_a A_b), that is

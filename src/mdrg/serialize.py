@@ -72,7 +72,7 @@ def _check_list(key: str, value: Any, names: str = "") -> None:
     """An input error unless ``value`` is a list, of strings given ``names``."""
     if not isinstance(value, list):
         raise InputFormatError("%s must be a list, got %s" % (key, type(value).__name__))
-    for v in value if names else ():
+    for v in value if names and not set(map(type, value)) <= {str} else ():
         if not isinstance(v, str):
             raise InputFormatError("%s must be strings, got %r" % (names, v))
 
@@ -226,12 +226,13 @@ def polynomials_to_dict(polys: Mapping[MultiIndex, Mapping[MultiIndex, Fraction]
 def load_document(path: str) -> Union[ColoredGraph, SchemeClasses, IntersectionTensor]:
     """Read a JSON file once, as bytes, and dispatch on its keys: "edges"
     means a colored graph, "matrices" a scheme given by class matrices, "p" an
-    abstract intersection tensor.  A scheme's digit stack is checked in place
-    (:func:`_read_scheme`); any other text is decoded once, for ``json.loads``."""
+    abstract intersection tensor.  A scheme's digit stack is checked in place,
+    CR and CRLF read as LF (:func:`_read_scheme`); any other text is decoded once."""
     with open(path, "rb") as handle:
         text = handle.read()
     try:
-        data = _read_scheme(text)
+        data = _read_scheme(text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+                            if b"\r" in text else text)
         if data is None:
             text = text.decode("ascii").replace("\r\n", "\n").replace("\r", "\n")
             data = json.loads(text)

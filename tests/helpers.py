@@ -51,11 +51,12 @@ from mdrg import (ABRegion, Certificate, Check, ColoredGraph,
                   DisconnectedGraphError, Discovery, DistanceTable,
                   IntersectionTensor, Interval, Labeling, MonomialOrder,
                   MultiIndex, PartialOrder, SchemeClasses,
-                  ab_feasible_region, box, distance_matrices, in_span, mat_vec,
-                  m_distance_table, mdrg_check, solve_columns,
-                  verify_scheme_axioms)
+                  ab_feasible_region, box, distance_matrices, in_span,
+                  intersection_tensor, mat_vec, m_distance_table, mdrg_check,
+                  solve_columns, verify_scheme_axioms)
 from mdrg.certificates import witness
 from mdrg.graphs import least_labels
+from mdrg.ppoly import _steps
 from mdrg.schemes import BadPair, _pair_witness, _read_only, label_text, pair_counts
 from mdrg.serialize import (InputFormatError, _check_list, _layout, _required,
                             fraction_from_json, graph_from_dict,
@@ -436,7 +437,7 @@ def check_sum_decomposition(table: DistanceTable,
     first = dict(zip(table.labels, np.unique(table.index, return_index=True)[1]))
     for c in sorted(dom):
         for b in box(tuple(c)):
-            remainder = c - b
+            remainder = MultiIndex(x - y for x, y in zip(c, b))
             if b not in dom or remainder not in dom:
                 return Certificate.single(
                     "sum-decomposition", False,
@@ -805,7 +806,8 @@ def dict_associativity(t) -> Check:
 
 
 def dict_generator_rows(t) -> dict:
-    """``schemes.generator_rows`` in one pass over ``t.p``."""
+    """The generator rows (e_i, a) -> {b: p_{e_i,a}^b}, label-keyed and each
+    sorted by b, in one pass over ``t.p``: the oracle of ``table_rows``."""
     units = [MultiIndex.unit(t.m, c) for c in range(1, t.m + 1)]
     rows: dict = {}
     for (g, a, b), value in t.p.items():
@@ -814,6 +816,23 @@ def dict_generator_rows(t) -> dict:
             rows.setdefault((g, a), []).append(
                 (b, value.numerator if value.denominator == 1 else value))
     return {key: dict(sorted(row)) for key, row in rows.items()}
+
+
+def table_rows(t) -> dict:
+    """The generator rows that the step checks read (``ppoly._steps``, on
+    class positions), keyed by labels in the order read."""
+    rows, _ = _steps(t)
+    return {(t.labels[g], t.labels[a]): {t.labels[b]: value for b, value in row.items()}
+            for (g, a), row in rows.items()}
+
+
+def dict_steps(t) -> tuple:
+    """(gens, up) of ``t.steps`` from a label-keyed dict and MultiIndex sums:
+    the position of e_i and of a + e_i (``where.get``), -1 where no class."""
+    where = {lab: i for i, lab in enumerate(t.labels)}
+    units = [MultiIndex.unit(t.m, i) for i in range(1, t.m + 1)]
+    return ([where.get(unit, -1) for unit in units],
+            [[where.get(a + unit, -1) for a in t.labels] for unit in units])
 
 
 def dict_relabel(t, mapping) -> dict:
@@ -1206,7 +1225,7 @@ def _first(mask: np.ndarray) -> Optional[tuple[int, ...]]:
 # -- dom x dom scans of the generator products ------------------------------------
 #
 # The window, unit-step, recurrence and (alpha, beta)-region checks as they
-# were written before they read ``generator_rows``: every (e_i, a, b) in
+# were written before they read generator rows: every (e_i, a, b) in
 # (unit, sorted a, sorted b) order through ``t.get``, and the region by
 # retrying exclusions until it is stable.
 
@@ -1402,3 +1421,120 @@ def graph_discover_labelings(s: SchemeClasses, m: int,
             labeling=Labeling.from_dict({s.labels[i]: lab for i, lab
                                          in zip(indices, dist.labels)})))
     return found
+
+
+# -- Re-provers of the step checks -------------------------------------------------
+#
+# Each confirms one failing check of a certify-ppoly, type-ab or recurrence
+# certificate from the tensor and the witness alone, by ``t.get`` and the
+# defining inequalities of the window order (never its weight rows).
+
+def defining_leq(window, a: MultiIndex, b: MultiIndex) -> bool:
+    """a below-or-equal b under a window order by its definition: the
+    Fraction inequalities of a partial order, or the sort tuple that the
+    ``MonomialOrder`` docstring names for its kind."""
+    if isinstance(window, PartialOrder):
+        return fraction_precedes(window, a, b)
+
+    def key(x):
+        if window.kind == "lex":
+            return tuple(x)
+        if window.kind == "deglex-y2":
+            return (sum(x), x[1])
+        return (sum(w * e for w, e in zip(window.weights or (1,) * len(x), x)), *x)
+    return key(a) <= key(b)
+
+
+def window_from_text(text: str):
+    """The partial or monomial order a witness names."""
+    try:
+        return PartialOrder.parse(text)
+    except ValueError:
+        return MonomialOrder.parse(text)
+
+
+def _color(t, unit: MultiIndex) -> int:
+    """i for e_{i+1} in N^m; AssertionError for anything else."""
+    assert len(unit) == t.m and sorted(unit) == [0] * (t.m - 1) + [1], unit
+    return unit.index(1)
+
+
+def _plus(a: MultiIndex, b: MultiIndex) -> MultiIndex:
+    return MultiIndex(x + y for x, y in zip(a, b))
+
+
+def _indices(w: Mapping[str, Any], *names: str) -> list:
+    return [MultiIndex.parse(w[name]) for name in names]
+
+
+def reprove_generators_realized(t, w, polys=None) -> None:
+    unit, = _indices(w, "unit")
+    assert _color(t, unit) + 1 == w["color"]
+    assert unit not in t.labels and t.get(unit, unit, t.identity) == 0
+
+
+def reprove_products_within_window(t, w, polys=None) -> None:
+    g, a, b, bound = _indices(w, "generator", "a", "b", "bound")
+    _color(t, g)
+    assert a in t.labels and bound == _plus(a, g)
+    assert t.get(g, a, b) == Fraction(w["value"]) != 0
+    assert not defining_leq(window_from_text(w["window"]), b, bound)
+
+
+def reprove_successor_nonzero(t, w, polys=None) -> None:
+    g, a, up = _indices(w, "generator", "a", "successor")
+    _color(t, g)
+    assert a in t.labels and up in t.labels and up == _plus(a, g)
+    assert t.get(g, a, up) == 0
+
+
+def reprove_unit_step_nonzero(t, w, polys=None) -> None:
+    g, a, up = _indices(w, "generator", "a", "successor")
+    _color(t, g)
+    assert a in t.labels and up in t.labels and up == _plus(a, g)
+    assert (t.get(g, a, up) if w["direction"] == "up" else t.get(g, up, a)) == 0
+
+
+def reprove_recurrence_identity(t, w, polys) -> None:
+    """x_i v_a and sum_b p_{e_i,a}^b v_b differ at the witness monomial, by
+    the coefficients it names; ``polys`` as the extraction gave them."""
+    g, a, mono = _indices(w, "generator", "a", "monomial")
+    i = _color(t, g)
+    assert _plus(a, g) in t.labels
+    shifted = MultiIndex(e - (j == i) for j, e in enumerate(mono)) if mono[i] else None
+    lhs = polys[a].get(shifted, Fraction(0))
+    rhs = sum((t.get(g, a, b) * polys[b].get(mono, 0) for b in t.labels), Fraction(0))
+    assert (lhs, rhs) == (Fraction(w["lhs"]), Fraction(w["rhs"])) and lhs != rhs
+
+
+REPROVERS = {
+    "generators-realized": reprove_generators_realized,
+    "products-within-window": reprove_products_within_window,
+    "successor-nonzero": reprove_successor_nonzero,
+    "unit-step-nonzero": reprove_unit_step_nonzero,
+    "recurrence-identity": reprove_recurrence_identity,
+}
+
+
+def reprove_report(report: Mapping[str, Any]) -> list:
+    """Re-prove every failing check of a certify-ppoly or type-ab report
+    that has a re-prover, from the input document it names (read by
+    ``json_load_document``, labeled as the report says) and the witness;
+    returns the names re-proved."""
+    failing = [check for certificate in report.get("certificates", {}).values()
+               for check in certificate["checks"]
+               if not check["passed"] and check["name"] in REPROVERS]
+    if not failing:
+        return []
+    inputs = report["inputs"]
+    doc = json_load_document(inputs["input"])
+    if isinstance(doc, ColoredGraph):
+        doc = mdrg_check(doc, MonomialOrder.parse(inputs["order"])).tensor
+    elif isinstance(doc, SchemeClasses):
+        doc = intersection_tensor(doc)
+    t = Labeling.parse(inputs["labeling"]).apply(doc) if "labeling" in inputs else doc
+    results = report.get("results", {})
+    polys = polynomials_from_dict(results) if "polynomials" in results else None
+    for check in failing:
+        REPROVERS[check["name"]](t, check["witness"], polys)
+    return [check["name"] for check in failing]

@@ -33,15 +33,19 @@ from mdrg.serialize import (
     tensor_to_dict,
 )
 
-from helpers import four_cycle_move, polynomials_from_dict
+from helpers import four_cycle_move, polynomials_from_dict, reprove_report
 
 mi = MultiIndex
 AXIS_TEXT = "A0=0,0;A1=0,2;A2=1,0;A3=0,1;A4=2,0"
 
 
 def run(capsys, *argv):
+    """Run the CLI; an exit-1 certify-ppoly or type-ab report has each of
+    its failing step checks re-proved from its input and witness."""
     code = main(list(argv))
     out, err = capsys.readouterr()
+    if code == 1 and argv[0] in ("certify-ppoly", "type-ab") and out:
+        reprove_report(json.loads(out))
     return code, out, err
 
 
@@ -963,3 +967,28 @@ def test_document_of_the_wrong_kind_is_a_usage_error(tmp_path, capsys, kind, arg
                                    for a in argv))
     assert (code, out) == (2, "")
     assert err == "error: %s\n" % message.replace("{}", path)
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["certify-ppoly", "--order", "deglex-sum", "--labeling",
+      "A0=0,0;A1=1,0;A2=0,1;A3=1,1;A4=2,0"],
+     ["products-within-window", "successor-nonzero"]),
+    (["type-ab", "--alpha", "1/2", "--beta", "0", "--labeling",
+      "A0=0,0;A1=1,0;A2=0,1;A3=1,1;A4=2,0"],
+     ["unit-step-nonzero", "products-within-window"]),
+    (["certify-ppoly", "--order", "lex", "--labeling",
+      "A0=0,0;A1=1,0;A2=1,1;A3=2,0;A4=0,2"],
+     ["generators-realized", "products-within-window", "successor-nonzero"])])
+def test_step_failures_reprove_from_the_report(gen24_tensor, capsys, argv, names):
+    """``run`` re-proves the failing step checks of every exit-1 report;
+    these three hold each kind the CLI prints, and each re-prover must
+    reject a witness moved off its failure."""
+    code, out, _ = run(capsys, argv[0], gen24_tensor, *argv[1:])
+    report = json.loads(out)
+    assert code == 1 and reprove_report(report) == names
+    for certificate in report["certificates"].values():
+        for check in certificate["checks"]:
+            if check["name"] in names:
+                check["witness"]["a"] = "3,3"  # no class: every re-prover says so
+    with pytest.raises(AssertionError):
+        reprove_report(report)

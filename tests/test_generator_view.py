@@ -1,6 +1,9 @@
 """The window, unit-step, recurrence and (alpha, beta)-region checks read
-the generator rows; here they are compared with the dom x dom scans and
-the retry-loop region of ``helpers``, and the region with certification.
+the successor table ``t.steps`` and the generator rows on class positions;
+here the table is compared with a dict oracle, the checks with the dom x
+dom scans and the retry-loop region of ``helpers``, and the region with
+certification.  On long labels the checks make a fixed number of
+multi-indices, whatever m.
 
 Inputs: tori C_a x C_b under deglex-sum and deglex-y2 with their own
 labels, with the two coordinates swapped, with the non-identity labels
@@ -15,15 +18,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdrg import (MonomialOrder, MultiIndex, PartialOrder,
-                  ab_region_for_scheme, cartesian_product, certify_ppoly,
-                  certify_ppoly_refined, certify_type_ab, cycle,
-                  extract_polynomials, gen24cell, mdrg_check,
-                  verify_recurrences)
+from mdrg import (IntersectionTensor, Labeling, MonomialOrder, MultiIndex,
+                  PartialOrder, ab_region_for_scheme,
+                  cartesian_product, certify_ppoly, certify_ppoly_refined,
+                  certify_type_ab, cycle, extract_polynomials, gen24cell,
+                  hamming_graph, mdrg_check, verify_recurrences)
+from mdrg.cli import main
+from mdrg.serialize import dump_json, tensor_to_dict
 
-from helpers import (AXIS_LABELING, DIAGONAL_LABELING, region_contains,
-                     scan_ab_region, scan_recurrences, scan_unit_steps,
-                     scan_window_checks)
+from helpers import (AXIS_LABELING, DIAGONAL_LABELING, REPROVERS, dict_steps,
+                     region_contains, scan_ab_region, scan_recurrences,
+                     scan_unit_steps, scan_window_checks)
 
 PARTIALS = [PartialOrder.parse(text) for text in
             ("componentwise", "ab:0,0", "ab:1/2,0", "ab:1,0", "ab:1/3,1/2")]
@@ -66,6 +71,83 @@ def _gen24cell_grid():
             t = gen24cell(Fraction(ell), Fraction(s))
             yield AXIS_LABELING.apply(t)
             yield DIAGONAL_LABELING.apply(t)
+
+
+def _check_table(t):
+    gens, up = dict_steps(t)
+    assert t.steps.gens.tolist() == gens and t.steps.up.tolist() == up
+    assert [t.labels[a] for a in t.steps.order.tolist()] == sorted(t.labels)
+
+
+@settings(max_examples=80, deadline=None)
+@given(relabeled_tori(), st.randoms(use_true_random=False))
+def test_step_table_matches_the_dict_oracle(t, rng):
+    """``up`` and the generator positions against ``where.get(a + e_i)``,
+    on tori (some with e_1 or e_2 missing) and on a Labeling.apply copy
+    that permutes the labels other than the origin."""
+    _check_table(t)
+    moved = [lab for lab in t.labels if lab != t.identity]
+    targets = list(moved)
+    rng.shuffle(targets)
+    _check_table(Labeling.from_dict({t.identity: t.identity, **dict(zip(moved, targets))}
+                                    ).apply(t))
+
+
+def test_step_table_on_families_and_missing_generators():
+    orders = {2: "deglex-sum", 3: "lex"}
+    for g in (cartesian_product([cycle(3)] * 3), hamming_graph(2, 3), hamming_graph(3, 2)):
+        _check_table(mdrg_check(g, MonomialOrder.parse(orders.get(g.m, "lex"))).tensor)
+    for t in _gen24cell_grid():
+        _check_table(t)
+    # no unit class at all: every step of o leaves D, and no generator has a row
+    t = gen24cell(Fraction(2), Fraction(1, 2))
+    far = Labeling.parse("A0=0,0;A1=1,1;A2=2,0;A3=0,2;A4=3,0").apply(t)
+    _check_table(far)
+    assert far.steps.gens.tolist() == [-1, -1]
+    failing = {c.name: c.witness for c in certify_ppoly(far, MonomialOrder.parse("lex")).checks
+               if not c.passed}
+    assert failing["generators-realized"] == {"color": 1, "unit": "1,0"}
+    REPROVERS["generators-realized"](far, failing["generators-realized"])
+
+
+def _two_labels(m: int) -> IntersectionTensor:
+    """K2 with its classes labeled o and e_1 in N^m."""
+    o, e = MultiIndex.zero(m), MultiIndex.unit(m, 1)
+    return IntersectionTensor(labels=(o, e), identity=o,
+                              p={(o, o, o): 1, (o, e, e): 1, (e, o, e): 1, (e, e, o): 1})
+
+
+def _constructions(call) -> int:
+    """How many MultiIndex objects ``call()`` makes."""
+    made, make = [], MultiIndex.__new__
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MultiIndex, "__new__", staticmethod(
+            lambda cls, entries: made.append(1) or make(cls, entries)))
+        call()
+    return len(made)
+
+
+@pytest.mark.parametrize("window", ["deglex-sum", "componentwise"])
+def test_long_labels_make_a_fixed_number_of_multi_indices(tmp_path, capsys, window):
+    """The step checks work on class positions: on two labels of length m
+    the multi-indices made do not grow with m.  The label-keyed generator
+    rows made 5 012 in the certify-ppoly command at m = 1000."""
+    order = (MonomialOrder.parse(window) if window != "componentwise"
+             else PartialOrder.parse(window))
+    in_check, in_command = [], []
+    for m in (3, 1000):
+        t = _two_labels(m)
+        in_check.append(_constructions(lambda: certify_ppoly(t, order)))
+        failing = [c.name for c in certify_ppoly(t, order).checks if not c.passed]
+        assert failing == ["generators-realized"]
+        path = tmp_path / ("two%d.json" % m)
+        path.write_text(dump_json(tensor_to_dict(t)))
+        argv = ["certify-ppoly", str(path), "--order", "deglex-sum", "--boundary",
+                "--recurrences"] + (["--partial", window] if window == "componentwise" else [])
+        in_command.append(_constructions(lambda: main(argv)))
+    capsys.readouterr()
+    assert in_check[0] == in_check[1] < 10, in_check
+    assert in_command[0] == in_command[1] < 20, in_command
 
 
 def _named(cert, names):
@@ -113,6 +195,9 @@ def _check_recurrences(t, polys):
     broken[n] = {c: value for c, value in coeffs.items() if value}
     fast = verify_recurrences(broken, t)
     assert fast.to_dict() == scan_recurrences(broken, t).to_dict()
+    failing = [c for c in fast.checks if not c.passed]
+    assert [c.name for c in failing] == ["recurrence-identity"]
+    REPROVERS["recurrence-identity"](t, failing[0].witness, broken)
 
 
 @settings(max_examples=60, deadline=None)
@@ -138,6 +223,24 @@ def test_missing_generator_reads_zeros():
     assert not certify_type_ab(
         lacking, PartialOrder.alpha_beta(Fraction(1, 2), Fraction(0))).passed
     assert ab_region_for_scheme(lacking) is None
+
+
+@pytest.mark.parametrize("direction", ["up", "down"])
+def test_unit_step_names_the_coefficient_that_vanishes(direction):
+    """C5 x C4 with one coefficient of the step o -> e_2 dropped,
+    p_{e_2,o}^{e_2} (up) or p_{e_2,e_2}^o (down): no scheme, since a scheme
+    loses both together, but only such a tensor tells the two apart."""
+    t = mdrg_check(cartesian_product([cycle(5), cycle(4)]),
+                   MonomialOrder.parse("deglex-sum")).tensor
+    o, e2 = t.identity, MultiIndex((0, 1))
+    drop = (e2, o, e2) if direction == "up" else (e2, e2, o)
+    broken = IntersectionTensor(labels=t.labels, identity=o,
+                                p={key: v for key, v in t.p.items() if key != drop})
+    check, = _named(certify_type_ab(broken, PARTIALS[1]), ["unit-step-nonzero"])
+    assert check == scan_unit_steps(broken).to_dict()
+    assert check["witness"] == {"generator": "0,1", "a": "0,0", "successor": "0,1",
+                                "direction": direction}
+    REPROVERS["unit-step-nonzero"](broken, check["witness"])
 
 
 def _grid(t):

@@ -10,7 +10,9 @@ error message shows here.
 """
 
 import hashlib
+import json
 import time
+from collections import Counter
 
 import pytest
 
@@ -21,7 +23,7 @@ from mdrg.cli import main
 from mdrg.serialize import (dump_json, graph_to_dict, scheme_to_dict,
                             tensor_to_dict)
 
-from helpers import four_cycle_move
+from helpers import REPROVERS, four_cycle_move, reprove_report
 
 DEGLEX_SUM = MonomialOrder.parse("deglex-sum")
 
@@ -432,7 +434,9 @@ DIGESTS = {
 }
 
 
-def _digest(tmp_path, capsys, argv, inputs=INPUTS) -> str:
+def _run(tmp_path, capsys, argv, inputs=INPUTS) -> tuple:
+    """(exit code, stdout, stderr) of ``argv`` run in ``tmp_path`` after
+    writing ``inputs`` and the ``GENERATED`` documents it needs."""
     for name, text in inputs.items():
         (tmp_path / name).write_text(text())
     for setup in GENERATED:
@@ -441,7 +445,11 @@ def _digest(tmp_path, capsys, argv, inputs=INPUTS) -> str:
         assert main(setup) == 0
     capsys.readouterr()
     code = main(list(argv))
-    out, err = capsys.readouterr()
+    return (code, *capsys.readouterr())
+
+
+def _digest(tmp_path, capsys, argv, inputs=INPUTS) -> str:
+    code, out, err = _run(tmp_path, capsys, argv, inputs)
     digest = hashlib.sha256(b"exit %d\n" % code + out.encode("ascii"))
     for i, flag in enumerate(argv):
         if flag in ("--out", "--polys"):
@@ -459,6 +467,31 @@ def _digest(tmp_path, capsys, argv, inputs=INPUTS) -> str:
 def test_report_digest(name, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert _digest(tmp_path, capsys, CASES[name]) == DIGESTS[name]
+
+
+def test_failing_step_checks_reprove_from_their_witnesses(tmp_path, capsys, monkeypatch):
+    """Every exit-1 certify-ppoly and type-ab report above: each failing
+    step check is confirmed from the input document and its witness alone
+    (``helpers.reprove_report``), not only pinned by the bytes.  Today
+    each of them fails before the step checks, at the scheme axioms,
+    associativity or the (alpha, beta) downset."""
+    failing = Counter()
+    for i, name in enumerate(sorted(CASES)):
+        if CASES[name][0] not in ("certify-ppoly", "type-ab"):
+            continue
+        (tmp_path / str(i)).mkdir()
+        monkeypatch.chdir(tmp_path / str(i))
+        code, out, _ = _run(tmp_path / str(i), capsys, CASES[name])
+        if code == 1:
+            report = json.loads(out)
+            assert reprove_report(report) == [
+                check["name"] for certificate in report["certificates"].values()
+                for check in certificate["checks"]
+                if not check["passed"] and check["name"] in REPROVERS]
+            failing.update(check["name"] for certificate in report["certificates"].values()
+                           for check in certificate["checks"] if not check["passed"])
+    assert set(failing) == {"associativity", "closure", "downset-closure",
+                            "identity-class", "partition", "symmetry"}, failing
 
 
 def _c32_recolored() -> str:

@@ -1,5 +1,6 @@
 """Association scheme core: axioms, tensors, generator rows, regularity."""
 
+import functools
 import random
 import time
 from fractions import Fraction
@@ -26,7 +27,6 @@ from mdrg import (
     distance_matrices,
     extract_polynomials,
     gen24cell,
-    generator_rows,
     hamming_graph,
     intersection_tensor,
     m_distance_table,
@@ -39,7 +39,7 @@ from mdrg import (
 from helpers import (brute_force_validate, check_additive_nonvanishing,
                      check_sum_decomposition, check_triangle_conditions,
                      check_walk_type_invariance, cycle_intersection_numbers,
-                     regular_representation)
+                     regular_representation, table_rows)
 
 DEGLEX_SUM = MonomialOrder.parse("deglex-sum")
 
@@ -337,8 +337,10 @@ def test_tensor_relabel():
 
 
 def test_generator_rows_contract():
+    """The rows the step checks read are the products A_{e_i} A_a, each a
+    slice of the tensor's arrays, read in label order of the class."""
     t = cycle_tensor(6)
-    rows = generator_rows(t)
+    rows = table_rows(t)
     g = mi((1,))
     for b in t.labels:
         assert dict(rows.get((g, b), [])) == {
@@ -349,25 +351,37 @@ def test_generator_rows_contract():
     assert rows[g, g] == {mi((0,)): 2, mi((2,)): 1}
     assert rows[g, g] == {c: dense[index[c]][index[g]] for c in t.labels
                           if dense[index[c]][index[g]]}
-
-    assert all(list(row) == sorted(row) for row in rows.values())
+    # class positions out of label order: each row still reads in label order
+    backwards = IntersectionTensor(labels=t.labels[::-1], identity=t.identity, p=dict(t.p))
+    assert backwards.steps.order.tolist() == [3, 2, 1, 0]
+    assert all(list(row) == sorted(row) for row in table_rows(backwards).values())
+    assert table_rows(backwards) == rows
     # a missing generator has no rows
     lone = IntersectionTensor(labels=(mi((0,)),), identity=mi((0,)),
                               p={(mi((0,)), mi((0,)), mi((0,))): 1})
-    assert generator_rows(lone) == {}
+    assert table_rows(lone) == {}
+    assert lone.steps.gens.tolist() == [-1] and lone.steps.up.tolist() == [[-1]]
     opaque = t.relabel({mi((0,)): "B0", mi((1,)): "B1", mi((2,)): "B2",
                         mi((3,)): "B3"})
     with pytest.raises(ValueError):
-        generator_rows(opaque)
+        table_rows(opaque)
+    with pytest.raises(ValueError):
+        opaque.steps
 
 
-def test_tensor_builds_its_rows_once(monkeypatch):
-    """Every check of one certify-ppoly run shares the tensor's generator
-    rows; they stay out of eq and relabel."""
+def test_tensor_builds_its_step_table_once(monkeypatch):
+    """Every check of one certify-ppoly run shares the tensor's successor
+    table, built once and read-only; it stays out of eq and relabel."""
     builds = []
-    build = schemes.generator_rows
-    monkeypatch.setattr(schemes, "generator_rows",
-                        lambda t: builds.append("generator_rows") or build(t))
+    build = IntersectionTensor.steps.func
+
+    def counting(self):
+        builds.append("steps")
+        return build(self)
+
+    table = functools.cached_property(counting)
+    table.__set_name__(IntersectionTensor, "steps")
+    monkeypatch.setattr(IntersectionTensor, "steps", table)
     t = mdrg_check(cartesian_product([cycle(4), cycle(3)]), DEGLEX_SUM).tensor
     twin = IntersectionTensor(labels=t.labels, identity=t.identity, p=dict(t.p))
     partial = PartialOrder.parse("componentwise")
@@ -379,13 +393,16 @@ def test_tensor_builds_its_rows_once(monkeypatch):
         assert cert.passed
         assert verify_recurrences(polys, t, partial).passed
     certify_type_ab(t, PartialOrder.parse("ab:1/2,0"))
-    assert builds == ["generator_rows"]
-    assert t.rows == generator_rows(t)
+    assert builds == ["steps"]
+    for array in t.steps:
+        assert array.dtype == np.int64 and not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[...] = 0
     assert t == twin
-    assert "rows" not in vars(twin)
+    assert "steps" not in vars(twin)
     swap = {lab: MultiIndex((lab[1], lab[0])) for lab in t.labels}
     swapped = t.relabel(swap)
-    assert "rows" not in vars(swapped)
+    assert "steps" not in vars(swapped)
     assert swapped.relabel({v: k for k, v in swap.items()}) == t
 
 

@@ -521,3 +521,40 @@ def test_graph_and_tensor_documents_keep_their_messages(mutant, data):
     if mutant in ("crlf", "cr"):
         assert outcome == (graph_to_dict(graph_from_dict(document)) if "edges" in document
                            else document)
+
+
+@pytest.mark.parametrize("end", [b"\r\n", b"\r"])
+def test_crlf_scheme_document_takes_the_digit_stack_path(tmp_path, monkeypatch, end):
+    """A writer-layout symmetrize:3 document with \\r\\n or \\r line ends is
+    read as its LF copy is, by the digit stack checked in place: its line
+    ends are read as LF before the layout is matched, not left to json."""
+    sym3 = symmetrize(pauli_scheme4(), 3)
+    raw = dump_json(scheme_to_dict(sym3)).encode("ascii")
+    (tmp_path / "lf.json").write_bytes(raw)
+    (tmp_path / "crlf.json").write_bytes(raw.replace(b"\n", end))
+    stacks, read = [], serialize._read_scheme
+    monkeypatch.setattr(serialize, "_read_scheme",
+                        lambda raw: stacks.append(read(raw)) or stacks[-1])
+    lf, crlf = (load_document(str(tmp_path / name)) for name in ("lf.json", "crlf.json"))
+    assert [isinstance(data["matrices"], np.ndarray) for data in stacks] == [True, True]
+    assert (crlf.labels, crlf.vertices) == (lf.labels, lf.vertices) == (sym3.labels,
+                                                                         sym3.vertices)
+    assert np.array_equal(crlf.index, lf.index) and np.array_equal(lf.index, sym3.index)
+
+
+@pytest.mark.parametrize("value, message", [
+    (["a", "b"], None),
+    ([], None),
+    (["a", 1, None], "vertex names must be strings, got 1"),
+    ([None, "a", 2], "vertex names must be strings, got None"),
+    ([True], "vertex names must be strings, got True"),
+    ("ab", "vertices must be a list, got str"),
+])
+def test_check_list_names_the_first_item_that_is_no_string(value, message):
+    if message is None:
+        serialize._check_list("vertices", value, "vertex names")
+        serialize._check_list("vertices", value + [1])  # no names: items unchecked
+        return
+    with pytest.raises(InputFormatError) as err:
+        serialize._check_list("vertices", value, "vertex names")
+    assert str(err.value) == message

@@ -1,7 +1,8 @@
 """The class-position arrays of ``IntersectionTensor`` against the
 label-keyed dict scans of ``helpers``: ``validate`` (with and without
-integrality), ``associativity``, the generator rows, relabeling and the
-document round trip give the same results, certificates byte for byte.
+integrality), ``associativity``, the generator rows that the step checks
+read, relabeling and the document round trip give the same results,
+certificates byte for byte.
 
 Inputs: the families' tensors (tori, Hamming graphs, the generalized
 24-cell grid with rational values, with its opaque tags and under both
@@ -19,14 +20,13 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from mdrg import (IntersectionTensor, MonomialOrder, associativity,
-                  cartesian_product, cycle, gen24cell, generator_rows,
-                  hamming_graph, intersection_tensor, mdrg_check, pauli_scheme4,
-                  symmetrize)
+                  cartesian_product, cycle, gen24cell, hamming_graph,
+                  intersection_tensor, mdrg_check, pauli_scheme4, symmetrize)
 from mdrg.serialize import InputFormatError, dump_json, tensor_from_dict, tensor_to_dict
 
 from helpers import (AXIS_LABELING, DIAGONAL_LABELING, dict_associativity,
                      dict_generator_rows, dict_relabel, dict_tensor_from_dict,
-                     dict_validate, four_cycle_move)
+                     dict_validate, four_cycle_move, table_rows)
 
 DEGLEX_SUM = MonomialOrder.parse("deglex-sum")
 
@@ -93,10 +93,10 @@ def test_array_core_matches_the_dict_scans(t, rng):
     assert associativity(t) == dict_associativity(t)
     event("associativity " + ("passes" if associativity(t).passed else "fails"))
     if t.labels_are_multiindex:
-        assert _rows_in_order(generator_rows(t)) == _rows_in_order(dict_generator_rows(t))
+        assert _rows_in_order(table_rows(t)) == _rows_in_order(dict_generator_rows(t))
     else:
         with pytest.raises(ValueError):
-            generator_rows(t)
+            table_rows(t)
         with pytest.raises(ValueError):
             dict_generator_rows(t)
     targets = list(t.labels)
