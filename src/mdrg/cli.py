@@ -50,10 +50,10 @@ def _parse(parse, flag: str, value):
 
 
 def _check_arity(m: int, order, partial=None) -> None:
-    """``--order`` and ``--partial`` (``forms(m)``) must be defined for m."""
+    """``--order`` and ``--partial`` (``sparse(m)``) must be defined for m."""
     for flag, given in (("--order", order), ("--partial", partial)):
         if given is not None:
-            _parse(given.forms, flag, m)
+            _parse(given.sparse, flag, m)
 
 
 def _input_m(doc, labeling: Optional[Labeling]) -> int:

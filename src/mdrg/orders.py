@@ -5,7 +5,7 @@ counting how many edges of each color it uses.  Distances are minima of
 such vectors, so everything downstream depends on how N^m is ordered.
 This module provides:
 
-    - MultiIndex: an immutable element of N^m with vector add/subtract.
+    - MultiIndex: an immutable element of N^m with vector add.
     - MonomialOrder: total orders on N^m (degree-lex variants, lex,
       weighted degree-lex) that are translation invariant with minimum o.
     - PartialOrder: the two-parameter family ``ab:alpha,beta`` on N^2
@@ -17,23 +17,24 @@ This module provides:
     - exact interval arithmetic for the feasible (alpha, beta) parameter
       region of a system of "b precedes c" constraints.
 
-Both kinds of order compare two multi-indices through integer weight
-rows W (``forms(m)``) and nothing else: a monomial order compares W a
-lexicographically, a partial order entrywise.  Callers read an order
-through ``key`` (sorts and heaps) and ``leq`` (windows).  All arithmetic
-is exact: parameters are ``fractions.Fraction``, and no comparison ever
-goes through floating point.
+Both kinds of order compare multi-indices through integer weight rows W,
+kept sparse (``sparse(m)``), and nothing else: a monomial order compares
+W a lexicographically, a partial order entrywise; ``key`` and ``leq`` read
+one multi-index, ``keys``, ``nonneg`` and ``walk`` a (k, m) array.  All
+arithmetic is exact: parameters are ``fractions.Fraction``, and no
+comparison ever goes through floating point.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
+
+import numpy as np
 
 from .certificates import Certificate, Check, witness
 
@@ -99,18 +100,51 @@ def box(bounds: Sequence[int]) -> Iterator[MultiIndex]:
     return map(MultiIndex, itertools.product(*(range(b + 1) for b in bounds)))
 
 
-def _per_m(weight_rows):
-    """Memoize ``weight_rows(self, m)`` in ``self._forms``, keyed by m alone:
-    ``key`` and ``leq`` read the rows on every call, and a cache keyed by
-    the order itself would hash its fields (two Fractions for ``ab``) each
-    time.  Errors are not memoized."""
-    @functools.wraps(weight_rows)
+class _WeightRows:
+    """W = (head rows, then the unit rows e_lo..e_{hi-1}) as ``sparse(m)`` = (head,
+    lo, hi), so W a costs O(m); memoized by m in ``_forms``, errors not."""
+
+    def sparse(self, m: int) -> tuple[tuple[tuple[int, ...], ...], int, int]:
+        if m not in self._forms:
+            self._forms[m] = self._weights(m)  # type: ignore[attr-defined]
+        return self._forms[m]
+
     def forms(self, m: int) -> tuple[tuple[int, ...], ...]:
-        rows = self._forms.get(m)
-        if rows is None:
-            rows = self._forms[m] = weight_rows(self, m)
-        return rows
-    return forms
+        head, lo, hi = self.sparse(m)
+        return (*head, *(tuple(int(i == j) for j in range(m)) for i in range(lo, hi)))
+
+    def key(self, a: MultiIndex) -> tuple[int, ...]:
+        """W a, which heaps and sorts use directly."""
+        head, lo, hi = self.sparse(len(a))
+        return tuple([sum(map(operator.mul, row, a)) for row in head]) + tuple(a[lo:hi])
+
+    def leq(self, a: MultiIndex, b: MultiIndex) -> bool:
+        """a below b: W (b - a) >= 0, entrywise (partial) or lexicographically."""
+        if len(a) != len(b):
+            raise ValueError("mixed lengths: %d vs %d" % (len(a), len(b)))
+        key = self.key(tuple(map(operator.sub, b, a)))
+        return min(key) >= 0 if isinstance(self, PartialOrder) else key >= (0,) * len(key)
+
+    def keys(self, coords: np.ndarray) -> np.ndarray:
+        """W a for the rows a of an (n, m) integer array: int64 while max(1, max |a|) sum(W),
+        a bound on every key and row sum, is below 2^63, else Python ints (object)."""
+        head, lo, hi = self.sparse(coords.shape[1])
+        top = max(1, int(np.abs(coords).max(initial=0))) * (sum(map(sum, head)) + hi - lo)
+        coords = coords.astype(np.int64 if top < 2 ** 63 else object, copy=False)
+        rows = np.array(head, coords.dtype).reshape(len(head), coords.shape[1])
+        return np.concatenate([coords @ rows.T, coords[:, lo:hi]], axis=1)
+
+    def nonneg(self, diffs: np.ndarray) -> np.ndarray:
+        """W d >= 0 for each row d of an (n, m) integer array, as ``leq`` (a, a + d)."""
+        diff = self.keys(diffs)
+        return ((diff >= 0).all(axis=1) if isinstance(self, PartialOrder)
+                else diff[np.arange(len(diff)), (diff != 0).argmax(axis=1)] >= 0)
+
+    def walk(self, coords: np.ndarray) -> np.ndarray:
+        """Rows of ``coords`` by ``key``; a partial order's by sum(W a), then a (W >= 0)."""
+        keys = self.keys(coords)
+        return np.lexsort((*coords.T[::-1], keys.sum(axis=1)) if isinstance(self, PartialOrder)
+                          else keys.T[::-1])
 
 
 # -- Total (monomial) orders --------------------------------------------------
@@ -124,7 +158,7 @@ _ORDER_KINDS = (DEGLEX_SUM, DEGLEX_Y2, LEX, WDEGLEX)
 
 
 @dataclass(frozen=True)
-class MonomialOrder:
+class MonomialOrder(_WeightRows):
     """A total, translation-invariant well-order on N^m with minimum o.
 
     Kinds:
@@ -151,8 +185,7 @@ class MonomialOrder:
         elif self.weights is not None:
             raise ValueError("weights only apply to wdeglex")
 
-    @_per_m
-    def forms(self, m: int) -> tuple[tuple[int, ...], ...]:
+    def _weights(self, m: int) -> tuple[tuple[tuple[int, ...], ...], int, int]:
         """Integer weight matrix W: a is below b iff W a < W b lexicographically.
 
         ``deglex-sum`` has W = [1...1; I_{m-1}], ``deglex-y2`` [[1,1],[0,1]],
@@ -162,30 +195,18 @@ class MonomialOrder:
         up each row brings in one new entry of a, so W a = d is solved by
         substitution.
         """
-        unit = [tuple(int(i == j) for j in range(m)) for i in range(m)]
         if self.kind == LEX:
-            return tuple(unit)
+            return (), 0, m
         if self.kind == DEGLEX_Y2:
             if m != 2:
                 raise ValueError("deglex-y2 is defined for m=2, got m=%d" % m)
-            return ((1, 1), (0, 1))
-        if self.kind == DEGLEX_SUM:
-            return ((1,) * m, *unit[:-1])
-        assert self.weights is not None
-        if len(self.weights) != m:
+            return ((1, 1),), 1, 2
+        weights = self.weights or (1,) * m  # deglex-sum: unit weights
+        if len(weights) != m:
             raise ValueError("wdeglex weights have length %d, index has m=%d"
-                             % (len(self.weights), m))
-        scale = math.lcm(*(w.denominator for w in self.weights))
-        return (tuple(int(w * scale) for w in self.weights), *unit[:-1])
-
-    # Heaps and sorts use the key directly.
-    def key(self, a: MultiIndex) -> tuple[int, ...]:
-        return tuple([sum(map(operator.mul, row, a)) for row in self.forms(len(a))])
-
-    def leq(self, a: MultiIndex, b: MultiIndex) -> bool:
-        if len(a) != len(b):
-            raise ValueError("mixed lengths: %d vs %d" % (len(a), len(b)))
-        return self.key(a) <= self.key(b)
+                             % (len(weights), m))
+        scale = math.lcm(*(w.denominator for w in weights))
+        return (tuple(int(w * scale) for w in weights),), 0, m - 1
 
     def as_text(self) -> str:
         if self.kind == WDEGLEX:
@@ -237,7 +258,7 @@ class AlphaBeta:
 
 
 @dataclass(frozen=True)
-class PartialOrder:
+class PartialOrder(_WeightRows):
     """Either ``ab:alpha,beta`` on N^2 or ``componentwise`` on N^m."""
 
     kind: str
@@ -258,8 +279,7 @@ class PartialOrder:
     def componentwise(cls) -> "PartialOrder":
         return cls(COMPONENTWISE)
 
-    @_per_m
-    def forms(self, m: int) -> tuple[tuple[int, ...], ...]:
+    def _weights(self, m: int) -> tuple[tuple[tuple[int, ...], ...], int, int]:
         """Integer rows W with a preceding b iff W a <= W b entrywise.
 
         ``componentwise`` has W = I.  For ``ab`` with alpha = p/q and
@@ -268,31 +288,12 @@ class PartialOrder:
         positive diagonal.
         """
         if self.kind == COMPONENTWISE:
-            return tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+            return (), 0, m
         if m != 2:
             raise ValueError("ab order is defined for m=2, got m=%d" % m)
         assert self.ab is not None
         al, be = self.ab.alpha, self.ab.beta
-        return ((al.denominator, al.numerator), (be.numerator, be.denominator))
-
-    def leq(self, a: MultiIndex, b: MultiIndex) -> bool:
-        """True iff a is below-or-equal b: W (b - a) >= 0 entrywise."""
-        if len(a) != len(b):
-            raise ValueError("mixed lengths: %d vs %d" % (len(a), len(b)))
-        diff = tuple(map(operator.sub, b, a))
-        for row in self.forms(len(a)):
-            if sum(map(operator.mul, row, diff)) < 0:
-                return False
-        return True
-
-    def key(self, a: MultiIndex):
-        """Sort key of a linear extension: a strictly below b sorts first.
-
-        If a strictly precedes b, no form is larger at a and, the forms
-        being injective together, one is smaller; so is their sum.
-        """
-        total = sum(w * e for row in self.forms(len(a)) for w, e in zip(row, a))
-        return (total, tuple(a))
+        return ((al.denominator, al.numerator), (be.numerator, be.denominator)), 0, 0
 
     def as_text(self) -> str:
         if self.kind == COMPONENTWISE:
@@ -364,8 +365,8 @@ def validate_pair_compat(p: PartialOrder, order: MonomialOrder,
     least bad t of the first shape that has one gives a, and its u gives
     b: the row-major-first bad pair, as a scan of all pairs would find.
     """
-    keys = order.forms(m)  # ValueError where the order does not apply at m
-    bad = _first_bad_pair(p.forms(m), keys, box_bound) if p.kind == AB else None
+    order.sparse(m)  # ValueError where the order does not apply at m
+    bad = _first_bad_pair(p.forms(m), order.forms(m), box_bound) if p.kind == AB else None
     return Certificate.of([
         Check("refines-order", bad is None,
               bad and witness(a=bad[0], b=bad[1], order=order.as_text())),
@@ -395,7 +396,8 @@ def check_domain(dom: Iterable[MultiIndex],
     componentwise with a in D lies in D.  Passing a :class:`PartialOrder`
     asks D to be a downset of that order.  The witness names the least
     element of D with a gap below it and the first missing index in
-    row-major order; the scan stops there.
+    row-major order.  For a box that a is the least with some a - e_i not in
+    D (unit steps down to a gap leave D at some c - e_i, c in D, c <= a).
     """
     dset = frozenset(dom)
     if not dset:
@@ -405,11 +407,13 @@ def check_domain(dom: Iterable[MultiIndex],
         return Certificate.single("domain-uniform", False, witness(lengths=sorted(ms)))
     if mode == "box":
         name, below = "box-closure", lambda a: box(tuple(a))
+        dom = (a for a in sorted(dset) for i, e in enumerate(a)
+               if e and a[:i] + (e - 1,) + a[i + 1:] not in dset)
     elif isinstance(mode, PartialOrder):
-        name, below = "downset-closure", lambda a: downset_enum(a, mode)
+        name, below, dom = "downset-closure", lambda a: downset_enum(a, mode), sorted(dset)
     else:
         raise ValueError("mode must be 'box' or a PartialOrder, got %r" % (mode,))
-    gap = next(((a, b) for a in sorted(dset) for b in below(a) if b not in dset), None)
+    gap = next(((a, b) for a in dom for b in below(a) if b not in dset), None)
     return Certificate.single(name, gap is None, None if gap is None
                               else witness(element=gap[0], missing=gap[1]))
 

@@ -4,25 +4,24 @@ A scheme whose classes carry multi-index labels is m-variate
 P-polynomial with respect to a monomial order when its label set D is
 box-closed, every product A_{e_i} A_a expands over labels at most
 a + e_i, and the coefficient at exactly a + e_i never vanishes while
-a + e_i stays in D.  Each class is then a polynomial in the generator
-classes A_{e_1}..A_{e_m}; those polynomials are read off the recurrence
-x_i v_a = sum_b p_{e_i,a}^b v_b, and the boundary span condition follows
-from a certified window by a triangularity proof.  Every step check reads
-the successor table ``t.steps`` and the generator rows, slices of the
-tensor's sorted arrays, on class positions.  A refined variant replaces
-the order window by a compatible partial order; the two-parameter family
-``ab:alpha,beta`` gives the type-(alpha, beta) notion, whose exact
-feasible parameter region, always a product of intervals, is computed in
-one pass.  Finally, labelings can be discovered from a bare scheme by
-trying every ordered generator tuple on its intersection numbers.
+a + e_i stays in D.  Each class is then a polynomial in A_{e_1}..A_{e_m},
+read off x_i v_a = sum_b p_{e_i,a}^b v_b in integers; the boundary span
+condition follows by a triangularity proof.  Every check reads the
+tensor's integer view ``t.steps`` and compares window keys as arrays.
+Partial orders refine the window (``ab:alpha,beta``: type (alpha, beta),
+whose region is a product of intervals), and labelings can be discovered
+from a bare scheme by trying every ordered generator tuple.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from .certificates import Certificate, Check, witness
 # Not called here; kept as module attributes that perfbench/tracing.py wraps.
@@ -36,7 +35,7 @@ from .schemes import (IntersectionTensor, Label, SchemeClasses,
                       intersection_tensor, label_text, verify_scheme_axioms)
 
 
-# The order a window check reads: ``leq``, ``key`` and ``as_text``.
+# The order a window check reads: ``nonneg``, ``walk``, ``as_text`` and its hash.
 Window = Union[MonomialOrder, PartialOrder]
 
 
@@ -130,30 +129,38 @@ def _structural_checks(t: IntersectionTensor) -> tuple[list[Check], Optional[int
     return checks, m
 
 
-def _steps(t: IntersectionTensor) -> tuple[dict, list]:
-    """Rows {(g, a): {b: p_{g,a}^b}} for each generator g that is a class,
-    each the slice of the sorted arrays at (g, a) with b in label order, and
-    steps (i, g, a, up, rows[g, a] or {}) for each color i and class a in
-    label order, with g and up the positions of e_i and a + e_i (``t.steps``)."""
-    gens, up, order, at = t.steps
-    rows: dict = {}
-    for g, a, b, v in zip(*(col[at].tolist() for col in (t.a, t.b, t.c, t.num))):
-        rows.setdefault((g, a), {})[b] = v // t.den if v % t.den == 0 else Fraction(v, t.den)
-    order = order.tolist()
-    return rows, [(i, g, a, u, rows.get((g, a), {})) for i, (g, ups)
-                  in enumerate(zip(gens.tolist(), up[:, order].tolist()))
-                  for a, u in zip(order, ups)]
+def _below(t: IntersectionTensor, window: Window) -> np.ndarray:
+    """Per entry of ``t.steps``: is b below a + e_i under ``window``?  Kept per window."""
+    memo = vars(t).setdefault("_below", {})
+    if window not in memo:
+        memo[window] = window.nonneg(t.steps.diff)
+    return memo[window]
 
 
-def _outside_window(t: IntersectionTensor, steps, leq, window_text: str) -> Optional[dict]:
-    """Witness of the first p_{e_i,a}^b in the rows of ``steps`` with b not
-    below a + e_i, made as a multi-index only where it is no class."""
-    labels = t.labels
-    return next((witness(generator=labels[g], a=labels[a], b=labels[b], bound=bound,
-                         value=Fraction(value), window=window_text)
-                 for _, g, a, up, row in steps if row
-                 for bound in (labels[up] if up >= 0 else labels[a] + labels[g],)
-                 for b, value in row.items() if not leq(labels[b], bound)), None)
+def _outside_window(t: IntersectionTensor, window: Window, inside: bool = False
+                    ) -> Optional[dict]:
+    """Witness of the first entry of ``t.steps`` with b not below a + e_i (with
+    ``inside``, on steps inside D); a bound that is no class is made here."""
+    s, labels = t.steps, t.labels
+    up = s.up[s.color, s.a]
+    for j in np.flatnonzero(~_below(t, window) & ((up >= 0) | (not inside)))[:1].tolist():
+        g, a = s.gens[s.color[j]], s.a[j]
+        return witness(generator=labels[g], a=labels[a], b=labels[s.b[j]],
+                       bound=labels[up[j]] if up[j] >= 0 else labels[a] + labels[g],
+                       value=Fraction(int(s.num[j]), t.den), window=window.as_text())
+    return None
+
+
+def _step_witness(t: IntersectionTensor, down: bool) -> Optional[dict]:
+    """Witness of the first step a -> a + e_i inside D, by i and then a in label
+    order, with p_{e_i,a}^{a+e_i} zero, or with ``down`` p_{e_i,a+e_i}^a zero."""
+    s = t.steps
+    hits, up = s.hits[:, :, s.order] > 0, s.up[:, s.order]
+    for i, j in np.argwhere((up >= 0) & ~(hits[0] & hits[1] if down else hits[0]))[:1].tolist():
+        extra = {"direction": "down" if hits[0, i, j] else "up"} if down else {}
+        return witness(generator=MultiIndex.unit(t.m, i + 1), a=t.labels[s.order[j]],
+                       successor=t.labels[up[i, j]], **extra)
+    return None
 
 
 def certify_ppoly(t: IntersectionTensor, window: Window) -> Certificate:
@@ -164,16 +171,10 @@ def certify_ppoly(t: IntersectionTensor, window: Window) -> Certificate:
     b <= a + e_i under the order, and p_{e_i,a}^{a+e_i} != 0 whenever
     a + e_i stays in D.
     """
-    checks, _ = _structural_checks(t)
-    checks.extend(check_domain(t.labels, "box").checks)
-    (_, steps), labels = _steps(t), t.labels
-    window_witness = _outside_window(t, steps, window.leq, window.as_text())
-    succ_witness = next((witness(generator=MultiIndex.unit(t.m, i + 1), a=labels[a],
-                                 successor=labels[up])
-                         for i, g, a, up, row in steps if up >= 0 and up not in row), None)
-    checks.append(Check("products-within-window", window_witness is None, window_witness))
-    checks.append(Check("successor-nonzero", succ_witness is None, succ_witness))
-    return Certificate.of(checks)
+    checks = [*_structural_checks(t)[0], *check_domain(t.labels, "box").checks]
+    out, succ = _outside_window(t, window), _step_witness(t, False)
+    return Certificate.of([*checks, Check("products-within-window", out is None, out),
+                           Check("successor-nonzero", succ is None, succ)])
 
 
 def certify_ppoly_refined(t: IntersectionTensor, order: MonomialOrder,
@@ -216,19 +217,25 @@ def boundary_check(t: IntersectionTensor, window: Window) -> Certificate:
     return Certificate.single("boundary-span", True, detail="%d boundary cases" % cases)
 
 
-def _residual(polys: Mapping[MultiIndex, Mapping], unit: MultiIndex,
-              a: MultiIndex, row: Mapping[int, Fraction], labels: Sequence) -> dict:
-    """x_i v_a - sum_b p_{e_i,a}^b v_b over ``row`` = {b: p_{e_i,a}^b}, b a
-    position in ``labels``: a coefficient map that may hold zeros.  ValueError
-    names the first of a, then the b in row order, that has no polynomial."""
-    for b in (a, *(labels[b] for b in row)):
-        if b not in polys:
-            raise ValueError("no polynomial for class %s" % b.as_text())
-    diff = {c + unit: value for c, value in polys[a].items()}
-    for b, p in row.items():
-        for c, value in polys[labels[b]].items():
-            diff[c] = diff.get(c, 0) - p * value
-    return diff
+def _rows(t: IntersectionTensor) -> dict:
+    """The generator rows of ``t.steps``: (i, a) -> [(num, b, entry)], b in label order."""
+    s = t.steps
+    entries = zip(*(x.tolist() for x in (s.color, s.a, s.num, s.b, np.arange(len(s.a)))))
+    return {k: [r[2:] for r in g] for k, g in itertools.groupby(entries, lambda r: r[:2])}
+
+
+def _recurrence(t: IntersectionTensor, vs: dict, i: int, a: int, row: list) -> tuple[dict, int]:
+    """den x_i v_a - sum p v_b over (p, b, _) in ``row``, over the returned denominator
+    (each v in ``vs`` numerators over one); ValueError names the first class without a v."""
+    for x in (a, *(b for _, b, _ in row)):
+        if x not in vs:
+            raise ValueError("no polynomial for class %s" % t.labels[x].as_text())
+    (va, da), lcm = vs[a], math.lcm(vs[a][1], *(vs[b][1] for _, b, _ in row))
+    out = {c[:i] + (c[i] + 1,) + c[i + 1:]: t.den * lcm // da * x for c, x in va.items()}
+    for p, b, _ in row:
+        for c, x in vs[b][0].items():
+            out[c] = out.get(c, 0) - p * lcm // vs[b][1] * x
+    return out, lcm
 
 
 def extract_polynomials(t: IntersectionTensor, window: Window
@@ -241,42 +248,42 @@ def extract_polynomials(t: IntersectionTensor, window: Window
 
         v_n = (x_i v_a - sum_{b != n} p_{e_i,a}^b v_b) / p_{e_i,a}^n,
 
-    taking D in increasing ``window.key`` order (for a partial order, a
-    linear extension), so every v on the right is already known.  The
-    returned certificate records that every leading coefficient is
-    nonzero.  Raises :class:`ExtractionError` when p_{e_i,a}^n is zero or
-    some b on the right is not below n under ``window`` (certification
-    prerequisite violated).
+    in ``window.walk`` order.  Each v is integer numerators over one
+    denominator (Python ints, exact at any size); a Fraction is made per
+    returned coefficient.  The certificate records that every leading
+    coefficient is nonzero.  Raises :class:`ExtractionError` when
+    p_{e_i,a}^n is zero or a b on the right is not below n (certify first).
     """
-    labels, (gens, _, order, _), (rows, _) = t.labels, t.steps, _steps(t)
-    where = {lab: n for n, lab in enumerate(labels)}
-    origin = MultiIndex.zero(t.m)
-    polys = {origin: {origin: Fraction(1)}}
-    for n in sorted(order.tolist(), key=lambda n: window.key(labels[n]))[1:]:  # o first
+    labels, s, m, rows = t.labels, t.steps, t.m, _rows(t)
+    where, made = {lab: n for n, lab in enumerate(labels)}, dict(zip(labels, labels))
+    below = _below(t, window).tolist()
+    vs = {where.get((0,) * m, -1): ({(0,) * m: 1}, 1)}  # class -> (numerators, denominator)
+    for n in window.walk(s.coords)[1:].tolist():  # o first
         top = labels[n]
         i = next(i for i, e in enumerate(top) if e)
-        below = top[:i] + (top[i] - 1,) + top[i + 1:]
-        g, a = int(gens[i]), where.get(below, -1)
-        row = dict(rows.get((g, a), {}))
-        lead = row.pop(n, 0)
+        prev = top[:i] + (top[i] - 1,) + top[i + 1:]
+        a = where.get(prev, -1)
+        row = rows.get((i, a), [])
+        lead = next((p for p, b, _ in row if b == n), 0)
         if not lead:
-            raise ExtractionError("p_{%s,%s}^%s is zero; certify the scheme first" % tuple(
-                x.as_text() for x in (MultiIndex.unit(t.m, i + 1), MultiIndex(below), top)))
-        outside = [b for b in row if not window.leq(labels[b], top)]
-        if outside:
-            raise ExtractionError(
-                "A_%s A_%s reaches A_%s, which is not below %s; certify the "
-                "scheme first" % (labels[g].as_text(), labels[a].as_text(),
-                                  labels[outside[0]].as_text(), top.as_text()))
-        polys[top] = {c: value / lead for c, value
-                      in _residual(polys, labels[g], labels[a], row, labels).items() if value}
+            raise ExtractionError("p_{%s,%s}^%s is zero; certify the scheme first" % (
+                MultiIndex.unit(m, i + 1).as_text(), ",".join(map(str, prev)), top.as_text()))
+        out = next((b for _, b, j in row if not below[j]), None)
+        if out is not None:
+            raise ExtractionError("A_%s A_%s reaches A_%s, which is not below %s; certify the "
+                                  "scheme first" % tuple(x.as_text() for x in (
+                                      labels[s.gens[i]], labels[a], labels[out], top)))
+        v, lcm = _recurrence(t, vs, i, a, [step for step in row if step[1] != n])
+        v, den = {c: x for c, x in v.items() if x}, lead * lcm
+        g = math.gcd(den, *v.values())
+        vs[n] = ({c: x // g for c, x in v.items()}, den // g)
+    polys = {labels[n] if n >= 0 else MultiIndex.zero(m): {
+        made[c] if c in made else made.setdefault(c, MultiIndex(c)): Fraction(x, d)
+        for c, x in v.items()} for n, (v, d) in vs.items()}
     lead_witness = next((witness(n=n) for n in sorted(polys) if not polys[n].get(n)), None)
-    certificate = Certificate.of([
-        Check("unique-solution", True,
-              detail="%d polynomials extracted" % len(polys)),
-        Check("leading-nonzero", lead_witness is None, lead_witness),
-    ])
-    return polys, certificate
+    return polys, Certificate.of([
+        Check("unique-solution", True, detail="%d polynomials extracted" % len(polys)),
+        Check("leading-nonzero", lead_witness is None, lead_witness)])
 
 
 def verify_recurrences(polys: Mapping[MultiIndex, Mapping[MultiIndex, Fraction]],
@@ -287,52 +294,32 @@ def verify_recurrences(polys: Mapping[MultiIndex, Mapping[MultiIndex, Fraction]]
     With a partial order given, additionally checks that every class b
     contributing to the right side lies below a + e_i.  An identity
     witness names the least monomial, as a tuple, where the sides differ,
-    with the coefficient of each side.
+    with the coefficient of each side.  Each step is checked in integers,
+    as :func:`extract_polynomials` solves it.
     """
-    labels, support_witness, identity_witness = t.labels, None, None
-    for i, g, a, up, row in _steps(t)[1]:
-        if up < 0:
-            continue
-        unit = labels[g] if g >= 0 else MultiIndex.unit(t.m, i + 1)
-        a, up = labels[a], labels[up]
-        diff = _residual(polys, unit, a, row, labels)
-        if partial is not None and support_witness is None:
-            support_witness = next((witness(generator=unit, a=a, b=labels[b], bound=up)
-                                    for b in row if not partial.leq(labels[b], up)), None)
-        if identity_witness is None and any(diff.values()):
-            mono = min(c for c, value in diff.items() if value)
-            lhs = Fraction(polys[a].get(mono[:i] + (mono[i] - 1,) + mono[i + 1:], 0)
+    labels, s, rows, identity = t.labels, t.steps, _rows(t), None
+    vs = {n: ({c: x.numerator * (d // x.denominator) for c, x in polys[lab].items()}, d)
+          for n, lab in enumerate(labels) if lab in polys
+          for d in [math.lcm(*(x.denominator for x in polys[lab].values()))]}
+    for i, j in zip(*(x.tolist() for x in np.nonzero(s.up[:, s.order] >= 0))):  # in D, in order
+        a = int(s.order[j])
+        diff, lcm = _recurrence(t, vs, i, a, rows.get((i, a), []))
+        mono = min((c for c, x in diff.items() if x), default=None)
+        if identity is None and mono is not None:
+            lhs = Fraction(polys[labels[a]].get(mono[:i] + (mono[i] - 1,) + mono[i + 1:], 0)
                            if mono[i] else 0)
-            identity_witness = witness(
-                generator=unit, a=a, monomial=mono,
-                lhs=lhs, rhs=Fraction(lhs - diff[mono]))
-    checks = [Check("recurrence-identity", identity_witness is None, identity_witness)]
+            unit = labels[s.gens[i]] if s.gens[i] >= 0 else MultiIndex.unit(t.m, i + 1)
+            identity = witness(generator=unit, a=labels[a], monomial=MultiIndex(mono), lhs=lhs,
+                               rhs=lhs - Fraction(diff[mono], t.den * lcm))
+    checks = [Check("recurrence-identity", identity is None, identity)]
     if partial is not None:
-        checks.append(Check("recurrence-support", support_witness is None, support_witness))
+        support = _outside_window(t, partial, inside=True)
+        checks.append(Check("recurrence-support", support is None, support and {
+            key: support[key] for key in ("generator", "a", "b", "bound")}))
     return Certificate.of(checks)
 
 
 # -- Type (alpha, beta) -----------------------------------------------------------
-
-def _type_ab_requirements(t: IntersectionTensor) -> tuple[Optional[dict], list]:
-    """The requirements of the type-(alpha, beta) property on the steps
-    a -> a + e_i inside D, in one pass over the generator rows: the
-    witness of the first step whose coefficient p_{e_i,a}^{a+e_i} (up) or
-    p_{e_i,a+e_i}^a (down) is zero, and those steps, whose rows each ask
-    every b below a + e_i.
-
-    :func:`certify_type_ab` and :func:`ab_region_for_scheme` both read
-    them, so the certificate and the region cannot drift apart.
-    """
-    (rows, steps), labels = _steps(t), t.labels
-    inside = [step for step in steps if step[3] >= 0]
-    step_witness = next((witness(generator=MultiIndex.unit(t.m, i + 1), a=labels[a],
-                                 successor=labels[up],
-                                 direction="up" if up not in row else "down")
-                         for i, g, a, up, row in inside
-                         if up not in row or a not in rows.get((g, up), {})), None)
-    return step_witness, inside
-
 
 def certify_type_ab(t: IntersectionTensor, partial: PartialOrder) -> Certificate:
     """Certify the type-(alpha, beta) property of a bivariate labeling.
@@ -348,12 +335,10 @@ def certify_type_ab(t: IntersectionTensor, partial: PartialOrder) -> Certificate
     checks, m = _structural_checks(t)
     if m != 2:
         raise ValueError("type-(alpha,beta) certification needs m=2, got m=%d" % m)
-    checks.extend(check_domain(t.labels, partial).checks)
-    step_witness, inside = _type_ab_requirements(t)
-    checks.append(Check("unit-step-nonzero", step_witness is None, step_witness))
-    window_witness = _outside_window(t, inside, partial.leq, partial.as_text())
-    checks.append(Check("products-within-window", window_witness is None, window_witness))
-    return Certificate.of(checks)
+    step, out = _step_witness(t, True), _outside_window(t, partial, True)
+    return Certificate.of([*checks, *check_domain(t.labels, partial).checks,
+                           Check("unit-step-nonzero", step is None, step),
+                           Check("products-within-window", out is None, out)])
 
 
 def ab_region_for_scheme(t: IntersectionTensor) -> Optional[ABRegion]:
@@ -380,27 +365,20 @@ def ab_region_for_scheme(t: IntersectionTensor) -> Optional[ABRegion]:
     checks, m = _structural_checks(t)
     if m != 2:
         raise ValueError("parameter regions need m=2, got m=%d" % m)
-    step_witness, inside = _type_ab_requirements(t)
-    if not all(c.passed for c in checks) or step_witness is not None:
+    if not all(c.passed for c in checks) or _step_witness(t, True) is not None:
         return None
-    region = ab_feasible_region((t.labels[b], t.labels[up])
-                                for *_, up, row in inside for b in row)
-    if region is None:
-        return None
-    alpha, beta = region.alpha, region.beta
+    up = t.steps.up[t.steps.color, t.steps.a]
+    region = ab_feasible_region((t.labels[b], t.labels[c]) for b, c
+                                in zip(t.steps.b[up >= 0].tolist(), up[up >= 0].tolist()))
     dom = set(t.labels)
-    for a in t.labels:
-        for b in box((a[0] + a[1],) * 2):
-            d1, d2 = b[0] - a[0], b[1] - a[1]
-            if b in dom:
-                continue
-            if d1 <= 0 and d2 <= 0:
-                return None
-            if d1 > 0 > d2:
-                alpha = alpha.clamp_leq(Fraction(d1, -d2), closed=False)
-            elif d2 > 0 > d1:
-                beta = beta.clamp_leq(Fraction(d2, -d1), closed=False)
-    region = ABRegion(alpha, beta)
+    gaps = [(b[0] - a[0], b[1] - a[1]) for a in t.labels
+            for b in box((a[0] + a[1],) * 2) if b not in dom]
+    if region is None or any(d1 <= 0 and d2 <= 0 for d1, d2 in gaps):
+        return None
+    cuts = ([Fraction(x, -y) for x, y in gaps if x > 0 > y],
+            [Fraction(y, -x) for x, y in gaps if y > 0 > x])
+    region = ABRegion(*(axis.clamp_leq(min(cut, default=Fraction(2)), closed=False)
+                        for axis, cut in zip((region.alpha, region.beta), cuts)))
     return None if region.empty else region
 
 

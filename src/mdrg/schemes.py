@@ -31,8 +31,8 @@ from .graphs import ColoredGraph, DistanceTable, m_distance_table
 from .orders import MonomialOrder, MultiIndex
 
 Label = Union[MultiIndex, str]
-Steps = NamedTuple("Steps", [("gens", np.ndarray), ("up", np.ndarray), ("order", np.ndarray),
-                             ("rows", np.ndarray)])
+Steps = NamedTuple("Steps", [(name, np.ndarray) for name in (
+    "gens", "up", "order", "coords", "color", "a", "b", "num", "diff", "hits")])
 
 
 def label_text(label: Label) -> str:
@@ -298,7 +298,7 @@ class IntersectionTensor:
     so sums of k entries are exact, else Python ints (dtype=object).
     Labels are opaque tags or multi-indices; ``identity`` names A_o.  The
     checks read the arrays; :attr:`p`, the read-only map (a, b, c) ->
-    Fraction on labels, and the successor table :attr:`steps` are built on
+    Fraction on labels, and the integer view :attr:`steps` are built on
     first read.  Equality compares labels, identity and ``p``.
     """
 
@@ -347,18 +347,32 @@ class IntersectionTensor:
 
     @functools.cached_property
     def steps(self) -> Steps:
-        """The read-only int64 :class:`Steps` a -> a + e_i on class positions:
+        """The read-only integer view of the steps a -> a + e_i on class positions:
         ``gens[i]``, ``up[i, a]`` those of e_{i+1}, labels[a] + e_{i+1} (-1 if no
-        class), ``order`` the positions in label order, and ``rows`` the entries
-        p_{g,a}^b at a generator g by (g, a), then b in label order; no MultiIndex."""
+        class; found from its predecessor), ``order`` the label order, ``coords``
+        the labels (int64 below 2^62, else Python ints), and the generator entries
+        p_{e_i,a}^b = ``num`` / den by ``color`` i, ``a``, ``b``, in label order, with
+        ``diff`` = labels[a] + e_i - labels[b], whose window keys place b; ``hits[0, i,
+        a]``, ``hits[1, i, a]`` are 1 where p_{e_i,a}^{a+e_i}, p_{e_i,a+e_i}^a != 0."""
         labels, k, m = self.labels, len(self.labels), self.m
-        where = {lab: i for i, lab in enumerate(labels)}  # o + e_i in the last column
-        up = np.array([where.get(lab[:i] + (lab[i] + 1,) + lab[i + 1:], -1) for i in range(m)
-                       for lab in (*labels, (0,) * m)], np.int64).reshape(m, k + 1)
-        order = np.array(sorted(range(k), key=labels.__getitem__), np.int64)
-        rows = np.flatnonzero(np.isin(self.a, up[:, k]))
-        rows = rows[np.lexsort((np.argsort(order)[self.c[rows]], self.b[rows], self.a[rows]))]
-        return Steps(*map(_read_only, (up[:, k], up[:, :k], order, rows)))
+        where = {(0,) * m: k, **{lab: i for i, lab in enumerate(labels)}}  # e_i - e_i is o
+        up = np.full((m, k + 2), -1, np.int64)
+        for b, lab in enumerate(labels):
+            for i in (i for i, e in enumerate(lab) if e):
+                up[i, where.get(lab[:i] + (lab[i] - 1,) + lab[i + 1:], k + 1)] = b
+        gens, order = up[:, where[(0,) * m]], np.array(sorted(range(k), key=labels.__getitem__))
+        color, rank = np.full(k + 1, -1, np.int64), np.argsort(order)
+        color[gens] = np.arange(m)
+        at = np.flatnonzero(color[self.a] >= 0)
+        at = at[np.lexsort((rank[self.c[at]], rank[self.b[at]], color[self.a[at]]))]
+        coords = np.array(labels, np.int64 if max(map(max, labels)) < 2 ** 62 else object)
+        i, a, b = color[self.a[at]], self.b[at], self.c[at]
+        diff = coords[a] - coords[b]
+        diff[np.arange(len(at)), i] += 1
+        hits, rise, fall = np.zeros((2, m, k), np.int64), b == up[i, a], a == up[i, b]
+        hits[0, i[rise], a[rise]] = hits[1, i[fall], b[fall]] = 1
+        return Steps(*map(_read_only, (gens, up[:, :k], order, coords, i, a, b, self.num[at],
+                                       diff, hits)))
 
     def get(self, a: Label, b: Label, c: Label) -> Fraction:
         return self.p.get((a, b, c), Fraction(0))

@@ -42,7 +42,7 @@ class InputFormatError(ValueError):
 # -- Scalars and labels ----------------------------------------------------------
 
 def fraction_to_text(value: Fraction) -> str:
-    return str(Fraction(value))  # "p", or "p/q" in lowest terms with q > 1
+    return str(value if type(value) in (int, Fraction) else Fraction(value))  # "p" or "p/q"
 
 
 def fraction_from_json(value: Union[str, int]) -> Fraction:
@@ -102,7 +102,7 @@ def graph_from_dict(data: Mapping[str, Any]) -> ColoredGraph:
         raise InputFormatError("m must be an integer")
     _check_list("vertices", vertices, "vertex names")
     _check_list("edges", edges)
-    # each color needs an edge, and a larger m costs O(m^2) in every key
+    # each color needs an edge, and a larger m costs O(m) in every key
     if m > max(1, len(edges)):
         raise InputFormatError("m=%d is more than the number of edges (%d); "
                                "every color needs an edge" % (m, len(edges)))
@@ -295,13 +295,14 @@ def dump_json(data: Any) -> str:
     sort_keys=True, indent=2) + "\\n"``, an array written as its nested
     lists, a :class:`DistanceTable` as its {"x|y": label} object (see
     :func:`_encode_pairs`).  With an indent json's encoder is pure Python,
-    one step per entry, so dicts, lists, strings, ints, bools and None are
-    written here; any other value goes to ``json.dumps``, re-indented, which is
-    exact because JSON strings hold no raw newline.  The only arrays are
-    uint8 arrays of digits, such as :func:`scheme_to_dict`'s stacks: each
-    matrix is a copy of the text of one zero matrix, built once per array,
-    with its digits put at their offsets; any other array is a ValueError.
-    Every piece goes to one list, joined once: the text is copied once."""
+    one step per entry, so dicts, lists (one join if all items are exactly
+    str), strings, ints, bools and None are written here; any other value
+    goes to ``json.dumps``, re-indented, which is exact because JSON
+    strings hold no raw newline.  The only arrays are uint8 arrays of
+    digits, such as :func:`scheme_to_dict`'s stacks: each matrix is a copy
+    of the text of one zero matrix, built once per array, with its digits
+    put at their offsets; any other array is a ValueError.  Every piece
+    goes to one list, joined once: the text is copied once."""
     out: list[str] = []
     _encode(data, "\n", out)
     out.append("\n")
@@ -332,6 +333,8 @@ def _encode(value: Any, nl: str, out: list) -> None:
         return
     inner = nl + "  "
     sep, comma, append = brackets[0] + inner, "," + inner, out.append
+    if brackets == "[]" and type(items[0]) is str and set(map(type, items)) == {str}:
+        return append(sep + comma.join(map(encode_basestring_ascii, items)) + nl + "]")
     for head, item in zip(heads, items):
         append(sep + head)
         _encode(item, inner, out)

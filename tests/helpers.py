@@ -14,7 +14,9 @@ over ``t.p`` instead of the class-position arrays of
 ``IntersectionTensor`` (``validate``, ``associativity``, the generator
 rows, ``relabel`` and the document reader), and dom x dom scans through ``t.get``
 instead of the generator rows, with the retry loop for the (alpha, beta)
-region, a colored graph certified per generator tuple instead of the
+region, the label-keyed Fraction recurrence instead of the integer one
+of extraction and the recurrence check, every box of D enumerated
+instead of the immediate-predecessor test of box closure, a colored graph certified per generator tuple instead of the
 label-setting search over the intersection numbers, loops over dense
 0/1 class matrices and sums of Kronecker products instead of the class
 index matrix, the defining Fraction inequalities of each partial
@@ -56,7 +58,6 @@ from mdrg import (ABRegion, Certificate, Check, ColoredGraph,
                   solve_columns, verify_scheme_axioms)
 from mdrg.certificates import witness
 from mdrg.graphs import least_labels
-from mdrg.ppoly import _steps
 from mdrg.schemes import BadPair, _pair_witness, _read_only, label_text, pair_counts
 from mdrg.serialize import (InputFormatError, _check_list, _layout, _required,
                             fraction_from_json, graph_from_dict,
@@ -819,11 +820,13 @@ def dict_generator_rows(t) -> dict:
 
 
 def table_rows(t) -> dict:
-    """The generator rows that the step checks read (``ppoly._steps``, on
-    class positions), keyed by labels in the order read."""
-    rows, _ = _steps(t)
-    return {(t.labels[g], t.labels[a]): {t.labels[b]: value for b, value in row.items()}
-            for (g, a), row in rows.items()}
+    """The generator rows that the step checks read (the entries of
+    ``t.steps``, on class positions), keyed by labels in the order read."""
+    s, rows = t.steps, {}
+    for i, a, b, v in zip(*(x.tolist() for x in (s.color, s.a, s.b, s.num))):
+        rows.setdefault((t.labels[s.gens[i]], t.labels[a]), {})[t.labels[b]] = (
+            v // t.den if v % t.den == 0 else Fraction(v, t.den))
+    return rows
 
 
 def dict_steps(t) -> tuple:
@@ -1002,6 +1005,21 @@ def fraction_downset(a: MultiIndex, p: PartialOrder) -> frozenset:
     hi1 = int(a[0] + al * a[1])
     hi2 = int(be * a[0] + a[1])
     return frozenset(b for b in box((hi1, hi2)) if fraction_precedes(p, b, a))
+
+
+def box_closure_oracle(dom) -> Certificate:
+    """``check_domain(dom, "box")`` as it was written: every box of D is
+    enumerated, D in sorted order and each box in row-major order, up to
+    the first index missing from D."""
+    dset = frozenset(dom)
+    if not dset:
+        return Certificate.single("domain-nonempty", False, witness(reason="empty domain"))
+    ms = {len(a) for a in dset}
+    if len(ms) != 1:
+        return Certificate.single("domain-uniform", False, witness(lengths=sorted(ms)))
+    gap = next(((a, b) for a in sorted(dset) for b in box(tuple(a)) if b not in dset), None)
+    return Certificate.single("box-closure", gap is None, None if gap is None
+                              else witness(element=gap[0], missing=gap[1]))
 
 
 # -- Order-pair compatibility oracle ---------------------------------------------
@@ -1307,6 +1325,92 @@ def scan_recurrences(polys, t, partial=None) -> Certificate:
     return Certificate.of(checks)
 
 
+# -- The Fraction path of extraction and recurrences ---------------------------
+#
+# ``extract_polynomials`` and ``verify_recurrences`` as they were written
+# before they ran on integers: label-keyed generator rows
+# (``dict_generator_rows``), the classes walked by a sort on a Python key,
+# windows compared by their defining inequalities (``defining_leq``), and
+# every polynomial a dict of Fractions.
+
+def fraction_walk_key(window, a: MultiIndex):
+    """The sort key the extraction walks D by: the defining key of a monomial
+    order; for a partial order the sum of its two defining forms times
+    their denominators (componentwise: of the entries), then a."""
+    if isinstance(window, MonomialOrder):
+        return defining_key(window, a)
+    if window.kind == "componentwise":
+        return (sum(a), tuple(a))
+    al, be = window.ab.alpha, window.ab.beta
+    return ((a[0] + al * a[1]) * al.denominator + (be * a[0] + a[1]) * be.denominator, tuple(a))
+
+
+def _fraction_residual(polys, unit: MultiIndex, a: MultiIndex, row: Mapping) -> dict:
+    """x_i v_a - sum_b p_{e_i,a}^b v_b over ``row`` = {b: p}; ValueError names
+    the first of a, then the b in row order, that has no polynomial."""
+    for b in (a, *row):
+        if b not in polys:
+            raise ValueError("no polynomial for class %s" % b.as_text())
+    diff = {c + unit: value for c, value in polys[a].items()}
+    for b, p in row.items():
+        for c, value in polys[b].items():
+            diff[c] = diff.get(c, 0) - p * value
+    return diff
+
+
+def fraction_extract_polynomials(t, window) -> tuple:
+    """(polys, certificate) of the recurrence on Fractions."""
+    from mdrg import ExtractionError
+    rows, origin = dict_generator_rows(t), MultiIndex.zero(t.m)
+    polys = {origin: {origin: Fraction(1)}}
+    for top in sorted(t.labels, key=lambda a: fraction_walk_key(window, a))[1:]:
+        i = next(i for i, e in enumerate(top) if e)
+        unit, below = MultiIndex.unit(t.m, i + 1), MultiIndex(top[:i] + (top[i] - 1,) + top[i + 1:])
+        row = dict(rows.get((unit, below), {}))
+        lead = row.pop(top, 0)
+        if not lead:
+            raise ExtractionError("p_{%s,%s}^%s is zero; certify the scheme first"
+                                  % (unit.as_text(), below.as_text(), top.as_text()))
+        outside = [b for b in row if not defining_leq(window, b, top)]
+        if outside:
+            raise ExtractionError(
+                "A_%s A_%s reaches A_%s, which is not below %s; certify the scheme first"
+                % (unit.as_text(), below.as_text(), outside[0].as_text(), top.as_text()))
+        polys[top] = {c: value / lead for c, value
+                      in _fraction_residual(polys, unit, below, row).items() if value}
+    lead_witness = next((witness(n=n) for n in sorted(polys) if not polys[n].get(n)), None)
+    return polys, Certificate.of([
+        Check("unique-solution", True, detail="%d polynomials extracted" % len(polys)),
+        Check("leading-nonzero", lead_witness is None, lead_witness)])
+
+
+def fraction_verify_recurrences(polys, t, partial=None) -> Certificate:
+    """``verify_recurrences`` on Fractions, over the steps a -> a + e_i in D
+    by color, then a in label order."""
+    rows, dom = dict_generator_rows(t), set(t.labels)
+    support_witness = identity_witness = None
+    for i, unit in enumerate(_units(t.m)):
+        for a in sorted(dom):
+            up = a + unit
+            if up not in dom:
+                continue
+            row = rows.get((unit, a), {})
+            diff = _fraction_residual(polys, unit, a, row)
+            if partial is not None and support_witness is None:
+                support_witness = next((witness(generator=unit, a=a, b=b, bound=up) for b in row
+                                        if not defining_leq(partial, b, up)), None)
+            if identity_witness is None and any(diff.values()):
+                mono = min(c for c, value in diff.items() if value)
+                lhs = Fraction(polys[a].get(mono[:i] + (mono[i] - 1,) + mono[i + 1:], 0)
+                               if mono[i] else 0)
+                identity_witness = witness(generator=unit, a=a, monomial=mono, lhs=lhs,
+                                           rhs=Fraction(lhs - diff[mono]))
+    checks = [Check("recurrence-identity", identity_witness is None, identity_witness)]
+    if partial is not None:
+        checks.append(Check("recurrence-support", support_witness is None, support_witness))
+    return Certificate.of(checks)
+
+
 def interval_contains(interval: Interval, x: Fraction) -> bool:
     """x lies in the interval, each endpoint open or closed."""
     lo, hi = interval.lo, interval.hi
@@ -1429,20 +1533,21 @@ def graph_discover_labelings(s: SchemeClasses, m: int,
 # certificate from the tensor and the witness alone, by ``t.get`` and the
 # defining inequalities of the window order (never its weight rows).
 
+def defining_key(order: MonomialOrder, x) -> tuple:
+    """The sort tuple that the ``MonomialOrder`` docstring names for its kind."""
+    if order.kind == "lex":
+        return tuple(x)
+    if order.kind == "deglex-y2":
+        return (sum(x), x[1])
+    return (sum(w * e for w, e in zip(order.weights or (1,) * len(x), x)), *x)
+
+
 def defining_leq(window, a: MultiIndex, b: MultiIndex) -> bool:
     """a below-or-equal b under a window order by its definition: the
-    Fraction inequalities of a partial order, or the sort tuple that the
-    ``MonomialOrder`` docstring names for its kind."""
+    Fraction inequalities of a partial order, or ``defining_key``."""
     if isinstance(window, PartialOrder):
         return fraction_precedes(window, a, b)
-
-    def key(x):
-        if window.kind == "lex":
-            return tuple(x)
-        if window.kind == "deglex-y2":
-            return (sum(x), x[1])
-        return (sum(w * e for w, e in zip(window.weights or (1,) * len(x), x)), *x)
-    return key(a) <= key(b)
+    return defining_key(window, a) <= defining_key(window, b)
 
 
 def window_from_text(text: str):

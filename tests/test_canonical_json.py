@@ -43,9 +43,13 @@ def ints_with_a_bool(draw):
     return items
 
 
+# Lists and tuples of exactly str, written in one join: empty, non-ASCII
+# and control characters included.
+STRINGS = st.lists(TEXT, max_size=6)
 SCALARS = st.one_of(st.none(), st.booleans(), INTS,
                     st.floats(allow_nan=True, allow_infinity=True), TEXT,
-                    st.lists(INTS, max_size=6), ints_with_a_bool())
+                    st.lists(INTS, max_size=6), ints_with_a_bool(),
+                    STRINGS, STRINGS.map(tuple))
 
 
 def containers(children):
@@ -70,7 +74,8 @@ def test_dump_json_fixed_cases():
     for value in ({}, [], (), "", 0, -1, True, None, 1.5, [[]], {"a": {}},
                   {"b": [1, 2], "a": [True, 1], "é": "\x00\n "},
                   [1, [2, [3, []]], {"x": (4,)}], {2: "b", 10: "a"},
-                  [2 ** 70, -2 ** 70, 0]):
+                  [2 ** 70, -2 ** 70, 0], ["", "é", "\x00\n\"", "\u2028"], ("a",),
+                  {"k": ["x", "y"]}):
         assert dump_json(value) == reference(value)
 
 

@@ -13,6 +13,9 @@ zero, one or both generators among the classes); and the generalized
 24-cell grid under both label maps.
 """
 
+import functools
+import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,7 +27,7 @@ from mdrg import (IntersectionTensor, Labeling, MonomialOrder, MultiIndex,
                   certify_type_ab, cycle, extract_polynomials, gen24cell,
                   hamming_graph, mdrg_check, verify_recurrences)
 from mdrg.cli import main
-from mdrg.serialize import dump_json, tensor_to_dict
+from mdrg.serialize import dump_json, graph_to_dict, tensor_to_dict
 
 from helpers import (AXIS_LABELING, DIAGONAL_LABELING, REPROVERS, dict_steps,
                      region_contains, scan_ab_region, scan_recurrences,
@@ -148,6 +151,46 @@ def test_long_labels_make_a_fixed_number_of_multi_indices(tmp_path, capsys, wind
     capsys.readouterr()
     assert in_check[0] == in_check[1] < 10, in_check
     assert in_command[0] == in_command[1] < 20, in_command
+
+
+def test_two_labels_at_m_3000_run_under_half_a_second(tmp_path, capsys):
+    """The order half of the long-label blowup: ``--order`` is checked on
+    its sparse form and the window keys cost O(k m), so two labels of
+    length 3000 run certify-ppoly --boundary --recurrences in under 0.5 s
+    (with the dense weight rows, 2.4 s on a 2-CPU machine)."""
+    path = tmp_path / "two3000.json"
+    path.write_text(dump_json(tensor_to_dict(_two_labels(3000))))
+    argv = ["certify-ppoly", str(path), "--order", "deglex-sum", "--boundary", "--recurrences"]
+    times = []
+    for _ in range(2):
+        started = time.perf_counter()
+        assert main(argv) == 1  # generators-realized: e_2..e_3000 are no classes
+        times.append(time.perf_counter() - started)
+    capsys.readouterr()
+    assert min(times) < 0.5, times
+
+
+def test_certify_ppoly_makes_a_fraction_per_printed_coefficient(tmp_path, capsys, monkeypatch):
+    """certify-ppoly --boundary --recurrences --polys on C14 x C9 (k = 40)
+    makes at most one Fraction per printed coefficient and a few more; the
+    Fraction recurrence made 1 622 for its 180 terms.  The tensor's integer
+    view is built once for all the checks."""
+    graph = tmp_path / "c14xc9.json"
+    graph.write_text(dump_json(graph_to_dict(cartesian_product([cycle(14), cycle(9)]))))
+    made, make, builds, build = [], Fraction.__new__, [], IntersectionTensor.steps.func
+    view = functools.cached_property(lambda t: builds.append(1) or build(t))
+    view.__set_name__(IntersectionTensor, "steps")
+    monkeypatch.setattr(IntersectionTensor, "steps", view)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Fraction, "__new__", staticmethod(
+            lambda cls, *args, **kwargs: made.append(1) or make(cls, *args, **kwargs)))
+        code = main(["certify-ppoly", str(graph), "--order", "deglex-sum", "--boundary",
+                     "--recurrences", "--polys", str(tmp_path / "polys.json")])
+    report = json.loads(capsys.readouterr().out)
+    terms = sum(len(poly["terms"]) for poly in report["results"]["polynomials"])
+    assert code == 0 and terms == 180
+    assert len(made) <= terms + 10, len(made)
+    assert builds == [1]
 
 
 def _named(cert, names):

@@ -27,7 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "mdrg"
 BENCHMARK = ROOT / "perfbench"
 # the most lines src/mdrg/*.py may hold together (ROADMAP, Quality of design)
-LINE_BUDGET = 3070
+LINE_BUDGET = 3069
 
 
 def _unused_imports(path: Path) -> list[str]:

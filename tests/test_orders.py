@@ -22,7 +22,7 @@ from mdrg import (ABRegion, AlphaBeta, Interval, MonomialOrder, MultiIndex,
                   PartialOrder, ab_feasible_region, box, check_domain,
                   downset_enum, validate_pair_compat)
 
-from helpers import (Comparison, fraction_downset, fraction_precedes,
+from helpers import (Comparison, box_closure_oracle, fraction_downset, fraction_precedes,
                      interval_contains, key_compare, named_check, region_contains,
                      validate_monomial_order)
 
@@ -307,6 +307,26 @@ def test_check_domain_box_closure():
     assert cert.witness["element"] == "1,1"
     assert named_check(check_domain([], "box"), "domain-nonempty").passed is False
     assert not check_domain([mi(1), mi(1, 0)], "box").passed
+
+
+@st.composite
+def downsets_with_holes(draw):
+    """A union of boxes in N^m, m in 1..3, with up to three of its points
+    removed and up to two points added: box-closed or not, with the least
+    element of a gap anywhere in sorted order."""
+    m = draw(st.integers(1, 3))
+    point = st.tuples(*[st.integers(0, 4)] * m).map(MultiIndex)
+    dom = {b for top in draw(st.lists(point, min_size=1, max_size=4)) for b in box(tuple(top))}
+    dom -= set(draw(st.lists(st.sampled_from(sorted(dom)), max_size=3)))
+    return dom | set(draw(st.lists(point, max_size=2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(downsets_with_holes())
+def test_box_closure_by_predecessors_matches_the_box_scan(dom):
+    """The least a in D whose box has a gap is the least a with some
+    a - e_i outside D; only its box is enumerated, for the same witness."""
+    assert check_domain(dom, "box").to_dict() == box_closure_oracle(dom).to_dict()
 
 
 def test_check_domain_downset_depends_on_alpha():

@@ -141,6 +141,7 @@ INPUTS = {
         p=K3_P[:-1] + [["1", "1", "1", "1e10000000"]]),
     "noncommuting.json": _noncommuting,
     "corrupted6x6.json": _corrupted6x6,
+    "c7.json": lambda: dump_json(tensor_to_dict(mdrg_check(cycle(7), DEGLEX_SUM).tensor)),
 }
 
 GENERATED = [
@@ -206,6 +207,16 @@ ASSOCIATIVITY = [
     ["type-ab", "corrupted6x6.json", "--region"],
 ]
 
+# a scheme under labelings that fail at the step checks: C7 with classes 2
+# and 3 swapped (products-within-window and successor-nonzero), and C7 in
+# N^2 with class 3 at e_2 and class 2 at 2 e_2, where p_{3,3}^2 = 0
+# (unit-step-nonzero)
+STEP_FAILURES = [
+    ["certify-ppoly", "c7.json", "--order", "deglex-sum", "--labeling", "0=0;1=1;2=3;3=2"],
+    ["type-ab", "c7.json", "--labeling", "0=0,0;1=1,0;2=0,2;3=0,1", "--alpha", "1/2",
+     "--beta", "0"],
+]
+
 # graph documents that are not lists of vertex names and [u, v, color]
 # edges, or whose m exceeds max(1, number of edges)
 BAD_GRAPHS = [["distances", path, "--order", "lex"] for path in (
@@ -246,7 +257,7 @@ def _cases():
              ";".join("A%d=%d" % (i, i) for i in range(k))],
             ["discover", path, "--m", "1", "--order", "deglex-sum"],
         ]
-    cases += WINDOWS + GRAPHS + ASSOCIATIVITY + BAD_GRAPHS + BAD_DOCUMENTS
+    cases += WINDOWS + GRAPHS + ASSOCIATIVITY + STEP_FAILURES + BAD_GRAPHS + BAD_DOCUMENTS
     return cases
 
 
@@ -283,6 +294,8 @@ DIGESTS = {
         '1a5715008ec768e7d9bf1ecda2086acea071e383f6215d36418fbcb775a747c4',
     'certify-ppoly c6.json --order deglex-sum --boundary --recurrences --polys polys.json':
         '34f0dd4ff5427cb2d8895843fecf1bb82c30f4ac6ba49e2a36870c503b976bf3',
+    'certify-ppoly c7.json --order deglex-sum --labeling 0=0;1=1;2=3;3=2':
+        '4f99f85f2902db25e46abf36df2081b1b31c9d2dcd719b4768b00ac17d1e481c',
     'certify-ppoly corrupted6x6.json --order deglex-sum --boundary --recurrences':
         '55076917a34a518ca4803f1cb0b1a1a3ded13c8d8b1ec44f3a3a95f9066ca962',
     'certify-ppoly gap.json --order deglex-sum --labeling A0=0;A1=1':
@@ -383,6 +396,8 @@ DIGESTS = {
         '2fba55f84048fd43a0d197eb0cc8f9be6559cf040d4bb92892e807cdf355ef90',
     'type-ab c6g.json --region':
         'd6d67a7435e8e95b51a65ddf2c38d4b73ae3efdc7f30394d5491c5fdedb3ebed',
+    'type-ab c7.json --labeling 0=0,0;1=1,0;2=0,2;3=0,1 --alpha 1/2 --beta 0':
+        '1ab1bf63b8909371c9bd0b0ef12664cf3a60f8cf77ab893c9ea660a383191197',
     'type-ab corrupted6x6.json --region':
         'e16050ae92652cb583b77e0cafd5d47105635b702d4ddcba10803de32a05e263',
     'type-ab pauli4.json --region --labeling A0=0,0;A1=1,0;A2=0,1':
@@ -472,9 +487,8 @@ def test_report_digest(name, tmp_path, capsys, monkeypatch):
 def test_failing_step_checks_reprove_from_their_witnesses(tmp_path, capsys, monkeypatch):
     """Every exit-1 certify-ppoly and type-ab report above: each failing
     step check is confirmed from the input document and its witness alone
-    (``helpers.reprove_report``), not only pinned by the bytes.  Today
-    each of them fails before the step checks, at the scheme axioms,
-    associativity or the (alpha, beta) downset."""
+    (``helpers.reprove_report``), not only pinned by the bytes; the
+    ``STEP_FAILURES`` reach every step check."""
     failing = Counter()
     for i, name in enumerate(sorted(CASES)):
         if CASES[name][0] not in ("certify-ppoly", "type-ab"):
@@ -491,7 +505,9 @@ def test_failing_step_checks_reprove_from_their_witnesses(tmp_path, capsys, monk
             failing.update(check["name"] for certificate in report["certificates"].values()
                            for check in certificate["checks"] if not check["passed"])
     assert set(failing) == {"associativity", "closure", "downset-closure",
-                            "identity-class", "partition", "symmetry"}, failing
+                            "identity-class", "partition", "symmetry",
+                            "products-within-window", "successor-nonzero",
+                            "unit-step-nonzero"}, failing
 
 
 def _c32_recolored() -> str:
